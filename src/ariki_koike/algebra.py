@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 
 from .fields import Params, SizeGuardError
-from .linalg import inverse as mat_inverse
+from .linalg import inverse as mat_inverse, mat_vec, transpose
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab
 from .tableaux import (
     MultiComposition,
@@ -258,8 +258,8 @@ class ArikiKoikeAlgebra:
 
     def left_mult_matrix(self, elem: Element) -> list[list]:
         """Columns are vec(elem * mono) over the canonical basis."""
-        cols = [self.vec(elem * self.element({mono: self.field.one})) for mono in self.basis()]
-        return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
+        one = self.field.one
+        return transpose([self.vec(elem * self.element({mono: one})) for mono in self.basis()])
 
     # -- multiplication engine -------------------------------------------------
 
@@ -627,8 +627,7 @@ class TransitionMatrix:
             raise ValueError(
                 f"cellular data count {len(self.cells)} != rank {len(self.monomials)}"
             )
-        cols = [alg.vec(alg.m_st(s, t)) for (_, s, t) in self.cells]
-        self.matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
+        self.matrix = transpose([alg.vec(alg.m_st(s, t)) for (_, s, t) in self.cells])
         self._inverse: list[list] | None = None
 
     def inverse(self) -> list[list]:
@@ -638,20 +637,8 @@ class TransitionMatrix:
 
     def express(self, elem: Element) -> dict:
         """Exact coordinates of elem in the cellular basis: {(lam, s, t): coeff}."""
-        v = self.alg.vec(elem)
-        inv = self.inverse()
-        out = {}
-        for i, row in enumerate(inv):
-            c = None
-            for a, b in zip(row, v):
-                if b:
-                    term = a * b
-                    c = term if c is None else c + term
-            if c is None:
-                c = self.alg.field.zero
-            if c:
-                out[self.cells[i]] = c
-        return out
+        coords = mat_vec(self.inverse(), self.alg.vec(elem), self.alg.field)
+        return {cell: c for cell, c in zip(self.cells, coords) if c}
 
     def combine(self, coords: dict) -> Element:
         out = self.alg.zero()

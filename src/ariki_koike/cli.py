@@ -166,20 +166,7 @@ def run_suites(params: Params, suite: str, seed: int, max_dim: int,
     if suite in ("morita", "all"):
         ms = MoritaSuite(params, max_dim=max_dim)
         if only_b is not None:
-            b = only_b
-            out += ms.verify_counting()
-            out += ms.verify_intertwining(b)
-            out += ms.verify_annihilation(b)
-            out += ms.verify_kernel_vanishing(b)
-            out += ms.verify_leading_terms(b)
-            out += ms.verify_bases(b)
-            out += ms.verify_filtration(b)
-            out += ms.verify_end_basis(b)
-            out += ms.verify_theta_map(b)
-            out += ms.verify_bimodule(b)
-            out += ms.verify_faithfulness(b)
-            out += ms.verify_free_decomposition(b)
-            out += ms.verify_pair_bijection(b)
+            out += ms.level_checks([only_b])
         else:
             out += ms.run_all()
     if suite in ("schur", "all"):
@@ -212,9 +199,9 @@ def cmd_gram(args) -> int:
     alg = ArikiKoikeAlgebra(params, max_dim=args.max_dim)
     blocks = []
     for lam in multipartitions(params.n, params.r):
-        blocks.append(gram_to_tsv(alg, lam))
-        det = determinant(gram_matrix(alg, lam), params.field)
-        blocks.append(f"# det = {det}")
+        g = gram_matrix(alg, lam)
+        blocks.append(gram_to_tsv(lam, g))
+        blocks.append(f"# det = {determinant(g, params.field)}")
     _emit("\n".join(blocks), args.out)
     return EXIT_PASS
 

@@ -1,8 +1,9 @@
-"""Dense exact linear algebra over a field (rank, solve, nullspace, inverse).
+"""Exact linear algebra over a field: the package's only matrix arithmetic.
 
-Matrices are plain lists of lists of field elements (Fraction or FpElement);
-everything is straightforward Gaussian elimination with exact division, which
-is all the desk-scale instances in this package need.
+Matrices are plain lists of lists of field elements (Fraction or FpElement).
+Products skip zero factors and start each sum from its first nonzero term;
+elimination is straightforward Gaussian elimination with exact division,
+which is all the desk-scale instances in this package need.
 """
 
 from __future__ import annotations
@@ -22,31 +23,59 @@ def zero_vector(n: int, field) -> list:
     return [field.zero for _ in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[list]:
+    """The product a b, skipping zero entries of a and of b."""
+    return [vec_mat(row, b, field) for row in a]
+
+
+def mat_product(factors: Sequence[Sequence[Sequence]], n: int, field) -> list[list]:
+    """The product of a sequence of n x n matrices, in order (the identity if empty)."""
+    out = identity_matrix(n, field)
+    for m in factors:
+        out = mat_mul(out, m, field)
     return out
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    return [sum_products(row, v) for row in a]
+def vec_mat(v: Sequence, m: Sequence[Sequence], field) -> list:
+    """The row vector v m, skipping the zero entries of v and of m."""
+    out = None
+    for x, row in zip(v, m):
+        if x:
+            if out is None:
+                out = [x * y for y in row]
+            else:
+                out = [acc + x * y if y else acc for acc, y in zip(out, row)]
+    if out is None:
+        return zero_vector(len(m[0]) if m else 0, field)
+    return out
 
 
-def sum_products(row: Sequence, v: Sequence):
-    acc = None
-    for x, y in zip(row, v):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
+def mat_vec(m: Sequence[Sequence], v: Sequence, field) -> list:
+    """The column vector m v, skipping the zero entries of v and of m."""
+    support = [(j, y) for j, y in enumerate(v) if y]
+    out = []
+    for row in m:
+        acc = None
+        for j, y in support:
+            x = row[j]
+            if x:
+                acc = x * y if acc is None else acc + x * y
+        out.append(field.zero if acc is None else acc)
+    return out
+
+
+def kernel_conditions(mats: Sequence[Sequence[Sequence]], kernel: Sequence[Sequence],
+                      field) -> list[list]:
+    """The nonzero rows of the linear conditions (sum_i z_i mats[i]) k = 0.
+
+    One row per vector k of `kernel` and coordinate c: entry i is
+    coordinate c of mats[i] k.
+    """
+    rows = []
+    for k in kernel:
+        images = [mat_vec(m, k, field) for m in mats]
+        rows.extend(list(row) for row in zip(*images) if any(row))
+    return rows
 
 
 def transpose(m: Sequence[Sequence]) -> list[list]:
@@ -158,15 +187,21 @@ def row_space_basis(m: Sequence[Sequence]) -> list[list]:
     return [work[i] for i in range(len(pivots))]
 
 
-def in_row_space(basis_echelon: list[list], v: Sequence) -> bool:
-    """Membership test against an echelonized row basis (reduces a copy of v)."""
+def pivot_columns(echelon: Sequence[Sequence]) -> list[int]:
+    """The leading column of every (nonzero) row of an echelon form."""
+    return [next(i for i, x in enumerate(row) if x) for row in echelon]
+
+
+def reduce_by_echelon(v: Sequence, echelon: Sequence[Sequence], pivots: Sequence[int]) -> list:
+    """Clear the pivot columns of (a copy of) v with the rows of a reduced echelon form."""
     v = list(v)
-    pivot_cols = []
-    for row in basis_echelon:
-        pc = next(i for i, x in enumerate(row) if x)
-        pivot_cols.append(pc)
-    for row, pc in zip(basis_echelon, pivot_cols):
-        if v[pc]:
-            factor = v[pc]
-            v = [a - factor * b for a, b in zip(v, row)]
-    return not any(v)
+    for row, pc in zip(echelon, pivots):
+        c = v[pc]
+        if c:
+            v = [a - c * b if b else a for a, b in zip(v, row)]
+    return v
+
+
+def in_row_space(basis_echelon: list[list], v: Sequence) -> bool:
+    """Membership test against a reduced echelon row basis."""
+    return not any(reduce_by_echelon(v, basis_echelon, pivot_columns(basis_echelon)))

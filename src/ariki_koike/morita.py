@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb, factorial
 
 from .algebra import ArikiKoikeAlgebra, Element, _accumulate
 from .fields import ComputationError, GateError, Params, f_s_value
-from .linalg import nullspace, rank, solve
+from .linalg import kernel_conditions, mat_mul, mat_vec, nullspace, rank, solve, transpose
 from .perms import coset_reps, shift_perm, sorted_permutations, w_ab
 from .report import CheckResult, result
 from .specht import SpechtModule, specht_module
@@ -85,22 +86,6 @@ def _dump(elem: Element, limit: int = 4) -> str:
     return shown or "0"
 
 
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 @dataclass
 class VBasis:
     b: int
@@ -134,9 +119,6 @@ class TensorAlgebra:
 
     def basis(self) -> list[tuple]:
         return [(m1, m2) for m1 in self.left.basis() for m2 in self.right.basis()]
-
-    def element(self, terms: dict) -> dict:
-        return {k: v for k, v in terms.items() if v}
 
     def tensor(self, a: Element, c: Element) -> dict:
         """The pure tensor a (x) c as a sparse tensor element."""
@@ -229,9 +211,7 @@ class MoritaSuite:
         return out
 
     def _vmatrix(self, b: int) -> list[list]:
-        vb = self.v_basis(b)
-        cols = [self.alg.vec(e) for e in vb.elements]
-        return [[col[i] for col in cols] for i in range(self.alg.dim)]
+        return transpose([self.alg.vec(e) for e in self.v_basis(b).elements])
 
     def _v_coords(self, b: int, elem: Element) -> list | None:
         return solve(self._vmatrix(b), self.alg.vec(elem), self.field)
@@ -254,7 +234,7 @@ class MoritaSuite:
 
     def expected_rank(self, b: int) -> int:
         s, r, n = self.s, self.params.r, self.n
-        return binomial(n, b) * (s ** b) * factorial(b) * ((r - s) ** (n - b)) * factorial(n - b)
+        return comb(n, b) * (s ** b) * factorial(b) * ((r - s) ** (n - b)) * factorial(n - b)
 
     # -- unconditional identity families ---------------------------------------
 
@@ -560,15 +540,14 @@ class MoritaSuite:
                 continue
             mat = []
             for x in preimages:
-                img = [sum_row(L_vst[i], x, self.field) for i in range(alg.dim)]
-                coords = solve(vmat, img, self.field)
+                coords = solve(vmat, mat_vec(L_vst, x, self.field), self.field)
                 if coords is None:
                     failures.append("endomorphism image left V^b")
                     coords = [self.field.zero] * len(vb.entries)
                 mat.append(coords)
             mats.append(mat)
             for g, act in enumerate(self.v_action(b)):
-                if mat_mul_small(act, mat, self.field) != mat_mul_small(mat, act, self.field):
+                if mat_mul(act, mat, self.field) != mat_mul(mat, act, self.field):
                     failures.append("endomorphism does not commute with the action")
         flat = [[x for row in m for x in row] for m in mats]
         indep = rank(flat) == len(mats) if mats else True
@@ -605,15 +584,8 @@ class MoritaSuite:
         m_elems = [alg.m_st(u, v) for (_, u, v) in entries]
         l_mats = [alg.left_mult_matrix(e) for e in m_elems]
         # homogeneous rows: coordinates of (sum z_i m_i) * k over all k in rAnn(v_b)
-        rows: list[list] = []
-        rhs: list = []
-        for k in ann:
-            images = [[sum_row(lm[i], k, self.field) for i in range(alg.dim)] for lm in l_mats]
-            for out_coord in range(alg.dim):
-                row = [images[i][out_coord] for i in range(len(m_elems))]
-                if any(row):
-                    rows.append(row)
-                    rhs.append(self.field.zero)
+        rows = kernel_conditions(l_mats, ann, self.field)
+        rhs = [self.field.zero] * len(rows)
         # affine normalization: theta_b(sum z_i m_i) = v_b
         theta_cols = [alg.vec(alg.theta_b(b, e)) for e in m_elems]
         target = alg.vec(vb_elem)
@@ -636,7 +608,7 @@ class MoritaSuite:
             h = solve(L_vb, alg.vec(e), self.field)
             if h is None:
                 raise ComputationError("v-basis element is not in v_b H")
-            basis.append(alg.from_vec([sum_row(L_y0[i], h, self.field) for i in range(alg.dim)]))
+            basis.append(alg.from_vec(mat_vec(L_y0, h, self.field)))
         return basis
 
     def verify_regular_decomposition(self) -> list[CheckResult]:
@@ -674,7 +646,7 @@ class MoritaSuite:
                 for e in comp:
                     all_rows.append(alg.vec(tw * e))
                     block += 1
-            block_sizes.append((b, block, binomial(n, b) * expected))
+            block_sizes.append((b, block, comb(n, b) * expected))
         total_rank = rank(all_rows)
         ok_total = total_rank == alg.dim and all(got == want for (_, got, want) in block_sizes)
         detail = (
@@ -906,7 +878,7 @@ class MoritaSuite:
             )
             if got != self.expected_rank(b):
                 failures.append(f"b={b}: {got} != {self.expected_rank(b)}")
-        total = sum(binomial(self.n, b) * self.expected_rank(b) for b in range(self.n + 1))
+        total = sum(comb(self.n, b) * self.expected_rank(b) for b in range(self.n + 1))
         if total != self.alg.dim:
             failures.append(f"total {total} != dim H = {self.alg.dim}")
         return [result("morita.rank_counting", REF_COUNT, self._pdict(), not failures,
@@ -941,7 +913,7 @@ class MoritaSuite:
             level, _ = lambda_sets(n, r, s, b)
             for lam in level:
                 sigma, tau = split_multipartition(lam, s)
-                if len(std_tableaux(lam)) != binomial(n, b) * len(std_tableaux(sigma)) * len(std_tableaux(tau)):
+                if len(std_tableaux(lam)) != comb(n, b) * len(std_tableaux(sigma)) * len(std_tableaux(tau)):
                     fail_a.append(lam.serialize())
         out.append(result("morita.dim_cell_factorization", REF_FACTOR_S, self._pdict(), not fail_a,
                           "; ".join(fail_a[:3])))
@@ -958,7 +930,7 @@ class MoritaSuite:
                 d_alpha = rank(_gram(left_algs[c], alpha))
                 d_beta = rank(_gram(right_algs[n - c], beta))
                 simple_dims[mu] = d_mu
-                if d_mu != binomial(n, c) * d_alpha * d_beta:
+                if d_mu != comb(n, c) * d_alpha * d_beta:
                     fail_b.append(
                         f"{mu.serialize()}: {d_mu} != C({n},{c})*{d_alpha}*{d_beta}"
                     )
@@ -1015,24 +987,24 @@ class MoritaSuite:
 
     # -- the full suite -------------------------------------------------------------
 
+    def level_checks(self, levels) -> list[CheckResult]:
+        """The rank count, then every per-level statement at each level b in `levels`."""
+        out = self.verify_counting()
+        for b in levels:
+            for check in (
+                self.verify_intertwining, self.verify_annihilation,
+                self.verify_kernel_vanishing, self.verify_leading_terms,
+                self.verify_bases, self.verify_filtration, self.verify_end_basis,
+                self.verify_theta_map, self.verify_bimodule, self.verify_faithfulness,
+                self.verify_free_decomposition, self.verify_pair_bijection,
+            ):
+                out += check(b)
+        return out
+
     def run_all(self, direct_hom_limit: int = 3) -> list[CheckResult]:
         if not self.fs:
             raise GateError(GATE_MESSAGE)
-        out = []
-        out += self.verify_counting()
-        for b in range(self.n + 1):
-            out += self.verify_intertwining(b)
-            out += self.verify_annihilation(b)
-            out += self.verify_kernel_vanishing(b)
-            out += self.verify_leading_terms(b)
-            out += self.verify_bases(b)
-            out += self.verify_filtration(b)
-            out += self.verify_end_basis(b)
-            out += self.verify_theta_map(b)
-            out += self.verify_bimodule(b)
-            out += self.verify_faithfulness(b)
-            out += self.verify_free_decomposition(b)
-            out += self.verify_pair_bijection(b)
+        out = self.level_checks(range(self.n + 1))
         direct = self.n <= direct_hom_limit
         for b in range(self.n + 1):
             for c in range(self.n + 1):
@@ -1042,25 +1014,3 @@ class MoritaSuite:
         out += self.verify_factorization()
         return out
 
-
-def sum_row(row, vec, field):
-    acc = field.zero
-    for a, x in zip(row, vec):
-        if a and x:
-            acc = acc + a * x
-    return acc
-
-
-def mat_mul_small(a, b, field):
-    if not a or not b:
-        return a
-    cols = len(b[0])
-    out = []
-    for row in a:
-        new = [field.zero] * cols
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                new = [acc + x * y for acc, y in zip(new, brow)]
-        out.append(new)
-    return out

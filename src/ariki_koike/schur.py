@@ -13,7 +13,15 @@ from __future__ import annotations
 
 from .algebra import ArikiKoikeAlgebra
 from .fields import GateError, Params
-from .linalg import in_row_space, nullspace, rank, row_space_basis
+from .linalg import (
+    identity_matrix,
+    in_row_space,
+    kernel_conditions,
+    mat_mul,
+    nullspace,
+    rank,
+    row_space_basis,
+)
 from .morita import MoritaSuite
 from .report import CheckResult, result
 from .tableaux import (
@@ -72,24 +80,12 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     # right annihilator of m_nu
     ann = nullspace(alg.left_mult_matrix(m_nu), field)
     # solve: x in span(mu_basis) with x k = 0 for all k in ann
-    cond_rows = []
     x_mats = [alg.left_mult_matrix(alg.from_vec(v)) for v in mu_basis]
-    for k in ann:
-        for coord in range(alg.dim):
-            row = []
-            for xm in x_mats:
-                acc = field.zero
-                for a, b in zip(xm[coord], k):
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            if any(row):
-                cond_rows.append(row)
+    cond_rows = kernel_conditions(x_mats, ann, field)
     if cond_rows:
         sols = nullspace(cond_rows, field)
     else:
-        sols = [[field.one if i == j else field.zero for j in range(len(mu_basis))]
-                for i in range(len(mu_basis))]
+        sols = identity_matrix(len(mu_basis), field)
     solved_dim = len(sols)
 
     expected = 0
@@ -102,13 +98,7 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
             for T in t_count:
                 members.append(alg.m_semi2(S, T))
 
-    sol_rows = []
-    for z in sols:
-        vec = [field.zero] * alg.dim
-        for c, bas in zip(z, mu_basis):
-            if c:
-                vec = [a + c * bb for a, bb in zip(vec, bas)]
-        sol_rows.append(vec)
+    sol_rows = mat_mul(sols, mu_basis, field)
     sol_echelon = row_space_basis(sol_rows) if sol_rows else []
     members_inside = all(
         in_row_space(sol_echelon, alg.vec(m)) if sol_echelon else m.is_zero()
@@ -210,46 +200,37 @@ def morita_count_check(gamma: list[MultiComposition], params: Params) -> list[Ch
     return out
 
 
-def hom_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
-    """Hom-space dimension checks for every pair of multicompositions."""
+def schur_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
+    """The Schur-side verification battery for Gamma = all multipartitions.
+
+    Every Hom space between multicompositions is solved once; the dimension
+    check sums the solved dimensions over the multipartition pairs.
+    """
     from .tableaux import multicompositions
 
     alg = ArikiKoikeAlgebra(params, max_dim=max_dim)
-    out = []
     shapes = multicompositions(params.n, params.r)
-    for mu in shapes:
-        for nu in shapes:
-            data = hom_space(mu, nu, alg)
-            ok = (
-                data["dim"] == data["expected"]
-                and data["members_inside"]
-                and data["members_independent"]
-            )
-            out.append(result(
-                "schur.hom_space", REF_HOM,
-                dict(params.describe(), mu=mu.serialize(), nu=nu.serialize()),
-                ok,
-                f"solved {data['dim']}, semistandard {data['expected']}",
-            ))
-    return out
-
-
-def schur_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
-    """The Schur-side verification battery for Gamma = all multipartitions."""
-    from .tableaux import multicompositions
-
-    out = hom_suite(params, max_dim=max_dim)
+    homs = {(mu, nu): hom_space(mu, nu, alg) for mu in shapes for nu in shapes}
+    out = []
+    for (mu, nu), data in homs.items():
+        ok = (
+            data["dim"] == data["expected"]
+            and data["members_inside"]
+            and data["members_independent"]
+        )
+        out.append(result(
+            "schur.hom_space", REF_HOM,
+            dict(params.describe(), mu=mu.serialize(), nu=nu.serialize()),
+            ok,
+            f"solved {data['dim']}, semistandard {data['expected']}",
+        ))
     gamma = list(multipartitions(params.n, params.r))
     out.append(result(
         "schur.saturated", REF_SATURATED, params.describe(),
         saturated_check(gamma, params.n, params.r), "Gamma = all multipartitions",
     ))
     dim = schur_dimension(gamma, params)
-    cross = 0
-    alg = ArikiKoikeAlgebra(params, max_dim=max_dim)
-    for mu in gamma:
-        for nu in gamma:
-            cross += hom_space(mu, nu, alg)["dim"]
+    cross = sum(homs[(mu, nu)]["dim"] for mu in gamma for nu in gamma)
     out.append(result(
         "schur.dimension", REF_DIMENSION, params.describe(),
         dim == cross, f"semistandard dimension {dim}, summed hom dimensions {cross}",

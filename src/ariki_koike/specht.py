@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 from .algebra import ArikiKoikeAlgebra
 from .fields import ComputationError, GateError, Params, SizeGuardError
-from .linalg import nullspace, rank, row_echelon
+from .linalg import (
+    mat_product,
+    nullspace,
+    pivot_columns,
+    rank,
+    reduce_by_echelon,
+    row_space_basis,
+    vec_mat,
+)
 from .tableaux import (
     MultiPartition,
     StandardTableau,
@@ -116,26 +124,13 @@ def block_partition(params: Params, max_dim: int | None = None) -> list[list[Mul
 # -- composition factors over a prime field ----------------------------------
 
 
-def _reduce_by_rows(vec: list, rows: list[list], pivots: list[int]) -> list:
-    vec = list(vec)
-    for row, pc in zip(rows, pivots):
-        if vec[pc]:
-            c = vec[pc]
-            vec = [a - c * b for a, b in zip(vec, row)]
-    return vec
-
-
-def _pivot_cols(rows: list[list]) -> list[int]:
-    return [next(i for i, x in enumerate(row) if x) for row in rows]
-
-
 def spin(vectors: list[list], action: list[list[list]], field) -> list[list]:
     """Row-space closure of `vectors` under right multiplication by the action."""
     basis: list[list] = []
     pivots: list[int] = []
 
     def insert(v):
-        v = _reduce_by_rows(v, basis, pivots)
+        v = reduce_by_echelon(v, basis, pivots)
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             return None
@@ -144,7 +139,7 @@ def spin(vectors: list[list], action: list[list[list]], field) -> list[list]:
         for i, row in enumerate(basis):
             if row[lead]:
                 c = row[lead]
-                basis[i] = [a - c * b for a, b in zip(row, v)]
+                basis[i] = [a - c * b if b else a for a, b in zip(row, v)]
         basis.append(v)
         pivots.append(lead)
         return v
@@ -154,51 +149,35 @@ def spin(vectors: list[list], action: list[list[list]], field) -> list[list]:
         inserted = insert(queue.pop())
         if inserted is not None:
             for mat in action:
-                queue.append(_vector_matrix(inserted, mat, field))
+                queue.append(vec_mat(inserted, mat, field))
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [basis[i] for i in order]
 
 
-def _vector_matrix(v: list, mat: list[list], field) -> list:
-    out = [field.zero] * len(mat[0]) if mat else []
-    for i, x in enumerate(v):
-        if x:
-            row = mat[i]
-            out = [acc + x * m for acc, m in zip(out, row)]
-    return out
-
-
 def submodule_action(rows: list[list], action: list[list[list]], field) -> list[list[list]]:
     """Restrict the action to the invariant row space spanned by `rows` (RREF)."""
-    pivots = _pivot_cols(rows)
+    pivots = pivot_columns(rows)
     mats = []
     for mat in action:
         sub = []
         for row in rows:
-            img = _vector_matrix(row, mat, field)
-            coeffs = [img[pc] for pc in pivots]
-            check = list(img)
-            for c, brow in zip(coeffs, rows):
-                check = [a - c * b for a, b in zip(check, brow)]
-            if any(check):
+            img = vec_mat(row, mat, field)
+            if any(reduce_by_echelon(img, rows, pivots)):
                 raise ComputationError("subspace is not invariant")
-            sub.append(coeffs)
+            sub.append([img[pc] for pc in pivots])
         mats.append(sub)
     return mats
 
 
-def quotient_action(rows: list[list], action: list[list[list]], dim: int, field) -> list[list[list]]:
+def quotient_action(rows: list[list], action: list[list[list]], dim: int) -> list[list[list]]:
     """Action on the quotient by the invariant row space spanned by `rows`."""
-    pivots = _pivot_cols(rows)
+    pivots = pivot_columns(rows)
     free = [j for j in range(dim) if j not in set(pivots)]
     mats = []
     for mat in action:
         q = []
         for j in free:
-            e = [field.zero] * dim
-            e[j] = field.one
-            img = _vector_matrix(e, mat, field)
-            img = _reduce_by_rows(img, rows, pivots)
+            img = reduce_by_echelon(mat[j], rows, pivots)
             q.append([img[k] for k in free])
         mats.append(q)
     return mats
@@ -241,7 +220,7 @@ def composition_factors(action: list[list[list]], dim: int, field) -> list[tuple
     if len(best) == dim:
         return [(dim, action)]
     sub = submodule_action(best, action, field)
-    quo = quotient_action(best, action, dim, field)
+    quo = quotient_action(best, action, dim)
     return composition_factors(sub, len(best), field) + composition_factors(
         quo, dim - len(best), field
     )
@@ -255,33 +234,15 @@ def module_fingerprint(alg: ArikiKoikeAlgebra, action: list[list[list]], dim: in
     """
     field = alg.field
     traces = []
-    ident = [[field.one if i == j else field.zero for j in range(dim)] for i in range(dim)]
     for mono in alg.basis():
         word, e = alg._gen_word(mono)
-        mat = ident
-        for g in word:
-            mat = _mat_mul(mat, action[g], field)
+        mat = mat_product([action[g] for g in word], dim, field)
         scale = alg.params.q_power(-e)
         tr = field.zero
         for i in range(dim):
             tr = tr + mat[i][i]
         traces.append(tr * scale)
     return tuple(traces)
-
-
-def _mat_mul(a, b, field):
-    if not a or not b:
-        return a
-    cols = len(b[0])
-    out = []
-    for row in a:
-        new = [field.zero] * cols
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                new = [acc + x * y for acc, y in zip(new, brow)]
-        out.append(new)
-    return out
 
 
 @dataclass
@@ -313,9 +274,7 @@ def decomposition_matrix(params: Params, max_dim: int | None = None) -> Decompos
     for mu in cols:
         rad_rows = nullspace(grams[mu], field)
         if rad_rows:
-            work = [list(r) for r in rad_rows]
-            row_echelon(work)
-            act = quotient_action(work, modules[mu].action, modules[mu].dim, field)
+            act = quotient_action(row_space_basis(rad_rows), modules[mu].action, modules[mu].dim)
             d = simple_dims[mu]
         else:
             act = modules[mu].action
@@ -368,9 +327,8 @@ def decomposition_to_tsv(data: DecompositionData) -> str:
     return "\n".join(lines)
 
 
-def gram_to_tsv(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> str:
+def gram_to_tsv(lam: MultiPartition, g: list[list]) -> str:
     tabs = std_tableaux(lam)
-    g = gram_matrix(alg, lam)
     header = lam.serialize() + "\t" + "\t".join(t.serialize() for t in tabs)
     lines = [header]
     for t, row in zip(tabs, g):

@@ -13,7 +13,7 @@ import random
 
 from .algebra import ArikiKoikeAlgebra, random_element
 from .fields import Params, poincare
-from .linalg import in_row_space, rank, row_space_basis, transpose
+from .linalg import in_row_space, mat_mul, mat_product, rank, row_space_basis, transpose
 from .report import CheckResult, result
 from .specht import (
     block_partition,
@@ -225,7 +225,8 @@ def specht_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
     alg = ArikiKoikeAlgebra(params, max_dim=max_dim)
     pd = params.describe()
     out = []
-    q, one = alg.q, alg.field.one
+    field = alg.field
+    q, one = alg.q, field.one
     lams = multipartitions(alg.n, alg.r)
     modules = {lam: specht_module(alg, lam) for lam in lams}
     grams = {lam: gram_matrix(alg, lam) for lam in lams}
@@ -234,35 +235,27 @@ def specht_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
     for lam, sm in modules.items():
         A = sm.action
         d = sm.dim
-        ident = [[one if i == j else alg.field.zero for j in range(d)] for i in range(d)]
-
-        def mm(x, y):
-            return [[sum((x[i][k] * y[k][j] for k in range(d)), alg.field.zero)
-                     for j in range(d)] for i in range(d)]
-
-        z = ident
-        for Qt in alg.Q:
-            z = mm(z, [[A[0][i][j] - (Qt if i == j else alg.field.zero)
-                        for j in range(d)] for i in range(d)])
-        if any(any(row) for row in z):
-            failures.append(f"cyclotomic fails on {lam.serialize()}")
+        if alg.n >= 1:
+            shifted = [[[A[0][i][j] - (Qt if i == j else field.zero) for j in range(d)]
+                        for i in range(d)] for Qt in alg.Q]
+            if any(any(row) for row in mat_product(shifted, d, field)):
+                failures.append(f"cyclotomic fails on {lam.serialize()}")
         if alg.n >= 2:
-            lhs = mm(mm(mm(A[0], A[1]), A[0]), A[1])
-            rhs = mm(mm(mm(A[1], A[0]), A[1]), A[0])
-            if lhs != rhs:
+            if (mat_product([A[0], A[1], A[0], A[1]], d, field)
+                    != mat_product([A[1], A[0], A[1], A[0]], d, field)):
                 failures.append(f"mixed braid fails on {lam.serialize()}")
         for i in range(1, alg.n):
-            sq = mm(A[i], A[i])
-            expect = [[(q - one) * A[i][a][b2] + (q if a == b2 else alg.field.zero)
+            expect = [[(q - one) * A[i][a][b2] + (q if a == b2 else field.zero)
                        for b2 in range(d)] for a in range(d)]
-            if sq != expect:
+            if mat_mul(A[i], A[i], field) != expect:
                 failures.append(f"quadratic fails on {lam.serialize()}")
         for i in range(1, alg.n - 1):
-            if mm(mm(A[i + 1], A[i]), A[i + 1]) != mm(mm(A[i], A[i + 1]), A[i]):
+            if (mat_product([A[i + 1], A[i], A[i + 1]], d, field)
+                    != mat_product([A[i], A[i + 1], A[i]], d, field)):
                 failures.append(f"braid fails on {lam.serialize()}")
         for i in range(alg.n):
             for j in range(i + 2, alg.n):
-                if mm(A[i], A[j]) != mm(A[j], A[i]):
+                if mat_mul(A[i], A[j], field) != mat_mul(A[j], A[i], field):
                     failures.append(f"far commutation fails on {lam.serialize()}")
     out.append(result("specht.action_relations", REF_MODULE_REL, pd, not failures,
                       "; ".join(failures[:3])))
@@ -273,11 +266,7 @@ def specht_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
         if g != transpose(g):
             failures.append(f"asymmetric on {lam.serialize()}")
         for Ag in sm.action:
-            lhs = [[sum((Ag[i][k] * g[k][j] for k in range(sm.dim)), alg.field.zero)
-                    for j in range(sm.dim)] for i in range(sm.dim)]
-            rhs = [[sum((g[i][k] * Ag[j][k] for k in range(sm.dim)), alg.field.zero)
-                    for j in range(sm.dim)] for i in range(sm.dim)]
-            if lhs != rhs:
+            if mat_mul(Ag, g, field) != mat_mul(g, transpose(Ag), field):
                 failures.append(f"not invariant on {lam.serialize()}")
     out.append(result("specht.gram_invariance", REF_GRAM, pd, not failures,
                       "; ".join(sorted(set(failures))[:3])))

@@ -131,6 +131,17 @@ def test_verify_single_level(capsys):
     assert "morita.filtration" in out and "FAIL" not in out
 
 
+def test_verify_all_at_n0(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--suite", "all", "--n", "0", "--r", "2", "--s", "1"], capsys
+    )
+    assert code == 0
+    entries = json.loads(out)
+    assert all(e["status"] == "pass" for e in entries)
+    checks = {e["check"] for e in entries}
+    assert {"specht.action_relations", "morita.rank_counting", "schur.dimension"} <= checks
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run_cli(
         ["enumerate", "--n", "2", "--r", "2", "--format", "json"], capsys

@@ -1,7 +1,9 @@
+from math import comb as binomial, factorial
+
 import pytest
 
 from ariki_koike.fields import GateError, Params, PrimeField, Rationals
-from ariki_koike.morita import MoritaSuite, TensorAlgebra, binomial, factorial
+from ariki_koike.morita import MoritaSuite, TensorAlgebra
 from ariki_koike.report import all_ok
 from ariki_koike.tableaux import MultiPartition, lambda_sets, std_filtered, std_tableaux
 
