@@ -38,7 +38,7 @@ pmod = Params(field=PrimeField(5), q=4, Q=(1, 4), n=2, r=2, s=1)
 print("  q = 4, Q = (1, 4): note Q_2 = q Q_1, so the parameters form one q-orbit")
 for blk in block_partition(pmod):
     print(f"  block: {{{', '.join(l.serialize() for l in blk)}}}")
-data = decomposition_matrix(pmod)
+data = decomposition_matrix(ArikiKoikeAlgebra(pmod))
 print("  decomposition matrix (rows: shapes, columns: surviving simples):")
 for line in decomposition_to_tsv(data).splitlines():
     print("    " + line)

@@ -8,7 +8,7 @@ The suite checks every identity and rank exactly; a q-connected parameter
 set is refused up front.
 """
 
-from ariki_koike import GateError, Params, Rationals, f_s_value
+from ariki_koike import ArikiKoikeAlgebra, GateError, Params, Rationals, f_s_value
 from ariki_koike.morita import MoritaSuite
 from ariki_koike.report import all_ok, render_text
 
@@ -16,7 +16,7 @@ params = Params(field=Rationals(), q=2, Q=(1, 5), n=2, r=2, s=1)
 print(f"parameters: q={params.q}, Q=({', '.join(str(x) for x in params.Q)}), split s={params.s}")
 print(f"separation product f_s(q,Q) = {f_s_value(params)} (nonzero: suite may run)")
 
-suite = MoritaSuite(params)
+suite = MoritaSuite(ArikiKoikeAlgebra(params))
 alg = suite.alg
 
 print("\n== the splitting element and its intertwining law ==")
@@ -38,6 +38,6 @@ print(f"\nall {len(results)} checks pass: {all_ok(results)}")
 
 print("\n== a q-connected parameter set is refused ==")
 try:
-    MoritaSuite(Params(field=Rationals(), q=2, Q=(1, 2), n=2, r=2, s=1))
+    MoritaSuite(ArikiKoikeAlgebra(Params(field=Rationals(), q=2, Q=(1, 2), n=2, r=2, s=1)))
 except GateError as exc:
     print(f"  GateError: {exc}")

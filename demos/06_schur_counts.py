@@ -39,7 +39,7 @@ for b in range(3):
           f"  (order isomorphism: {res.status})")
 
 print("\n== counting consistency of the Morita transfer ==")
-results = morita_count_check(gamma, params)
+results = morita_count_check(gamma, alg)
 for r in results:
     print(f"  [{r.status.upper()}] {r.check}" + (f" -- {r.detail}" if r.detail else ""))
 print(f"  all pass: {all_ok(results)}")

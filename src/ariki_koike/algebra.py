@@ -180,10 +180,16 @@ class ArikiKoikeAlgebra:
         self._normalL_cache: dict[tuple[int, ...], dict] = {}
         self._gen_cache: dict[tuple[Monomial, int], dict] = {}
         self._pow_cache: dict[tuple[int, int], list] = {}
-        self._basis: list[Monomial] | None = None
-        self._basis_index: dict[Monomial, int] | None = None
-        self._transition: "TransitionMatrix | None" = None
+        self._derived: dict = {}
         self._qm1 = self.q - self.field.one
+
+    def derived(self, key, build):
+        """Return `build()` for `key`, built on the first call and kept with the
+        algebra: the one memo of everything derived from it (basis, transition,
+        Specht modules, Gram matrices, decomposition data, factor algebras)."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     # -- basic elements ------------------------------------------------------
 
@@ -230,20 +236,14 @@ class ArikiKoikeAlgebra:
 
     def basis(self) -> list[Monomial]:
         """All normal-form monomials, exponents-lex then permutation-lex."""
-        if self._basis is None:
-            monos = [
-                (d, w)
-                for d in itertools.product(range(self.r), repeat=self.n)
-                for w in sorted_permutations(self.n)
-            ]
-            monos.sort(key=_mono_key)
-            self._basis = monos
-            self._basis_index = {m: i for i, m in enumerate(monos)}
-        return self._basis
+        return self.derived("basis", lambda: sorted(
+            ((d, w) for d in itertools.product(range(self.r), repeat=self.n)
+             for w in sorted_permutations(self.n)),
+            key=_mono_key,
+        ))
 
     def basis_index(self) -> dict[Monomial, int]:
-        self.basis()
-        return self._basis_index  # type: ignore[return-value]
+        return self.derived("basis_index", lambda: {m: i for i, m in enumerate(self.basis())})
 
     def vec(self, elem: Element) -> list:
         idx = self.basis_index()
@@ -607,13 +607,11 @@ class ArikiKoikeAlgebra:
         return out
 
     def transition(self) -> "TransitionMatrix":
-        if self._transition is None:
-            if self.dim > self.max_dim:
-                raise SizeGuardError(
-                    f"transition matrix has dimension {self.dim} > guard {self.max_dim}"
-                )
-            self._transition = TransitionMatrix(self)
-        return self._transition
+        if self.dim > self.max_dim:
+            raise SizeGuardError(
+                f"transition matrix has dimension {self.dim} > guard {self.max_dim}"
+            )
+        return self.derived("transition", lambda: TransitionMatrix(self))
 
 
 class TransitionMatrix:

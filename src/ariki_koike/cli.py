@@ -89,21 +89,21 @@ def build_params(args) -> Params:
     return Params(field=field, q=q, Q=Q, n=n, r=r, s=args.s)
 
 
-def suite_size_guard(params: Params, max_dim: int):
-    """Default desk-scale guards; an explicitly raised --max-dim lifts them."""
-    dim = 1
-    for k in range(1, params.n + 1):
-        dim *= params.r * k
+def build_algebra(args) -> ArikiKoikeAlgebra:
+    """The one algebra of a run, behind the default desk-scale guards;
+    an explicitly raised --max-dim lifts them."""
+    alg = ArikiKoikeAlgebra(build_params(args), max_dim=args.max_dim)
+    dim, max_dim, r, n = alg.dim, alg.max_dim, alg.r, alg.n
     if dim > max_dim:
         raise SizeGuardError(f"instance dimension {dim} exceeds the cap {max_dim}")
     if max_dim > DEFAULT_MAX_DIM:
-        return
-    r, n = params.r, params.n
+        return alg
     ok = (r == 1 and n <= 6) or (r == 2 and n <= 4) or (r == 3 and n <= 3) or dim <= 384
     if not ok:
         raise SizeGuardError(
             f"n={n}, r={r} exceeds the default suite guards (raise --max-dim to override)"
         )
+    return alg
 
 
 def _emit(text: str, out_path: str | None):
@@ -154,29 +154,29 @@ def cmd_enumerate(args) -> int:
     return EXIT_PASS
 
 
-def run_suites(params: Params, suite: str, seed: int, max_dim: int,
+def run_suites(alg: ArikiKoikeAlgebra, suite: str, seed: int,
                only_b: int | None = None) -> list[CheckResult]:
     out: list[CheckResult] = []
     if suite in ("relations", "all"):
-        out += relations_suite(params, seed=seed, max_dim=max_dim)
+        out += relations_suite(alg, seed=seed)
     if suite in ("cellular", "all"):
-        out += cellular_suite(params, seed=seed, max_dim=max_dim)
+        out += cellular_suite(alg, seed=seed)
     if suite in ("specht", "all"):
-        out += specht_suite(params, max_dim=max_dim)
+        out += specht_suite(alg)
     if suite in ("morita", "all"):
-        ms = MoritaSuite(params, max_dim=max_dim)
+        ms = MoritaSuite(alg)
         if only_b is not None:
             out += ms.level_checks([only_b])
         else:
             out += ms.run_all()
     if suite in ("schur", "all"):
-        out += schur_suite(params, max_dim=max_dim)
+        out += schur_suite(alg)
     return out
 
 
 def cmd_verify(args) -> int:
-    params = build_params(args)
-    suite_size_guard(params, args.max_dim)
+    alg = build_algebra(args)
+    params = alg.params
     if args.suite in ("morita", "schur", "all"):
         # fail fast on the hypothesis gate, before any check runs
         s = params.require_split()
@@ -187,31 +187,28 @@ def cmd_verify(args) -> int:
                 f"f_s(q,Q) vanishes for s={s} (its invertibility is the "
                 "hypothesis of the splitting theorems)"
             )
-    results = run_suites(params, args.suite, args.seed, args.max_dim, only_b=args.b)
+    results = run_suites(alg, args.suite, args.seed, only_b=args.b)
     fmt = args.format or "json"
     _emit(render_json(results) if fmt == "json" else render_text(results), args.out)
     return EXIT_PASS if all_ok(results) else EXIT_FAIL
 
 
 def cmd_gram(args) -> int:
-    params = build_params(args)
-    suite_size_guard(params, args.max_dim)
-    alg = ArikiKoikeAlgebra(params, max_dim=args.max_dim)
+    alg = build_algebra(args)
     blocks = []
-    for lam in multipartitions(params.n, params.r):
+    for lam in multipartitions(alg.n, alg.r):
         g = gram_matrix(alg, lam)
         blocks.append(gram_to_tsv(lam, g))
-        blocks.append(f"# det = {determinant(g, params.field)}")
+        blocks.append(f"# det = {determinant(g, alg.field)}")
     _emit("\n".join(blocks), args.out)
     return EXIT_PASS
 
 
 def cmd_decomp(args) -> int:
-    params = build_params(args)
-    suite_size_guard(params, args.max_dim)
-    if params.field.characteristic == 0:
+    alg = build_algebra(args)
+    if alg.field.characteristic == 0:
         raise GateError("decomp requires a prime field; pass --field GF(p)")
-    data = decomposition_matrix(params, max_dim=args.max_dim)
+    data = decomposition_matrix(alg)
     _emit(decomposition_to_tsv(data), args.out)
     return EXIT_PASS
 

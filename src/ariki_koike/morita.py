@@ -30,7 +30,7 @@ from .fields import ComputationError, GateError, Params, f_s_value
 from .linalg import kernel_conditions, mat_mul, mat_vec, nullspace, rank, solve, transpose
 from .perms import coset_reps, shift_perm, sorted_permutations, w_ab
 from .report import CheckResult, result
-from .specht import SpechtModule, specht_module
+from .specht import decomposition_matrix, gram_matrix, specht_module
 from .tableaux import (
     MultiPartition,
     StandardTableau,
@@ -93,25 +93,24 @@ class VBasis:
     elements: list[Element]
 
 
+def factor_algebra(alg: ArikiKoikeAlgebra, left: bool, m: int) -> ArikiKoikeAlgebra:
+    """H_m on the parameters Q_1..Q_s (left) or Q_{s+1}..Q_r (right) of `alg`,
+    built once per algebra and under the same dimension guard."""
+    p = alg.params
+    s = p.require_split()
+    Q, r = (p.Q[:s], s) if left else (p.Q[s:], p.r - s)
+    return alg.derived(
+        ("factor_algebra", left, m),
+        lambda: ArikiKoikeAlgebra(Params(field=p.field, q=p.q, Q=Q, n=m, r=r), alg.max_dim),
+    )
+
+
 class TensorAlgebra:
     """H_b (x) H_{n-b}: left factor on Q_1..Q_s, right factor on Q_{s+1}..Q_r."""
 
-    def __init__(self, params: Params, b: int):
-        s = params.require_split()
-        self.b = b
-        self.params = params
-        self.left = ArikiKoikeAlgebra(
-            Params(field=params.field, q=params.q, Q=params.Q[:s], n=b, r=s)
-        )
-        self.right = ArikiKoikeAlgebra(
-            Params(
-                field=params.field,
-                q=params.q,
-                Q=params.Q[s:],
-                n=params.n - b,
-                r=params.r - s,
-            )
-        )
+    def __init__(self, alg: ArikiKoikeAlgebra, b: int):
+        self.left = factor_algebra(alg, True, b)
+        self.right = factor_algebra(alg, False, alg.n - b)
 
     @property
     def dim(self) -> int:
@@ -144,21 +143,21 @@ class TensorAlgebra:
 
 
 class MoritaSuite:
-    """Exact verification of the splitting machinery for one parameter bundle."""
+    """Exact verification of the splitting machinery for one algebra.
 
-    def __init__(self, params: Params, max_dim: int = 5000, gate: bool = True):
-        self.params = params
-        self.s = params.require_split()
-        self.alg = ArikiKoikeAlgebra(params, max_dim=max_dim)
-        self.n = params.n
-        self.field = params.field
-        self.fs = f_s_value(params)
+    What the checks derive (V^b bases and actions, factor algebras) is kept
+    in the algebra's memo, so suites built on the same algebra share it.
+    """
+
+    def __init__(self, alg: ArikiKoikeAlgebra, gate: bool = True):
+        self.params = alg.params
+        self.s = self.params.require_split()
+        self.alg = alg
+        self.n = alg.n
+        self.field = alg.field
+        self.fs = f_s_value(self.params)
         if gate and not self.fs:
             raise GateError(GATE_MESSAGE)
-        self._vbases: dict[int, VBasis] = {}
-        self._tensors: dict[int, TensorAlgebra] = {}
-        self._actions: dict[int, list] = {}
-        self._module_bases: dict[int, dict] = {}
 
     # -- common data -----------------------------------------------------------
 
@@ -168,9 +167,7 @@ class MoritaSuite:
         return d
 
     def tensor_algebra(self, b: int) -> TensorAlgebra:
-        if b not in self._tensors:
-            self._tensors[b] = TensorAlgebra(self.params, b)
-        return self._tensors[b]
+        return TensorAlgebra(self.alg, b)
 
     def v_elem(self, b: int) -> Element:
         return self.alg.v_b_elem(b)
@@ -179,17 +176,18 @@ class MoritaSuite:
         """The cell-indexed basis of V^b; requires the gate (independence may fail without it)."""
         if not self.fs:
             raise GateError(GATE_MESSAGE)
-        if b not in self._vbases:
-            entries = []
-            elements = []
-            level, _ = lambda_sets(self.n, self.params.r, self.s, b)
-            for lam in level:
-                for st in std_filtered(lam, b, self.s, two_sided=True):
-                    for tt in std_tableaux(lam):
-                        entries.append((lam, st, tt))
-                        elements.append(self.alg.theta_b(b, self.alg.m_st(st, tt)))
-            self._vbases[b] = VBasis(b, entries, elements)
-        return self._vbases[b]
+        return self.alg.derived(("v_basis", b), lambda: self._build_v_basis(b))
+
+    def _build_v_basis(self, b: int) -> VBasis:
+        entries = []
+        elements = []
+        level, _ = lambda_sets(self.n, self.params.r, self.s, b)
+        for lam in level:
+            for st in std_filtered(lam, b, self.s, two_sided=True):
+                for tt in std_tableaux(lam):
+                    entries.append((lam, st, tt))
+                    elements.append(self.alg.theta_b(b, self.alg.m_st(st, tt)))
+        return VBasis(b, entries, elements)
 
     def ker_entries(self, b: int) -> list[tuple[MultiPartition, StandardTableau, StandardTableau]]:
         _, above = lambda_sets(self.n, self.params.r, self.s, b)
@@ -218,19 +216,20 @@ class MoritaSuite:
 
     def v_action(self, b: int) -> list[list[list]]:
         """Right action matrices of the generators on the v-basis of V^b."""
-        if b not in self._actions:
-            vb = self.v_basis(b)
-            mats = []
-            for g in range(self.n):
-                rows = []
-                for e in vb.elements:
-                    coords = self._v_coords(b, e * self.alg.gen_T(g))
-                    if coords is None:
-                        raise ComputationError("V^b is not stable under a generator")
-                    rows.append(coords)
-                mats.append(rows)
-            self._actions[b] = mats
-        return self._actions[b]
+        return self.alg.derived(("v_action", b), lambda: self._build_v_action(b))
+
+    def _build_v_action(self, b: int) -> list[list[list]]:
+        vb = self.v_basis(b)
+        mats = []
+        for g in range(self.n):
+            rows = []
+            for e in vb.elements:
+                coords = self._v_coords(b, e * self.alg.gen_T(g))
+                if coords is None:
+                    raise ComputationError("V^b is not stable under a generator")
+                rows.append(coords)
+            mats.append(rows)
+        return mats
 
     def expected_rank(self, b: int) -> int:
         s, r, n = self.s, self.params.r, self.n
@@ -437,12 +436,9 @@ class MoritaSuite:
                 layer_of[index_of[(st, tt)]] = j
         failures = []
         counts: dict[MultiPartition, int] = {}
-        spechts: dict[MultiPartition, SpechtModule] = {}
         for j, (lam, st) in enumerate(layers):
             counts[lam] = counts.get(lam, 0) + 1
-            if lam not in spechts:
-                spechts[lam] = specht_module(self.alg, lam)
-            sp = spechts[lam]
+            sp = specht_module(self.alg, lam)
             tabs = sp.basis
             for g in range(self.n):
                 for a, tt in enumerate(tabs):
@@ -886,13 +882,7 @@ class MoritaSuite:
 
     # -- dimension and decomposition-number factorization ---------------------------
 
-    def _side_params(self, left: bool, m: int) -> Params:
-        s = self.s
-        if left:
-            return Params(field=self.field, q=self.params.q, Q=self.params.Q[:s], n=m, r=s)
-        return Params(field=self.field, q=self.params.q, Q=self.params.Q[s:], n=m, r=self.params.r - s)
-
-    def verify_factorization(self, decomposition: bool | None = None) -> list[CheckResult]:
+    def verify_factorization(self) -> list[CheckResult]:
         """Dimension and decomposition-number factorization across the split.
 
         (a) cell-module dimensions factor combinatorially;
@@ -904,8 +894,6 @@ class MoritaSuite:
         """
         if not self.fs:
             raise GateError(GATE_MESSAGE)
-        from .specht import decomposition_matrix, gram_matrix as _gram
-
         out = []
         n, r, s = self.n, self.params.r, self.s
         fail_a = []
@@ -918,17 +906,17 @@ class MoritaSuite:
         out.append(result("morita.dim_cell_factorization", REF_FACTOR_S, self._pdict(), not fail_a,
                           "; ".join(fail_a[:3])))
 
-        left_algs = {m: ArikiKoikeAlgebra(self._side_params(True, m)) for m in range(n + 1)}
-        right_algs = {m: ArikiKoikeAlgebra(self._side_params(False, m)) for m in range(n + 1)}
+        left_algs = {m: factor_algebra(self.alg, True, m) for m in range(n + 1)}
+        right_algs = {m: factor_algebra(self.alg, False, m) for m in range(n + 1)}
         fail_b = []
         simple_dims: dict[MultiPartition, int] = {}
         for c in range(n + 1):
             level, _ = lambda_sets(n, r, s, c)
             for mu in level:
                 alpha, beta = split_multipartition(mu, s)
-                d_mu = rank(_gram(self.alg, mu))
-                d_alpha = rank(_gram(left_algs[c], alpha))
-                d_beta = rank(_gram(right_algs[n - c], beta))
+                d_mu = rank(gram_matrix(self.alg, mu))
+                d_alpha = rank(gram_matrix(left_algs[c], alpha))
+                d_beta = rank(gram_matrix(right_algs[n - c], beta))
                 simple_dims[mu] = d_mu
                 if d_mu != comb(n, c) * d_alpha * d_beta:
                     fail_b.append(
@@ -939,14 +927,10 @@ class MoritaSuite:
         out.append(result("morita.dim_simple_factorization", REF_FACTOR_D, self._pdict(), not fail_b,
                           "; ".join(fail_b[:3])))
 
-        if decomposition is None:
-            decomposition = self.field.characteristic > 0
-        if decomposition:
-            if self.field.characteristic == 0:
-                raise GateError("decomposition-number factorization runs over prime fields")
-            big = decomposition_matrix(self.params)
-            left_data = {m: decomposition_matrix(self._side_params(True, m)) for m in range(n + 1)}
-            right_data = {m: decomposition_matrix(self._side_params(False, m)) for m in range(n + 1)}
+        if self.field.characteristic > 0:
+            big = decomposition_matrix(self.alg)
+            left_data = {m: decomposition_matrix(left_algs[m]) for m in range(n + 1)}
+            right_data = {m: decomposition_matrix(right_algs[m]) for m in range(n + 1)}
             fail_c = []
             big_cols = {mu: j for j, mu in enumerate(big.cols)}
             for i, lam in enumerate(big.rows):

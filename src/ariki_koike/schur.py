@@ -7,12 +7,15 @@ verifies the facts the Morita transfer rests on: the semistandard dimension
 formula, the explicit Hom-space bases computed by exact linear algebra, the
 splitting of the index poset, and the compatibility of theta_b with the
 tensor decomposition on the M-side.
+A Hom space is solved per pair of shapes; what depends on one side only
+(the row space of M^mu, the right annihilator of m_nu) is kept in the memo
+of the algebra.
 """
 
 from __future__ import annotations
 
 from .algebra import ArikiKoikeAlgebra
-from .fields import GateError, Params
+from .fields import Params
 from .linalg import (
     identity_matrix,
     in_row_space,
@@ -27,6 +30,7 @@ from .report import CheckResult, result
 from .tableaux import (
     MultiComposition,
     dominates,
+    multicompositions,
     multipartitions,
     semistandard,
     sort_key,
@@ -72,15 +76,10 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     pair count, and whether every basis map lands in the solved space.
     """
     field = alg.field
-    m_mu = alg.m_lambda(mu)
-    m_nu = alg.m_lambda(nu)
-    # row space of M^mu
-    mu_rows = [alg.vec(m_mu * alg.element({m: field.one})) for m in alg.basis()]
-    mu_basis = row_space_basis(mu_rows)
-    # right annihilator of m_nu
-    ann = nullspace(alg.left_mult_matrix(m_nu), field)
+    mu_basis, x_mats = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
+    ann = alg.derived(("right_annihilator", nu),
+                      lambda: nullspace(alg.left_mult_matrix(alg.m_lambda(nu)), field))
     # solve: x in span(mu_basis) with x k = 0 for all k in ann
-    x_mats = [alg.left_mult_matrix(alg.from_vec(v)) for v in mu_basis]
     cond_rows = kernel_conditions(x_mats, ann, field)
     if cond_rows:
         sols = nullspace(cond_rows, field)
@@ -112,6 +111,14 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
         "members_inside": members_inside,
         "members_independent": members_rank == expected,
     }
+
+
+def _hom_target(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> tuple[list, list]:
+    """A row basis of M^mu and the left-multiplication matrix of each row."""
+    m_mu = alg.m_lambda(mu)
+    mu_rows = [alg.vec(m_mu * alg.element({m: alg.field.one})) for m in alg.basis()]
+    mu_basis = row_space_basis(mu_rows)
+    return mu_basis, [alg.left_mult_matrix(alg.from_vec(v)) for v in mu_basis]
 
 
 def gamma_split(gamma: list[MultiComposition], n: int, r: int, s: int, b: int) -> tuple:
@@ -149,7 +156,7 @@ def gamma_split(gamma: list[MultiComposition], n: int, r: int, s: int, b: int) -
     return left, right, res
 
 
-def morita_count_check(gamma: list[MultiComposition], params: Params) -> list[CheckResult]:
+def morita_count_check(gamma: list[MultiComposition], alg: ArikiKoikeAlgebra) -> list[CheckResult]:
     """Level-wise counting consistency plus the theta-compatibility law.
 
     Counts: the multipartition members of Gamma are in bijection with the
@@ -157,10 +164,8 @@ def morita_count_check(gamma: list[MultiComposition], params: Params) -> list[Ch
     Identity: theta_b(m_lam) agrees with the embedded tensor product
     m_sigma (x) m_tau acting on v_b, for every split member of the slice.
     """
-    s = params.require_split()
-    suite = MoritaSuite(params)
-    if not suite.fs:
-        raise GateError("the Morita transfer needs the separation product to be nonzero")
+    suite = MoritaSuite(alg)
+    params, s = alg.params, suite.s
     n, r = params.n, params.r
     if not saturated_check(gamma, n, r):
         raise ValueError("the index set is not saturated")
@@ -179,7 +184,6 @@ def morita_count_check(gamma: list[MultiComposition], params: Params) -> list[Ch
         f"sum of split products {total} vs |Gamma^+| = {len(gamma_plus)}",
     ))
 
-    alg = suite.alg
     failures = []
     for b in range(n + 1):
         ta = suite.tensor_algebra(b)
@@ -200,15 +204,13 @@ def morita_count_check(gamma: list[MultiComposition], params: Params) -> list[Ch
     return out
 
 
-def schur_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
+def schur_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
     """The Schur-side verification battery for Gamma = all multipartitions.
 
     Every Hom space between multicompositions is solved once; the dimension
     check sums the solved dimensions over the multipartition pairs.
     """
-    from .tableaux import multicompositions
-
-    alg = ArikiKoikeAlgebra(params, max_dim=max_dim)
+    params = alg.params
     shapes = multicompositions(params.n, params.r)
     homs = {(mu, nu): hom_space(mu, nu, alg) for mu in shapes for nu in shapes}
     out = []
@@ -236,7 +238,7 @@ def schur_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
         dim == cross, f"semistandard dimension {dim}, summed hom dimensions {cross}",
     ))
     if params.s is not None and params.s < params.r:
-        out += morita_count_check(gamma, params)
+        out += morita_count_check(gamma, alg)
         gamma_all = list(multicompositions(params.n, params.r))
-        out += morita_count_check(gamma_all, params)
+        out += morita_count_check(gamma_all, alg)
     return out

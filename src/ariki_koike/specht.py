@@ -8,6 +8,8 @@ shapes.  The bilinear form comes from the cellular structure constants, its
 radical gives the simple quotients, and composition multiplicities over a
 prime field are computed by a deterministic chop that exhaustively splits
 off minimal invariant subspaces.
+Specht modules, Gram matrices and decomposition data are kept in the memo
+of the `ArikiKoikeAlgebra` they are computed from, so each is built once.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class SpechtModule:
 
 def specht_module(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> SpechtModule:
     """Action matrices of every generator on the cell module of shape lam."""
+    return alg.derived(("specht_module", lam), lambda: _specht_module(alg, lam))
+
+
+def _specht_module(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> SpechtModule:
     tabs = std_tableaux(lam)
     index = {t: i for i, t in enumerate(tabs)}
     top = t_row(lam)
@@ -83,6 +89,10 @@ def specht_module(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> SpechtModule:
 def gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> list[list]:
     """Gram matrix of the cellular form: entry (s,t) is the coefficient of
     m_{t^lam t^lam} in m_{t^lam s} * m_{t t^lam}."""
+    return alg.derived(("gram_matrix", lam), lambda: _gram_matrix(alg, lam))
+
+
+def _gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> list[list]:
     tabs = std_tableaux(lam)
     top = t_row(lam)
     if alg.n == 0:
@@ -106,7 +116,7 @@ def dim_simple(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> int:
     return rank(gram_matrix(alg, lam))
 
 
-def block_partition(params: Params, max_dim: int | None = None) -> list[list[MultiPartition]]:
+def block_partition(params: Params) -> list[list[MultiPartition]]:
     """Group multipartitions by content multiset (a block invariant).
 
     Needs q != 1: at q = 1 the residues q^{j-i} Q_k collapse and the content
@@ -253,17 +263,20 @@ class DecompositionData:
     simple_dims: dict[MultiPartition, int]
 
 
-def decomposition_matrix(params: Params, max_dim: int | None = None) -> DecompositionData:
+def decomposition_matrix(alg: ArikiKoikeAlgebra) -> DecompositionData:
     """Composition multiplicities of the simple modules in every cell module.
 
     Only over GF(p).  Validates unitriangularity against dominance and the
     dimension bookkeeping identity before returning.
     """
-    if params.field.characteristic == 0:
+    if alg.field.characteristic == 0:
         raise GateError("decomposition matrices are computed over prime fields")
-    alg = ArikiKoikeAlgebra(params, max_dim=max_dim or 5000)
-    field = params.field
-    lams = multipartitions(params.n, params.r)
+    return alg.derived("decomposition_matrix", lambda: _decomposition_matrix(alg))
+
+
+def _decomposition_matrix(alg: ArikiKoikeAlgebra) -> DecompositionData:
+    field = alg.field
+    lams = multipartitions(alg.n, alg.r)
     modules = {lam: specht_module(alg, lam) for lam in lams}
     grams = {lam: gram_matrix(alg, lam) for lam in lams}
     simple_dims = {lam: rank(grams[lam]) for lam in lams}

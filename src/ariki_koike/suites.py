@@ -4,7 +4,8 @@ These are the suites below the Morita layer: they certify the arithmetic
 core (defining relations, basis closure, associativity, the star map), the
 cellular change of basis with its triangularity, and the module-level facts
 (action relations, Gram symmetry and invariance, semisimple dimension
-counts, block partition, decomposition matrices).
+counts, block partition, decomposition matrices).  Each takes the algebra
+of the run, so all suites share its transition, modules and forms.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .algebra import ArikiKoikeAlgebra, random_element
-from .fields import Params, poincare
+from .fields import ComputationError, poincare
 from .linalg import in_row_space, mat_mul, mat_product, rank, row_space_basis, transpose
 from .report import CheckResult, result
 from .specht import (
@@ -46,10 +47,9 @@ REF_BLOCKS = "content as a block invariant"
 REF_DECOMP = "triangular decomposition matrix over a prime field"
 
 
-def relations_suite(params: Params, seed: int = 2024, max_dim: int = 5000) -> list[CheckResult]:
-    alg = ArikiKoikeAlgebra(params, max_dim=max_dim)
+def relations_suite(alg: ArikiKoikeAlgebra, seed: int = 2024) -> list[CheckResult]:
     n, q = alg.n, alg.q
-    pd = params.describe()
+    pd = alg.params.describe()
     out = []
 
     basis = set(alg.basis())
@@ -135,9 +135,9 @@ def relations_suite(params: Params, seed: int = 2024, max_dim: int = 5000) -> li
     return out
 
 
-def cellular_suite(params: Params, seed: int = 2024, max_dim: int = 5000,
+def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
                    roundtrip_trials: int = 100) -> list[CheckResult]:
-    alg = ArikiKoikeAlgebra(params, max_dim=max_dim)
+    params = alg.params
     pd = params.describe()
     out = []
     trans = alg.transition()
@@ -221,8 +221,8 @@ def cellular_suite(params: Params, seed: int = 2024, max_dim: int = 5000,
     return out
 
 
-def specht_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
-    alg = ArikiKoikeAlgebra(params, max_dim=max_dim)
+def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
+    params = alg.params
     pd = params.describe()
     out = []
     field = alg.field
@@ -293,7 +293,10 @@ def specht_suite(params: Params, max_dim: int = 5000) -> list[CheckResult]:
                           f"{len(blocks)} content classes over {len(lams)} shapes"))
 
     if params.field.characteristic > 0:
-        data = decomposition_matrix(params, max_dim=max_dim)
-        out.append(result("specht.decomposition_matrix", REF_DECOMP, pd, True,
-                          f"{len(data.rows)} rows, {len(data.cols)} simples"))
+        try:
+            data = decomposition_matrix(alg)
+            ok, detail = True, f"{len(data.rows)} rows, {len(data.cols)} simples"
+        except ComputationError as exc:  # a failed validation is a failed check
+            ok, detail = False, str(exc)
+        out.append(result("specht.decomposition_matrix", REF_DECOMP, pd, ok, detail))
     return out

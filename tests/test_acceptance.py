@@ -62,7 +62,7 @@ def test_criterion_02_defining_relations():
     ok = True
     for n in (1, 2, 3):
         for r in (1, 2, 3):
-            res = relations_suite(params_for(n, r), seed=11)
+            res = relations_suite(ArikiKoikeAlgebra(params_for(n, r)), seed=11)
             wanted = {"relations.defining", "relations.commutation", "relations.basis_closure"}
             ok &= all(e.ok for e in res if e.check in wanted)
     elapsed = time.time() - t0
@@ -121,7 +121,7 @@ def test_criterion_05_morita_suite():
     for n in (1, 2, 3):
         p = params_for(n, 2, Q=(1, 5), s=1)
         ok &= f_s_value(p) != 0
-        suite = MoritaSuite(p)
+        suite = MoritaSuite(ArikiKoikeAlgebra(p))
         results = suite.run_all()
         ok &= all_ok(results)
     elapsed = time.time() - t0
@@ -171,7 +171,7 @@ def test_criterion_08_factorization():
     ok = True
     # dimension factorizations over the rationals, n <= 3
     for n in (1, 2, 3):
-        suite = MoritaSuite(params_for(n, 2, Q=(1, 5), s=1))
+        suite = MoritaSuite(ArikiKoikeAlgebra(params_for(n, 2, Q=(1, 5), s=1)))
         ok &= all_ok(suite.verify_factorization())
     # and over GF(5) with a split (separation product nonzero) parameter set;
     # the q-connected choice Q_2 = q Q_1 is excluded by the hypothesis gate
@@ -179,13 +179,13 @@ def test_criterion_08_factorization():
     for n in (1, 2, 3):
         p5 = params_for(n, 2, field=PrimeField(5), q=4, Q=(1, 2), s=1)
         assert f_s_value(p5) != 0
-        suite5 = MoritaSuite(p5)
+        suite5 = MoritaSuite(ArikiKoikeAlgebra(p5))
         ok &= all_ok(suite5.verify_factorization())
     # chop determinism and the frozen regression fixture at the q-connected
     # parameters, where the plain decomposition machinery still runs
     pconn = params_for(2, 2, field=PrimeField(5), q=4, Q=(1, 4), s=1)
-    data1 = decomposition_matrix(pconn)
-    data2 = decomposition_matrix(pconn)
+    data1 = decomposition_matrix(ArikiKoikeAlgebra(pconn))
+    data2 = decomposition_matrix(ArikiKoikeAlgebra(pconn))
     ok &= data1.matrix == data2.matrix == [[1, 0], [1, 0], [1, 1], [0, 1], [0, 1]]
     elapsed = time.time() - t0
     announce(8, ok and elapsed < 300,
@@ -209,7 +209,7 @@ def test_criterion_09_schur_counts():
         for b in range(n + 1):
             _, _, res = gamma_split(gam, n, 2, 1, b)
             ok &= res.ok
-    res22 = morita_count_check(multipartitions(2, 2), params_for(2, 2, Q=(1, 5), s=1))
+    res22 = morita_count_check(multipartitions(2, 2), ArikiKoikeAlgebra(params_for(2, 2, Q=(1, 5), s=1)))
     ok &= all_ok(res22)
     counts = [r for r in res22 if r.check == "schur.count_consistency"]
     ok &= len(counts) == 1 and "5 vs |Gamma^+| = 5" in counts[0].detail

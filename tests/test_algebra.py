@@ -350,6 +350,6 @@ def test_cellular_suite_n3():
     from ariki_koike.suites import cellular_suite
     from ariki_koike.report import all_ok
 
-    res = cellular_suite(Params(field=Rationals(), q=2, Q=(1, 5), n=3, r=2),
+    res = cellular_suite(ArikiKoikeAlgebra(Params(field=Rationals(), q=2, Q=(1, 5), n=3, r=2)),
                          roundtrip_trials=20)
     assert all_ok(res)

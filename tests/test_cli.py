@@ -159,3 +159,60 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "multipartitions n=1 r=3: 3" in proc.stdout
+
+
+def test_failed_decomposition_validation_is_a_failed_row(monkeypatch, capsys):
+    from ariki_koike import specht
+    from ariki_koike.fields import ComputationError
+
+    def broken(data, modules):
+        raise ComputationError("decomposition matrix has a diagonal entry != 1")
+
+    monkeypatch.setattr(specht, "_validate_decomposition", broken)
+    args = ["--n", "2", "--r", "2", "--field", "GF(5)", "--q", "4", "--Q", "1,4"]
+    code, out, _ = run_cli(["verify", "--suite", "specht", *args], capsys)
+    assert code == 1
+    rows = {e["check"]: e for e in json.loads(out)}
+    row = rows.pop("specht.decomposition_matrix")
+    assert row["status"] == "fail" and "diagonal entry" in row["detail"]
+    assert rows and all(e["status"] == "pass" for e in rows.values())
+    # the decomp command has no report to carry the failure: it stays an internal error
+    code, out, err = run_cli(["decomp", *args], capsys)
+    assert code == 4 and out == "" and "diagonal entry" in err
+
+
+def test_verify_all_builds_each_derived_object_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from ariki_koike import algebra, specht
+
+    builds = Counter()
+
+    def key(alg_or_params):
+        return (alg_or_params.n, alg_or_params.r, tuple(str(x) for x in alg_or_params.Q))
+
+    def counting(kind, build, key_of):
+        def wrapped(self_or_alg, *args, **kwargs):
+            builds[(kind, key_of(self_or_alg, *args))] += 1
+            return build(self_or_alg, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "__init__", counting(
+        "algebra", algebra.ArikiKoikeAlgebra.__init__, lambda self, params, *_: key(params)))
+    monkeypatch.setattr(algebra.TransitionMatrix, "__init__", counting(
+        "transition", algebra.TransitionMatrix.__init__, lambda self, alg: key(alg)))
+    for name in ("_specht_module", "_gram_matrix"):
+        monkeypatch.setattr(specht, name, counting(
+            name, getattr(specht, name), lambda alg, lam: (key(alg), lam)))
+
+    code, _, _ = run_cli(
+        ["verify", "--suite", "all", "--n", "2", "--r", "2", "--s", "1",
+         "--field", "GF(5)", "--q", "2", "--Q", "1,4"], capsys
+    )
+    assert code == 0
+    big = (2, 2, ("1", "4"))
+    factors = {(m, 1, (Q,)) for m in range(3) for Q in ("1", "4")}
+    assert {k for kind, k in builds if kind == "algebra"} == {big} | factors
+    assert builds[("transition", big)] == 1
+    assert sum(1 for kind, k in builds if kind == "_specht_module" and k[0] == big) == 5
+    assert all(count == 1 for count in builds.values()), builds

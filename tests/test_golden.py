@@ -1,0 +1,43 @@
+"""Byte-for-byte pins of CLI reports.
+
+Each entry is the sha256 of the stdout of one fixed command, so any change
+to the bytes of a report (row set, order, details, TSV layout) fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from ariki_koike.cli import main
+
+SPLIT = ["--n", "2", "--r", "2", "--s", "1"]
+GOLDEN = {
+    "verify-all-Q": (
+        ["verify", "--suite", "all", *SPLIT, "--q", "2", "--Q", "1,5"],
+        "dae950ff656e10abdc446ce7028fbe5bb1057df01943950f0d502627365910f3",
+    ),
+    "verify-all-GF5": (
+        ["verify", "--suite", "all", *SPLIT, "--field", "GF(5)", "--q", "2", "--Q", "1,4"],
+        "94bd3ffbb99e908153f7d9d6244b73977e2853354cefd9c1c791c4c7a8dbacd2",
+    ),
+    "verify-morita-b1": (
+        ["verify", "--suite", "morita", *SPLIT, "--q", "2", "--Q", "1,5", "--b", "1"],
+        "f628ccf82cb0cba17e6427a49245778510d1729aa410583f41d2eebb1b1e1e5b",
+    ),
+    "decomp-GF5": (
+        ["decomp", "--n", "3", "--r", "2", "--field", "GF(5)", "--q", "2", "--Q", "1,2"],
+        "131d4d7bddf78540e6af07126b90feba6566b80775360e2d2261f09c0361d616",
+    ),
+    "gram-Q": (
+        ["gram", "--n", "2", "--r", "2", "--Q", "1,5"],
+        "e09577791ff941cac4f9561a4d9d807effbf514ef252800150b0e68b41270092",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes(name, capsys):
+    argv, digest = GOLDEN[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

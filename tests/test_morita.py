@@ -2,6 +2,7 @@ from math import comb as binomial, factorial
 
 import pytest
 
+from ariki_koike.algebra import ArikiKoikeAlgebra
 from ariki_koike.fields import GateError, Params, PrimeField, Rationals
 from ariki_koike.morita import MoritaSuite, TensorAlgebra
 from ariki_koike.report import all_ok
@@ -14,24 +15,24 @@ def qparams(n=2, r=2, q=2, Q=(1, 5), s=1, field=None):
 
 @pytest.fixture(scope="module")
 def suite2():
-    return MoritaSuite(qparams(n=2))
+    return MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
 
 
 @pytest.fixture(scope="module")
 def suite3():
-    return MoritaSuite(qparams(n=3))
+    return MoritaSuite(ArikiKoikeAlgebra(qparams(n=3)))
 
 
 def test_gate_refuses_connected_parameters():
     with pytest.raises(GateError):
-        MoritaSuite(qparams(Q=(1, 2)))  # Q_2 = q Q_1
+        MoritaSuite(ArikiKoikeAlgebra(qparams(Q=(1, 2))))  # Q_2 = q Q_1
     with pytest.raises(GateError):
-        MoritaSuite(qparams(n=2, r=2, q=4, Q=(1, 4), field=PrimeField(5)))
+        MoritaSuite(ArikiKoikeAlgebra(qparams(n=2, r=2, q=4, Q=(1, 4), field=PrimeField(5))))
 
 
 def test_gate_rejects_s_equal_r():
     with pytest.raises(GateError):
-        MoritaSuite(Params(field=Rationals(), q=2, Q=(1, 5), n=2, r=2, s=2))
+        MoritaSuite(ArikiKoikeAlgebra(Params(field=Rationals(), q=2, Q=(1, 5), n=2, r=2, s=2)))
 
 
 def test_intertwining_spot_identities(suite2, suite3):
@@ -139,7 +140,7 @@ def test_theta_map_spot_images(suite3):
 def test_theta_map_exact_for_two_parameters():
     # with two parameters in each group the T_0 images are on the nose
     p = Params(field=Rationals(), q=2, Q=(1, 5, 7, 11), n=2, r=4, s=2)
-    suite = MoritaSuite(p)
+    suite = MoritaSuite(ArikiKoikeAlgebra(p))
     ta = suite.tensor_algebra(1)
     img = suite.theta_map(1, ta.tensor(ta.left.gen_T(0), ta.right.one()))
     assert img == suite.alg.gen_L(2)
@@ -185,7 +186,7 @@ def test_full_suite_n2(suite2):
 def test_full_suite_n2_prime_field():
     # the whole battery is field-agnostic; GF(5) with q = -1 exercises the
     # non-semisimple regime (the type-A factors degenerate) end to end
-    suite = MoritaSuite(qparams(q=4, Q=(1, 2), field=PrimeField(5)))
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(q=4, Q=(1, 2), field=PrimeField(5))))
     assert all_ok(suite.run_all())
 
 
@@ -193,7 +194,7 @@ def test_full_suite_n2_prime_field():
 def test_full_suite_three_parameters(s):
     # three cyclotomic parameters, both split points; s = 2 runs the battery
     # with a genuinely two-parameter left factor
-    suite = MoritaSuite(Params(field=Rationals(), q=2, Q=(1, 5, 7), n=2, r=3, s=s))
+    suite = MoritaSuite(ArikiKoikeAlgebra(Params(field=Rationals(), q=2, Q=(1, 5, 7), n=2, r=3, s=s)))
     assert all_ok(suite.run_all())
 
 
@@ -207,13 +208,13 @@ def test_factorization_dimension_identity(suite2):
 
 def test_factorization_gf5_split():
     p = qparams(n=2, q=4, Q=(1, 2), field=PrimeField(5))
-    res = MoritaSuite(p).verify_factorization()
+    res = MoritaSuite(ArikiKoikeAlgebra(p)).verify_factorization()
     assert all_ok(res)
     assert any(r.check == "morita.decomposition_factorization" for r in res)
 
 
 def test_tensor_algebra_trivial_factor():
-    ta = TensorAlgebra(qparams(n=2), 0)
+    ta = TensorAlgebra(ArikiKoikeAlgebra(qparams(n=2)), 0)
     assert ta.left.dim == 1 and ta.dim == ta.right.dim
     prod = ta.multiply(ta.one(), ta.one())
     assert prod == ta.one()
@@ -224,7 +225,7 @@ def test_ungated_run_fails_honestly_where_the_theory_does():
     # unconditional identities still hold, while the leading coefficient of
     # theta_b on the split level genuinely vanishes; the ungated suite must
     # report exactly that, with no spurious failures elsewhere
-    suite = MoritaSuite(qparams(Q=(1, 1)), gate=False)
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(Q=(1, 1))), gate=False)
     assert suite.fs == 0
     for b in range(3):
         assert all_ok(suite.verify_intertwining(b))
@@ -236,7 +237,7 @@ def test_ungated_run_fails_honestly_where_the_theory_does():
 
 def test_failure_reports_carry_element_dumps():
     # a deliberately wrong identity must dump the counterexample element
-    suite = MoritaSuite(qparams())
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams()))
     alg = suite.alg
     diff = alg.gen_L(1) * suite.v_elem(1) - suite.v_elem(1) * alg.gen_L(1)
     assert not diff.is_zero()  # L_1 v_1 = v_1 L_2, not v_1 L_1

@@ -87,7 +87,7 @@ def test_gamma_split_order_isomorphism_exhaustive():
 
 
 def test_morita_count_check_both_sides_five():
-    res = morita_count_check(multipartitions(2, 2), qparams())
+    res = morita_count_check(multipartitions(2, 2), ArikiKoikeAlgebra(qparams()))
     assert all_ok(res)
     counts = [r for r in res if r.check == "schur.count_consistency"]
     assert len(counts) == 1 and "5" in counts[0].detail
@@ -102,7 +102,7 @@ def test_morita_count_degenerate_end():
 
 
 def test_theta_module_image_identity():
-    res = morita_count_check(multipartitions(2, 2), qparams())
+    res = morita_count_check(multipartitions(2, 2), ArikiKoikeAlgebra(qparams()))
     images = [r for r in res if r.check == "schur.theta_module_image"]
     assert len(images) == 1 and images[0].ok
 
