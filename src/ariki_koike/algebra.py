@@ -2,20 +2,30 @@
 
 Elements are sparse linear combinations of the rank-r^n.n! basis
 
-    L_1^{d_1} L_2^{d_2} ... L_n^{d_n} T_w,   0 <= d_m <= r-1,  w in S_n,
+    L^d T_w = L_1^{d_1} L_2^{d_2} ... L_n^{d_n} T_w,   0 <= d_m <= r-1,  w in S_n,
 
 where L_1 = T_0 and L_{i+1} = q^{-1} T_i L_i T_i.  Products are computed by
-rewriting: the right factor is expanded into a generator word (every L_k is a
-scalar multiple of T_{k-1}...T_1 T_0 T_1...T_{k-1}) and folded generator by
-generator into the left factor.  Right multiplication by T_i (i >= 1) is the
-usual two-case Hecke rule; right multiplication by T_0 pushes an L_1 leftward
-through the T-word with the local moves
+rewriting: each monomial L^d T_w of the right factor is folded into the left
+factor in two steps, each cached per (left monomial, step) for the lifetime
+of the algebra.
 
-    T_i L_j     = L_j T_i                      (j != i, i+1),
-    T_i L_i     = L_{i+1} T_i - (q-1) L_{i+1},
-    T_i L_{i+1} = L_i T_i     + (q-1) L_{i+1}.
+Step 1, times L^d: (L^a T_x) L^d = L^a (T_x L^d).  T_x L^d is computed once
+per (x, d) by pushing L^d leftward through a reduced word of x, one T_i at a
+time, with the local moves
 
-An exponent that overflows to d_m = r is eliminated through the normal form
+    T_i L_j             = L_j T_i                                   (j != i, i+1),
+    T_i L_i^a L_{i+1}^b = L_i^b L_{i+1}^a T_i
+                          - (q-1) sum_{k=1}^{a-b} L_i^{a-k} L_{i+1}^{b+k}   (a >= b),
+    T_i L_i^a L_{i+1}^b = L_i^b L_{i+1}^a T_i
+                          + (q-1) sum_{k=1}^{b-a} L_i^{b-k} L_{i+1}^{a+k}   (a < b),
+
+which never raise an exponent above the largest of d.  Each term L^f T_y of
+T_x L^d then becomes L^{a+f} T_y, brought to normal form below.
+
+Step 2, times T_w: L^h T_y T_w = L^h (T_y T_w), with T_y T_w expanded by the
+Hecke rule T_y T_s = T_{ys} if l(ys) > l(y), else q T_{ys} + (q-1) T_y.
+
+An exponent that overflows to d_m >= r is eliminated through the normal form
 of L_m^r, computed once per m by induction on m: the cyclotomic relation
 handles m = 1, and
 
@@ -25,7 +35,9 @@ handles m = 1, and
 descends to m - 1 without ever re-creating an out-of-bound power.  Each
 substitution strictly decreases the r-adic weight sum_m d_m r^m, so the
 rewriting terminates; confluence is certified by the closure, associativity
-and defining-relation test batteries rather than by proof.
+and defining-relation test batteries, and by a test that folds every product
+of two basis monomials a second way, one generator at a time, rather than by
+proof.
 """
 
 from __future__ import annotations
@@ -174,11 +186,12 @@ class ArikiKoikeAlgebra:
         self.q = params.q
         self.Q = params.Q
         self.max_dim = max_dim
-        self._push_cache: dict[Permutation, list] = {}
         self._hecke_cache: dict[tuple[Permutation, Permutation], dict] = {}
         self._Lr_cache: dict[int, dict] = {}
-        self._normalL_cache: dict[tuple[int, ...], dict] = {}
-        self._gen_cache: dict[tuple[Monomial, int], dict] = {}
+        self._normalL_cache: dict[tuple[tuple[int, ...], Permutation], dict] = {}
+        self._TL_cache: dict[tuple[Permutation, tuple[int, ...]], dict] = {}
+        self._L_step_cache: dict[tuple[Monomial, tuple[int, ...]], dict] = {}
+        self._T_step_cache: dict[tuple[Monomial, Permutation], dict] = {}
         self._pow_cache: dict[tuple[int, int], list] = {}
         self._derived: dict = {}
         self._qm1 = self.q - self.field.one
@@ -218,7 +231,7 @@ class ArikiKoikeAlgebra:
         if not (1 <= k <= self.n):
             raise ValueError(f"L_{k} does not exist for n={self.n}")
         exp = tuple(1 if m == k else 0 for m in range(1, self.n + 1))
-        return self.element(dict(self._normal_L(exp)))
+        return self.element(dict(self._normal_L(exp, identity(self.n))))
 
     def t_elem(self, w: Permutation) -> Element:
         if w.n != self.n:
@@ -281,85 +294,85 @@ class ArikiKoikeAlgebra:
         return Element(self, self._product_terms(a.terms, b.terms))
 
     def _product_terms(self, aterms: dict, bterms: dict) -> dict:
+        """Each monomial c L^d T_w of the right factor folds in two steps: times L^d, times T_w."""
         out: dict = {}
-        if not aterms or not bterms:
-            return out
-        for mono, c in bterms.items():
-            word, e = self._gen_word(mono)
-            cur = aterms
-            for g in word:
-                cur = self._terms_times_gen(cur, g)
-            scale = self.params.q_power(-e) * c
-            for k, v in cur.items():
-                _accumulate(out, k, v * scale)
+        for (d, w), c in bterms.items():
+            if any(d):
+                cur = self._fold(aterms, self._mono_times_L, d, scale=c)
+                self._fold(cur, self._mono_times_T, w, out)
+            else:
+                self._fold(aterms, self._mono_times_T, w, out, scale=c)
         return out
+
+    def _fold(self, terms: dict, step, arg, out: dict | None = None, scale=None) -> dict:
+        """Add sum scale * c * step(mono, arg) over the terms into out (a new dict by default)."""
+        if out is None:
+            out = {}
+        if scale is self.field.one:
+            scale = None
+        for mono, c in terms.items():
+            self._add_scaled(out, step(mono, arg), c if scale is None else c * scale)
+        return out
+
+    def _add_scaled(self, out: dict, terms: dict, c) -> None:
+        """out += c * terms; _accumulate inlined, as no stored coefficient is 0."""
+        one = self.field.one  # the cached steps share it, so `is` spares a multiply
+        get = out.get
+        for k, v in terms.items():
+            v = v if c is one else c if v is one else v * c
+            cur = get(k)
+            if cur is None:
+                out[k] = v
+            elif cur := cur + v:
+                out[k] = cur
+            else:
+                del out[k]
 
     def _terms_times_gen(self, terms: dict, g: int) -> dict:
-        out: dict = {}
-        for mono, c in terms.items():
-            for k, v in self._mono_times_gen(mono, g).items():
-                _accumulate(out, k, v * c)
-        return out
+        return self._fold(terms, self._mono_times_gen, g)
 
     def _mono_times_gen(self, mono: Monomial, g: int) -> dict:
-        cached = self._gen_cache.get((mono, g))
+        """mono * T_g in normal form, where T_0 = L_1."""
+        if g == 0:
+            return self._mono_times_L(mono, tuple(int(k == 0) for k in range(self.n)))
+        return self._mono_times_T(mono, simple_transposition(g, self.n))
+
+    def _mono_times_L(self, mono: Monomial, d: tuple[int, ...]) -> dict:
+        """(L^a T_x) L^d in normal form: T_x L^d = sum c L^f T_y, then L^{a+f} T_y by _normal_L."""
+        key = (mono, d)
+        cached = self._L_step_cache.get(key)
         if cached is not None:
             return cached
-        d, w = mono
-        one = self.field.one
+        a, x = mono
         out: dict = {}
-        if g >= 1:
-            ws = w.times_s(g)
-            if ws.length() > w.length():
-                out[(d, ws)] = one
-            else:
-                out[(d, ws)] = self.q
-                out[(d, w)] = self._qm1
-        else:
-            for c, j, u in self._push_L1(w):
-                e = list(d)
-                e[j - 1] += 1
-                e = tuple(e)
-                if e[j - 1] < self.r:
-                    _accumulate(out, (e, u), c)
-                else:
-                    for (h, x), c3 in self._normal_L(e).items():
-                        for y, c4 in self._hecke_prod(x, u).items():
-                            _accumulate(out, (h, y), c * c3 * c4)
-        self._gen_cache[(mono, g)] = out
+        for (f, y), c in self._T_times_L(x, d).items():
+            self._add_scaled(out, self._normal_L(tuple(i + j for i, j in zip(a, f)), y), c)
+        self._L_step_cache[key] = out
         return out
 
-    def _push_L1(self, w: Permutation) -> list:
-        """T_w L_1 as a list of (coeff, j, u) meaning sum coeff * L_j T_u."""
-        cached = self._push_cache.get(w)
+    def _mono_times_T(self, mono: Monomial, w: Permutation) -> dict:
+        """(L^d T_x) T_w in normal form: L^d (T_x T_w)."""
+        key = (mono, w)
+        cached = self._T_step_cache.get(key)
         if cached is not None:
             return cached
-        one = self.field.one
-        terms: dict[tuple[int, Permutation], object] = {(1, identity(self.n)): one}
-        for i in reversed(w.reduced_word()):
-            new: dict = {}
-            for (j, u), c in terms.items():
-                if j == i:
-                    self._lhecke_into(new, i, u, i + 1, c)
-                    _accumulate(new, (i + 1, u), -self._qm1 * c)
-                elif j == i + 1:
-                    self._lhecke_into(new, i, u, i, c)
-                    _accumulate(new, (i + 1, u), self._qm1 * c)
-                else:
-                    self._lhecke_into(new, i, u, j, c)
-            terms = new
-        result = [(c, j, u) for (j, u), c in terms.items()]
-        self._push_cache[w] = result
-        return result
+        d, x = mono
+        out = {(d, y): c for y, c in self._hecke_prod(x, w).items()}
+        self._T_step_cache[key] = out
+        return out
 
-    def _lhecke_into(self, store: dict, i: int, u: Permutation, j: int, c):
-        """Add c * L_j (T_i T_u) into store, applying the left Hecke rule."""
-        su = u.s_times(i)
-        if u.images[i - 1] < u.images[i]:
-            _accumulate(store, (j, su), c)
-        else:
-            _accumulate(store, (j, su), self.q * c)
-            _accumulate(store, (j, u), self._qm1 * c)
+    def _T_times_L(self, x: Permutation, d: tuple[int, ...]) -> dict:
+        """T_x L^d as {(f, y): coeff}: L^d pushed leftward through a reduced word
+        of x, one T_i at a time; no exponent of f exceeds the largest of d."""
+        key = (x, d)
+        cached = self._TL_cache.get(key)
+        if cached is not None:
+            return cached
+        terms = {(d, identity(self.n)): self.field.one}
+        for i in reversed(x.reduced_word()):
+            terms = self._left_mul_gen_terms(terms, i)
+        self._TL_cache[key] = terms
+        return terms
 
     def _hecke_prod(self, x: Permutation, v: Permutation) -> dict:
         """T_x T_v expanded over the T-basis: dict {y: coeff}."""
@@ -467,24 +480,23 @@ class ArikiKoikeAlgebra:
         self._Lr_cache[m] = out
         return out
 
-    def _normal_L(self, exp: tuple[int, ...]) -> dict:
-        """Normal form of the pure L-monomial with (possibly large) exponents."""
-        cached = self._normalL_cache.get(exp)
+    def _normal_L(self, exp: tuple[int, ...], w: Permutation) -> dict:
+        """Normal form of L^exp T_w, where the exponents may reach or pass r."""
+        key = (exp, w)
+        cached = self._normalL_cache.get(key)
         if cached is not None:
             return cached
-        if all(x < self.r for x in exp):
-            out = {(exp, identity(self.n)): self.field.one}
+        m = next((i + 1 for i, x in enumerate(exp) if x >= self.r), None)
+        if m is None:
+            out = {(exp, w): self.field.one}
         else:
-            m = next(i + 1 for i, x in enumerate(exp) if x >= self.r)
             base = list(exp)
             base[m - 1] -= self.r
             out = {}
-            for (f, v), c2 in self._L_pow_r(m).items():
+            for (f, v), c in self._L_pow_r(m).items():
                 combined = tuple(bb + ff for bb, ff in zip(base, f))
-                for (h, x), c3 in self._normal_L(combined).items():
-                    for y, c4 in self._hecke_prod(x, v).items():
-                        _accumulate(out, (h, y), c2 * c3 * c4)
-        self._normalL_cache[exp] = out
+                self._fold(self._normal_L(combined, v), self._mono_times_T, w, out, scale=c)
+        self._normalL_cache[key] = out
         return out
 
     # -- structural elements ----------------------------------------------------
@@ -580,14 +592,19 @@ class ArikiKoikeAlgebra:
     # -- the splitting elements ---------------------------------------------------
 
     def v_b_elem(self, b: int) -> Element:
-        """v_b = u_{n-b}^- T_{w_{n-b,b}} u_b^+."""
+        """v_b = u_{n-b}^- T_{w_{n-b,b}} u_b^+, built once per b."""
+        return self.derived(("v_b", b), lambda: self.theta_b(b, self.u_b_plus(b)))
+
+    def theta_head(self, b: int) -> Element:
+        """u_{n-b}^- T_{w_{n-b,b}}, the left factor of theta_b, built once per b."""
         if not (0 <= b <= self.n):
             raise ValueError(f"b={b} out of range")
-        return self.u_minus(self.n - b) * self.t_elem(w_ab(self.n - b, b, self.n)) * self.u_b_plus(b)
+        return self.derived(("theta_head", b), lambda: (
+            self.u_minus(self.n - b) * self.t_elem(w_ab(self.n - b, b, self.n))))
 
     def theta_b(self, b: int, h: Element) -> Element:
         """theta_b(h) = u_{n-b}^- T_{w_{n-b,b}} h (membership of h in its domain is the caller's duty)."""
-        return self.u_minus(self.n - b) * self.t_elem(w_ab(self.n - b, b, self.n)) * h
+        return self.theta_head(b) * h
 
     def v_st(self, s: StandardTableau, t: StandardTableau, b: int | None = None) -> Element:
         if b is None:

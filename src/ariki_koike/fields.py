@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 MAX_PRIME = 97
@@ -132,6 +133,10 @@ class Rationals:
     """The field of rational numbers; elements are `Fraction`s."""
 
     name = "Q"
+    # Shared constants: Fractions are immutable, and the product engine skips
+    # multiplications by the very object `one`.
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -141,14 +146,6 @@ class Rationals:
         if isinstance(x, str):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     @property
     def characteristic(self) -> int:
@@ -185,11 +182,12 @@ class PrimeField:
             return self(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
-    @property
+    # Built once per field; an FpElement is never mutated.
+    @cached_property
     def zero(self) -> FpElement:
         return FpElement(0, self.p)
 
-    @property
+    @cached_property
     def one(self) -> FpElement:
         return FpElement(1, self.p)
 

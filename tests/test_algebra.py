@@ -169,6 +169,22 @@ def test_associativity_random():
         assert (a * b) * c == a * (b * c)
 
 
+@pytest.mark.parametrize("n,r,field,Q", [(2, 3, Rationals(), (1, 5, 7)), (3, 2, PrimeField(5), (1, 3))])
+def test_two_step_fold_matches_generator_fold(n, r, field, Q):
+    # m1 * m2 by the engine against m1 * T_{g_1} * ... * T_{g_k} * q^{-e}, with
+    # q^{-e} T_{g_1} ... T_{g_k} = m2 the generator word of m2 (T_0 = L_1)
+    alg = make(n=n, r=r, Q=Q, field=field)
+    gens = [alg.gen_T(g) for g in range(n)]
+    for m1 in alg.basis():
+        left = alg.element({m1: field.one})
+        for m2 in alg.basis():
+            word, e = alg._gen_word(m2)
+            expected = left
+            for g in word:
+                expected = expected * gens[g]
+            assert left * alg.element({m2: field.one}) == expected.scale(alg.params.q_power(-e))
+
+
 def test_u_elements():
     alg = make(n=2)
     assert alg.u_seq((0, 0)) == alg.one()

@@ -216,3 +216,56 @@ def test_verify_all_builds_each_derived_object_once(monkeypatch, capsys):
     assert builds[("transition", big)] == 1
     assert sum(1 for kind, k in builds if kind == "_specht_module" and k[0] == big) == 5
     assert all(count == 1 for count in builds.values()), builds
+
+
+def test_failed_decomposition_validation_fails_the_factorization_row(monkeypatch, capsys):
+    from ariki_koike import specht
+    from ariki_koike.fields import ComputationError
+
+    def broken(data, modules):
+        raise ComputationError("decomposition matrix has a diagonal entry != 1")
+
+    monkeypatch.setattr(specht, "_validate_decomposition", broken)
+    code, out, _ = run_cli(
+        ["verify", "--suite", "all", "--n", "2", "--r", "2", "--s", "1",
+         "--field", "GF(5)", "--q", "2", "--Q", "1,4"], capsys
+    )
+    assert code == 1
+    rows = {e["check"]: e for e in json.loads(out)}
+    for name in ("morita.decomposition_factorization", "specht.decomposition_matrix"):
+        row = rows.pop(name)
+        assert row["status"] == "fail" and "diagonal entry" in row["detail"]
+    assert rows and all(e["status"] == "pass" for e in rows.values())
+
+
+def test_morita_builds_per_level_data_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from ariki_koike import algebra
+
+    builds, u_minus_calls = Counter(), Counter()
+    derived, u_minus = algebra.ArikiKoikeAlgebra.derived, algebra.ArikiKoikeAlgebra.u_minus
+
+    def counting_derived(self, key, build):
+        def counted():
+            builds[(self.n, self.r, key)] += 1
+            return build()
+        return derived(self, key, counted)
+
+    def counting_u_minus(self, m):
+        u_minus_calls[(self.n, self.r, m)] += 1
+        return u_minus(self, m)
+
+    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "derived", counting_derived)
+    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "u_minus", counting_u_minus)
+    code, out, _ = run_cli(
+        ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
+         "--q", "2", "--Q", "1,5,7"], capsys
+    )
+    assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
+    for b in range(3):
+        for name in ("theta_head", "v_b", "v_matrix", "v_b_left_mult"):
+            assert builds[(2, 3, (name, b))] == 1, (name, b)
+    assert all(count == 1 for count in builds.values()), builds
+    # u_{n-b}^- enters only through the memoized head of theta_b
+    assert u_minus_calls == Counter({(2, 3, m): 1 for m in range(3)})

@@ -145,3 +145,11 @@ def test_params_file_rational_values():
     p = parse_params_file("field=Q\nq=1/2\nQ=1,5\nn=3\n")
     assert p.q == Fraction(1, 2)
     assert p.r == 2 and p.s is None
+
+
+def test_field_constants_are_shared():
+    # the product engine skips multiplying by the very object `one`
+    assert Rationals().one is Rationals().one and Rationals().zero is Rationals().zero
+    gf5 = PrimeField(5)
+    assert gf5.one is gf5.one and gf5.zero is gf5.zero
+    assert gf5.one == 1 and gf5.zero == 0 and gf5 == PrimeField(5)
