@@ -20,7 +20,7 @@ suite = MoritaSuite(ArikiKoikeAlgebra(params))
 alg = suite.alg
 
 print("\n== the splitting element and its intertwining law ==")
-v1 = suite.v_elem(1)
+v1 = alg.v_b_elem(1)
 print("  v_1 =")
 print("    " + v1.serialize().replace("\n", "\n    "))
 print(f"  L_1 v_1 = v_1 L_2: {alg.gen_L(1) * v1 == v1 * alg.gen_L(2)}")

@@ -98,8 +98,7 @@ def build_algebra(args) -> ArikiKoikeAlgebra:
         raise SizeGuardError(f"instance dimension {dim} exceeds the cap {max_dim}")
     if max_dim > DEFAULT_MAX_DIM:
         return alg
-    ok = (r == 1 and n <= 6) or (r == 2 and n <= 4) or (r == 3 and n <= 3) or dim <= 384
-    if not ok:
+    if not (dim <= 384 or (r == 1 and n <= 6)):
         raise SizeGuardError(
             f"n={n}, r={r} exceeds the default suite guards (raise --max-dim to override)"
         )

@@ -16,10 +16,11 @@ gate the heavier suites:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 MAX_PRIME = 97
 
@@ -262,11 +263,7 @@ class Params:
 
     def q_power(self, a: int) -> FieldValue:
         """q**a for a possibly negative integer a."""
-        if a >= 0:
-            return self.q ** a
-        if isinstance(self.q, Fraction):
-            return self.q ** a
-        return self.q.inverse() ** (-a)
+        return self.q ** a
 
     def require_split(self) -> int:
         """The split point for two-sided Morita runs; rejects s = r.
@@ -297,6 +294,15 @@ class Params:
         return d
 
 
+def _pair_product(params: Params, pairs: Iterable[tuple[int, int]]) -> FieldValue:
+    """prod over index pairs (i, j) and -n < a < n of (q^a Q_i - Q_j)."""
+    value = params.field.one
+    for i, j in pairs:
+        for a in range(-params.n + 1, params.n):
+            value = value * (params.q_power(a) * params.Q[i - 1] - params.Q[j - 1])
+    return value
+
+
 def f_s_value(params: Params) -> FieldValue:
     """The separation product f_s(q, Q) for the split 1..s | s+1..r.
 
@@ -306,12 +312,7 @@ def f_s_value(params: Params) -> FieldValue:
     s = params.s
     if s is None or not (1 <= s < params.r):
         raise ValueError("f_s needs a split point with 1 <= s < r")
-    value = params.field.one
-    for i in range(1, s + 1):
-        for j in range(s + 1, params.r + 1):
-            for a in range(-params.n + 1, params.n):
-                value = value * (params.q_power(a) * params.Q[i - 1] - params.Q[j - 1])
-    return value
+    return _pair_product(params, ((i, j) for i in range(1, s + 1) for j in range(s + 1, params.r + 1)))
 
 
 def poincare(params: Params) -> FieldValue:
@@ -321,11 +322,7 @@ def poincare(params: Params) -> FieldValue:
                 * prod_{k=1}^{n} (1 + q + ... + q^{k-1});
     the algebra over a field is semisimple iff this value is nonzero.
     """
-    value = params.field.one
-    for i in range(1, params.r + 1):
-        for j in range(i + 1, params.r + 1):
-            for a in range(-params.n + 1, params.n):
-                value = value * (params.q_power(a) * params.Q[i - 1] - params.Q[j - 1])
+    value = _pair_product(params, itertools.combinations(range(1, params.r + 1), 2))
     qint = params.field.one
     acc = params.field.one
     for k in range(2, params.n + 1):
@@ -351,14 +348,8 @@ def f_partition_value(params: Params, blocks: Sequence[Sequence[int]]) -> FieldV
             seen.add(i)
     if len(seen) != params.r:
         raise ValueError("blocks do not cover the parameter index set")
-    value = params.field.one
-    for a_idx in range(len(blocks)):
-        for b_idx in range(a_idx + 1, len(blocks)):
-            for i in blocks[a_idx]:
-                for j in blocks[b_idx]:
-                    for a in range(-params.n + 1, params.n):
-                        value = value * (params.q_power(a) * params.Q[i - 1] - params.Q[j - 1])
-    return value
+    return _pair_product(params, ((i, j) for left, right in itertools.combinations(blocks, 2)
+                                  for i in left for j in right))
 
 
 def parse_params_file(text: str, n_override: int | None = None) -> Params:

@@ -70,6 +70,10 @@ REF_FACTOR_S = "cell-module dimension factorization across the split"
 REF_FACTOR_D = "simple-module dimension factorization across the split"
 REF_FACTOR_DEC = "decomposition numbers factor as products across the split"
 
+# Up to this n, Hom(V^b, V^c) = 0 is also solved directly, beside the content
+# separation; the direct system has n * rank V^b * rank V^c rows.
+DIRECT_HOM_MAX_N = 3
+
 GATE_MESSAGE = (
     "Morita hypothesis violated: the separation product f_s(q,Q) = "
     "prod (q^a Q_i - Q_j) over i <= s < j, |a| < n vanishes; the splitting "
@@ -84,6 +88,28 @@ def _dump(elem: Element, limit: int = 4) -> str:
     if len(lines) > limit:
         shown += f"; ... ({len(lines) - limit} more terms)"
     return shown or "0"
+
+
+class Level:
+    """The shapes and tableaux of one level b, enumerated once per algebra.
+
+    Each cell list holds (shape, first tableau, second tableau) triples.
+    """
+
+    def __init__(self, n: int, r: int, s: int, b: int):
+        # Lambda_b: exactly b boxes in the first s components; Lambda_bar_b: more than b
+        self.shapes, self.above = lambda_sets(n, r, s, b)
+        self.filtered = {lam: std_filtered(lam, b, s, two_sided=True) for lam in self.shapes}
+        # first tableau two-sided filtered: the index set of the v-basis of V^b
+        self.triples = [(lam, st, tt) for lam, filt in self.filtered.items()
+                        for st in filt for tt in std_tableaux(lam)]
+        # both tableaux two-sided filtered: the split pairs, which index End(V^b)
+        self.pairs = [(lam, st, tt) for lam, filt in self.filtered.items() for st in filt for tt in filt]
+        # first tableau one-sided filtered: the cell basis of M^{omega_b}, whose
+        # part on the higher shapes is the cell basis of ker theta_b
+        self.one_sided = [(lam, u, v) for lam in self.shapes + self.above
+                          for u in std_filtered(lam, b, s, two_sided=False) for v in std_tableaux(lam)]
+        self.kernel = [cell for cell in self.one_sided if cell[0] not in self.filtered]
 
 
 @dataclass
@@ -166,11 +192,9 @@ class MoritaSuite:
         d.update(extra)
         return d
 
-    def tensor_algebra(self, b: int) -> TensorAlgebra:
-        return TensorAlgebra(self.alg, b)
-
-    def v_elem(self, b: int) -> Element:
-        return self.alg.v_b_elem(b)
+    def level(self, b: int) -> Level:
+        """The shapes and tableaux of level b, listed once per algebra."""
+        return self.alg.derived(("level", b), lambda: Level(self.n, self.params.r, self.s, b))
 
     def v_basis(self, b: int) -> VBasis:
         """The cell-indexed basis of V^b; requires the gate (independence may fail without it)."""
@@ -179,34 +203,9 @@ class MoritaSuite:
         return self.alg.derived(("v_basis", b), lambda: self._build_v_basis(b))
 
     def _build_v_basis(self, b: int) -> VBasis:
-        entries = []
-        elements = []
-        level, _ = lambda_sets(self.n, self.params.r, self.s, b)
-        for lam in level:
-            for st in std_filtered(lam, b, self.s, two_sided=True):
-                for tt in std_tableaux(lam):
-                    entries.append((lam, st, tt))
-                    elements.append(self.alg.theta_b(b, self.alg.m_st(st, tt)))
-        return VBasis(b, entries, elements)
-
-    def ker_entries(self, b: int) -> list[tuple[MultiPartition, StandardTableau, StandardTableau]]:
-        _, above = lambda_sets(self.n, self.params.r, self.s, b)
-        out = []
-        for mu in above:
-            for u in std_filtered(mu, b, self.s, two_sided=False):
-                for v in std_tableaux(mu):
-                    out.append((mu, u, v))
-        return out
-
-    def omega_module_entries(self, b: int):
-        """Cell basis of M^{omega_b}: first tableau filtered at level >= b."""
-        level, above = lambda_sets(self.n, self.params.r, self.s, b)
-        out = []
-        for lam in level + above:
-            for u in std_filtered(lam, b, self.s, two_sided=False):
-                for v in std_tableaux(lam):
-                    out.append((lam, u, v))
-        return out
+        triples = self.level(b).triples
+        alg = self.alg
+        return VBasis(b, triples, [alg.theta_b(b, alg.m_st(st, tt)) for (_, st, tt) in triples])
 
     def _vmatrix(self, b: int) -> list[list]:
         """The v-basis of V^b as the columns of a matrix."""
@@ -215,7 +214,8 @@ class MoritaSuite:
 
     def _vb_left_mult(self, b: int) -> list[list]:
         """The matrix of left multiplication by v_b."""
-        return self.alg.derived(("v_b_left_mult", b), lambda: self.alg.left_mult_matrix(self.v_elem(b)))
+        alg = self.alg
+        return alg.derived(("v_b_left_mult", b), lambda: alg.left_mult_matrix(alg.v_b_elem(b)))
 
     def _v_coords(self, b: int, elem: Element) -> list | None:
         return solve(self._vmatrix(b), self.alg.vec(elem), self.field)
@@ -250,7 +250,7 @@ class MoritaSuite:
         the check stops at i = n-1 since T_n does not exist, and says so.
         """
         alg, n = self.alg, self.n
-        vb = self.v_elem(b)
+        vb = alg.v_b_elem(b)
         failures = []
 
         def law(label, lhs, rhs):
@@ -274,7 +274,7 @@ class MoritaSuite:
         """The four one-sided cyclotomic annihilation identities and the
         vanishing of the staggered products at every higher level c."""
         alg, n, s, r = self.alg, self.n, self.s, self.params.r
-        vb = self.v_elem(b)
+        vb = alg.v_b_elem(b)
         failures = []
 
         def lprod(k: int, ts) -> Element:
@@ -316,7 +316,7 @@ class MoritaSuite:
 
     def verify_kernel_vanishing(self, b: int) -> list[CheckResult]:
         failures = []
-        for (mu, u, v) in self.ker_entries(b):
+        for (mu, u, v) in self.level(b).kernel:
             if not self.alg.theta_b(b, self.alg.m_st(u, v)).is_zero():
                 failures.append(f"theta_{b}(m) != 0 at shape {mu.serialize()}")
         return [result("morita.kernel_vanishing", REF_KERNEL, self._pdict(b=b), not failures,
@@ -332,62 +332,57 @@ class MoritaSuite:
         failures = []
         wnb = w_ab(n - b, b, n)
         wbn = w_ab(b, n - b, n)
-        level, _ = lambda_sets(n, self.params.r, self.s, b)
-        for lam in level:
-            for st in std_filtered(lam, b, self.s, two_sided=True):
-                try:
-                    sprime = st.apply(wbn)
-                except ValueError:
-                    failures.append("rotated tableau is not standard")
-                    continue
-                for tt in std_tableaux(lam):
-                    mst = alg.m_st(st, tt)
-                    if alg.t_elem(wnb) * mst != alg.m_st(sprime, tt):
-                        failures.append(f"T_w m_st != m_s't at {lam.serialize()}")
-                        continue
-                    coords = trans.express(alg.theta_b(b, mst))
-                    alpha = self.field.one
-                    for t in range(1, self.s + 1):
-                        for k in range(1, n - b + 1):
-                            alpha = alpha * (tableau_residue(sprime, k, self.params) - alg.Q[t - 1])
-                    for (mu, u, v), c in coords.items():
-                        if mu != lam:
-                            if not strictly_dominates(mu, lam):
-                                failures.append("coefficient at a non-dominating shape")
-                        elif v != tt:
-                            failures.append("second tableau moved")
-                        elif u == sprime:
-                            if c != alpha:
-                                failures.append("leading coefficient differs from the residue product")
-                        elif not (tableau_dominates(u, sprime) and u != sprime):
-                            failures.append("same-shape term not strictly above the leading tableau")
-                    if not alpha:
-                        failures.append("leading coefficient not invertible")
-                    if coords.get((lam, sprime, tt), self.field.zero) != alpha:
-                        failures.append("leading term missing")
+        for (lam, st, tt) in self.level(b).triples:
+            try:
+                sprime = st.apply(wbn)
+            except ValueError:
+                failures.append("rotated tableau is not standard")
+                continue
+            mst = alg.m_st(st, tt)
+            if alg.t_elem(wnb) * mst != alg.m_st(sprime, tt):
+                failures.append(f"T_w m_st != m_s't at {lam.serialize()}")
+                continue
+            coords = trans.express(alg.theta_b(b, mst))
+            alpha = self.field.one
+            for t in range(1, self.s + 1):
+                for k in range(1, n - b + 1):
+                    alpha = alpha * (tableau_residue(sprime, k, self.params) - alg.Q[t - 1])
+            for (mu, u, v), c in coords.items():
+                if mu != lam:
+                    if not strictly_dominates(mu, lam):
+                        failures.append("coefficient at a non-dominating shape")
+                elif v != tt:
+                    failures.append("second tableau moved")
+                elif u == sprime:
+                    if c != alpha:
+                        failures.append("leading coefficient differs from the residue product")
+                elif not (tableau_dominates(u, sprime) and u != sprime):
+                    failures.append("same-shape term not strictly above the leading tableau")
+            if not alpha:
+                failures.append("leading coefficient not invertible")
+            if coords.get((lam, sprime, tt), self.field.zero) != alpha:
+                failures.append("leading term missing")
         return [result("morita.leading_terms", REF_LEADING, self._pdict(b=b), not failures,
                        "; ".join(sorted(set(failures))[:4]))]
 
     def verify_bases(self, b: int) -> list[CheckResult]:
         """Independence and counting for the bases of V^b, ker theta_b, M^{omega_b}."""
+        alg, lv = self.alg, self.level(b)
         out = []
         vb = self.v_basis(b)
-        mat = self._vmatrix(b)
-        indep = rank(mat) == len(vb.entries) if vb.entries else True
+        r_v = rank(self._vmatrix(b)) if vb.entries else 0
         expected = self.expected_rank(b)
         out.append(result(
             "morita.v_basis", REF_VBASIS, self._pdict(b=b),
-            indep and len(vb.entries) == expected,
-            f"rank {rank(mat) if vb.entries else 0}, entries {len(vb.entries)}, expected {expected}",
+            r_v == len(vb.entries) == expected,
+            f"rank {r_v}, entries {len(vb.entries)}, expected {expected}",
         ))
 
         # M^{omega_b} = m_{omega_b} H: compare the module with its claimed cell basis.
         omega = omega_b(self.n, self.params.r, self.s, b)
-        m_omega = self.alg.m_lambda(omega)
-        module_rows = [self.alg.vec(m_omega * self.alg.element({mono: self.field.one}))
-                       for mono in self.alg.basis()]
-        claimed = self.omega_module_entries(b)
-        claimed_rows = [self.alg.vec(self.alg.m_st(u, v)) for (_, u, v) in claimed]
+        module_rows = transpose(alg.left_mult_matrix(alg.m_lambda(omega)))
+        claimed = lv.one_sided
+        claimed_rows = [alg.vec(alg.m_st(u, v)) for (_, u, v) in claimed]
         r_module = rank(module_rows)
         r_claimed = rank(claimed_rows)
         r_joint = rank(module_rows + claimed_rows)
@@ -398,8 +393,8 @@ class MoritaSuite:
         ))
 
         # ker theta_b: claimed basis, complementarity of ranks, ideal intersection.
-        kers = self.ker_entries(b)
-        ker_rows = [self.alg.vec(self.alg.m_st(u, v)) for (_, u, v) in kers]
+        kers = lv.kernel
+        ker_rows = [alg.vec(alg.m_st(u, v)) for (_, u, v) in kers]
         r_ker = rank(ker_rows) if ker_rows else 0
         complement_ok = r_ker == len(kers) and len(vb.entries) + r_ker == r_module
         out.append(result(
@@ -408,12 +403,8 @@ class MoritaSuite:
         ))
 
         # ker theta_b = M^{omega_b} cap N-bar^b (the span of higher-level cells).
-        _, above = lambda_sets(self.n, self.params.r, self.s, b)
-        ideal_rows = []
-        for mu in above:
-            for u in std_tableaux(mu):
-                for v in std_tableaux(mu):
-                    ideal_rows.append(self.alg.vec(self.alg.m_st(u, v)))
+        ideal_rows = [alg.vec(alg.m_st(u, v)) for mu in lv.above
+                      for u in std_tableaux(mu) for v in std_tableaux(mu)]
         r_ideal = rank(ideal_rows) if ideal_rows else 0
         r_stack = rank(module_rows + ideal_rows) if ideal_rows else r_module
         inter = r_module + r_ideal - r_stack
@@ -426,15 +417,11 @@ class MoritaSuite:
     def verify_filtration(self, b: int) -> list[CheckResult]:
         """Build the cell filtration of V^b layer by layer and compare each
         subquotient action with the corresponding cell module."""
-        level, _ = lambda_sets(self.n, self.params.r, self.s, b)
-        layers: list[tuple[MultiPartition, StandardTableau]] = []
-        for lam in sorted(level, key=sort_key, reverse=True):  # dominated shapes first
-            for st in std_filtered(lam, b, self.s, two_sided=True):
-                layers.append((lam, st))
+        lv = self.level(b)
+        dominated_first = sorted(lv.shapes, key=sort_key, reverse=True)
+        layers = [(lam, st) for lam in dominated_first for st in lv.filtered[lam]]
         vb = self.v_basis(b)
-        index_of = {}
-        for i, (lam, st, tt) in enumerate(vb.entries):
-            index_of[(st, tt)] = i
+        index_of = {(st, tt): i for i, (_, st, tt) in enumerate(vb.entries)}
         layer_of = {}
         for j, (lam, st) in enumerate(layers):
             for tt in std_tableaux(lam):
@@ -466,29 +453,26 @@ class MoritaSuite:
                         failures.append(
                             f"subquotient action differs from the cell module at {lam.serialize()}"
                         )
-        for lam in level:
-            expected = len(std_filtered(lam, b, self.s, two_sided=True))
-            if counts.get(lam, 0) != expected:
+        for lam, filt in lv.filtered.items():
+            if counts.get(lam, 0) != len(filt):
                 failures.append("layer multiplicity mismatch")
         total = sum(len(std_tableaux(lam)) for (lam, _) in layers)
         if total != len(vb.entries):
             failures.append("layer sizes do not add up to rank V^b")
         return [result("morita.filtration", REF_FILTRATION, self._pdict(b=b), not failures,
                        "; ".join(sorted(set(failures))[:4]) if failures else
-                       f"{len(layers)} layers over {len(level)} shapes")]
+                       f"{len(layers)} layers over {len(lv.shapes)} shapes")]
 
-    def verify_hom_vanishing(self, b: int, c: int, direct: bool = True) -> list[CheckResult]:
+    def verify_hom_vanishing(self, b: int, c: int) -> list[CheckResult]:
         if b == c:
             raise ValueError("hom vanishing needs b != c")
         out = []
-        level_b, _ = lambda_sets(self.n, self.params.r, self.s, b)
-        level_c, _ = lambda_sets(self.n, self.params.r, self.s, c)
-        contents_b = {content(lam, self.params) for lam in level_b}
-        contents_c = {content(lam, self.params) for lam in level_c}
+        contents_b = {content(lam, self.params) for lam in self.level(b).shapes}
+        contents_c = {content(lam, self.params) for lam in self.level(c).shapes}
         disjoint = not (contents_b & contents_c)
         out.append(result("morita.content_disjoint", REF_HOM_VANISH, self._pdict(b=b, c=c), disjoint,
                           f"{len(contents_b)} vs {len(contents_c)} content multisets"))
-        if direct:
+        if self.n <= DIRECT_HOM_MAX_N:
             act_b = self.v_action(b)
             act_c = self.v_action(c)
             rb, rc = len(act_b[0]) if self.n else 0, len(act_c[0]) if self.n else 0
@@ -515,13 +499,7 @@ class MoritaSuite:
         rank_vb = rank(L_vb)
         vb = self.v_basis(b)
         vmat = self._vmatrix(b)
-        level, _ = lambda_sets(self.n, self.params.r, self.s, b)
-        pairs = []
-        for lam in level:
-            filt = std_filtered(lam, b, self.s, two_sided=True)
-            for st in filt:
-                for tt in filt:
-                    pairs.append((lam, st, tt))
+        pairs = self.level(b).pairs
         failures = []
         mats = []
         # preimages: for each v-basis element, some h with v_b h = v_(uv)
@@ -546,12 +524,12 @@ class MoritaSuite:
                     coords = [self.field.zero] * len(vb.entries)
                 mat.append(coords)
             mats.append(mat)
-            for g, act in enumerate(self.v_action(b)):
+            for act in self.v_action(b):
                 if mat_mul(act, mat, self.field) != mat_mul(mat, act, self.field):
                     failures.append("endomorphism does not commute with the action")
         flat = [[x for row in m for x in row] for m in mats]
         indep = rank(flat) == len(mats) if mats else True
-        tensor_dim = self.tensor_algebra(b).dim
+        tensor_dim = TensorAlgebra(alg, b).dim
         count_ok = len(pairs) == tensor_dim
         if not indep:
             failures.append("endomorphisms dependent")
@@ -577,11 +555,10 @@ class MoritaSuite:
         The returned basis is y_0 * h for preimages h of the v-basis.
         """
         alg = self.alg
-        vb_elem = self.v_elem(b)
+        vb_elem = alg.v_b_elem(b)
         L_vb = self._vb_left_mult(b)
         ann = nullspace(L_vb, self.field)
-        entries = self.omega_module_entries(b)
-        m_elems = [alg.m_st(u, v) for (_, u, v) in entries]
+        m_elems = [alg.m_st(u, v) for (_, u, v) in self.level(b).one_sided]
         l_mats = [alg.left_mult_matrix(e) for e in m_elems]
         # homogeneous rows: coordinates of (sum z_i m_i) * k over all k in rAnn(v_b)
         rows = kernel_conditions(l_mats, ann, self.field)
@@ -681,8 +658,8 @@ class MoritaSuite:
         """Spot identities for the embedding and agreement between its
         product form and its single-monomial form on the whole tensor basis."""
         alg, n = self.alg, self.n
-        ta = self.tensor_algebra(b)
-        vb = self.v_elem(b)
+        ta = TensorAlgebra(alg, b)
+        vb = alg.v_b_elem(b)
         failures = []
         # With a single parameter in a factor, its T_0 is already a scalar in
         # normal form, so the T_0 identities are asserted as actions on v_b
@@ -725,8 +702,8 @@ class MoritaSuite:
         """(a) Theta(h1 h2) v_b = Theta(h1) Theta(h2) v_b on all basis pairs;
         (b, c) the two compatibility laws tying theta_b to the embedding."""
         alg = self.alg
-        ta = self.tensor_algebra(b)
-        vb = self.v_elem(b)
+        ta = TensorAlgebra(alg, b)
+        vb = alg.v_b_elem(b)
         failures = []
         basis = ta.basis()
         for m1 in basis:
@@ -744,9 +721,9 @@ class MoritaSuite:
         out = [result("morita.bimodule_law", REF_BIMODULE, self._pdict(b=b), not failures,
                       f"{len(basis)}^2 tensor basis pairs" if not failures else failures[0])]
 
-        level, _ = lambda_sets(self.n, self.params.r, self.s, b)
+        lv = self.level(b)
         fail44 = []
-        for lam in level:
+        for lam in lv.shapes:
             sigma, tau = split_multipartition(lam, self.s)
             lhs = alg.theta_b(b, alg.u_plus(lam))
             rhs = self.theta_map(b, ta.tensor(ta.left.u_plus(sigma), ta.right.u_plus(tau))) * vb
@@ -756,45 +733,38 @@ class MoritaSuite:
                           "; ".join(fail44[:3])))
 
         fail46 = []
-        for lam in level:
-            filt = std_filtered(lam, b, self.s, two_sided=True)
-            for st in filt:
-                s1, s2 = pair_split(st, self.s)
-                for tt in filt:
-                    t1, t2 = pair_split(tt, self.s)
-                    lhs = alg.theta_b(b, alg.m_st(st, tt))
-                    rhs = self.theta_map(
-                        b, ta.tensor(ta.left.m_st(s1, t1), ta.right.m_st(s2, t2))
-                    ) * vb
-                    if lhs != rhs:
-                        fail46.append(f"{lam.serialize()}")
+        for (lam, st, tt) in lv.pairs:
+            s1, s2 = pair_split(st, self.s)
+            t1, t2 = pair_split(tt, self.s)
+            lhs = alg.theta_b(b, alg.m_st(st, tt))
+            rhs = self.theta_map(b, ta.tensor(ta.left.m_st(s1, t1), ta.right.m_st(s2, t2))) * vb
+            if lhs != rhs:
+                fail46.append(f"{lam.serialize()}")
         out.append(result("morita.cell_compatibility", REF_BIMODULE, self._pdict(b=b), not fail46,
                           "; ".join(sorted(set(fail46))[:3])))
         return out
 
     def verify_faithfulness(self, b: int) -> list[CheckResult]:
-        ta = self.tensor_algebra(b)
-        vb = self.v_elem(b)
-        rows = [self.alg.vec(self.theta_map(b, {m: self.field.one}) * vb) for m in ta.basis()]
-        ok = rank(rows) == ta.dim
-        return [result("morita.faithfulness", REF_FAITHFUL, self._pdict(b=b), ok,
-                       f"rank {rank(rows)} of {ta.dim}")]
+        alg = self.alg
+        ta = TensorAlgebra(alg, b)
+        vb = alg.v_b_elem(b)
+        got = rank([alg.vec(self.theta_map(b, {m: self.field.one}) * vb) for m in ta.basis()])
+        return [result("morita.faithfulness", REF_FAITHFUL, self._pdict(b=b), got == ta.dim,
+                       f"rank {got} of {ta.dim}")]
 
     def verify_free_decomposition(self, b: int) -> list[CheckResult]:
         """V^b = sum over distinguished reps w of Theta(tensor algebra) v_b T_w,
         each summand a copy of the regular tensor module; plus the bounded-
         exponent spanning family and the pairing-induced summand bases."""
         alg, n = self.alg, self.n
-        ta = self.tensor_algebra(b)
-        vb_elem = self.v_elem(b)
+        ta = TensorAlgebra(alg, b)
+        vb_elem = alg.v_b_elem(b)
         images = [self.theta_map(b, {m: self.field.one}) * vb_elem for m in ta.basis()]
         reps = coset_reps([b, n - b], n)
         failures = []
         all_rows = []
         vbasis = self.v_basis(b)
-        vindex = {}
-        for i, (lam, st, tt) in enumerate(vbasis.entries):
-            vindex[(st, tt)] = i
+        vindex = {(st, tt): i for i, (_, st, tt) in enumerate(vbasis.entries)}
         for w in reps:
             tw = alg.t_elem(w)
             rows = [alg.vec(e * tw) for e in images]
@@ -803,21 +773,17 @@ class MoritaSuite:
             all_rows.extend(rows)
             # Prop 4.8's basis of the same summand: v_(s, tw) over two-sided pairs
             summand2 = []
-            level, _ = lambda_sets(n, self.params.r, self.s, b)
-            for lam in level:
-                filt = std_filtered(lam, b, self.s, two_sided=True)
-                for st in filt:
-                    for tt in filt:
-                        try:
-                            translated = tt.apply(w)
-                        except ValueError:
-                            failures.append("translated tableau is not standard")
-                            continue
-                        idx = vindex.get((st, translated))
-                        if idx is None:
-                            failures.append("translated tableau left the standard set")
-                            continue
-                        summand2.append(alg.vec(vbasis.elements[idx]))
+            for (_, st, tt) in self.level(b).pairs:
+                try:
+                    translated = tt.apply(w)
+                except ValueError:
+                    failures.append("translated tableau is not standard")
+                    continue
+                idx = vindex.get((st, translated))
+                if idx is None:
+                    failures.append("translated tableau left the standard set")
+                    continue
+                summand2.append(alg.vec(vbasis.elements[idx]))
             if rank(summand2) != ta.dim or rank(rows + summand2) != ta.dim:
                 failures.append("cell-indexed summand basis spans a different space")
         total = rank(all_rows)
@@ -825,13 +791,13 @@ class MoritaSuite:
         if total != expected or len(all_rows) != expected:
             failures.append(f"total rank {total} != expected {expected}")
         # bounded-exponent spanning family: v_b L^d T_w with d_i < s (i <= b),
-        # d_i < r-s (i > b)
-        bounded_rows = []
+        # d_i < r-s (i > b), read off the columns of left multiplication by v_b
         s, r = self.s, self.params.r
-        for d in itertools.product(*[range(s) if i < b else range(r - s) for i in range(n)]):
-            for w in sorted_permutations(n):
-                mono = alg.element({(tuple(d), w): self.field.one})
-                bounded_rows.append(alg.vec(vb_elem * mono))
+        index = alg.basis_index()
+        vb_cols = transpose(self._vb_left_mult(b))
+        bounds = [range(s) if i < b else range(r - s) for i in range(n)]
+        bounded_rows = [vb_cols[index[(d, w)]]
+                        for d in itertools.product(*bounds) for w in sorted_permutations(n)]
         if rank(bounded_rows) != expected or len(bounded_rows) != expected:
             failures.append("bounded-exponent family is not a basis")
         return [result("morita.free_decomposition", REF_FREE, self._pdict(b=b), not failures,
@@ -842,9 +808,8 @@ class MoritaSuite:
         """The splitting bijection on tableaux together with its permutation law."""
         n = self.n
         failures = []
-        level, _ = lambda_sets(n, self.params.r, self.s, b)
         wnb = w_ab(n - b, b, n)
-        for lam in level:
+        for lam, filt in self.level(b).filtered.items():
             sigma, tau = split_multipartition(lam, self.s)
             joined = set()
             for s1 in std_tableaux(sigma):
@@ -861,8 +826,7 @@ class MoritaSuite:
                         failures.append("distinguished-rep law failed")
                     if d_of(st).length() != d_of(s1).length() + d_of(s2).length():
                         failures.append("lengths not additive")
-            filt = set(std_filtered(lam, b, self.s, two_sided=True))
-            if joined != filt:
+            if joined != set(filt):
                 failures.append("bijection misses filtered tableaux")
         return [result("morita.pair_bijection", REF_PAIRING, self._pdict(b=b), not failures,
                        "; ".join(sorted(set(failures))[:3]))]
@@ -871,11 +835,7 @@ class MoritaSuite:
         """Pure combinatorial rank counts for every b."""
         failures = []
         for b in range(self.n + 1):
-            level, _ = lambda_sets(self.n, self.params.r, self.s, b)
-            got = sum(
-                len(std_filtered(lam, b, self.s, two_sided=True)) * len(std_tableaux(lam))
-                for lam in level
-            )
+            got = len(self.level(b).triples)
             if got != self.expected_rank(b):
                 failures.append(f"b={b}: {got} != {self.expected_rank(b)}")
         total = sum(comb(self.n, b) * self.expected_rank(b) for b in range(self.n + 1))
@@ -899,11 +859,10 @@ class MoritaSuite:
         if not self.fs:
             raise GateError(GATE_MESSAGE)
         out = []
-        n, r, s = self.n, self.params.r, self.s
+        n, s = self.n, self.s
         fail_a = []
         for b in range(n + 1):
-            level, _ = lambda_sets(n, r, s, b)
-            for lam in level:
+            for lam in self.level(b).shapes:
                 sigma, tau = split_multipartition(lam, s)
                 if len(std_tableaux(lam)) != comb(n, b) * len(std_tableaux(sigma)) * len(std_tableaux(tau)):
                     fail_a.append(lam.serialize())
@@ -915,8 +874,7 @@ class MoritaSuite:
         fail_b = []
         simple_dims: dict[MultiPartition, int] = {}
         for c in range(n + 1):
-            level, _ = lambda_sets(n, r, s, c)
-            for mu in level:
+            for mu in self.level(c).shapes:
                 alpha, beta = split_multipartition(mu, s)
                 d_mu = rank(gram_matrix(self.alg, mu))
                 d_alpha = rank(gram_matrix(left_algs[c], alpha))
@@ -967,8 +925,7 @@ class MoritaSuite:
             # the simple labels must also match across the equivalence
             predicted_cols = set()
             for c in range(n + 1):
-                level, _ = lambda_sets(n, r, s, c)
-                for mu in level:
+                for mu in self.level(c).shapes:
                     alpha, beta = split_multipartition(mu, s)
                     if alpha in left_data[c].cols and beta in right_data[n - c].cols:
                         predicted_cols.add(mu)
@@ -994,15 +951,14 @@ class MoritaSuite:
                 out += check(b)
         return out
 
-    def run_all(self, direct_hom_limit: int = 3) -> list[CheckResult]:
+    def run_all(self) -> list[CheckResult]:
         if not self.fs:
             raise GateError(GATE_MESSAGE)
         out = self.level_checks(range(self.n + 1))
-        direct = self.n <= direct_hom_limit
         for b in range(self.n + 1):
             for c in range(self.n + 1):
                 if b != c:
-                    out += self.verify_hom_vanishing(b, c, direct=direct)
+                    out += self.verify_hom_vanishing(b, c)
         out += self.verify_regular_decomposition()
         out += self.verify_factorization()
         return out

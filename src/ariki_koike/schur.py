@@ -24,8 +24,9 @@ from .linalg import (
     nullspace,
     rank,
     row_space_basis,
+    transpose,
 )
-from .morita import MoritaSuite
+from .morita import MoritaSuite, TensorAlgebra
 from .report import CheckResult, result
 from .tableaux import (
     MultiComposition,
@@ -77,8 +78,7 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     """
     field = alg.field
     mu_basis, x_mats = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
-    ann = alg.derived(("right_annihilator", nu),
-                      lambda: nullspace(alg.left_mult_matrix(alg.m_lambda(nu)), field))
+    ann = alg.derived(("right_annihilator", nu), lambda: nullspace(_m_lambda_left_mult(nu, alg), field))
     # solve: x in span(mu_basis) with x k = 0 for all k in ann
     cond_rows = kernel_conditions(x_mats, ann, field)
     if cond_rows:
@@ -113,11 +113,15 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     }
 
 
+def _m_lambda_left_mult(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> list[list]:
+    """Left multiplication by m_mu, built once per shape: its columns span
+    M^mu = m_mu H and its nullspace is the right annihilator of m_mu."""
+    return alg.derived(("m_lambda_left_mult", mu), lambda: alg.left_mult_matrix(alg.m_lambda(mu)))
+
+
 def _hom_target(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> tuple[list, list]:
     """A row basis of M^mu and the left-multiplication matrix of each row."""
-    m_mu = alg.m_lambda(mu)
-    mu_rows = [alg.vec(m_mu * alg.element({m: alg.field.one})) for m in alg.basis()]
-    mu_basis = row_space_basis(mu_rows)
+    mu_basis = row_space_basis(transpose(_m_lambda_left_mult(mu, alg)))
     return mu_basis, [alg.left_mult_matrix(alg.from_vec(v)) for v in mu_basis]
 
 
@@ -186,8 +190,8 @@ def morita_count_check(gamma: list[MultiComposition], alg: ArikiKoikeAlgebra) ->
 
     failures = []
     for b in range(n + 1):
-        ta = suite.tensor_algebra(b)
-        vb = suite.v_elem(b)
+        ta = TensorAlgebra(alg, b)
+        vb = alg.v_b_elem(b)
         for lam in gamma:
             if sum(lam.component_sizes()[:s]) != b:
                 continue

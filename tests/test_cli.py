@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from ariki_koike.cli import main
+import pytest
+
+from ariki_koike.cli import build_algebra, main, make_parser
+from ariki_koike.fields import SizeGuardError
 
 
 def run_cli(args, capsys):
@@ -269,3 +272,17 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
     assert all(count == 1 for count in builds.values()), builds
     # u_{n-b}^- enters only through the memoized head of theta_b
     assert u_minus_calls == Counter({(2, 3, m): 1 for m in range(3)})
+
+
+@pytest.mark.parametrize("r, n, admitted", [
+    (1, 6, True), (2, 4, True), (3, 3, True), (4, 2, True), (2, 5, False), (3, 4, False),
+])
+def test_default_size_guard(r, n, admitted):
+    # the guard alone, without running a suite
+    args = make_parser().parse_args(["verify", "--n", str(n), "--r", str(r)])
+    if admitted:
+        alg = build_algebra(args)
+        assert (alg.r, alg.n) == (r, n)
+    else:
+        with pytest.raises(SizeGuardError):
+            build_algebra(args)

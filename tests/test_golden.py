@@ -24,6 +24,19 @@ GOLDEN = {
         ["verify", "--suite", "morita", *SPLIT, "--q", "2", "--Q", "1,5", "--b", "1"],
         "f628ccf82cb0cba17e6427a49245778510d1729aa410583f41d2eebb1b1e1e5b",
     ),
+    "verify-morita-r3-s1": (
+        ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1", "--q", "2", "--Q", "1,5,7"],
+        "94a8e88d830460dfc3981f59cec32db69dbd8187a378afab603a292d2abd7721",
+    ),
+    "verify-morita-r3-s2": (
+        ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "2", "--q", "3", "--Q", "1,5,7"],
+        "26fe50cc17a722f3cd9b1fca5c706d2724b1a5ee57f77e39de81fe97d5a2a8aa",
+    ),
+    "verify-morita-n3-b1": (
+        ["verify", "--suite", "morita", "--n", "3", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,5",
+         "--b", "1"],
+        "5a7a4e6a80a1fd2fb09d01710bb6ee00ea21d887f33f5c2e6315bd00ff5963bf",
+    ),
     "decomp-GF5": (
         ["decomp", "--n", "3", "--r", "2", "--field", "GF(5)", "--q", "2", "--Q", "1,2"],
         "131d4d7bddf78540e6af07126b90feba6566b80775360e2d2261f09c0361d616",
