@@ -43,6 +43,7 @@ proof.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .fields import Params, SizeGuardError
 from .linalg import inverse as mat_inverse, mat_vec, transpose
@@ -199,7 +200,11 @@ class ArikiKoikeAlgebra:
     def derived(self, key, build):
         """Return `build()` for `key`, built on the first call and kept with the
         algebra: the one memo of everything derived from it (basis, transition,
-        Specht modules, Gram matrices, decomposition data, factor algebras)."""
+        Specht modules, Gram matrices, decomposition data, factor algebras).
+
+        Nothing kept here refers back to the algebra (elements are kept as
+        their term dicts), so a finished run's algebra is freed by reference
+        counting, without waiting for the cycle collector."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
@@ -270,9 +275,17 @@ class ArikiKoikeAlgebra:
         return self.element({basis[i]: c for i, c in enumerate(v) if c})
 
     def left_mult_matrix(self, elem: Element) -> list[list]:
-        """Columns are vec(elem * mono) over the canonical basis."""
-        one = self.field.one
-        return transpose([self.vec(elem * self.element({mono: one})) for mono in self.basis()])
+        """Columns are vec(elem * mono) over the canonical basis.
+
+        The basis lists each exponent d with every T_w in a row, so elem L^d
+        is folded once per d and then times each T_w."""
+        cols = []
+        d_prev, head = None, None
+        for d, w in self.basis():
+            if d != d_prev:
+                d_prev, head = d, self._fold(elem.terms, self._mono_times_L, d) if any(d) else elem.terms
+            cols.append(self.vec(Element(self, self._fold(head, self._mono_times_T, w))))
+        return transpose(cols)
 
     # -- multiplication engine -------------------------------------------------
 
@@ -593,14 +606,14 @@ class ArikiKoikeAlgebra:
 
     def v_b_elem(self, b: int) -> Element:
         """v_b = u_{n-b}^- T_{w_{n-b,b}} u_b^+, built once per b."""
-        return self.derived(("v_b", b), lambda: self.theta_b(b, self.u_b_plus(b)))
+        return Element(self, self.derived(("v_b", b), lambda: self.theta_b(b, self.u_b_plus(b)).terms))
 
     def theta_head(self, b: int) -> Element:
         """u_{n-b}^- T_{w_{n-b,b}}, the left factor of theta_b, built once per b."""
         if not (0 <= b <= self.n):
             raise ValueError(f"b={b} out of range")
-        return self.derived(("theta_head", b), lambda: (
-            self.u_minus(self.n - b) * self.t_elem(w_ab(self.n - b, b, self.n))))
+        return Element(self, self.derived(("theta_head", b), lambda: (
+            self.u_minus(self.n - b) * self.t_elem(w_ab(self.n - b, b, self.n))).terms))
 
     def theta_b(self, b: int, h: Element) -> Element:
         """theta_b(h) = u_{n-b}^- T_{w_{n-b,b}} h (membership of h in its domain is the caller's duty)."""
@@ -632,10 +645,13 @@ class ArikiKoikeAlgebra:
 
 
 class TransitionMatrix:
-    """Change of basis between normal-form monomials and the cellular basis."""
+    """Change of basis between normal-form monomials and the cellular basis.
+
+    Kept in its algebra's memo, so it holds the algebra only weakly."""
 
     def __init__(self, alg: ArikiKoikeAlgebra):
-        self.alg = alg
+        self._alg = weakref.ref(alg)
+        self.field = alg.field
         self.cells = alg.cell_data()
         self.monomials = alg.basis()
         if len(self.cells) != len(self.monomials):
@@ -647,18 +663,19 @@ class TransitionMatrix:
 
     def inverse(self) -> list[list]:
         if self._inverse is None:
-            self._inverse = mat_inverse(self.matrix, self.alg.field)
+            self._inverse = mat_inverse(self.matrix, self.field)
         return self._inverse
 
     def express(self, elem: Element) -> dict:
         """Exact coordinates of elem in the cellular basis: {(lam, s, t): coeff}."""
-        coords = mat_vec(self.inverse(), self.alg.vec(elem), self.alg.field)
+        coords = mat_vec(self.inverse(), elem.alg.vec(elem), self.field)
         return {cell: c for cell, c in zip(self.cells, coords) if c}
 
     def combine(self, coords: dict) -> Element:
-        out = self.alg.zero()
+        alg = self._alg()
+        out = alg.zero()
         for (lam, s, t), c in coords.items():
-            out = out + self.alg.m_st(s, t).scale(c)
+            out = out + alg.m_st(s, t).scale(c)
         return out
 
     def to_tsv(self) -> str:

@@ -174,6 +174,10 @@ def run_suites(alg: ArikiKoikeAlgebra, suite: str, seed: int,
 
 
 def cmd_verify(args) -> int:
+    n = build_params(args).n
+    if args.b is not None and not 0 <= args.b <= n:
+        # the same refusal as `enumerate --b`, before any algebra is built
+        raise ValueError(f"b={args.b} out of range 0..{n}")
     alg = build_algebra(args)
     params = alg.params
     if args.suite in ("morita", "schur", "all"):

@@ -1,18 +1,22 @@
 """Exact linear algebra over a field: the package's only matrix arithmetic.
 
 Matrices are plain lists of lists of field elements (Fraction or FpElement).
-Products skip zero factors and start each sum from its first nonzero term;
-elimination is straightforward Gaussian elimination with exact division,
-which is all the desk-scale instances in this package need.
+Products skip zero factors and start each sum from its first nonzero term.
+
+All elimination goes through one kernel, `Echelon`: a row space kept in
+reduced row echelon form as sparse dict rows, grown one row at a time.  A
+new row is reduced against the stored rows and dropped if it vanishes, so
+a tall, mostly dependent system never stores more than rank-many rows.
+`rank`, `nullspace`, `solve`, `inverse`, `row_space_basis`, `determinant`
+and the in-place `row_echelon` are thin calls into it.  The reduced echelon
+form of a row space is unique, so their results (nullspace and row-space
+bases, the solution with free variables 0) do not depend on row order or
+on how the kernel stores its rows.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-
-def copy_matrix(m: Sequence[Sequence]) -> list[list]:
-    return [list(row) for row in m]
 
 
 def identity_matrix(n: int, field) -> list[list]:
@@ -82,109 +86,183 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)]
 
 
+class Echelon:
+    """A row space in reduced row echelon form, grown one row at a time.
+
+    Rows are sparse dicts {column: nonzero value}.  `rows` maps each pivot
+    column to its row; a stored row is 1 at its own pivot and 0 at every
+    other pivot, so the echelon holds at most rank-many rows and is always
+    fully reduced.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, dict] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row: dict) -> dict:
+        """A copy of row with every pivot column cleared by the stored rows.
+
+        A stored row is 0 at the other pivots, so one pass over the pivots
+        that row touches clears them all.
+        """
+        rows = self.rows
+        out = dict(row)
+        for col, c in row.items():
+            if col in rows:
+                _sub_scaled(out, rows[col], c)
+        return out
+
+    def add(self, row: dict) -> tuple[int, object] | None:
+        """Insert row: reduce it, drop it if it becomes zero, else pivot on its
+        lowest column, scale the pivot to 1 and clear that column from every
+        stored row.  Returns (pivot column, pivot value before scaling), or
+        None for a dependent row."""
+        red = self.reduce(row)
+        if not red:
+            return None
+        col = min(red)
+        value = red[col]
+        inv = 1 / value
+        red = {k: v * inv for k, v in red.items()}
+        for other in self.rows.values():
+            c = other.get(col)
+            if c is not None:
+                _sub_scaled(other, red, c)
+        self.rows[col] = red
+        return col, value
+
+
+def _sub_scaled(out: dict, row: dict, c) -> None:
+    """out -= c * row, dropping the entries that cancel."""
+    c = -c
+    get = out.get
+    for k, v in row.items():
+        cur = get(k)
+        if cur is None:
+            out[k] = c * v
+        elif cur := cur + c * v:
+            out[k] = cur
+        else:
+            del out[k]
+
+
+def _sparse(row: Sequence) -> dict:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _echelon(m: Sequence[Sequence], n_cols: int) -> Echelon:
+    """The echelon of the rows of m; stops early once every column is a pivot."""
+    ech = Echelon()
+    for row in m:
+        ech.add(_sparse(row))
+        if len(ech) == n_cols:
+            break
+    return ech
+
+
+def _dense_rows(ech: Echelon, n_cols: int) -> list[list]:
+    """The stored rows in pivot order, as dense lists."""
+    out = []
+    for col in sorted(ech.rows):
+        row = ech.rows[col]
+        dense = [row[col] - row[col]] * n_cols
+        for k, v in row.items():
+            dense[k] = v
+        out.append(dense)
+    return out
+
+
 def row_echelon(m: list[list]) -> list[int]:
     """Reduce m in place to reduced row echelon form; return pivot columns."""
-    if not m:
-        return []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(row, n_rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
-        for i in range(n_rows):
-            if i != row and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return pivots
+    reduced = row_space_basis(m)
+    if reduced:
+        zero = reduced[0][0] - reduced[0][0]
+        m[:] = reduced + [[zero] * len(reduced[0]) for _ in range(len(m) - len(reduced))]
+    return pivot_columns(reduced)
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    work = copy_matrix(m)
-    return len(row_echelon(work))
+    return len(_echelon(m, len(m[0]) if m else 0))
 
 
 def nullspace(m: Sequence[Sequence], field) -> list[list]:
-    """A basis of the right kernel {x : m x = 0}."""
+    """A basis of the right kernel {x : m x = 0}, one vector per free column."""
     if not m:
         return []
     n_cols = len(m[0])
-    work = copy_matrix(m)
-    pivots = row_echelon(work)
-    pivot_set = set(pivots)
+    rows = _echelon(m, n_cols).rows
     basis = []
     for free in range(n_cols):
-        if free in pivot_set:
+        if free in rows:
             continue
         vec = zero_vector(n_cols, field)
         vec[free] = field.one
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -work[row_idx][free]
+        for pc, row in rows.items():
+            c = row.get(free)
+            if c is not None:
+                vec[pc] = -c
         basis.append(vec)
     return basis
 
 
 def solve(m: Sequence[Sequence], b: Sequence, field) -> list | None:
-    """One solution x of m x = b, or None if inconsistent."""
+    """One solution x of m x = b (free variables 0), or None if inconsistent."""
     if not m:
         return [] if not any(b) else None
     n_cols = len(m[0])
-    work = [list(row) + [bv] for row, bv in zip(m, b)]
-    pivots = row_echelon(work)
-    if n_cols in pivots:
+    ech = Echelon()
+    for row, bv in zip(m, b):
+        row = _sparse(row)
+        if bv:
+            row[n_cols] = bv
+        ech.add(row)
+    if n_cols in ech.rows:
         return None
     x = zero_vector(n_cols, field)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = work[row_idx][n_cols]
+    for pc, row in ech.rows.items():
+        c = row.get(n_cols)
+        if c is not None:
+            x[pc] = c
     return x
 
 
 def inverse(m: Sequence[Sequence], field) -> list[list]:
     """The inverse of a square matrix; raises ValueError if singular."""
     n = len(m)
-    work = [list(row) + list(idrow) for row, idrow in zip(m, identity_matrix(n, field))]
-    pivots = row_echelon(work)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in work]
+    ech = Echelon()
+    for i, row in enumerate(m):
+        row = _sparse(row)
+        row[n + i] = field.one
+        if ech.add(row)[0] >= n:
+            raise ValueError("matrix is singular")
+    return [row[n:] for row in _dense_rows(ech, 2 * n)]
 
 
 def determinant(m: Sequence[Sequence], field):
-    """Determinant by fraction-free-ish elimination with exact division."""
-    n = len(m)
-    if n == 0:
-        return field.one
-    work = copy_matrix(m)
+    """The product of the pivots before scaling, times the sign of the pivot
+    permutation: the rows reduced at insertion are the rows of m minus
+    combinations of earlier rows, and triangular once columns are permuted."""
+    ech = Echelon()
     det = field.one
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot is None:
+    pivots = []
+    for row in m:
+        added = ech.add(_sparse(row))
+        if added is None:
             return field.zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col]
-        for i in range(col + 1, n):
-            if work[i][col]:
-                factor = work[i][col] / inv
-                work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-    return det
+        pivots.append(added[0])
+        det = det * added[1]
+    inversions = sum(1 for i, p in enumerate(pivots) for q in pivots[i + 1:] if q < p)
+    return -det if inversions % 2 else det
 
 
 def row_space_basis(m: Sequence[Sequence]) -> list[list]:
-    """A basis of the row space, in echelon form."""
-    work = copy_matrix(m)
-    pivots = row_echelon(work)
-    return [work[i] for i in range(len(pivots))]
+    """A basis of the row space, in reduced echelon form."""
+    if not m:
+        return []
+    n_cols = len(m[0])
+    return _dense_rows(_echelon(m, n_cols), n_cols)
 
 
 def pivot_columns(echelon: Sequence[Sequence]) -> list[int]:

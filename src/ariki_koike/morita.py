@@ -36,6 +36,7 @@ from .tableaux import (
     StandardTableau,
     content,
     d_of,
+    hook_dimension,
     lambda_sets,
     omega_b,
     pair_join,
@@ -200,12 +201,10 @@ class MoritaSuite:
         """The cell-indexed basis of V^b; requires the gate (independence may fail without it)."""
         if not self.fs:
             raise GateError(GATE_MESSAGE)
-        return self.alg.derived(("v_basis", b), lambda: self._build_v_basis(b))
-
-    def _build_v_basis(self, b: int) -> VBasis:
-        triples = self.level(b).triples
-        alg = self.alg
-        return VBasis(b, triples, [alg.theta_b(b, alg.m_st(st, tt)) for (_, st, tt) in triples])
+        alg, triples = self.alg, self.level(b).triples
+        terms = alg.derived(("v_basis", b), lambda: [
+            alg.theta_b(b, alg.m_st(st, tt)).terms for (_, st, tt) in triples])
+        return VBasis(b, triples, [Element(alg, t) for t in terms])
 
     def _vmatrix(self, b: int) -> list[list]:
         """The v-basis of V^b as the columns of a matrix."""
@@ -216,6 +215,16 @@ class MoritaSuite:
         """The matrix of left multiplication by v_b."""
         alg = self.alg
         return alg.derived(("v_b_left_mult", b), lambda: alg.left_mult_matrix(alg.v_b_elem(b)))
+
+    def _vb_rank(self, b: int) -> int:
+        """rank V^b = rank of left multiplication by v_b, independent of any listing."""
+        return self.alg.derived(("v_b_rank", b), lambda: rank(self._vb_left_mult(b)))
+
+    def _preimages(self, b: int) -> list[list | None]:
+        """For each v-basis element v, the solution h of v_b h = v (None if there is none)."""
+        alg = self.alg
+        return alg.derived(("v_preimages", b), lambda: [
+            solve(self._vb_left_mult(b), alg.vec(e), self.field) for e in self.v_basis(b).elements])
 
     def _v_coords(self, b: int, elem: Element) -> list | None:
         return solve(self._vmatrix(b), self.alg.vec(elem), self.field)
@@ -427,9 +436,7 @@ class MoritaSuite:
             for tt in std_tableaux(lam):
                 layer_of[index_of[(st, tt)]] = j
         failures = []
-        counts: dict[MultiPartition, int] = {}
         for j, (lam, st) in enumerate(layers):
-            counts[lam] = counts.get(lam, 0) + 1
             sp = specht_module(self.alg, lam)
             tabs = sp.basis
             for g in range(self.n):
@@ -453,12 +460,11 @@ class MoritaSuite:
                         failures.append(
                             f"subquotient action differs from the cell module at {lam.serialize()}"
                         )
-        for lam, filt in lv.filtered.items():
-            if counts.get(lam, 0) != len(filt):
-                failures.append("layer multiplicity mismatch")
-        total = sum(len(std_tableaux(lam)) for (lam, _) in layers)
-        if total != len(vb.entries):
-            failures.append("layer sizes do not add up to rank V^b")
+        # an independent count: the layers, sized by the hook-length formula,
+        # must fill V^b as measured by the rank of left multiplication by v_b
+        total = sum(len(filt) * hook_dimension(lam) for lam, filt in lv.filtered.items())
+        if total != self._vb_rank(b):
+            failures.append(f"layer sizes add up to {total}, not to rank V^{b} = {self._vb_rank(b)}")
         return [result("morita.filtration", REF_FILTRATION, self._pdict(b=b), not failures,
                        "; ".join(sorted(set(failures))[:4]) if failures else
                        f"{len(layers)} layers over {len(lv.shapes)} shapes")]
@@ -496,16 +502,14 @@ class MoritaSuite:
         v_b h -> v_st h for pairs of two-sided filtered tableaux."""
         alg = self.alg
         L_vb = self._vb_left_mult(b)
-        rank_vb = rank(L_vb)
+        rank_vb = self._vb_rank(b)
         vb = self.v_basis(b)
         vmat = self._vmatrix(b)
         pairs = self.level(b).pairs
         failures = []
         mats = []
-        # preimages: for each v-basis element, some h with v_b h = v_(uv)
         preimages = []
-        for e in vb.elements:
-            x = solve(L_vb, alg.vec(e), self.field)
+        for x in self._preimages(b):
             if x is None:
                 failures.append("v-basis element outside v_b H")
                 x = [self.field.zero] * alg.dim
@@ -581,8 +585,7 @@ class MoritaSuite:
         # transport the v-basis through the right inverse
         L_y0 = alg.left_mult_matrix(y0)
         basis = []
-        for e in self.v_basis(b).elements:
-            h = solve(L_vb, alg.vec(e), self.field)
+        for h in self._preimages(b):
             if h is None:
                 raise ComputationError("v-basis element is not in v_b H")
             basis.append(alg.from_vec(mat_vec(L_y0, h, self.field)))

@@ -15,6 +15,7 @@ k < l, or k = l and i < j.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from typing import Iterator, Sequence
 
 from .perms import Permutation
@@ -417,6 +418,18 @@ def std_tableaux(lam: MultiPartition) -> list[StandardTableau]:
     rec(1)
     results.sort()
     return results
+
+
+def hook_dimension(lam: MultiPartition) -> int:
+    """The number of standard tableaux of shape lam, by the hook-length formula
+    n! / prod of the hook lengths over the boxes of every component."""
+    hooks = 1
+    for comp in lam.components:
+        for i, row_len in enumerate(comp):
+            for j in range(row_len):
+                below = sum(1 for other in comp[i + 1:] if other > j)
+                hooks *= row_len - j + below
+    return factorial(lam.n) // hooks
 
 
 def std_filtered(lam: MultiPartition, b: int, s: int, two_sided: bool) -> list[StandardTableau]:

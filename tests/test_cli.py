@@ -286,3 +286,55 @@ def test_default_size_guard(r, n, admitted):
     else:
         with pytest.raises(SizeGuardError):
             build_algebra(args)
+
+
+@pytest.mark.parametrize("b", [7, -1])
+def test_verify_level_out_of_range_is_refused_before_the_algebra(b, monkeypatch, capsys):
+    from ariki_koike import algebra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra was built for an out-of-range level")
+
+    split = ["--n", "2", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,4", "--b", str(b)]
+    errors = []
+    for argv in (["enumerate", *split], ["verify", "--suite", "morita", *split]):
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra.ArikiKoikeAlgebra, "__init__", refuse)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert errors[0] == errors[1] == f"ariki-koike: error: b={b} out of range 0..2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1", "--q", "2", "--Q", "1,5,7"],
+    ["verify", "--suite", "schur", "--n", "2", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,5"],
+    ["decomp", "--n", "2", "--r", "2", "--field", "GF(5)", "--q", "2", "--Q", "1,4"],
+    ["gram", "--n", "2", "--r", "2", "--Q", "1,5"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_each_algebra_is_freed_by_reference_counting(argv, monkeypatch, capsys):
+    """Nothing an algebra keeps points back at it, so its memo goes with the command."""
+    import gc
+    import weakref
+
+    from ariki_koike import algebra
+
+    built = []
+    init = algebra.ArikiKoikeAlgebra.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "__init__", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, _, _ = run_cli(argv, capsys)
+        alive = [ref for ref in built if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert code == 0 and built
+    assert not alive, f"{len(alive)} of {len(built)} algebras outlive the command"

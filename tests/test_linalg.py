@@ -1,17 +1,26 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from ariki_koike import linalg
 from ariki_koike.fields import PrimeField, Rationals
 from ariki_koike.linalg import (
+    Echelon,
+    determinant,
     identity_matrix,
+    inverse,
     in_row_space,
     kernel_conditions,
     mat_mul,
     mat_product,
     mat_vec,
+    nullspace,
     pivot_columns,
+    rank,
     reduce_by_echelon,
+    row_echelon,
     row_space_basis,
     solve,
     transpose,
@@ -117,3 +126,186 @@ def test_solve_consistent_and_inconsistent(field):
     x = solve(m, lift(field, [[3, 6]])[0], field)
     assert x is not None and mat_vec(m, x, field) == lift(field, [[3, 6]])[0]
     assert solve(m, lift(field, [[1, 3]])[0], field) is None
+
+
+# -- the elimination kernel against a textbook dense Gauss-Jordan ---------------
+KERNEL_FIELDS = [Rationals(), PrimeField(7)]
+
+
+def reference_rref(m):
+    """Dense Gauss-Jordan, one column at a time: (nonzero RREF rows, pivot columns)."""
+    work = [list(row) for row in m]
+    pivots = []
+    for col in range(len(work[0]) if work else 0):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if hit is None:
+            continue
+        work[top], work[hit] = work[hit], work[top]
+        inv = work[top][col]
+        work[top] = [x / inv for x in work[top]]
+        for i in range(len(work)):
+            if i != top and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[top])]
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def reference_nullspace(m, field):
+    rows, pivots = reference_rref(m)
+    n_cols = len(m[0])
+    basis = []
+    for free in (j for j in range(n_cols) if j not in pivots):
+        vec = [field.zero] * n_cols
+        vec[free] = field.one
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def reference_solve(m, b, field):
+    n_cols = len(m[0])
+    rows, pivots = reference_rref([list(row) + [bv] for row, bv in zip(m, b)])
+    if n_cols in pivots:
+        return None
+    x = [field.zero] * n_cols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[n_cols]
+    return x
+
+
+def leibniz_determinant(m, field):
+    """Sum over all permutations: independent of any elimination."""
+    n = len(m)
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[j] < perm[i])
+        term = field.one
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def random_sparse(rng, field, n_rows, n_cols, density=0.35):
+    return [[field(rng.randint(-4, 4)) if rng.random() < density else field.zero
+             for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+def tall_dependent(rng, field, n_rows, n_cols, true_rank):
+    """Many random combinations of a few random rows: tall and almost all dependent."""
+    base = random_sparse(rng, field, true_rank, n_cols, density=0.6)
+    rows = []
+    for _ in range(n_rows):
+        coeffs = [field(rng.randint(-2, 2)) if rng.random() < 0.5 else field.zero for _ in base]
+        rows.append(vec_mat(coeffs, base, field))
+    return rows
+
+
+def with_zero_lines(rng, field, n_rows, n_cols):
+    """A random matrix with a zero row and a zero column spliced in."""
+    m = random_sparse(rng, field, n_rows, n_cols)
+    zero_col = rng.randrange(n_cols)
+    for row in m:
+        row[zero_col] = field.zero
+    m.insert(rng.randrange(n_rows + 1), [field.zero] * n_cols)
+    return m
+
+
+def kernel_cases(field):
+    rng = random.Random(f"kernel:{field}")
+    cases = []
+    for _ in range(12):
+        cases.append(random_sparse(rng, field, rng.randint(1, 7), rng.randint(1, 7)))
+    for _ in range(4):
+        cases.append(tall_dependent(rng, field, 40, rng.randint(3, 8), rng.randint(1, 3)))
+        cases.append(with_zero_lines(rng, field, rng.randint(2, 6), rng.randint(2, 6)))
+    cases.append([[field.zero] * 4 for _ in range(3)])
+    return cases
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_matches_dense_gauss_jordan(field):
+    for m in kernel_cases(field):
+        rows, pivots = reference_rref(m)
+        assert rank(m) == len(pivots)
+        assert row_space_basis(m) == rows
+        assert nullspace(m, field) == reference_nullspace(m, field)
+        for x in nullspace(m, field):
+            assert not any(mat_vec(m, x, field))
+        work = [list(row) for row in m]
+        assert row_echelon(work) == pivots
+        assert work[:len(rows)] == rows and not any(any(row) for row in work[len(rows):])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_solve_matches_reference(field):
+    rng = random.Random(f"solve:{field}")
+    for m in kernel_cases(field):
+        consistent = mat_vec(m, [field(rng.randint(-3, 3)) for _ in m[0]], field)
+        arbitrary = [field(rng.randint(-3, 3)) for _ in m]
+        for b in (consistent, arbitrary):
+            x = solve(m, b, field)
+            assert x == reference_solve(m, b, field)
+            if x is not None:
+                assert mat_vec(m, x, field) == b
+        assert solve(m, consistent, field) is not None
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_inverse_and_determinant(field):
+    rng = random.Random(f"square:{field}")
+    for size in range(6):
+        for _ in range(6):
+            m = random_sparse(rng, field, size, size, density=0.6)
+            det = leibniz_determinant(m, field)
+            assert determinant(m, field) == det
+            if det:
+                inv = inverse(m, field)
+                assert mat_mul(m, inv, field) == identity_matrix(size, field)
+                rows, _ = reference_rref([list(row) + list(e) for row, e in
+                                          zip(m, identity_matrix(size, field))])
+                assert inv == [row[size:] for row in rows]
+            else:
+                with pytest.raises(ValueError):
+                    inverse(m, field)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_edge_cases(field):
+    assert rank([]) == 0 and row_space_basis([]) == [] and nullspace([], field) == []
+    assert solve([], [], field) == [] and solve([], [field.one], field) is None
+    assert inverse([], field) == [] and determinant([], field) == field.one
+    empty = []
+    assert row_echelon(empty) == [] and empty == []
+    zero = [[field.zero] * 3 for _ in range(2)]
+    assert rank(zero) == 0 and row_space_basis(zero) == []
+    assert nullspace(zero, field) == identity_matrix(3, field)
+    # inconsistent: x + y = 1 and 2x + 2y = 3
+    m = lift(field, [[1, 1], [2, 2]])
+    assert solve(m, lift(field, [[1, 3]])[0], field) is None
+    singular = lift(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert determinant(singular, field) == field.zero
+    with pytest.raises(ValueError):
+        inverse(singular, field)
+
+
+def test_echelon_holds_at_most_rank_rows_in_reduced_form():
+    field = Rationals()
+    rng = random.Random("echelon")
+    m = tall_dependent(rng, field, 60, 7, 3)
+    ech = Echelon()
+    for row in m:
+        ech.add({j: x for j, x in enumerate(row) if x})
+        assert len(ech) <= 3
+    assert len(ech) == rank(m) == 3
+    for col, row in ech.rows.items():
+        assert min(row) == col and row[col] == 1
+        assert all(other == col or other not in row for other in ech.rows)
+
+
+def test_row_echelon_stays_importable():
+    # bench/tracer.py wraps linalg.row_echelon by name
+    assert callable(getattr(linalg, "row_echelon"))

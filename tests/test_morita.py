@@ -244,3 +244,26 @@ def test_failure_reports_carry_element_dumps():
     from ariki_koike.morita import _dump
 
     assert "L1" in _dump(diff) or "T[" in _dump(diff)
+
+
+def test_filtration_count_fails_when_a_filtered_tableau_is_dropped(monkeypatch):
+    """rank V^b (from v_b alone) against sum |filtered(lam)| * dim S^lam (hook lengths)."""
+    from ariki_koike import morita
+    from ariki_koike.tableaux import sort_key
+
+    # the least dominant shape of level 0 has one two-sided filtered tableau;
+    # without it the remaining layers still span a submodule with the right
+    # subquotients, so only the independent count can notice
+    low = max(lambda_sets(2, 2, 1, 0)[0], key=sort_key)
+    assert len(std_filtered(low, 0, 1, two_sided=True)) == 1
+
+    def dropping(lam, b, s, two_sided):
+        out = std_filtered(lam, b, s, two_sided)
+        return out[1:] if two_sided and (lam, b) == (low, 0) else out
+
+    monkeypatch.setattr(morita, "std_filtered", dropping)
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
+    (row,) = suite.verify_filtration(0)
+    assert row.status == "fail"
+    assert row.detail == "layer sizes add up to 1, not to rank V^0 = 2"
+    assert all_ok(suite.verify_filtration(1))

@@ -13,6 +13,7 @@ from ariki_koike.tableaux import (
     content,
     d_of,
     dominates,
+    hook_dimension,
     lambda_sets,
     mu_map,
     multicompositions,
@@ -401,3 +402,11 @@ def test_bar_examples():
 def test_bar_dominates_original():
     for mu in multicompositions(4, 2):
         assert dominates(bar(mu), mu)
+
+
+def test_hook_dimension_counts_standard_tableaux():
+    for n, r in [(0, 2), (1, 3), (2, 2), (3, 3), (4, 2), (5, 1), (6, 1)]:
+        for lam in multipartitions(n, r):
+            assert hook_dimension(lam) == len(std_tableaux(lam)), lam
+    # the hook lengths of (3,1) are 4,2,1,1: 4!/8 = 3
+    assert hook_dimension(MultiPartition([[3, 1], []])) == 3
