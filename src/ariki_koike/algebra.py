@@ -619,12 +619,6 @@ class ArikiKoikeAlgebra:
         """theta_b(h) = u_{n-b}^- T_{w_{n-b,b}} h (membership of h in its domain is the caller's duty)."""
         return self.theta_head(b) * h
 
-    def v_st(self, s: StandardTableau, t: StandardTableau, b: int | None = None) -> Element:
-        if b is None:
-            split = self.params.require_split()
-            b = sum(s.shape.component_sizes()[:split])
-        return self.theta_b(b, self.m_st(s, t))
-
     # -- cellular transition -------------------------------------------------------
 
     def cell_data(self) -> list[tuple[MultiPartition, StandardTableau, StandardTableau]]:

@@ -7,11 +7,14 @@ All elimination goes through one kernel, `Echelon`: a row space kept in
 reduced row echelon form as sparse dict rows, grown one row at a time.  A
 new row is reduced against the stored rows and dropped if it vanishes, so
 a tall, mostly dependent system never stores more than rank-many rows.
-`rank`, `nullspace`, `solve`, `inverse`, `row_space_basis`, `determinant`
-and the in-place `row_echelon` are thin calls into it.  The reduced echelon
-form of a row space is unique, so their results (nullspace and row-space
-bases, the solution with free variables 0) do not depend on row order or
-on how the kernel stores its rows.
+`rank`, `nullspace`, `solve`, `inverse`, `row_space_basis`, `determinant`,
+the membership test `in_row_space` and the in-place `row_echelon` are thin
+calls into it; the composition-factor chop (`specht.spin` and the sub- and
+quotient actions) and the Morita checks against the row space of v_b keep
+an `Echelon` and reduce against it.  The reduced echelon form of a row
+space is unique, so results (nullspace and row-space bases, the solution
+with free variables 0, a spun submodule) do not depend on row order or on
+how the kernel stores its rows.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class Echelon:
         out = dict(row)
         for col, c in row.items():
             if col in rows:
-                _sub_scaled(out, rows[col], c)
+                _add_scaled(out, rows[col], -c)
         return out
 
     def add(self, row: dict) -> tuple[int, object] | None:
@@ -129,14 +132,13 @@ class Echelon:
         for other in self.rows.values():
             c = other.get(col)
             if c is not None:
-                _sub_scaled(other, red, c)
+                _add_scaled(other, red, -c)
         self.rows[col] = red
         return col, value
 
 
-def _sub_scaled(out: dict, row: dict, c) -> None:
-    """out -= c * row, dropping the entries that cancel."""
-    c = -c
+def _add_scaled(out: dict, row: dict, c) -> None:
+    """out += c * row, dropping the entries that cancel."""
     get = out.get
     for k, v in row.items():
         cur = get(k)
@@ -148,15 +150,25 @@ def _sub_scaled(out: dict, row: dict, c) -> None:
             del out[k]
 
 
-def _sparse(row: Sequence) -> dict:
+def sparse(row: Sequence) -> dict:
+    """A dense row as a sparse dict row {column: nonzero value}."""
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _echelon(m: Sequence[Sequence], n_cols: int) -> Echelon:
+def sparse_vec_mat(row: dict, m: Sequence[dict]) -> dict:
+    """The row vector row m, for a sparse row and a matrix of sparse rows."""
+    out: dict = {}
+    for k, x in row.items():
+        _add_scaled(out, m[k], x)
+    return out
+
+
+def echelon(m: Sequence[Sequence]) -> Echelon:
     """The echelon of the rows of m; stops early once every column is a pivot."""
+    n_cols = len(m[0]) if m else 0
     ech = Echelon()
     for row in m:
-        ech.add(_sparse(row))
+        ech.add(sparse(row))
         if len(ech) == n_cols:
             break
     return ech
@@ -176,15 +188,16 @@ def _dense_rows(ech: Echelon, n_cols: int) -> list[list]:
 
 def row_echelon(m: list[list]) -> list[int]:
     """Reduce m in place to reduced row echelon form; return pivot columns."""
-    reduced = row_space_basis(m)
-    if reduced:
-        zero = reduced[0][0] - reduced[0][0]
-        m[:] = reduced + [[zero] * len(reduced[0]) for _ in range(len(m) - len(reduced))]
-    return pivot_columns(reduced)
+    ech = echelon(m)
+    if ech.rows:
+        n_cols = len(m[0])
+        zero = m[0][0] - m[0][0]
+        m[:] = _dense_rows(ech, n_cols) + [[zero] * n_cols for _ in range(len(m) - len(ech))]
+    return sorted(ech.rows)
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    return len(_echelon(m, len(m[0]) if m else 0))
+    return len(echelon(m))
 
 
 def nullspace(m: Sequence[Sequence], field) -> list[list]:
@@ -192,7 +205,7 @@ def nullspace(m: Sequence[Sequence], field) -> list[list]:
     if not m:
         return []
     n_cols = len(m[0])
-    rows = _echelon(m, n_cols).rows
+    rows = echelon(m).rows
     basis = []
     for free in range(n_cols):
         if free in rows:
@@ -214,7 +227,7 @@ def solve(m: Sequence[Sequence], b: Sequence, field) -> list | None:
     n_cols = len(m[0])
     ech = Echelon()
     for row, bv in zip(m, b):
-        row = _sparse(row)
+        row = sparse(row)
         if bv:
             row[n_cols] = bv
         ech.add(row)
@@ -233,7 +246,7 @@ def inverse(m: Sequence[Sequence], field) -> list[list]:
     n = len(m)
     ech = Echelon()
     for i, row in enumerate(m):
-        row = _sparse(row)
+        row = sparse(row)
         row[n + i] = field.one
         if ech.add(row)[0] >= n:
             raise ValueError("matrix is singular")
@@ -248,7 +261,7 @@ def determinant(m: Sequence[Sequence], field):
     det = field.one
     pivots = []
     for row in m:
-        added = ech.add(_sparse(row))
+        added = ech.add(sparse(row))
         if added is None:
             return field.zero
         pivots.append(added[0])
@@ -262,24 +275,9 @@ def row_space_basis(m: Sequence[Sequence]) -> list[list]:
     if not m:
         return []
     n_cols = len(m[0])
-    return _dense_rows(_echelon(m, n_cols), n_cols)
+    return _dense_rows(echelon(m), n_cols)
 
 
-def pivot_columns(echelon: Sequence[Sequence]) -> list[int]:
-    """The leading column of every (nonzero) row of an echelon form."""
-    return [next(i for i, x in enumerate(row) if x) for row in echelon]
-
-
-def reduce_by_echelon(v: Sequence, echelon: Sequence[Sequence], pivots: Sequence[int]) -> list:
-    """Clear the pivot columns of (a copy of) v with the rows of a reduced echelon form."""
-    v = list(v)
-    for row, pc in zip(echelon, pivots):
-        c = v[pc]
-        if c:
-            v = [a - c * b if b else a for a, b in zip(v, row)]
-    return v
-
-
-def in_row_space(basis_echelon: list[list], v: Sequence) -> bool:
-    """Membership test against a reduced echelon row basis."""
-    return not any(reduce_by_echelon(v, basis_echelon, pivot_columns(basis_echelon)))
+def in_row_space(basis: list[list], v: Sequence) -> bool:
+    """Whether v lies in the row space of `basis`."""
+    return not echelon(basis).reduce(sparse(v))

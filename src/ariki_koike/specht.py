@@ -7,26 +7,21 @@ the cellular basis, discarding the part supported on strictly dominating
 shapes.  The bilinear form comes from the cellular structure constants, its
 radical gives the simple quotients, and composition multiplicities over a
 prime field are computed by a deterministic chop that exhaustively splits
-off minimal invariant subspaces.
+off minimal invariant subspaces.  The chop eliminates through the shared
+kernel `linalg.Echelon`: `spin` grows one echelon per spun submodule, and
+the sub- and quotient actions reduce against it.
 Specht modules, Gram matrices and decomposition data are kept in the memo
 of the `ArikiKoikeAlgebra` they are computed from, so each is built once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import ArikiKoikeAlgebra
 from .fields import ComputationError, GateError, Params, SizeGuardError
-from .linalg import (
-    mat_product,
-    nullspace,
-    pivot_columns,
-    rank,
-    reduce_by_echelon,
-    row_space_basis,
-    vec_mat,
-)
+from .linalg import Echelon, echelon, mat_product, nullspace, rank, sparse, sparse_vec_mat
 from .tableaux import (
     MultiPartition,
     StandardTableau,
@@ -134,61 +129,50 @@ def block_partition(params: Params) -> list[list[MultiPartition]]:
 # -- composition factors over a prime field ----------------------------------
 
 
-def spin(vectors: list[list], action: list[list[list]], field) -> list[list]:
-    """Row-space closure of `vectors` under right multiplication by the action."""
-    basis: list[list] = []
-    pivots: list[int] = []
-
-    def insert(v):
-        v = reduce_by_echelon(v, basis, pivots)
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return None
-        inv = v[lead]
-        v = [x / inv for x in v]
-        for i, row in enumerate(basis):
-            if row[lead]:
-                c = row[lead]
-                basis[i] = [a - c * b if b else a for a, b in zip(row, v)]
-        basis.append(v)
-        pivots.append(lead)
-        return v
-
-    queue = [list(v) for v in vectors]
+def spin(vectors: list[list], action: list[list[list]]) -> Echelon:
+    """Row-space closure of `vectors` under right multiplication by the action,
+    as the reduced echelon of the submodule they generate."""
+    mats = _sparse_action(action)
+    ech = Echelon()
+    queue = [sparse(v) for v in vectors]
     while queue:
-        inserted = insert(queue.pop())
-        if inserted is not None:
-            for mat in action:
-                queue.append(vec_mat(inserted, mat, field))
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order]
+        added = ech.add(queue.pop())
+        if added is not None:
+            row = ech.rows[added[0]]
+            queue.extend(sparse_vec_mat(row, mat) for mat in mats)
+    return ech
 
 
-def submodule_action(rows: list[list], action: list[list[list]], field) -> list[list[list]]:
-    """Restrict the action to the invariant row space spanned by `rows` (RREF)."""
-    pivots = pivot_columns(rows)
+def _sparse_action(action: list[list[list]]) -> list[list[dict]]:
+    return [[sparse(row) for row in mat] for mat in action]
+
+
+def submodule_action(ech: Echelon, action: list[list[list]], field) -> list[list[list]]:
+    """Restrict the action to the invariant row space of the echelon `ech`,
+    on the basis of its rows in pivot order."""
+    pivots = sorted(ech.rows)
     mats = []
-    for mat in action:
+    for mat in _sparse_action(action):
         sub = []
-        for row in rows:
-            img = vec_mat(row, mat, field)
-            if any(reduce_by_echelon(img, rows, pivots)):
+        for pc in pivots:
+            img = sparse_vec_mat(ech.rows[pc], mat)
+            if ech.reduce(img):
                 raise ComputationError("subspace is not invariant")
-            sub.append([img[pc] for pc in pivots])
+            sub.append([img.get(c, field.zero) for c in pivots])
         mats.append(sub)
     return mats
 
 
-def quotient_action(rows: list[list], action: list[list[list]], dim: int) -> list[list[list]]:
-    """Action on the quotient by the invariant row space spanned by `rows`."""
-    pivots = pivot_columns(rows)
-    free = [j for j in range(dim) if j not in set(pivots)]
+def quotient_action(ech: Echelon, action: list[list[list]], field) -> list[list[list]]:
+    """Action on the quotient by the invariant row space of the echelon `ech`,
+    on the basis of the non-pivot coordinate vectors."""
     mats = []
     for mat in action:
+        free = [j for j in range(len(mat)) if j not in ech.rows]
         q = []
         for j in free:
-            img = reduce_by_echelon(mat[j], rows, pivots)
-            q.append([img[k] for k in free])
+            img = ech.reduce(sparse(mat[j]))
+            q.append([img.get(k, field.zero) for k in free])
         mats.append(q)
     return mats
 
@@ -202,8 +186,6 @@ def _lines(dim: int, field):
     if count > MAX_LINES:
         raise SizeGuardError(f"{count} lines exceed the chop guard {MAX_LINES}")
     values = [field(v) for v in range(p)]
-    import itertools
-
     for lead in range(dim):
         for tail in itertools.product(values, repeat=dim - 1 - lead):
             vec = [field.zero] * lead + [field.one] + list(tail)
@@ -219,9 +201,9 @@ def composition_factors(action: list[list[list]], dim: int, field) -> list[tuple
     """
     if dim == 0:
         return []
-    best: list[list] | None = None
+    best: Echelon | None = None
     for v in _lines(dim, field):
-        w = spin([v], action, field)
+        w = spin([v], action)
         if best is None or len(w) < len(best):
             best = w
         if len(best) == 1:
@@ -230,7 +212,7 @@ def composition_factors(action: list[list[list]], dim: int, field) -> list[tuple
     if len(best) == dim:
         return [(dim, action)]
     sub = submodule_action(best, action, field)
-    quo = quotient_action(best, action, dim)
+    quo = quotient_action(best, action, field)
     return composition_factors(sub, len(best), field) + composition_factors(
         quo, dim - len(best), field
     )
@@ -287,7 +269,7 @@ def _decomposition_matrix(alg: ArikiKoikeAlgebra) -> DecompositionData:
     for mu in cols:
         rad_rows = nullspace(grams[mu], field)
         if rad_rows:
-            act = quotient_action(row_space_basis(rad_rows), modules[mu].action, modules[mu].dim)
+            act = quotient_action(echelon(rad_rows), modules[mu].action, field)
             d = simple_dims[mu]
         else:
             act = modules[mu].action

@@ -9,6 +9,7 @@ from ariki_koike.fields import PrimeField, Rationals
 from ariki_koike.linalg import (
     Echelon,
     determinant,
+    echelon,
     identity_matrix,
     inverse,
     in_row_space,
@@ -17,12 +18,11 @@ from ariki_koike.linalg import (
     mat_product,
     mat_vec,
     nullspace,
-    pivot_columns,
     rank,
-    reduce_by_echelon,
     row_echelon,
     row_space_basis,
     solve,
+    sparse,
     transpose,
     vec_mat,
 )
@@ -99,24 +99,28 @@ def test_transpose():
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_reduce_by_echelon_and_membership(field):
-    echelon = row_space_basis(lift(field, [[1, 2, 0, 1], [2, 4, 1, 3]]))
-    assert echelon == lift(field, [[1, 2, 0, 1], [0, 0, 1, 1]])
-    pivots = pivot_columns(echelon)
-    assert pivots == [0, 2]
+    rows = lift(field, [[1, 2, 0, 1], [2, 4, 1, 3]])
+    basis = row_space_basis(rows)
+    assert basis == lift(field, [[1, 2, 0, 1], [0, 0, 1, 1]])
     member = lift(field, [[3, 6, 2, 5]])[0]
     outsider = lift(field, [[0, 1, 0, 0]])[0]
-    assert reduce_by_echelon(member, echelon, pivots) == [field.zero] * 4
-    assert reduce_by_echelon(outsider, echelon, pivots) == outsider
-    residue = reduce_by_echelon(lift(field, [[1, 3, 1, 1]])[0], echelon, pivots)
-    assert residue == lift(field, [[0, 1, 0, -1]])[0]
-    assert in_row_space(echelon, member)
-    assert not in_row_space(echelon, outsider)
-    assert not in_row_space(echelon, lift(field, [[1, 3, 1, 1]])[0])
+    near = lift(field, [[1, 3, 1, 1]])[0]
+    for spanning in (basis, rows):
+        assert in_row_space(spanning, member)
+        assert not in_row_space(spanning, outsider)
+        assert not in_row_space(spanning, near)
+    ech = echelon(rows)
+    assert sorted(ech.rows) == [0, 2]
+    assert ech.reduce(sparse(member)) == {}
+    assert ech.reduce(sparse(outsider)) == sparse(outsider)
+    assert ech.reduce(sparse(near)) == sparse(lift(field, [[0, 1, 0, -1]])[0])
 
 
 def test_reduce_by_echelon_copies_its_input():
-    v = [Fraction(0), Fraction(1)]
-    out = reduce_by_echelon(v, [], [])
+    v = {1: Fraction(1)}
+    assert Echelon().reduce(v) == v and Echelon().reduce(v) is not v
+    ech = echelon([[Fraction(1), Fraction(0)]])
+    out = ech.reduce(v)
     assert out == v and out is not v
 
 

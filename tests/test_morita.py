@@ -267,3 +267,27 @@ def test_filtration_count_fails_when_a_filtered_tableau_is_dropped(monkeypatch):
     assert row.status == "fail"
     assert row.detail == "layer sizes add up to 1, not to rank V^0 = 2"
     assert all_ok(suite.verify_filtration(1))
+
+
+def test_filtration_fails_without_raising_when_v_action_leaves_v_b(monkeypatch):
+    from ariki_koike.fields import ComputationError
+
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
+
+    def unstable(b):
+        raise ComputationError("V^b is not stable under a generator")
+
+    monkeypatch.setattr(suite, "v_action", unstable)
+    (row,) = suite.verify_filtration(1)
+    assert row.status == "fail" and row.detail == "product left V^b"
+
+
+def test_end_basis_ill_defined_against_a_smaller_row_space(monkeypatch):
+    from ariki_koike.linalg import echelon
+
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
+    assert all_ok(suite.verify_end_basis(1))
+    first = next(row for row in suite._vb_left_mult(1) if any(row))
+    monkeypatch.setattr(suite, "_vb_echelon", lambda b: echelon([first]))
+    (row,) = suite.verify_end_basis(1)
+    assert row.status == "fail" and "ill-defined" in row.detail

@@ -1,16 +1,21 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from ariki_koike.algebra import ArikiKoikeAlgebra
-from ariki_koike.fields import GateError, Params, PrimeField, Rationals
-from ariki_koike.linalg import rank
+from ariki_koike.fields import ComputationError, GateError, Params, PrimeField, Rationals
+from ariki_koike.linalg import echelon, rank, vec_mat
 from ariki_koike.specht import (
     block_partition,
     decomposition_matrix,
     dim_simple,
     gram_matrix,
+    quotient_action,
     specht_module,
+    spin,
+    submodule_action,
 )
 from ariki_koike.tableaux import MultiPartition, content, multipartitions, std_tableaux
 
@@ -140,3 +145,85 @@ def test_decomposition_bookkeeping_n3():
 def test_decomposition_rejects_rationals():
     with pytest.raises(GateError):
         decomposition_matrix(ArikiKoikeAlgebra(qparams()))
+
+
+# -- the chop primitives ---------------------------------------------------------
+
+
+def lift(field, rows):
+    return [[field(x) for x in row] for row in rows]
+
+
+def brute_closure(vectors, action, field):
+    """Every vector of the submodule the vectors generate, by enumeration: the
+    span of the generators, where each generator's images are generators too."""
+    values = [field(c) for c in range(field.characteristic)]
+    span = {tuple([field.zero] * len(action[0]))}
+    todo = [list(v) for v in vectors]
+    while todo:
+        v = todo.pop()
+        if tuple(v) in span:
+            continue
+        span = {tuple(a + c * x for a, x in zip(w, v)) for w in span for c in values}
+        todo.extend(vec_mat(v, mat, field) for mat in action)
+    return span
+
+
+def span_of(rows, field, dim):
+    values = [field(c) for c in range(field.characteristic)]
+    out = set()
+    for coeffs in itertools.product(values, repeat=len(rows)):
+        vec = [field.zero] * dim
+        for c, row in zip(coeffs, rows):
+            vec = [a + c * x for a, x in zip(vec, row)]
+        out.add(tuple(vec))
+    return out
+
+
+def test_spin_is_the_reduced_echelon_of_the_closure_in_any_input_order():
+    field = PrimeField(3)
+    rng = random.Random("spin")
+    dim = 4
+    sizes = set()
+    for case in range(8):
+        # rows 2 and 3 vanish outside columns 2 and 3, so span(e_2, e_3) is a
+        # proper submodule; every other case spins vectors inside it
+        action = [[[field(rng.randrange(3)) if j >= 2 * (i // 2) else field.zero
+                    for j in range(dim)] for i in range(dim)] for _ in range(2)]
+        low = 2 * (case % 2)
+        vectors = [[field(rng.randrange(3)) if j >= low else field.zero for j in range(dim)]
+                   for _ in range(rng.randint(1, 3))]
+        closure = brute_closure(vectors, action, field)
+        spun = [spin(list(order), action).rows for order in itertools.permutations(vectors)]
+        assert all(rows == spun[0] for rows in spun)
+        rows = spun[0]
+        for col, row in rows.items():
+            assert min(row) == col and row[col] == field.one
+            assert all(other == col or other not in row for other in rows)
+        dense = [[row.get(j, field.zero) for j in range(dim)] for _, row in sorted(rows.items())]
+        assert span_of(dense, field, dim) == closure
+        sizes.add(len(rows))
+    assert len(sizes) > 2
+    assert len(spin([[field.zero] * dim], action)) == 0
+
+
+def test_submodule_action_refuses_a_non_invariant_space():
+    field = PrimeField(5)
+    swap = lift(field, [[0, 1], [1, 0]])
+    with pytest.raises(ComputationError):
+        submodule_action(echelon(lift(field, [[1, 0]])), [swap], field)
+
+
+def test_sub_and_quotient_action_of_an_invariant_line():
+    field = PrimeField(5)
+    # (1,1,0) A = 2 (1,1,0) and (1,1,0) B = (1,1,0)
+    a = lift(field, [[1, 0, 0], [1, 2, 0], [1, 0, 3]])
+    b = lift(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    line = echelon(lift(field, [[1, 1, 0]]))
+    assert submodule_action(line, [a, b], field) == [lift(field, [[2]]), lift(field, [[1]])]
+    # on the classes of the unit vectors e_1, e_2 (0-based): e_i A minus its
+    # first entry times (1,1,0), read at columns 1 and 2
+    assert quotient_action(line, [a, b], field) == [
+        lift(field, [[1, 0], [4, 3]]),
+        lift(field, [[4, 0], [0, 1]]),
+    ]
