@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 a hypothesis gate
 refused the run, 3 the instance exceeds the size guards, 4 an internal
-computation failed.
+error (a failed computation or any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -261,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except ValueError as exc:
         parser.error(str(exc))
+        return EXIT_INTERNAL
+    except Exception as exc:  # any other failure is internal: one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -174,7 +174,7 @@ def echelon(m: Sequence[Sequence]) -> Echelon:
     return ech
 
 
-def _dense_rows(ech: Echelon, n_cols: int) -> list[list]:
+def dense_rows(ech: Echelon, n_cols: int) -> list[list]:
     """The stored rows in pivot order, as dense lists."""
     out = []
     for col in sorted(ech.rows):
@@ -192,7 +192,7 @@ def row_echelon(m: list[list]) -> list[int]:
     if ech.rows:
         n_cols = len(m[0])
         zero = m[0][0] - m[0][0]
-        m[:] = _dense_rows(ech, n_cols) + [[zero] * n_cols for _ in range(len(m) - len(ech))]
+        m[:] = dense_rows(ech, n_cols) + [[zero] * n_cols for _ in range(len(m) - len(ech))]
     return sorted(ech.rows)
 
 
@@ -250,7 +250,7 @@ def inverse(m: Sequence[Sequence], field) -> list[list]:
         row[n + i] = field.one
         if ech.add(row)[0] >= n:
             raise ValueError("matrix is singular")
-    return [row[n:] for row in _dense_rows(ech, 2 * n)]
+    return [row[n:] for row in dense_rows(ech, 2 * n)]
 
 
 def determinant(m: Sequence[Sequence], field):
@@ -275,7 +275,7 @@ def row_space_basis(m: Sequence[Sequence]) -> list[list]:
     if not m:
         return []
     n_cols = len(m[0])
-    return _dense_rows(echelon(m), n_cols)
+    return dense_rows(echelon(m), n_cols)
 
 
 def in_row_space(basis: list[list], v: Sequence) -> bool:

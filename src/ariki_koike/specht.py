@@ -6,22 +6,36 @@ obtained by multiplying cellular basis representatives and re-expanding in
 the cellular basis, discarding the part supported on strictly dominating
 shapes.  The bilinear form comes from the cellular structure constants, its
 radical gives the simple quotients, and composition multiplicities over a
-prime field are computed by a deterministic chop that exhaustively splits
-off minimal invariant subspaces.  The chop eliminates through the shared
-kernel `linalg.Echelon`: `spin` grows one echelon per spun submodule, and
-the sub- and quotient actions reduce against it.
+prime field are computed by a seeded, deterministic MeatAxe chop: spin null
+vectors of random algebra elements to split a module, and certify the
+factors irreducible by Norton's test.  The simple factors are labelled by
+their characters (`module_fingerprint`).  The chop eliminates through the
+shared kernel `linalg.Echelon`: `spin` grows one echelon per spun
+submodule, and the sub- and quotient actions reduce against it.
 Specht modules, Gram matrices and decomposition data are kept in the memo
 of the `ArikiKoikeAlgebra` they are computed from, so each is built once.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
 from dataclasses import dataclass
 
 from .algebra import ArikiKoikeAlgebra
-from .fields import ComputationError, GateError, Params, SizeGuardError
-from .linalg import Echelon, echelon, mat_product, nullspace, rank, sparse, sparse_vec_mat
+from .fields import ComputationError, GateError, Params
+from .linalg import (
+    Echelon,
+    dense_rows,
+    echelon,
+    identity_matrix,
+    mat_mul,
+    nullspace,
+    rank,
+    sparse,
+    sparse_vec_mat,
+    transpose,
+)
+from .perms import Permutation, sorted_permutations
 from .tableaux import (
     MultiPartition,
     StandardTableau,
@@ -33,9 +47,6 @@ from .tableaux import (
     strictly_dominates,
     t_row,
 )
-
-MAX_LINES = 200_000  # cap on the number of projective lines the chop may scan
-
 
 @dataclass
 class SpechtModule:
@@ -177,63 +188,122 @@ def quotient_action(ech: Echelon, action: list[list[list]], field) -> list[list[
     return mats
 
 
-def _lines(dim: int, field):
-    """All projective lines of field^dim, normalized with leading entry 1."""
-    p = field.characteristic
-    if p == 0:
-        raise ComputationError("the chop works over prime fields only")
-    count = sum(p ** (dim - 1 - i) for i in range(dim))
-    if count > MAX_LINES:
-        raise SizeGuardError(f"{count} lines exceed the chop guard {MAX_LINES}")
-    values = [field(v) for v in range(p)]
-    for lead in range(dim):
-        for tail in itertools.product(values, repeat=dim - 1 - lead):
-            vec = [field.zero] * lead + [field.one] + list(tail)
-            yield vec
-
-
 def composition_factors(action: list[list[list]], dim: int, field) -> list[tuple[int, list[list[list]]]]:
-    """Composition series factors as (dim, action matrices), by minimal-spin chop.
+    """Composition series factors as (dim, action matrices), by a MeatAxe chop.
 
-    Deterministic: lines are scanned in a fixed order and the first spin of
-    minimal dimension is split off.  A minimal spin is necessarily a simple
-    submodule, but the recursion does not rely on that.
+    Each step either splits off a proper invariant subspace or certifies
+    the module irreducible by Norton's test (`_split`); the recursion runs
+    on the submodule and on the quotient.  Deterministic: the random
+    algebra elements come from a generator seeded by the dimension.
     """
     if dim == 0:
         return []
-    best: Echelon | None = None
-    for v in _lines(dim, field):
-        w = spin([v], action)
-        if best is None or len(w) < len(best):
-            best = w
-        if len(best) == 1:
-            break
-    assert best is not None
-    if len(best) == dim:
+    sub = _split(action, dim, field)
+    if len(sub) == dim:
         return [(dim, action)]
-    sub = submodule_action(best, action, field)
-    quo = quotient_action(best, action, field)
-    return composition_factors(sub, len(best), field) + composition_factors(
-        quo, dim - len(best), field
+    return composition_factors(submodule_action(sub, action, field), len(sub), field) + (
+        composition_factors(quotient_action(sub, action, field), dim - len(sub), field)
     )
 
 
+MAX_TRIES = 100  # random algebra elements the chop draws before it gives up on a module
+
+
+def _split(action: list[list[list]], dim: int, field) -> Echelon:
+    """A proper invariant subspace, or the whole space if the module is irreducible.
+
+    Draws random algebra elements theta, random combinations of the
+    generator matrices and of products of pairs of earlier words (one more
+    product per draw, as in R. Parker's MeatAxe, 1984), until `_norton`
+    decides.
+    """
+    p = field.characteristic
+    if p == 0:
+        raise ComputationError("the chop works over prime fields only")
+    if dim == 1:  # simple; spun so that every factor counts at least one spin
+        return spin([[field.one]], action)
+    rng = random.Random(dim)
+    words = list(action)
+    for _ in range(MAX_TRIES):
+        words.append(mat_mul(rng.choice(words), rng.choice(words), field))
+        theta = [[field.zero] * dim for _ in range(dim)]
+        for word in words:
+            c = field(rng.randrange(p))
+            if c:
+                theta = [[a + c * x for a, x in zip(row, wrow)] for row, wrow in zip(theta, word)]
+        found = _norton(action, theta, field)
+        if found is not None:
+            return found
+    raise ComputationError(f"the chop found no split and no irreducibility proof in {MAX_TRIES} tries")
+
+
+def _norton(action: list[list[list]], theta: list[list], field) -> Echelon | None:
+    """Split or certify with one algebra element theta (Norton's test).
+
+    For each eigenvalue lam of theta in the field, spin a vector of
+    N = ker(theta - lam); a proper spin is a submodule.  If N is a line,
+    also spin a vector of ker((theta - lam)^T) under the transposed action:
+    a proper spin there is a submodule of the dual, and its annihilator a
+    proper submodule.  Every proper submodule U either meets N or has an
+    annihilator that meets the transposed kernel, so when N is a line and
+    both spins are full the module is irreducible, and the full spin is
+    returned (D. Holt & S. Rees, J. Austral. Math. Soc. A 57, 1994).
+    None means theta decides nothing.
+    """
+    dim = len(theta)
+    for c in range(field.characteristic):
+        lam = field(c)
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(theta)]
+        kernel = nullspace(transpose(shifted), field)  # row vectors v with v shifted = 0
+        if not kernel:
+            continue
+        sub = spin(kernel[:1], action)
+        if len(sub) < dim:
+            return sub
+        if len(kernel) > 1:
+            continue
+        dual = spin(nullspace(shifted, field)[:1], [transpose(m) for m in action])
+        if len(dual) < dim:
+            return echelon(nullspace(dense_rows(dual, dim), field))
+        return sub
+    return None
+
+
 def module_fingerprint(alg: ArikiKoikeAlgebra, action: list[list[list]], dim: int) -> tuple:
-    """Trace of the action of every normal-form basis monomial.
+    """Trace of the action of every normal-form basis monomial L^d T_w.
 
     Characters of pairwise non-isomorphic absolutely irreducible modules are
     linearly independent, so this tuple identifies a simple module exactly.
+    Each matrix is one product from a shorter one: L_{k+1} = q^{-1} T_k L_k T_k,
+    L^d = L^{d'} L_k with k the last nonzero exponent of d and d' = d - e_k,
+    and T_w = T_{w s_i} T_i for the first right descent i of w.  The trace
+    of L^d T_w is summed entrywise, without forming the product.
     """
     field = alg.field
+    ident = identity_matrix(dim, field)
+    q_inv = alg.params.q_power(-1)
+    l_gens = action[:1]
+    for t in action[1:]:
+        l_gens.append([[q_inv * x for x in row] for row in mat_mul(mat_mul(t, l_gens[-1], field), t, field)])
+    t_mats = {}
+    for w in sorted(sorted_permutations(alg.n), key=Permutation.length):
+        descents = w.right_descents()
+        t_mats[w] = mat_mul(t_mats[w.times_s(descents[0])], action[descents[0]], field) if descents else ident
+    t_cols = {w: transpose(m) for w, m in t_mats.items()}
+    l_mats: dict[tuple, list[list]] = {}
     traces = []
-    for mono in alg.basis():
-        word, e = alg._gen_word(mono)
-        mat = mat_product([action[g] for g in word], dim, field)
-        scale = alg.params.q_power(-e)
+    for d, w in alg.basis():  # exponents-lex, so L^{d'} is built before L^d
+        if d not in l_mats:
+            k = max((k for k, e in enumerate(d) if e), default=-1)
+            l_mats[d] = ident if k < 0 else mat_mul(
+                l_mats[d[:k] + (d[k] - 1,) + d[k + 1:]], l_gens[k], field)
         tr = field.zero
-        for i in range(dim):
-            tr = tr + mat[i][i]
-        traces.append(tr * scale)
+        for row, col in zip(l_mats[d], t_cols[w]):
+            for x, y in zip(row, col):
+                if x and y:
+                    tr = tr + x * y
+        traces.append(tr)
     return tuple(traces)
 
 

@@ -184,6 +184,27 @@ def test_failed_decomposition_validation_is_a_failed_row(monkeypatch, capsys):
     assert code == 4 and out == "" and "diagonal entry" in err
 
 
+def test_chop_giving_up_exits_4(monkeypatch, capsys):
+    from ariki_koike import specht
+
+    monkeypatch.setattr(specht, "MAX_TRIES", 0)
+    args = ["--n", "2", "--r", "2", "--field", "GF(5)", "--q", "4", "--Q", "1,4"]
+    code, out, err = run_cli(["decomp", *args], capsys)
+    assert (code, out) == (4, "")
+    assert err == "computation failed: the chop found no split and no irreducibility proof in 0 tries\n"
+
+
+def test_unexpected_exception_exits_4_in_one_line(monkeypatch, capsys):
+    from ariki_koike import cli
+
+    def crash(alg):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "decomposition_matrix", crash)
+    args = ["--n", "2", "--r", "2", "--field", "GF(5)", "--q", "4", "--Q", "1,4"]
+    assert run_cli(["decomp", *args], capsys) == (4, "", "internal error: RuntimeError: unexpected\n")
+
+
 def test_verify_all_builds_each_derived_object_once(monkeypatch, capsys):
     from collections import Counter
 

@@ -1,17 +1,31 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ariki_koike import specht
 from ariki_koike.algebra import ArikiKoikeAlgebra
 from ariki_koike.fields import ComputationError, GateError, Params, PrimeField, Rationals
-from ariki_koike.linalg import echelon, rank, vec_mat
+from ariki_koike.linalg import (
+    echelon,
+    identity_matrix,
+    inverse,
+    mat_mul,
+    mat_product,
+    nullspace,
+    rank,
+    transpose,
+    vec_mat,
+)
 from ariki_koike.specht import (
     block_partition,
+    composition_factors,
     decomposition_matrix,
     dim_simple,
     gram_matrix,
+    module_fingerprint,
     quotient_action,
     specht_module,
     spin,
@@ -227,3 +241,132 @@ def test_sub_and_quotient_action_of_an_invariant_line():
         lift(field, [[1, 0], [4, 3]]),
         lift(field, [[4, 0], [0, 1]]),
     ]
+
+
+# -- the MeatAxe chop against a brute-force oracle ------------------------------
+
+
+def line_scan_factors(action, dim, field):
+    """Composition factors by scanning every projective line of field^dim and
+    splitting off the first spin of minimal dimension (the chop before the
+    MeatAxe, kept as an oracle)."""
+    if dim == 0:
+        return []
+    values = [field(v) for v in range(field.characteristic)]
+    best = None
+    for lead in range(dim):
+        for tail in itertools.product(values, repeat=dim - 1 - lead):
+            w = spin([[field.zero] * lead + [field.one] + list(tail)], action)
+            if best is None or len(w) < len(best):
+                best = w
+    if len(best) == dim:
+        return [(dim, action)]
+    return line_scan_factors(submodule_action(best, action, field), len(best), field) + (
+        line_scan_factors(quotient_action(best, action, field), dim - len(best), field)
+    )
+
+
+def factor_labels(alg, factors):
+    return Counter((d, module_fingerprint(alg, act, d)) for d, act in factors)
+
+
+@pytest.mark.parametrize("q, Q, p", [(4, (1, 4), 5), (2, (1, 5), 7)], ids=["GF5-connected", "GF7"])
+def test_meataxe_factors_match_the_line_scan(q, Q, p):
+    field = PrimeField(p)
+    alg = ArikiKoikeAlgebra(Params(field=field, q=q, Q=Q, n=3, r=2))
+    cases = 0
+    for lam in multipartitions(3, 2):
+        sm = specht_module(alg, lam)
+        modules = [(sm.action, sm.dim)]
+        rad = nullspace(gram_matrix(alg, lam), field)
+        if 0 < len(rad) < sm.dim:  # the simple quotient D^lam = S^lam / rad
+            modules.append((quotient_action(echelon(rad), sm.action, field), sm.dim - len(rad)))
+        for action, dim in modules:
+            expected = factor_labels(alg, line_scan_factors(action, dim, field))
+            assert factor_labels(alg, composition_factors(action, dim, field)) == expected
+            cases += 1
+    assert cases > 10  # some Gram forms are singular: quotients were checked too
+
+
+def test_fingerprint_matches_the_generator_word_traces():
+    """tr(L^d T_w) against the trace of the whole generator word times q^{-e},
+    on two cell modules and on random matrices, which satisfy no relation,
+    so every product must be taken in the order of the word."""
+    gf7 = Params(field=PrimeField(7), q=2, Q=(1, 5), n=3, r=2)
+    gf5 = Params(field=PrimeField(5), q=4, Q=(1, 2), n=3, r=2)
+    rng = random.Random("fingerprint")
+    noise = [[[rng.randrange(7) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    for params, lam, action in [
+        (gf7, MultiPartition([[2], [1]]), None),
+        (gf5, MultiPartition([[1], [1, 1]]), None),
+        (gf7, None, [lift(gf7.field, m) for m in noise]),
+    ]:
+        alg = ArikiKoikeAlgebra(params)
+        field = alg.field
+        if action is None:
+            action = specht_module(alg, lam).action
+        dim = len(action[0])
+        expected = []
+        for mono in alg.basis():
+            word, e = alg._gen_word(mono)
+            mat = mat_product([action[g] for g in word], dim, field)
+            expected.append(sum((mat[i][i] for i in range(dim)), field.zero) * params.q_power(-e))
+        assert module_fingerprint(alg, action, dim) == tuple(expected)
+
+
+def conjugate(action, change, field):
+    """The same module on the basis of the rows of `change`."""
+    back = inverse(change, field)
+    return [mat_mul(mat_mul(change, m, field), back, field) for m in action]
+
+
+def uniserial_extension(field):
+    """A non-split extension on e_1, e_2: e_1 A = 0, e_1 X = e_2, e_2 A = e_2,
+    e_2 X = 0.  Its only proper submodule is the line of e_2."""
+    return [lift(field, [[0, 0], [0, 1]]), lift(field, [[0, 1], [0, 0]])]
+
+
+def doubled_simple(field):
+    """S + S for the simple 2-dim module S of the matrix units E_11 and
+    E_12 + E_21, on a basis whose first vector, and first dual vector, mix
+    the two copies."""
+    zero = [field.zero] * 2
+    action = []
+    for m in (lift(field, [[1, 0], [0, 0]]), lift(field, [[0, 1], [1, 0]])):
+        action.append([row + zero for row in m] + [zero + row for row in m])
+    change = lift(field, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 2]])
+    return conjugate(action, change, field)
+
+
+def test_norton_splits_an_extension_through_the_dual():
+    # theta = A: its null vector e_1 spins the whole module, so only the
+    # transposed spin finds the submodule, as the annihilator of e_1
+    field = PrimeField(5)
+    ext = uniserial_extension(field)
+    e1 = [field.one, field.zero]
+    assert len(spin([e1], ext)) == 2
+    assert specht._norton(ext, ext[0], field).rows == {1: {1: field.one}}
+
+
+def test_norton_certifies_nothing_without_a_one_dimensional_kernel():
+    # theta = 1 on S + S: one null vector and one dual null vector both spin
+    # the whole space, yet the module is reducible
+    field = PrimeField(5)
+    double = doubled_simple(field)
+    e1 = [field.one] + [field.zero] * 3
+    assert len(spin([e1], double)) == 4
+    assert len(spin([e1], [transpose(m) for m in double])) == 4
+    assert specht._norton(double, identity_matrix(4, field), field) is None
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_meataxe_chops_the_hand_built_modules(p):
+    field = PrimeField(p)
+    one, zero = [[field.one]], [[field.zero]]
+    assert composition_factors(uniserial_extension(field), 2, field) == [(1, [one, zero]), (1, [zero, zero])]
+    factors = composition_factors(doubled_simple(field), 4, field)
+    assert [d for d, _ in factors] == [2, 2]
+    # both factors are S: the same traces of E_11, the swap and their product
+    traces = {tuple(sum((m[i][i] for i in range(2)), field.zero)
+                    for m in (a, b, mat_mul(a, b, field))) for _, (a, b) in factors}
+    assert traces == {(field.one, field.zero, field.zero)}
