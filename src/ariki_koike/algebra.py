@@ -38,12 +38,29 @@ rewriting terminates; confluence is certified by the closure, associativity
 and defining-relation test batteries, and by a test that folds every product
 of two basis monomials a second way, one generator at a time, rather than by
 proof.
+
+The fold computes with plain ints.  A cached step is (den, {monomial: int}),
+standing for {monomial: int / den}: over Q, den is the least common
+denominator of its coefficients; over GF(p), den is 1 and the ints are
+residues.  A product adds every step into one accumulator (D, {monomial: int})
+with int multiply-adds; only a step whose denominator does not divide D
+rescales the accumulator to their lcm, which is rare, as the denominators are
+mostly powers of the numerator of q.  Over GF(p) nothing is reduced mod p
+inside the fold.  Field values exist only at the engine's boundary:
+`_product_terms` (behind `Element.__mul__`), `left_mult_matrix` and
+`Element.star` convert their operands with the field's `to_ints` and their
+results with `from_ints`, which returns canonical Fractions, or FpElements
+reduced once mod p.  The rewriting rules themselves (Hecke products, T_x L^d,
+L_m^r) are derived in field values, once per key, and enter int form as they
+are cached.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
+from math import gcd
+from operator import add
 
 from .fields import Params, SizeGuardError
 from .linalg import inverse as mat_inverse, mat_vec, transpose
@@ -118,13 +135,12 @@ class Element:
     def star(self) -> "Element":
         """The anti-automorphism fixing every generator: T_w -> T_{w^{-1}}, L_k -> L_k."""
         alg = self.alg
-        out: dict = {}
-        zero_exp = (0,) * alg.n
-        for (d, w), c in self.terms.items():
-            flipped = alg._product_terms({(zero_exp, w.inverse()): alg.field.one}, {(d, identity(alg.n)): c})
-            for k, v in flipped.items():
-                _accumulate(out, k, v)
-        return Element(alg, out)
+        den, ints = alg.field.to_ints(self.terms)
+        acc = [1, {}]
+        zero_exp, e = (0,) * alg.n, identity(alg.n)
+        for (d, w), c in ints.items():
+            alg._product_into(acc, 1, {(zero_exp, w.inverse()): 1}, den, {(d, e): c})
+        return Element(alg, alg.field.from_ints(*acc))
 
     def coefficient(self, mono: Monomial):
         return self.terms.get(mono, self.alg.field.zero)
@@ -187,12 +203,12 @@ class ArikiKoikeAlgebra:
         self.q = params.q
         self.Q = params.Q
         self.max_dim = max_dim
-        self._hecke_cache: dict[tuple[Permutation, Permutation], dict] = {}
+        self._hecke_cache: dict[tuple[Permutation, Permutation], tuple[int, dict]] = {}
         self._Lr_cache: dict[int, dict] = {}
-        self._normalL_cache: dict[tuple[tuple[int, ...], Permutation], dict] = {}
-        self._TL_cache: dict[tuple[Permutation, tuple[int, ...]], dict] = {}
-        self._L_step_cache: dict[tuple[Monomial, tuple[int, ...]], dict] = {}
-        self._T_step_cache: dict[tuple[Monomial, Permutation], dict] = {}
+        self._normalL_cache: dict[tuple[tuple[int, ...], Permutation], tuple[int, dict]] = {}
+        self._TL_cache: dict[tuple[Permutation, tuple[int, ...]], tuple[int, dict]] = {}
+        self._L_step_cache: dict[tuple[Monomial, tuple[int, ...]], tuple[int, dict]] = {}
+        self._T_step_cache: dict[tuple[Monomial, Permutation], tuple[int, dict]] = {}
         self._pow_cache: dict[tuple[int, int], list] = {}
         self._derived: dict = {}
         self._qm1 = self.q - self.field.one
@@ -236,7 +252,7 @@ class ArikiKoikeAlgebra:
         if not (1 <= k <= self.n):
             raise ValueError(f"L_{k} does not exist for n={self.n}")
         exp = tuple(1 if m == k else 0 for m in range(1, self.n + 1))
-        return self.element(dict(self._normal_L(exp, identity(self.n))))
+        return self.element(self.field.from_ints(*self._normal_L(exp, identity(self.n))))
 
     def t_elem(self, w: Permutation) -> Element:
         if w.n != self.n:
@@ -279,12 +295,15 @@ class ArikiKoikeAlgebra:
 
         The basis lists each exponent d with every T_w in a row, so elem L^d
         is folded once per d and then times each T_w."""
+        den, ints = self.field.to_ints(elem.terms)
         cols = []
-        d_prev, head = None, None
+        d_prev = None
         for d, w in self.basis():
             if d != d_prev:
-                d_prev, head = d, self._fold(elem.terms, self._mono_times_L, d) if any(d) else elem.terms
-            cols.append(self.vec(Element(self, self._fold(head, self._mono_times_T, w))))
+                d_prev = d
+                hden, head = self._fold(den, ints, self._mono_times_L, d) if any(d) else (den, ints)
+            col = self.field.from_ints(*self._fold(hden, head, self._mono_times_T, w))
+            cols.append(self.vec(Element(self, col)))
         return transpose(cols)
 
     # -- multiplication engine -------------------------------------------------
@@ -307,76 +326,93 @@ class ArikiKoikeAlgebra:
         return Element(self, self._product_terms(a.terms, b.terms))
 
     def _product_terms(self, aterms: dict, bterms: dict) -> dict:
-        """Each monomial c L^d T_w of the right factor folds in two steps: times L^d, times T_w."""
-        out: dict = {}
-        for (d, w), c in bterms.items():
+        """a * b on term dicts of field values, computed in int form."""
+        to_ints = self.field.to_ints
+        return self.field.from_ints(*self._product_into([1, {}], *to_ints(aterms), *to_ints(bterms)))
+
+    def _product_into(self, acc: list, aden: int, aints: dict, bden: int, bints: dict) -> list:
+        """acc += (aints / aden) * (bints / bden); each monomial c L^d T_w of the
+        right factor folds in two steps, times L^d and then times T_w."""
+        den = aden * bden
+        for (d, w), c in bints.items():
             if any(d):
-                cur = self._fold(aterms, self._mono_times_L, d, scale=c)
-                self._fold(cur, self._mono_times_T, w, out)
+                hden, head = self._fold(den, aints, self._mono_times_L, d, scale=c)
+                self._fold(hden, head, self._mono_times_T, w, acc)
             else:
-                self._fold(aterms, self._mono_times_T, w, out, scale=c)
-        return out
+                self._fold(den, aints, self._mono_times_T, w, acc, scale=c)
+        return acc
 
-    def _fold(self, terms: dict, step, arg, out: dict | None = None, scale=None) -> dict:
-        """Add sum scale * c * step(mono, arg) over the terms into out (a new dict by default)."""
-        if out is None:
-            out = {}
-        if scale is self.field.one:
-            scale = None
-        for mono, c in terms.items():
-            self._add_scaled(out, step(mono, arg), c if scale is None else c * scale)
-        return out
+    def _fold(self, den: int, terms: dict, step, arg, acc: list | None = None, scale: int = 1) -> list:
+        """acc += (scale / den) * sum c * step(mono, arg) over the terms, in plain ints.
 
-    def _add_scaled(self, out: dict, terms: dict, c) -> None:
-        """out += c * terms; _accumulate inlined, as no stored coefficient is 0."""
-        one = self.field.one  # the cached steps share it, so `is` spares a multiply
+        acc = [D, {mono: int}] stands for {mono: int / D} (a new one by default),
+        and a step returns (sden, {mono: int}).  When den * sden does not divide
+        D, acc is first rescaled to the lcm; over GF(p) every denominator is 1
+        and nothing is reduced mod p here."""
+        if acc is None:
+            acc = [1, {}]
+        D, out = acc
         get = out.get
-        for k, v in terms.items():
-            v = v if c is one else c if v is one else v * c
-            cur = get(k)
-            if cur is None:
-                out[k] = v
-            elif cur := cur + v:
-                out[k] = cur
-            else:
-                del out[k]
+        for mono, c in terms.items():
+            sden, sterms = step(mono, arg)
+            e = den * sden
+            if D % e:
+                m = e // gcd(D, e)
+                for k, v in out.items():
+                    out[k] = v * m
+                D *= m
+            c *= scale * (D // e)
+            for k, v in sterms.items():
+                cur = get(k)
+                if cur is None:
+                    out[k] = c * v
+                elif cur := cur + c * v:
+                    out[k] = cur
+                else:
+                    del out[k]
+        acc[0] = D
+        return acc
 
-    def _terms_times_gen(self, terms: dict, g: int) -> dict:
-        return self._fold(terms, self._mono_times_gen, g)
+    def _canonical(self, acc: list) -> tuple[int, dict]:
+        """A step result as cached: over Q the least common denominator, over
+        GF(p) residues in 0..p-1, and no zero ints."""
+        return self.field.to_ints(self.field.from_ints(*acc))
 
     def _mono_times_gen(self, mono: Monomial, g: int) -> dict:
         """mono * T_g in normal form, where T_0 = L_1."""
-        if g == 0:
-            return self._mono_times_L(mono, tuple(int(k == 0) for k in range(self.n)))
-        return self._mono_times_T(mono, simple_transposition(g, self.n))
+        return self._product_terms({mono: self.field.one}, self.gen_T(g).terms)
 
-    def _mono_times_L(self, mono: Monomial, d: tuple[int, ...]) -> dict:
+    def _mono_times_L(self, mono: Monomial, d: tuple[int, ...]) -> tuple[int, dict]:
         """(L^a T_x) L^d in normal form: T_x L^d = sum c L^f T_y, then L^{a+f} T_y by _normal_L."""
         key = (mono, d)
         cached = self._L_step_cache.get(key)
         if cached is not None:
             return cached
         a, x = mono
-        out: dict = {}
-        for (f, y), c in self._T_times_L(x, d).items():
-            self._add_scaled(out, self._normal_L(tuple(i + j for i, j in zip(a, f)), y), c)
+        out = self._canonical(self._fold(*self._T_times_L(x, d), self._L_times_normal, a))
         self._L_step_cache[key] = out
         return out
 
-    def _mono_times_T(self, mono: Monomial, w: Permutation) -> dict:
+    def _L_times_normal(self, mono: Monomial, a: tuple[int, ...]) -> tuple[int, dict]:
+        """L^a (L^f T_y) in normal form, for mono = (f, y)."""
+        f, y = mono
+        return self._normal_L(tuple(map(add, a, f)), y)
+
+    def _mono_times_T(self, mono: Monomial, w: Permutation) -> tuple[int, dict]:
         """(L^d T_x) T_w in normal form: L^d (T_x T_w)."""
         key = (mono, w)
         cached = self._T_step_cache.get(key)
         if cached is not None:
             return cached
         d, x = mono
-        out = {(d, y): c for y, c in self._hecke_prod(x, w).items()}
+        den, prod = self._hecke_prod(x, w)
+        out = den, {(d, y): c for y, c in prod.items()}
         self._T_step_cache[key] = out
         return out
 
-    def _T_times_L(self, x: Permutation, d: tuple[int, ...]) -> dict:
-        """T_x L^d as {(f, y): coeff}: L^d pushed leftward through a reduced word
-        of x, one T_i at a time; no exponent of f exceeds the largest of d."""
+    def _T_times_L(self, x: Permutation, d: tuple[int, ...]) -> tuple[int, dict]:
+        """T_x L^d as {(f, y): coeff} in int form: L^d pushed leftward through a
+        reduced word of x, one T_i at a time; no exponent of f exceeds the largest of d."""
         key = (x, d)
         cached = self._TL_cache.get(key)
         if cached is not None:
@@ -384,13 +420,13 @@ class ArikiKoikeAlgebra:
         terms = {(d, identity(self.n)): self.field.one}
         for i in reversed(x.reduced_word()):
             terms = self._left_mul_gen_terms(terms, i)
-        self._TL_cache[key] = terms
-        return terms
+        out = self._TL_cache[key] = self.field.to_ints(terms)
+        return out
 
-    def _hecke_prod(self, x: Permutation, v: Permutation) -> dict:
-        """T_x T_v expanded over the T-basis: dict {y: coeff}."""
+    def _hecke_prod(self, x: Permutation, v: Permutation) -> tuple[int, dict]:
+        """T_x T_v expanded over the T-basis, in int form: (den, {y: int})."""
         if v.is_identity():
-            return {x: self.field.one}
+            return 1, {x: 1}
         cached = self._hecke_cache.get((x, v))
         if cached is not None:
             return cached
@@ -405,8 +441,8 @@ class ArikiKoikeAlgebra:
                     _accumulate(new, ws, self.q * c)
                     _accumulate(new, w, self._qm1 * c)
             cur = new
-        self._hecke_cache[(x, v)] = cur
-        return cur
+        out = self._hecke_cache[(x, v)] = self.field.to_ints(cur)
+        return out
 
     def _Ti_L_pows(self, a: int, b: int) -> list:
         """T_i L_i^a L_{i+1}^b as [(x, y, has_t, coeff)]: sum coeff L_i^x L_{i+1}^y T_i^{has_t}.
@@ -479,7 +515,7 @@ class ArikiKoikeAlgebra:
             prev = self._L_pow_r(m - 1)
             qinv = self.field.one / self.q
             first = self._left_mul_gen_terms(prev, m - 1)
-            first = self._terms_times_gen(first, m - 1)
+            first = self._product_terms(first, self.gen_T(m - 1).terms)
             out = {}
             for k, v in first.items():
                 _accumulate(out, k, v * qinv)
@@ -493,22 +529,24 @@ class ArikiKoikeAlgebra:
         self._Lr_cache[m] = out
         return out
 
-    def _normal_L(self, exp: tuple[int, ...], w: Permutation) -> dict:
-        """Normal form of L^exp T_w, where the exponents may reach or pass r."""
+    def _normal_L(self, exp: tuple[int, ...], w: Permutation) -> tuple[int, dict]:
+        """Normal form of L^exp T_w in int form, where the exponents may reach or pass r."""
         key = (exp, w)
         cached = self._normalL_cache.get(key)
         if cached is not None:
             return cached
         m = next((i + 1 for i, x in enumerate(exp) if x >= self.r), None)
         if m is None:
-            out = {(exp, w): self.field.one}
+            out = 1, {(exp, w): 1}
         else:
             base = list(exp)
             base[m - 1] -= self.r
-            out = {}
-            for (f, v), c in self._L_pow_r(m).items():
-                combined = tuple(bb + ff for bb, ff in zip(base, f))
-                self._fold(self._normal_L(combined, v), self._mono_times_T, w, out, scale=c)
+            lden, lterms = self.field.to_ints(self._L_pow_r(m))
+            acc = [1, {}]
+            for (f, v), c in lterms.items():
+                nden, nterms = self._normal_L(tuple(map(add, base, f)), v)
+                self._fold(lden * nden, nterms, self._mono_times_T, w, acc, scale=c)
+            out = self._canonical(acc)
         self._normalL_cache[key] = out
         return out
 
@@ -569,7 +607,9 @@ class ArikiKoikeAlgebra:
         return self.element(terms)
 
     def m_lambda(self, lam: MultiComposition) -> Element:
-        return self.u_plus(lam) * self.x_lambda(lam)
+        """m_lambda = u_lambda^+ x_lambda, built once per lambda."""
+        return Element(self, self.derived(
+            ("m_lambda", lam), lambda: (self.u_plus(lam) * self.x_lambda(lam)).terms))
 
     def m_st(self, s: StandardTableau, t: StandardTableau) -> Element:
         if s.shape != t.shape:

@@ -20,9 +20,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 MAX_PRIME = 97
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """A rational from text such as "3" or "-2/5"; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _is_prime(p: int) -> bool:
@@ -134,8 +143,7 @@ class Rationals:
     """The field of rational numbers; elements are `Fraction`s."""
 
     name = "Q"
-    # Shared constants: Fractions are immutable, and the product engine skips
-    # multiplications by the very object `one`.
+    # Shared constants: Fractions are immutable.
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -145,8 +153,27 @@ class Rationals:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _parse_fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
+
+    # The product engine's int form: (den, {k: int}) stands for {k: int / den}.
+
+    def to_ints(self, terms: dict) -> tuple[int, dict]:
+        """(den, ints) with terms[k] == ints[k] / den, den the lcm of the denominators."""
+        den = 1
+        for v in terms.values():
+            d = v.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        if den == 1:
+            return 1, {k: v.numerator for k, v in terms.items()}
+        return den, {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+
+    def from_ints(self, den: int, ints: dict) -> dict:
+        """{k: ints[k] / den} as Fractions, dropping the zeros."""
+        if den == 1:
+            return {k: Fraction(a) for k, a in ints.items() if a}
+        return {k: Fraction(a, den) for k, a in ints.items() if a}
 
     @property
     def characteristic(self) -> int:
@@ -178,10 +205,31 @@ class PrimeField:
         if isinstance(x, int):
             return FpElement(x, self.p)
         if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise ValueError(
+                    f"{x} is undefined in GF({self.p}): its denominator is divisible by {self.p}")
             return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
         if isinstance(x, str):
-            return self(Fraction(x))
+            return self(_parse_fraction(x))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
+
+    # The product engine's int form: (1, {k: residue}); the engine leaves the
+    # residues unreduced while it adds them.
+
+    def to_ints(self, terms: dict) -> tuple[int, dict]:
+        """(1, residues) of a term dict."""
+        return 1, {k: v.val for k, v in terms.items()}
+
+    def from_ints(self, den: int, ints: dict) -> dict:
+        """{k: ints[k] / den} as FpElements, reduced mod p once, dropping the zeros."""
+        p = self.p
+        scale = 1 if den == 1 else pow(den, -1, p)
+        out = {}
+        for k, a in ints.items():
+            a = a * scale % p
+            if a:
+                out[k] = FpElement(a, p)
+        return out
 
     # Built once per field; an FpElement is never mutated.
     @cached_property

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from ariki_koike.algebra import ArikiKoikeAlgebra, random_element
-from ariki_koike.fields import Params, PrimeField, Rationals, SizeGuardError
+from ariki_koike.fields import FpElement, Params, PrimeField, Rationals, SizeGuardError
 from ariki_koike.linalg import rank
 from ariki_koike.perms import all_permutations, identity, s_interval
 from ariki_koike.tableaux import (
@@ -169,11 +170,18 @@ def test_associativity_random():
         assert (a * b) * c == a * (b * c)
 
 
-@pytest.mark.parametrize("n,r,field,Q", [(2, 3, Rationals(), (1, 5, 7)), (3, 2, PrimeField(5), (1, 3))])
-def test_two_step_fold_matches_generator_fold(n, r, field, Q):
+@pytest.mark.parametrize("n,r,field,q,Q", [
+    pytest.param(2, 3, Rationals(), 2, (1, 5, 7), id="2-3-field0-Q0"),
+    pytest.param(3, 2, PrimeField(5), 2, (1, 3), id="3-2-field1-Q1"),
+    # denominators 2, 3 and 6 meet in one product, so the fold rescales its
+    # running denominator to their lcm
+    pytest.param(2, 3, Rationals(), Fraction(2, 3), (Fraction(1, 3), Fraction(5, 2), -4),
+                 id="2-3-Q-fractional"),
+])
+def test_two_step_fold_matches_generator_fold(n, r, field, q, Q):
     # m1 * m2 by the engine against m1 * T_{g_1} * ... * T_{g_k} * q^{-e}, with
     # q^{-e} T_{g_1} ... T_{g_k} = m2 the generator word of m2 (T_0 = L_1)
-    alg = make(n=n, r=r, Q=Q, field=field)
+    alg = make(n=n, r=r, q=q, Q=Q, field=field)
     gens = [alg.gen_T(g) for g in range(n)]
     for m1 in alg.basis():
         left = alg.element({m1: field.one})
@@ -183,6 +191,29 @@ def test_two_step_fold_matches_generator_fold(n, r, field, Q):
             for g in word:
                 expected = expected * gens[g]
             assert left * alg.element({m2: field.one}) == expected.scale(alg.params.q_power(-e))
+
+
+@pytest.mark.parametrize("field,q,Q", [
+    (Rationals(), Fraction(2, 3), (Fraction(1, 3), Fraction(5, 2))),
+    (PrimeField(5), 2, (1, 2)),  # q-connected: Q_2 = q Q_1
+], ids=["Q", "GF5"])
+def test_engine_hands_back_canonical_field_values(field, q, Q):
+    # the engine adds plain ints; what leaves it must be field values again
+    alg = make(n=3, r=2, q=q, Q=Q, field=field)
+
+    def canonical(c):
+        if isinstance(field, Rationals):
+            return type(c) is Fraction and gcd(c.numerator, c.denominator) == 1
+        return type(c) is FpElement and c.p == field.p and 0 <= c.val < c.p
+
+    rng = random.Random(11)
+    for _ in range(8):
+        a, b = random_element(alg, rng, nterms=6), random_element(alg, rng, nterms=6)
+        for product in (a * b, a.star()):
+            assert product.terms and all(canonical(c) and c for c in product.terms.values())
+        matrix = alg.left_mult_matrix(a)
+        assert all(canonical(c) for row in matrix for c in row)
+        assert any(c for row in matrix for c in row)
 
 
 def test_u_elements():

@@ -65,6 +65,19 @@ def test_verify_gate_exit_2(capsys):
     assert out.strip() == ""  # no identity failures are reported
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "relations", "--n", "1", "--r", "2", "--q", "x", "--Q", "1,2"],
+    ["verify", "--suite", "relations", "--n", "1", "--r", "2", "--q", "1/0", "--Q", "1,2"],
+    ["verify", "--suite", "relations", "--n", "1", "--r", "2", "--field", "GF(5)", "--q", "2",
+     "--Q", "1/5,2"],
+], ids=["malformed", "zero-denominator", "denominator-divisible-by-p"])
+def test_unparsable_parameter_value_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("ariki-koike: error: ")
+
+
 def test_verify_size_guard_exit_3(capsys):
     code, _, err = run_cli(
         ["verify", "--suite", "relations", "--n", "5", "--r", "2"], capsys

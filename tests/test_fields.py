@@ -148,8 +148,35 @@ def test_params_file_rational_values():
 
 
 def test_field_constants_are_shared():
-    # the product engine skips multiplying by the very object `one`
+    # Fractions and FpElements are immutable, so each field builds its constants once
     assert Rationals().one is Rationals().one and Rationals().zero is Rationals().zero
     gf5 = PrimeField(5)
     assert gf5.one is gf5.one and gf5.zero is gf5.zero
     assert gf5.one == 1 and gf5.zero == 0 and gf5 == PrimeField(5)
+
+
+def test_int_form_round_trip():
+    Q = Rationals()
+    terms = {"a": Fraction(1, 2), "b": Fraction(-2, 3), "c": Fraction(3)}
+    den, ints = Q.to_ints(terms)
+    assert den == 6 and ints == {"a": 3, "b": -4, "c": 18}
+    assert Q.from_ints(den, ints) == terms
+    # back in lowest terms, zeros dropped
+    out = Q.from_ints(4, {"a": 2, "b": 0, "c": -8})
+    assert out == {"a": Fraction(1, 2), "c": Fraction(-2)}
+    assert all(type(v) is Fraction for v in out.values())
+    gf5 = PrimeField(5)
+    assert gf5.to_ints({"a": gf5(3), "b": gf5(4)}) == (1, {"a": 3, "b": 4})
+    # reduced once on the way out: 12 = 2, 10 = 0 (dropped), -1 = 4, 1/3 = 2
+    assert gf5.from_ints(1, {"a": 12, "b": 10, "c": -1}) == {"a": gf5(2), "c": gf5(4)}
+    assert gf5.from_ints(3, {"a": 1}) == {"a": gf5(2)}
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        Rationals()("1/0")
+    with pytest.raises(ValueError, match="divisible by 5"):
+        PrimeField(5)("1/5")
+    with pytest.raises(ValueError, match="divisible by 5"):
+        PrimeField(5)(Fraction(2, 15))
+    assert PrimeField(5)("1/3") == FpElement(2, 5)

@@ -45,6 +45,15 @@ GOLDEN = {
         ["gram", "--n", "2", "--r", "2", "--Q", "1,5"],
         "e09577791ff941cac4f9561a4d9d807effbf514ef252800150b0e68b41270092",
     ),
+    # fractional q and Q: the product engine works over denominators other than powers of q
+    "verify-all-Q-fractional": (
+        ["verify", "--suite", "all", *SPLIT, "--q", "3/2", "--Q", "1/3,5/2"],
+        "b003ba59dfbfcebb6e2e1b5108011d25808689ce2cfaf92677c9c9e7951bae83",
+    ),
+    "gram-Q-fractional": (
+        ["gram", "--n", "2", "--r", "2", "--q", "2/3", "--Q", "1/3,5/2"],
+        "f4c298572be7de896d130de57955c24659501dc6ecccb888139f2f339f99a0de",
+    ),
 }
 
 
