@@ -39,7 +39,3 @@ for lam in multipartitions(2, 2):
                 res = tableau_residue(s, k, params)
                 assert diag == res
     print(f"  shape {lam.serialize()}: diagonal coefficients match the residues")
-
-print("\n== TSV dump of the transition matrix (first lines) ==")
-for line in trans.to_tsv().splitlines()[:3]:
-    print("  " + (line[:100] + ("..." if len(line) > 100 else "")))

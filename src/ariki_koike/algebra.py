@@ -712,18 +712,6 @@ class TransitionMatrix:
             out = out + alg.m_st(s, t).scale(c)
         return out
 
-    def to_tsv(self) -> str:
-        """TSV dump; header rows name both bases."""
-        header1 = "monomial\\cell\t" + "\t".join(
-            f"{lam.serialize()}|{s.serialize()}|{t.serialize()}" for (lam, s, t) in self.cells
-        )
-        lines = [header1]
-        for i, mono in enumerate(self.monomials):
-            d, w = mono
-            name = "L^" + ",".join(str(x) for x in d) + "|T" + ",".join(str(x) for x in w.images)
-            lines.append(name + "\t" + "\t".join(str(x) for x in self.matrix[i]))
-        return "\n".join(lines)
-
 
 def random_element(alg: ArikiKoikeAlgebra, rng, nterms: int = 4, coeff_range: int = 9) -> Element:
     """A reproducible sparse random element (for property tests)."""

@@ -7,9 +7,12 @@ Subcommands:
 * ``gram``      -- Gram matrices of all cell modules, as TSV;
 * ``decomp``    -- the decomposition matrix over a prime field, as TSV.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 a hypothesis gate
-refused the run, 3 the instance exceeds the size guards, 4 an internal
-error (a failed computation or any other exception, reported in one line).
+Exit codes: 0 all checks pass, 1 a check failed, 2 a usage error or a
+hypothesis gate that refused the run (the two share this code; usage
+errors are malformed or unknown flags, unparsable values such as ``--q x``
+or ``--q 1/0``, and ``--b`` out of range), 3 the instance exceeds the size
+guards, 4 an internal error (a failed computation or any other exception,
+reported in one line).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ EXIT_INTERNAL = 4
 
 DEFAULT_Q_LIST = ["1", "5", "7", "11", "13", "17", "19"]
 SUITES = ("relations", "cellular", "specht", "morita", "schur", "all")
+FORMATS = ("json", "text")
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
@@ -56,8 +60,9 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--field", type=str, default=None, help='coefficient field: "Q" or "GF(p)"')
     p.add_argument("--params", type=str, default=None, help="key=value parameter file")
     p.add_argument("--out", type=str, default=None, help="write output to a file")
-    p.add_argument("--format", type=str, default=None, choices=("json", "text", "tsv"))
-    p.add_argument("--seed", type=int, default=2024, help="seed for randomized spot checks")
+
+
+def _add_max_dim_flag(p: argparse.ArgumentParser):
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, dest="max_dim",
                    help="override the dimension guard")
 
@@ -143,7 +148,7 @@ def cmd_enumerate(args) -> int:
                 f"level b={b}: {{{', '.join(l.serialize() for l in level)}}}"
                 f"  above: {{{', '.join(l.serialize() for l in above)}}}"
             )
-    if (args.format or "text") == "json":
+    if args.format == "json":
         payload = {"n": params.n, "r": params.r, "multipartitions": entries}
         if split is not None:
             payload["levels"] = split
@@ -191,8 +196,7 @@ def cmd_verify(args) -> int:
                 "hypothesis of the splitting theorems)"
             )
     results = run_suites(alg, args.suite, args.seed, only_b=args.b)
-    fmt = args.format or "json"
-    _emit(render_json(results) if fmt == "json" else render_text(results), args.out)
+    _emit(render_json(results) if args.format == "json" else render_text(results), args.out)
     return EXIT_PASS if all_ok(results) else EXIT_FAIL
 
 
@@ -225,11 +229,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list multipartitions, counts, levels")
     _add_param_flags(p_enum)
+    p_enum.add_argument("--format", type=str, default="text", choices=FORMATS)
     p_enum.add_argument("--b", type=int, default=None, help="restrict to one level")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     _add_param_flags(p_verify)
+    _add_max_dim_flag(p_verify)
+    p_verify.add_argument("--format", type=str, default="json", choices=FORMATS)
+    p_verify.add_argument("--seed", type=int, default=2024, help="seed for randomized spot checks")
     p_verify.add_argument("--suite", type=str, default="all", choices=SUITES)
     p_verify.add_argument("--b", type=int, default=None,
                           help="restrict the Morita suite to one level")
@@ -237,10 +245,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_gram = sub.add_parser("gram", help="emit all Gram matrices as TSV")
     _add_param_flags(p_gram)
+    _add_max_dim_flag(p_gram)
     p_gram.set_defaults(func=cmd_gram)
 
     p_dec = sub.add_parser("decomp", help="emit the decomposition matrix as TSV")
     _add_param_flags(p_dec)
+    _add_max_dim_flag(p_dec)
     p_dec.set_defaults(func=cmd_decomp)
     return parser
 

@@ -14,7 +14,9 @@ quotient actions) and the Morita checks against the row space of v_b keep
 an `Echelon` and reduce against it.  The reduced echelon form of a row
 space is unique, so results (nullspace and row-space bases, the solution
 with free variables 0, a spun submodule) do not depend on row order or on
-how the kernel stores its rows.
+how the kernel stores its rows.  `solve` and `in_row_space` take every
+right-hand side (or vector) at once and eliminate their matrix once, and
+`inverse` is `solve` against the identity.
 """
 
 from __future__ import annotations
@@ -220,37 +222,45 @@ def nullspace(m: Sequence[Sequence], field) -> list[list]:
     return basis
 
 
-def solve(m: Sequence[Sequence], b: Sequence, field) -> list | None:
-    """One solution x of m x = b (free variables 0), or None if inconsistent."""
+def solve(m: Sequence[Sequence], rhs: Sequence[Sequence], field) -> list[list | None]:
+    """For each right-hand side b of rhs, one solution x of m x = b (free
+    variables 0), or None if m x = b is inconsistent.
+
+    One elimination serves every right-hand side: b_j is augmented as column
+    n_cols + j, and b_j is inconsistent exactly when a stored row with its
+    pivot at or after column n_cols is nonzero in that column.
+    """
     if not m:
-        return [] if not any(b) else None
+        return [[] if not any(b) else None for b in rhs]
     n_cols = len(m[0])
     ech = Echelon()
-    for row, bv in zip(m, b):
+    for row, *b in zip(m, *rhs):
         row = sparse(row)
-        if bv:
-            row[n_cols] = bv
+        for j, x in enumerate(b):
+            if x:
+                row[n_cols + j] = x
         ech.add(row)
-    if n_cols in ech.rows:
-        return None
-    x = zero_vector(n_cols, field)
+    inconsistent = set()
     for pc, row in ech.rows.items():
-        c = row.get(n_cols)
-        if c is not None:
-            x[pc] = c
-    return x
+        if pc >= n_cols:
+            inconsistent.update(row)
+    xs = [None if n_cols + j in inconsistent else zero_vector(n_cols, field)
+          for j in range(len(rhs))]
+    for pc, row in ech.rows.items():
+        if pc < n_cols:
+            for col, c in row.items():
+                if col >= n_cols and (x := xs[col - n_cols]) is not None:
+                    x[pc] = c
+    return xs
 
 
 def inverse(m: Sequence[Sequence], field) -> list[list]:
-    """The inverse of a square matrix; raises ValueError if singular."""
-    n = len(m)
-    ech = Echelon()
-    for i, row in enumerate(m):
-        row = sparse(row)
-        row[n + i] = field.one
-        if ech.add(row)[0] >= n:
-            raise ValueError("matrix is singular")
-    return [row[n:] for row in dense_rows(ech, 2 * n)]
+    """The inverse of a square matrix, solved against the identity; raises
+    ValueError if singular."""
+    cols = solve(m, identity_matrix(len(m), field), field)
+    if any(x is None for x in cols):
+        raise ValueError("matrix is singular")
+    return transpose(cols)
 
 
 def determinant(m: Sequence[Sequence], field):
@@ -278,6 +288,7 @@ def row_space_basis(m: Sequence[Sequence]) -> list[list]:
     return dense_rows(echelon(m), n_cols)
 
 
-def in_row_space(basis: list[list], v: Sequence) -> bool:
-    """Whether v lies in the row space of `basis`."""
-    return not echelon(basis).reduce(sparse(v))
+def in_row_space(basis: Sequence[Sequence], vectors: Sequence[Sequence]) -> list[bool]:
+    """For each vector, whether it lies in the row space of `basis`."""
+    ech = echelon(basis)
+    return [not ech.reduce(sparse(v)) for v in vectors]

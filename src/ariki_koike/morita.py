@@ -229,25 +229,21 @@ class MoritaSuite:
     def _preimages(self, b: int) -> list[list | None]:
         """For each v-basis element v, the solution h of v_b h = v (None if there is none)."""
         alg = self.alg
-        return alg.derived(("v_preimages", b), lambda: [
-            solve(self._vb_left_mult(b), alg.vec(e), self.field) for e in self.v_basis(b).elements])
+        return alg.derived(("v_preimages", b), lambda: solve(
+            self._vb_left_mult(b), [alg.vec(e) for e in self.v_basis(b).elements], self.field))
 
     def v_action(self, b: int) -> list[list[list]]:
         """Right action matrices of the generators on the v-basis of V^b."""
         return self.alg.derived(("v_action", b), lambda: self._build_v_action(b))
 
     def _build_v_action(self, b: int) -> list[list[list]]:
-        alg, vmat = self.alg, self._vmatrix(b)
-        mats = []
-        for g in range(self.n):
-            rows = []
-            for e in self.v_basis(b).elements:
-                coords = solve(vmat, alg.vec(e * alg.gen_T(g)), self.field)
-                if coords is None:
-                    raise ComputationError("V^b is not stable under a generator")
-                rows.append(coords)
-            mats.append(rows)
-        return mats
+        alg, elements = self.alg, self.v_basis(b).elements
+        coords = solve(self._vmatrix(b), [
+            alg.vec(e * alg.gen_T(g)) for g in range(self.n) for e in elements], self.field)
+        if any(x is None for x in coords):
+            raise ComputationError("V^b is not stable under a generator")
+        k = len(elements)
+        return [coords[g * k:(g + 1) * k] for g in range(self.n)]
 
     def expected_rank(self, b: int) -> int:
         s, r, n = self.s, self.params.r, self.n
@@ -528,8 +524,8 @@ class MoritaSuite:
                 failures.append(f"map for a pair at {lam.serialize()} is ill-defined")
                 continue
             mat = []
-            for x in preimages:
-                coords = solve(vmat, mat_vec(L_vst, x, self.field), self.field)
+            for coords in solve(vmat, [mat_vec(L_vst, x, self.field) for x in preimages],
+                                self.field):
                 if coords is None:
                     failures.append("endomorphism image left V^b")
                     coords = [self.field.zero] * len(vb.entries)
@@ -582,7 +578,7 @@ class MoritaSuite:
             if any(row) or target[out_coord]:
                 rows.append(row)
                 rhs.append(target[out_coord])
-        z = solve(rows, rhs, self.field)
+        z, = solve(rows, [rhs], self.field)
         if z is None:
             raise ComputationError("no right inverse of theta_b exists (split failed)")
         y0 = alg.zero()

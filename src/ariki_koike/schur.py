@@ -97,19 +97,13 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
             for T in t_count:
                 members.append(alg.m_semi2(S, T))
 
-    sol_rows = mat_mul(sols, mu_basis, field)
-    sol_echelon = row_space_basis(sol_rows) if sol_rows else []
-    members_inside = all(
-        in_row_space(sol_echelon, alg.vec(m)) if sol_echelon else m.is_zero()
-        for m in members
-    )
     member_rows = [alg.vec(m) for m in members]
-    members_rank = rank(member_rows) if member_rows else 0
+    members_inside = all(in_row_space(mat_mul(sols, mu_basis, field), member_rows))
     return {
         "dim": solved_dim,
         "expected": expected,
         "members_inside": members_inside,
-        "members_independent": members_rank == expected,
+        "members_independent": rank(member_rows) == expected,
     }
 
 

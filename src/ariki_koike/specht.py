@@ -117,11 +117,6 @@ def _gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> list[list]:
     return g
 
 
-def dim_simple(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> int:
-    """dim D^lam = rank of the Gram matrix (0 means the simple vanishes)."""
-    return rank(gram_matrix(alg, lam))
-
-
 def block_partition(params: Params) -> list[list[MultiPartition]]:
     """Group multipartitions by content multiset (a block invariant).
 

@@ -97,17 +97,6 @@ class MultiPartition(MultiComposition):
             raise ValueError(f"components {self.components} are not partitions")
 
 
-def parse_multicomposition(text: str) -> MultiComposition:
-    """Inverse of `serialize`; accepts [[2],[1,1]] style nested lists."""
-    import ast
-
-    data = ast.literal_eval(text)
-    if not isinstance(data, (list, tuple)):
-        raise ValueError(f"bad multicomposition literal {text!r}")
-    mc = MultiComposition([list(c) for c in data])
-    return MultiPartition(mc.components) if mc.is_partition() else mc
-
-
 def bar(mu: MultiComposition) -> MultiPartition:
     """Sort each component into weakly decreasing order."""
     return MultiPartition(tuple(tuple(sorted(c, reverse=True)) for c in mu.components))

@@ -383,15 +383,6 @@ def test_empty_algebra():
     assert alg.basis() == [((), identity(0))]
 
 
-def test_transition_tsv_dump():
-    alg = make(n=1)
-    tsv = alg.transition().to_tsv()
-    lines = tsv.splitlines()
-    assert lines[0].startswith("monomial\\cell\t")
-    assert len(lines) == 1 + alg.dim
-    assert all(len(line.split("\t")) == 1 + alg.dim for line in lines)
-
-
 def test_cellular_suite_n3():
     # layer-ideal stability and triangularity at the n = 3 desk bound
     from ariki_koike.suites import cellular_suite

@@ -372,3 +372,38 @@ def test_each_algebra_is_freed_by_reference_counting(argv, monkeypatch, capsys):
             gc.enable()
     assert code == 0 and built
     assert not alive, f"{len(alive)} of {len(built)} algebras outlive the command"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--n", "2", "--r", "2", "--format", "json"],
+    ["decomp", "--n", "2", "--r", "2", "--field", "GF(5)", "--seed", "3"],
+    ["verify", "--suite", "relations", "--n", "2", "--r", "2", "--format", "tsv"],
+    ["enumerate", "--n", "2", "--r", "2", "--max-dim", "10"],
+], ids=["gram-format", "decomp-seed", "verify-format-tsv", "enumerate-max-dim"])
+def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("ariki-koike") and ": error: " in last
+
+
+def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, capsys):
+    from ariki_koike import morita
+
+    calls = []
+    solve = morita.solve
+
+    def counting(m, rhs, field):
+        calls.append(len(rhs))
+        return solve(m, rhs, field)
+
+    monkeypatch.setattr(morita, "solve", counting)
+    code, _, _ = run_cli(
+        ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
+         "--q", "2", "--Q", "1,5,7"], capsys
+    )
+    assert code == 0
+    # per level b = 0, 1, 2: the preimages, the action and the complement once
+    # each, plus one call per split pair (12 in all)
+    assert len(calls) == 3 + 3 + 12 + 3

@@ -106,9 +106,9 @@ def test_reduce_by_echelon_and_membership(field):
     outsider = lift(field, [[0, 1, 0, 0]])[0]
     near = lift(field, [[1, 3, 1, 1]])[0]
     for spanning in (basis, rows):
-        assert in_row_space(spanning, member)
-        assert not in_row_space(spanning, outsider)
-        assert not in_row_space(spanning, near)
+        assert in_row_space(spanning, [member]) == [True]
+        assert in_row_space(spanning, [outsider]) == [False]
+        assert in_row_space(spanning, [near]) == [False]
     ech = echelon(rows)
     assert sorted(ech.rows) == [0, 2]
     assert ech.reduce(sparse(member)) == {}
@@ -127,9 +127,9 @@ def test_reduce_by_echelon_copies_its_input():
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_solve_consistent_and_inconsistent(field):
     m = lift(field, [[1, 1], [2, 2]])
-    x = solve(m, lift(field, [[3, 6]])[0], field)
+    x, = solve(m, [lift(field, [[3, 6]])[0]], field)
     assert x is not None and mat_vec(m, x, field) == lift(field, [[3, 6]])[0]
-    assert solve(m, lift(field, [[1, 3]])[0], field) is None
+    assert solve(m, [lift(field, [[1, 3]])[0]], field) == [None]
 
 
 # -- the elimination kernel against a textbook dense Gauss-Jordan ---------------
@@ -251,11 +251,49 @@ def test_kernel_solve_matches_reference(field):
         consistent = mat_vec(m, [field(rng.randint(-3, 3)) for _ in m[0]], field)
         arbitrary = [field(rng.randint(-3, 3)) for _ in m]
         for b in (consistent, arbitrary):
-            x = solve(m, b, field)
+            x, = solve(m, [b], field)
             assert x == reference_solve(m, b, field)
             if x is not None:
                 assert mat_vec(m, x, field) == b
-        assert solve(m, consistent, field) is not None
+        assert solve(m, [consistent], field)[0] is not None
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_multi_rhs_solve_matches_reference(field):
+    rng = random.Random(f"multi:{field}")
+    for m in kernel_cases(field):
+        rhs = []
+        for _ in range(4):
+            rhs.append(mat_vec(m, [field(rng.randint(-3, 3)) for _ in m[0]], field))
+            rhs.append([field(rng.randint(-3, 3)) for _ in m])
+        rhs.append([field.zero] * len(m))
+        assert solve(m, rhs, field) == [reference_solve(m, b, field) for b in rhs]
+        assert solve(m, [], field) == []
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_multi_rhs_solve_separates_a_shared_dependent_row(field):
+    # row 1 is twice row 0: b is consistent iff b_1 = 2 b_0, whatever b_2 is
+    m = lift(field, [[1, 2, 0], [2, 4, 0], [0, 1, 1]])
+    good, bad = lift(field, [[1, 2, 5], [1, 3, 5]])
+    for rhs in ([good, bad], [bad, good], [bad, good, good, bad]):
+        out = solve(m, rhs, field)
+        assert out == [reference_solve(m, b, field) for b in rhs]
+        assert [x is None for x in out] == [b is bad for b in rhs]
+    x, = solve(m, [good], field)
+    assert mat_vec(m, x, field) == good
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_batched_in_row_space_matches_per_vector(field):
+    rng = random.Random(f"members:{field}")
+    for m in kernel_cases(field):
+        members = [vec_mat([field(rng.randint(-2, 2)) for _ in m], m, field) for _ in range(3)]
+        others = [[field(rng.randint(-2, 2)) for _ in m[0]] for _ in range(3)]
+        vectors = members + others
+        assert in_row_space(m, vectors) == [rank(m + [v]) == rank(m) for v in vectors]
+        assert in_row_space(m, members) == [True] * 3
+        assert in_row_space(m, []) == []
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
@@ -280,7 +318,7 @@ def test_kernel_inverse_and_determinant(field):
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_kernel_edge_cases(field):
     assert rank([]) == 0 and row_space_basis([]) == [] and nullspace([], field) == []
-    assert solve([], [], field) == [] and solve([], [field.one], field) is None
+    assert solve([], [[]], field) == [[]] and solve([], [[field.one]], field) == [None]
     assert inverse([], field) == [] and determinant([], field) == field.one
     empty = []
     assert row_echelon(empty) == [] and empty == []
@@ -289,7 +327,7 @@ def test_kernel_edge_cases(field):
     assert nullspace(zero, field) == identity_matrix(3, field)
     # inconsistent: x + y = 1 and 2x + 2y = 3
     m = lift(field, [[1, 1], [2, 2]])
-    assert solve(m, lift(field, [[1, 3]])[0], field) is None
+    assert solve(m, [lift(field, [[1, 3]])[0]], field) == [None]
     singular = lift(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert determinant(singular, field) == field.zero
     with pytest.raises(ValueError):

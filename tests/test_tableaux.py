@@ -23,7 +23,6 @@ from ariki_koike.tableaux import (
     pair_join,
     pair_split,
     pair_key,
-    parse_multicomposition,
     residue,
     semistandard,
     std_filtered,
@@ -102,11 +101,6 @@ def test_enumeration_order_dominant_first():
 def test_canonical_form_strips_trailing_zeros():
     assert MultiComposition([[2, 0], [0]]) == MultiComposition([[2], []])
     assert MultiComposition([[2, 0], [0]]).r == 2
-
-
-def test_serialize_roundtrip():
-    lam = MultiPartition([[3, 1], [1, 1], [2, 1]])
-    assert parse_multicomposition(lam.serialize()) == lam
 
 
 def test_std_matches_brute_force():
