@@ -7,6 +7,11 @@ Subcommands:
 * ``gram``      -- Gram matrices of all cell modules, as TSV;
 * ``decomp``    -- the decomposition matrix over a prime field, as TSV.
 
+What ``verify`` can run is one table, ``SUITES``: each suite in run order,
+with whether the f_s(q,Q) gate guards it and how to run it on the run's
+algebra, seed and ``--b``.  ``--suite all`` runs every entry; the gate is
+checked once, before any suite runs.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 a usage error or a
 hypothesis gate that refused the run (the two share this code; usage
 errors are malformed or unknown flags, unparsable values such as ``--q x``
@@ -34,7 +39,7 @@ from .fields import (
     parse_params_file,
 )
 from .morita import MoritaSuite
-from .report import CheckResult, all_ok, render_json, render_text
+from .report import all_ok, render_json, render_text
 from .schur import schur_suite
 from .specht import decomposition_matrix, decomposition_to_tsv, gram_matrix, gram_to_tsv
 from .suites import cellular_suite, relations_suite, specht_suite
@@ -47,7 +52,15 @@ EXIT_SIZE = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_Q_LIST = ["1", "5", "7", "11", "13", "17", "19"]
-SUITES = ("relations", "cellular", "specht", "morita", "schur", "all")
+# The suites in run order: name -> (guarded by the f_s(q,Q) gate,
+# run(algebra, seed, b) -> rows; b restricts the Morita battery to one level).
+SUITES = {
+    "relations": (False, lambda alg, seed, b: relations_suite(alg, seed=seed)),
+    "cellular": (False, lambda alg, seed, b: cellular_suite(alg, seed=seed)),
+    "specht": (False, lambda alg, seed, b: specht_suite(alg)),
+    "morita": (True, lambda alg, seed, b: MoritaSuite(alg).run_all(b)),
+    "schur": (True, lambda alg, seed, b: schur_suite(alg)),
+}
 FORMATS = ("json", "text")
 
 
@@ -69,8 +82,12 @@ def _add_max_dim_flag(p: argparse.ArgumentParser):
 
 def build_params(args) -> Params:
     if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            base = parse_params_file(fh.read(), n_override=args.n)
+        try:
+            with open(args.params, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read parameter file {args.params}: {exc.strerror}") from exc
+        base = parse_params_file(text, n_override=args.n)
         field = parse_field(args.field) if args.field else base.field
         r = args.r if args.r is not None else base.r
         q = field(args.q) if args.q else field(str(base.q))
@@ -158,26 +175,6 @@ def cmd_enumerate(args) -> int:
     return EXIT_PASS
 
 
-def run_suites(alg: ArikiKoikeAlgebra, suite: str, seed: int,
-               only_b: int | None = None) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    if suite in ("relations", "all"):
-        out += relations_suite(alg, seed=seed)
-    if suite in ("cellular", "all"):
-        out += cellular_suite(alg, seed=seed)
-    if suite in ("specht", "all"):
-        out += specht_suite(alg)
-    if suite in ("morita", "all"):
-        ms = MoritaSuite(alg)
-        if only_b is not None:
-            out += ms.level_checks([only_b])
-        else:
-            out += ms.run_all()
-    if suite in ("schur", "all"):
-        out += schur_suite(alg)
-    return out
-
-
 def cmd_verify(args) -> int:
     n = build_params(args).n
     if args.b is not None and not 0 <= args.b <= n:
@@ -185,17 +182,17 @@ def cmd_verify(args) -> int:
         raise ValueError(f"b={args.b} out of range 0..{n}")
     alg = build_algebra(args)
     params = alg.params
-    if args.suite in ("morita", "schur", "all"):
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    if any(SUITES[name][0] for name in names):
         # fail fast on the hypothesis gate, before any check runs
         s = params.require_split()
-        fs = f_s_value(params)
-        if not fs:
+        if not f_s_value(params):
             raise GateError(
                 "refusing the Morita/Schur suites: the separation product "
                 f"f_s(q,Q) vanishes for s={s} (its invertibility is the "
                 "hypothesis of the splitting theorems)"
             )
-    results = run_suites(alg, args.suite, args.seed, only_b=args.b)
+    results = [row for name in names for row in SUITES[name][1](alg, args.seed, args.b)]
     _emit(render_json(results) if args.format == "json" else render_text(results), args.out)
     return EXIT_PASS if all_ok(results) else EXIT_FAIL
 
@@ -238,7 +235,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_max_dim_flag(p_verify)
     p_verify.add_argument("--format", type=str, default="json", choices=FORMATS)
     p_verify.add_argument("--seed", type=int, default=2024, help="seed for randomized spot checks")
-    p_verify.add_argument("--suite", type=str, default="all", choices=SUITES)
+    p_verify.add_argument("--suite", type=str, default="all", choices=(*SUITES, "all"))
     p_verify.add_argument("--b", type=int, default=None,
                           help="restrict the Morita suite to one level")
     p_verify.set_defaults(func=cmd_verify)

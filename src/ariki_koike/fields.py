@@ -420,6 +420,8 @@ def parse_params_file(text: str, n_override: int | None = None) -> Params:
         raise ValueError("parameter file is missing Q")
     q_list = [x.strip() for x in data["Q"].split(",") if x.strip()]
     r = int(data["r"]) if "r" in data else len(q_list)
+    if n_override is None and "n" not in data:
+        raise ValueError("parameter file is missing n")
     n = n_override if n_override is not None else int(data["n"])
     s = int(data["s"]) if "s" in data else None
     return Params(

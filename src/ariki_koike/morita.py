@@ -17,6 +17,10 @@ f_s(q, Q): the statements are simply false without it, so when it vanishes
 `MoritaSuite` refuses to run and raises `GateError` (the CLI maps this to
 exit code 2).  The two unconditional identity families (the intertwining and
 annihilation laws) are callable without the gate.
+
+`MoritaSuite.run_all()` is the one entry point to the battery: the rank count,
+the per-level checks at every level b, then the checks across levels.
+`run_all(b)` is the rank count and the per-level checks at level b alone.
 """
 
 from __future__ import annotations
@@ -943,10 +947,17 @@ class MoritaSuite:
 
     # -- the full suite -------------------------------------------------------------
 
-    def level_checks(self, levels) -> list[CheckResult]:
-        """The rank count, then every per-level statement at each level b in `levels`."""
+    def run_all(self, b: int | None = None) -> list[CheckResult]:
+        """The rank count, then every per-level statement at each level b.
+
+        Given b, only that level; otherwise every level, followed by the Hom
+        vanishing between levels, the regular decomposition and the
+        factorization.
+        """
+        if not self.fs:
+            raise GateError(GATE_MESSAGE)
         out = self.verify_counting()
-        for b in levels:
+        for level in range(self.n + 1) if b is None else [b]:
             for check in (
                 self.verify_intertwining, self.verify_annihilation,
                 self.verify_kernel_vanishing, self.verify_leading_terms,
@@ -954,18 +965,11 @@ class MoritaSuite:
                 self.verify_theta_map, self.verify_bimodule, self.verify_faithfulness,
                 self.verify_free_decomposition, self.verify_pair_bijection,
             ):
-                out += check(b)
-        return out
-
-    def run_all(self) -> list[CheckResult]:
-        if not self.fs:
-            raise GateError(GATE_MESSAGE)
-        out = self.level_checks(range(self.n + 1))
-        for b in range(self.n + 1):
-            for c in range(self.n + 1):
-                if b != c:
-                    out += self.verify_hom_vanishing(b, c)
+                out += check(level)
+        if b is not None:
+            return out
+        for b, c in itertools.permutations(range(self.n + 1), 2):
+            out += self.verify_hom_vanishing(b, c)
         out += self.verify_regular_decomposition()
         out += self.verify_factorization()
         return out
-

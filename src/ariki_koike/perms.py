@@ -229,10 +229,6 @@ def shift_perm(x: Permutation, offset: int, n: int) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _sorted_perms(n: int) -> tuple[Permutation, ...]:
-    return tuple(sorted(all_permutations(n)))
-
-
 def sorted_permutations(n: int) -> tuple[Permutation, ...]:
     """All of S_n sorted by one-line notation (the canonical listing)."""
-    return _sorted_perms(n)
+    return tuple(sorted(all_permutations(n)))

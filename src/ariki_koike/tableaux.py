@@ -136,19 +136,18 @@ def _weak_compositions(m: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def dominance_key(mu: MultiComposition, depth: int | None = None) -> tuple:
+def dominance_key(mu: MultiComposition) -> tuple:
     """The vector of cumulative sums that defines the dominance order.
 
     Entry (c, i) is |mu^(1)| + ... + |mu^(c-1)| + mu^(c)_1 + ... + mu^(c)_i,
-    for i = 1..depth.  lam dominates mu iff its vector is >= pointwise.
+    for i = 1..n.  lam dominates mu iff its vector is >= pointwise.
     """
-    d = depth if depth is not None else mu.n
     key = []
     before = 0
     for comp in mu.components:
         acc = before
         row = 0
-        for i in range(1, d + 1):
+        for i in range(1, mu.n + 1):
             if row < len(comp):
                 acc += comp[row]
                 row += 1
@@ -273,10 +272,6 @@ class StandardTableau:
     @property
     def n(self) -> int:
         return self.shape.n
-
-    def entry(self, node: Node) -> int:
-        i, j, k = node
-        return self.rows[k - 1][i - 1][j - 1]
 
     def position_of(self, m: int) -> Node:
         for k, comp in enumerate(self.rows, start=1):
@@ -456,13 +451,6 @@ class SemistandardTableau:
         self.shape = shape
         self.mu = mu
         self.rows = tuple(tuple(tuple(tuple(e) for e in row) for row in comp) for comp in rows)
-
-    def entry(self, node: Node) -> Pair:
-        i, j, k = node
-        return self.rows[k - 1][i - 1][j - 1]
-
-    def entries(self) -> list[Pair]:
-        return [e for comp in self.rows for row in comp for e in row]
 
     def __eq__(self, other):
         return isinstance(other, SemistandardTableau) and self.rows == other.rows

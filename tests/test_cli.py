@@ -65,15 +65,21 @@ def test_verify_gate_exit_2(capsys):
     assert out.strip() == ""  # no identity failures are reported
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "relations", "--n", "1", "--r", "2", "--q", "x", "--Q", "1,2"],
-    ["verify", "--suite", "relations", "--n", "1", "--r", "2", "--q", "1/0", "--Q", "1,2"],
-    ["verify", "--suite", "relations", "--n", "1", "--r", "2", "--field", "GF(5)", "--q", "2",
-     "--Q", "1/5,2"],
-], ids=["malformed", "zero-denominator", "denominator-divisible-by-p"])
-def test_unparsable_parameter_value_exits_2(argv, capsys):
+@pytest.mark.parametrize("argv, params_text", [
+    (["verify", "--suite", "relations", "--n", "1", "--r", "2", "--q", "x", "--Q", "1,2"], None),
+    (["verify", "--suite", "relations", "--n", "1", "--r", "2", "--q", "1/0", "--Q", "1,2"], None),
+    (["verify", "--suite", "relations", "--n", "1", "--r", "2", "--field", "GF(5)", "--q", "2",
+      "--Q", "1/5,2"], None),
+    (["verify", "--suite", "relations", "--params", "PARAMS"], "q=2\nQ=1,5\nr=2\n"),
+    (["verify", "--suite", "relations", "--params", "PARAMS"], None),
+], ids=["malformed", "zero-denominator", "denominator-divisible-by-p", "params-file-without-n",
+        "missing-params-file"])
+def test_unparsable_parameter_value_exits_2(argv, params_text, tmp_path, capsys):
+    pfile = tmp_path / "params.txt"
+    if params_text is not None:
+        pfile.write_text(params_text)
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([str(pfile) if a == "PARAMS" else a for a in argv])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("ariki-koike: error: ")
 
@@ -156,6 +162,19 @@ def test_verify_all_at_n0(capsys):
     assert all(e["status"] == "pass" for e in entries)
     checks = {e["check"] for e in entries}
     assert {"specht.action_relations", "morita.rank_counting", "schur.dimension"} <= checks
+
+
+def test_verify_all_is_each_suite_once(capsys):
+    split = ["--n", "2", "--r", "2", "--s", "1", "--Q", "1,5"]
+    merged = []
+    for suite in ("relations", "cellular", "specht", "morita", "schur"):
+        code, out, _ = run_cli(["verify", "--suite", suite, *split], capsys)
+        assert code == 0
+        merged += json.loads(out)
+    code, out, _ = run_cli(["verify", "--suite", "all", *split], capsys)
+    assert code == 0
+    assert json.loads(out) == sorted(
+        merged, key=lambda e: (e["check"], json.dumps(e["params"], sort_keys=True)))
 
 
 def test_enumerate_json(capsys):

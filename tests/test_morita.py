@@ -195,7 +195,13 @@ def test_full_suite_three_parameters(s):
     # three cyclotomic parameters, both split points; s = 2 runs the battery
     # with a genuinely two-parameter left factor
     suite = MoritaSuite(ArikiKoikeAlgebra(Params(field=Rationals(), q=2, Q=(1, 5, 7), n=2, r=3, s=s)))
-    assert all_ok(suite.run_all())
+    full = suite.run_all()
+    assert all_ok(full)
+    # run_all(b) is the rank count, then exactly the rows the full battery has at level b
+    counting, = [row for row in full if row.check == "morita.rank_counting"]
+    for b in range(3):
+        level = [row for row in full if row.params.get("b") == b and "c" not in row.params]
+        assert suite.run_all(b) == [counting, *level]
 
 
 def test_factorization_dimension_identity(suite2):
