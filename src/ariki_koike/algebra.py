@@ -53,18 +53,28 @@ results with `from_ints`, which returns canonical Fractions, or FpElements
 reduced once mod p.  The rewriting rules themselves (Hecke products, T_x L^d,
 L_m^r) are derived in field values, once per key, and enter int form as they
 are cached.
+
+Inside the engine a monomial L^d T_w is one int, its code
+dindex(d) * n! + rank(w): its position in `basis()`, where rank(w) is w's
+position in `sorted_permutations(n)` (the identity is 0).  Every cache and
+accumulator is keyed on codes, and the rules are turned into codes as they
+are cached.  Codes are translated where field values are, in the three
+boundary methods above and `gen_L`.  Outside, terms stay keyed on
+(d, Permutation); a Permutation is the tuple of its images, so those keys
+hash and compare in C too.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
-from math import gcd
+from functools import cached_property
+from math import factorial, gcd
 from operator import add
 
 from .fields import Params, SizeGuardError
 from .linalg import inverse as mat_inverse, mat_vec, transpose
-from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab
+from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
     MultiComposition,
     MultiPartition,
@@ -75,7 +85,6 @@ from .tableaux import (
     multipartitions,
     std_tableaux,
 )
-from .perms import young_subgroup
 
 Monomial = tuple[tuple[int, ...], Permutation]
 
@@ -139,19 +148,16 @@ class Element:
         acc = [1, {}]
         zero_exp, e = (0,) * alg.n, identity(alg.n)
         for (d, w), c in ints.items():
-            alg._product_into(acc, 1, {(zero_exp, w.inverse()): 1}, den, {(d, e): c})
-        return Element(alg, alg.field.from_ints(*acc))
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, self.alg.field.zero)
+            alg._product_into(acc, 1, {alg.code(zero_exp, w.inverse()): 1}, den, {alg.code(d, e): c})
+        return Element(alg, alg._field_terms(acc))
 
     def support(self) -> list[Monomial]:
-        return sorted(self.terms, key=_mono_key)
+        return sorted(self.terms)
 
     def __repr__(self):
         if not self.terms:
             return "<0>"
-        return "<" + " + ".join(f"{c}*{_mono_str(m)}" for m, c in sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))) + ">"
+        return "<" + " + ".join(f"{c}*{_mono_str(m)}" for m, c in sorted(self.terms.items())) + ">"
 
     def serialize(self) -> str:
         """One term per line: ``coeff * L1^d1 ... Ln^dn * T[i1,...,in]``."""
@@ -159,7 +165,7 @@ class Element:
         for (d, w) in self.support():
             c = self.terms[(d, w)]
             lpart = " ".join(f"L{k}^{d[k - 1]}" for k in range(1, self.alg.n + 1)) or "1"
-            wpart = "T[" + ",".join(str(x) for x in w.images) + "]"
+            wpart = "T[" + ",".join(map(str, w)) + "]"
             lines.append(f"{c} * {lpart} * {wpart}")
         return "\n".join(lines)
 
@@ -181,15 +187,10 @@ def _accumulate(store: dict, key, value):
         del store[key]
 
 
-def _mono_key(mono: Monomial):
-    d, w = mono
-    return (d, w.images)
-
-
 def _mono_str(mono: Monomial) -> str:
     d, w = mono
     lpart = "".join(f"L{k}^{d[k-1]}" for k in range(1, len(d) + 1) if d[k - 1])
-    return (lpart or "1") + ("" if w.is_identity() else "T" + str(list(w.images)))
+    return (lpart or "1") + ("" if w.is_identity() else "T" + str(list(w)))
 
 
 class ArikiKoikeAlgebra:
@@ -203,15 +204,35 @@ class ArikiKoikeAlgebra:
         self.q = params.q
         self.Q = params.Q
         self.max_dim = max_dim
-        self._hecke_cache: dict[tuple[Permutation, Permutation], tuple[int, dict]] = {}
+        # monomial codes: L^d T_w is dindex(d) * n! + rank(w), its position in basis();
+        # the tables behind them are built on first use, so a refused size builds none
+        self._nperm, self._nexp = factorial(self.n), self.r ** self.n
+        # engine caches, keyed on codes and ranks: see the methods that fill them
+        self._hecke_cache: dict[int, tuple[int, dict]] = {}
         self._Lr_cache: dict[int, dict] = {}
-        self._normalL_cache: dict[tuple[tuple[int, ...], Permutation], tuple[int, dict]] = {}
-        self._TL_cache: dict[tuple[Permutation, tuple[int, ...]], tuple[int, dict]] = {}
-        self._L_step_cache: dict[tuple[Monomial, tuple[int, ...]], tuple[int, dict]] = {}
-        self._T_step_cache: dict[tuple[Monomial, Permutation], tuple[int, dict]] = {}
+        self._normalL_cache: dict[tuple[tuple[int, ...], int], tuple[int, dict]] = {}
+        self._TL_cache: dict[int, tuple[int, dict]] = {}
+        self._L_step_cache: dict[int, tuple[int, dict]] = {}
+        self._T_step_cache: dict[int, tuple[int, dict]] = {}
         self._pow_cache: dict[tuple[int, int], list] = {}
         self._derived: dict = {}
         self._qm1 = self.q - self.field.one
+
+    @cached_property
+    def _perms(self) -> tuple[Permutation, ...]:
+        return sorted_permutations(self.n)
+
+    @cached_property
+    def _rank(self) -> dict[Permutation, int]:
+        return {w: i for i, w in enumerate(self._perms)}
+
+    @cached_property
+    def _exps(self) -> list[tuple[int, ...]]:
+        return list(itertools.product(range(self.r), repeat=self.n))
+
+    @cached_property
+    def _dindex(self) -> dict[tuple[int, ...], int]:
+        return {d: i for i, d in enumerate(self._exps)}
 
     def derived(self, key, build):
         """Return `build()` for `key`, built on the first call and kept with the
@@ -252,7 +273,7 @@ class ArikiKoikeAlgebra:
         if not (1 <= k <= self.n):
             raise ValueError(f"L_{k} does not exist for n={self.n}")
         exp = tuple(1 if m == k else 0 for m in range(1, self.n + 1))
-        return self.element(self.field.from_ints(*self._normal_L(exp, identity(self.n))))
+        return self.element(self._field_terms(self._normal_L(exp, 0)))
 
     def t_elem(self, w: Permutation) -> Element:
         if w.n != self.n:
@@ -263,27 +284,21 @@ class ArikiKoikeAlgebra:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for k in range(1, self.n + 1):
-            out *= self.r * k
-        return out
+        return self._nexp * self._nperm
 
     def basis(self) -> list[Monomial]:
-        """All normal-form monomials, exponents-lex then permutation-lex."""
-        return self.derived("basis", lambda: sorted(
-            ((d, w) for d in itertools.product(range(self.r), repeat=self.n)
-             for w in sorted_permutations(self.n)),
-            key=_mono_key,
-        ))
+        """All normal-form monomials, exponents-lex then permutation-lex; the
+        monomial with code k is at position k."""
+        return self.derived("basis", lambda: [(d, w) for d in self._exps for w in self._perms])
 
-    def basis_index(self) -> dict[Monomial, int]:
-        return self.derived("basis_index", lambda: {m: i for i, m in enumerate(self.basis())})
+    def code(self, d: tuple[int, ...], w: Permutation) -> int:
+        """The code of L^d T_w: its position in basis()."""
+        return self._dindex[d] * self._nperm + self._rank[w]
 
     def vec(self, elem: Element) -> list:
-        idx = self.basis_index()
-        out = [self.field.zero] * len(idx)
-        for mono, c in elem.terms.items():
-            out[idx[mono]] = c
+        out = [self.field.zero] * self.dim
+        for (d, w), c in elem.terms.items():
+            out[self.code(d, w)] = c
         return out
 
     def from_vec(self, v) -> Element:
@@ -293,18 +308,20 @@ class ArikiKoikeAlgebra:
     def left_mult_matrix(self, elem: Element) -> list[list]:
         """Columns are vec(elem * mono) over the canonical basis.
 
-        The basis lists each exponent d with every T_w in a row, so elem L^d
-        is folded once per d and then times each T_w."""
-        den, ints = self.field.to_ints(elem.terms)
-        cols = []
-        d_prev = None
-        for d, w in self.basis():
-            if d != d_prev:
-                d_prev = d
-                hden, head = self._fold(den, ints, self._mono_times_L, d) if any(d) else (den, ints)
-            col = self.field.from_ints(*self._fold(hden, head, self._mono_times_T, w))
-            cols.append(self.vec(Element(self, col)))
-        return transpose(cols)
+        The column of L^d T_w is at its code: elem L^d is folded once per d
+        and then times each T_w, and each entry is written at its row's code."""
+        den, ints = self._int_codes(elem.terms)
+        size = self._nexp * self._nperm
+        zero = self.field.zero
+        rows = [[zero] * size for _ in range(size)]
+        col = 0
+        for d in range(self._nexp):
+            hden, head = self._fold(den, ints, self._mono_times_L, d) if d else (den, ints)
+            for w in range(self._nperm):
+                for k, c in self.field.from_ints(*self._fold(hden, head, self._mono_times_T, w)).items():
+                    rows[k][col] = c
+                col += 1
+        return rows
 
     # -- multiplication engine -------------------------------------------------
 
@@ -327,15 +344,25 @@ class ArikiKoikeAlgebra:
 
     def _product_terms(self, aterms: dict, bterms: dict) -> dict:
         """a * b on term dicts of field values, computed in int form."""
-        to_ints = self.field.to_ints
-        return self.field.from_ints(*self._product_into([1, {}], *to_ints(aterms), *to_ints(bterms)))
+        return self._field_terms(self._product_into([1, {}], *self._int_codes(aterms), *self._int_codes(bterms)))
+
+    def _int_codes(self, terms: dict) -> tuple[int, dict]:
+        """Field values on monomials as the engine's (den, {code: int})."""
+        den, ints = self.field.to_ints(terms)
+        return den, {self.code(d, w): c for (d, w), c in ints.items()}
+
+    def _field_terms(self, acc) -> dict:
+        """The engine's (den, {code: int}) as field values on monomials."""
+        exps, perms, nperm = self._exps, self._perms, self._nperm
+        return {(exps[k // nperm], perms[k % nperm]): c for k, c in self.field.from_ints(*acc).items()}
 
     def _product_into(self, acc: list, aden: int, aints: dict, bden: int, bints: dict) -> list:
         """acc += (aints / aden) * (bints / bden); each monomial c L^d T_w of the
         right factor folds in two steps, times L^d and then times T_w."""
         den = aden * bden
-        for (d, w), c in bints.items():
-            if any(d):
+        for code, c in bints.items():
+            d, w = divmod(code, self._nperm)
+            if d:
                 hden, head = self._fold(den, aints, self._mono_times_L, d, scale=c)
                 self._fold(hden, head, self._mono_times_T, w, acc)
             else:
@@ -345,16 +372,16 @@ class ArikiKoikeAlgebra:
     def _fold(self, den: int, terms: dict, step, arg, acc: list | None = None, scale: int = 1) -> list:
         """acc += (scale / den) * sum c * step(mono, arg) over the terms, in plain ints.
 
-        acc = [D, {mono: int}] stands for {mono: int / D} (a new one by default),
-        and a step returns (sden, {mono: int}).  When den * sden does not divide
+        acc = [D, {code: int}] stands for {code: int / D} (a new one by default),
+        and a step returns (sden, {code: int}).  When den * sden does not divide
         D, acc is first rescaled to the lcm; over GF(p) every denominator is 1
         and nothing is reduced mod p here."""
         if acc is None:
             acc = [1, {}]
         D, out = acc
         get = out.get
-        for mono, c in terms.items():
-            sden, sterms = step(mono, arg)
+        for code, c in terms.items():
+            sden, sterms = step(code, arg)
             e = den * sden
             if D % e:
                 m = e // gcd(D, e)
@@ -382,56 +409,62 @@ class ArikiKoikeAlgebra:
         """mono * T_g in normal form, where T_0 = L_1."""
         return self._product_terms({mono: self.field.one}, self.gen_T(g).terms)
 
-    def _mono_times_L(self, mono: Monomial, d: tuple[int, ...]) -> tuple[int, dict]:
-        """(L^a T_x) L^d in normal form: T_x L^d = sum c L^f T_y, then L^{a+f} T_y by _normal_L."""
-        key = (mono, d)
+    def _mono_times_L(self, code: int, d: int) -> tuple[int, dict]:
+        """(L^a T_x) L^d in normal form, for the codes of L^a T_x and of L^d:
+        T_x L^d = sum c L^f T_y, then L^{a+f} T_y by _normal_L."""
+        key = code * self._nexp + d
         cached = self._L_step_cache.get(key)
         if cached is not None:
             return cached
-        a, x = mono
-        out = self._canonical(self._fold(*self._T_times_L(x, d), self._L_times_normal, a))
+        a, x = divmod(code, self._nperm)
+        out = self._canonical(self._fold(*self._T_times_L(x, d), self._L_times_normal, self._exps[a]))
         self._L_step_cache[key] = out
         return out
 
-    def _L_times_normal(self, mono: Monomial, a: tuple[int, ...]) -> tuple[int, dict]:
-        """L^a (L^f T_y) in normal form, for mono = (f, y)."""
-        f, y = mono
-        return self._normal_L(tuple(map(add, a, f)), y)
+    def _L_times_normal(self, code: int, a: tuple[int, ...]) -> tuple[int, dict]:
+        """L^a (L^f T_y) in normal form, for the code of L^f T_y."""
+        f, y = divmod(code, self._nperm)
+        return self._normal_L(tuple(map(add, a, self._exps[f])), y)
 
-    def _mono_times_T(self, mono: Monomial, w: Permutation) -> tuple[int, dict]:
-        """(L^d T_x) T_w in normal form: L^d (T_x T_w)."""
-        key = (mono, w)
+    def _mono_times_T(self, code: int, w: int) -> tuple[int, dict]:
+        """(L^d T_x) T_w in normal form, for the code of L^d T_x and the rank
+        of w: L^d (T_x T_w), whose codes are those of T_x T_w plus L^d's base."""
+        key = code * self._nperm + w
         cached = self._T_step_cache.get(key)
         if cached is not None:
             return cached
-        d, x = mono
+        x = code % self._nperm
+        base = code - x
         den, prod = self._hecke_prod(x, w)
-        out = den, {(d, y): c for y, c in prod.items()}
+        out = den, {base + y: c for y, c in prod.items()}
         self._T_step_cache[key] = out
         return out
 
-    def _T_times_L(self, x: Permutation, d: tuple[int, ...]) -> tuple[int, dict]:
-        """T_x L^d as {(f, y): coeff} in int form: L^d pushed leftward through a
-        reduced word of x, one T_i at a time; no exponent of f exceeds the largest of d."""
-        key = (x, d)
+    def _T_times_L(self, x: int, d: int) -> tuple[int, dict]:
+        """T_x L^d in int form on codes, for the rank of x and the code of L^d:
+        L^d pushed leftward through a reduced word of x, one T_i at a time; no
+        exponent of a term exceeds the largest of d."""
+        key = x * self._nexp + d
         cached = self._TL_cache.get(key)
         if cached is not None:
             return cached
-        terms = {(d, identity(self.n)): self.field.one}
-        for i in reversed(x.reduced_word()):
+        terms = {(self._exps[d], identity(self.n)): self.field.one}
+        for i in reversed(self._perms[x].reduced_word()):
             terms = self._left_mul_gen_terms(terms, i)
-        out = self._TL_cache[key] = self.field.to_ints(terms)
+        out = self._TL_cache[key] = self._int_codes(terms)
         return out
 
-    def _hecke_prod(self, x: Permutation, v: Permutation) -> tuple[int, dict]:
-        """T_x T_v expanded over the T-basis, in int form: (den, {y: int})."""
-        if v.is_identity():
+    def _hecke_prod(self, x: int, v: int) -> tuple[int, dict]:
+        """T_x T_v expanded over the T-basis, for ranks x and v, in int form:
+        (den, {rank of y: int})."""
+        if not v:  # rank 0 is the identity
             return 1, {x: 1}
-        cached = self._hecke_cache.get((x, v))
+        key = x * self._nperm + v
+        cached = self._hecke_cache.get(key)
         if cached is not None:
             return cached
-        cur: dict[Permutation, object] = {x: self.field.one}
-        for g in v.reduced_word():
+        cur: dict[Permutation, object] = {self._perms[x]: self.field.one}
+        for g in self._perms[v].reduced_word():
             new: dict = {}
             for w, c in cur.items():
                 ws = w.times_s(g)
@@ -441,7 +474,8 @@ class ArikiKoikeAlgebra:
                     _accumulate(new, ws, self.q * c)
                     _accumulate(new, w, self._qm1 * c)
             cur = new
-        out = self._hecke_cache[(x, v)] = self.field.to_ints(cur)
+        den, ints = self.field.to_ints(cur)
+        out = self._hecke_cache[key] = den, {self._rank[y]: c for y, c in ints.items()}
         return out
 
     def _Ti_L_pows(self, a: int, b: int) -> list:
@@ -481,7 +515,7 @@ class ArikiKoikeAlgebra:
                 e = tuple(e)
                 if has_t:
                     su = w.s_times(i)
-                    if w.images[i - 1] < w.images[i]:
+                    if w[i - 1] < w[i]:
                         _accumulate(out, (e, su), co * c)
                     else:
                         _accumulate(out, (e, su), self.q * co * c)
@@ -529,22 +563,23 @@ class ArikiKoikeAlgebra:
         self._Lr_cache[m] = out
         return out
 
-    def _normal_L(self, exp: tuple[int, ...], w: Permutation) -> tuple[int, dict]:
-        """Normal form of L^exp T_w in int form, where the exponents may reach or pass r."""
+    def _normal_L(self, exp: tuple[int, ...], w: int) -> tuple[int, dict]:
+        """Normal form of L^exp T_w in int form on codes, for the rank of w,
+        where the exponents may reach or pass r."""
         key = (exp, w)
         cached = self._normalL_cache.get(key)
         if cached is not None:
             return cached
         m = next((i + 1 for i, x in enumerate(exp) if x >= self.r), None)
         if m is None:
-            out = 1, {(exp, w): 1}
+            out = 1, {self._dindex[exp] * self._nperm + w: 1}
         else:
             base = list(exp)
             base[m - 1] -= self.r
             lden, lterms = self.field.to_ints(self._L_pow_r(m))
             acc = [1, {}]
             for (f, v), c in lterms.items():
-                nden, nterms = self._normal_L(tuple(map(add, base, f)), v)
+                nden, nterms = self._normal_L(tuple(map(add, base, f)), self._rank[v])
                 self._fold(lden * nden, nterms, self._mono_times_T, w, acc, scale=c)
             out = self._canonical(acc)
         self._normalL_cache[key] = out

@@ -135,8 +135,15 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _check_level(b: int | None, n: int):
+    """Refuse a --b outside 0..n before any work, whether or not --s splits."""
+    if b is not None and not 0 <= b <= n:
+        raise ValueError(f"b={b} out of range 0..{n}")
+
+
 def cmd_enumerate(args) -> int:
     params = build_params(args)
+    _check_level(args.b, params.n)
     lines = []
     entries = []
     lams = multipartitions(params.n, params.r)
@@ -176,10 +183,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n = build_params(args).n
-    if args.b is not None and not 0 <= args.b <= n:
-        # the same refusal as `enumerate --b`, before any algebra is built
-        raise ValueError(f"b={args.b} out of range 0..{n}")
+    _check_level(args.b, build_params(args).n)
     alg = build_algebra(args)
     params = alg.params
     names = list(SUITES) if args.suite == "all" else [args.suite]

@@ -803,10 +803,9 @@ class MoritaSuite:
         # bounded-exponent spanning family: v_b L^d T_w with d_i < s (i <= b),
         # d_i < r-s (i > b), read off the columns of left multiplication by v_b
         s, r = self.s, self.params.r
-        index = alg.basis_index()
         vb_cols = transpose(self._vb_left_mult(b))
         bounds = [range(s) if i < b else range(r - s) for i in range(n)]
-        bounded_rows = [vb_cols[index[(d, w)]]
+        bounded_rows = [vb_cols[alg.code(d, w)]
                         for d in itertools.product(*bounds) for w in sorted_permutations(n)]
         if rank(bounded_rows) != expected or len(bounded_rows) != expected:
             failures.append("bounded-exponent family is not a basis")

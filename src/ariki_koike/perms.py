@@ -1,7 +1,7 @@
 """Symmetric group combinatorics on the points {1, ..., n}.
 
-Permutations act on points from the RIGHT and are stored in one-line
-notation: ``images[i-1]`` is the image of the point i.  The product ``u * v``
+Permutations act on points from the RIGHT and are tuples in one-line
+notation: ``w[i-1]`` is the image of the point i.  The product ``u * v``
 therefore applies u first: (i)(uv) = ((i)u)v.
 
 Besides the generic operations (length, reduced words, descents, cosets) the
@@ -16,71 +16,68 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
-class Permutation:
-    """A permutation of {1..n} in one-line notation, acting on the right."""
+class Permutation(tuple):
+    """A permutation of {1..n} in one-line notation, acting on the right.
 
-    __slots__ = ("images",)
+    It is the tuple of its images, so hashing, equality and ordering
+    (lexicographic on the images) are the tuple's own and run in C."""
 
-    def __init__(self, images: Sequence[int]):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
-        self.images = images
+    __slots__ = ()
+
+    def __new__(cls, images: Iterable[int]):
+        self = super().__new__(cls, images)
+        if sorted(self) != list(range(1, len(self) + 1)):
+            raise ValueError(f"{tuple(self)} is not a permutation of 1..{len(self)}")
+        return self
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, i: int) -> int:
         """The image (i)w of the point i."""
-        return self.images[i - 1]
+        return self[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
+        if len(self) != len(other):
             raise ValueError(f"size mismatch: S_{self.n} vs S_{other.n}")
-        return Permutation(tuple(other.images[x - 1] for x in self.images))
+        return Permutation(other[x - 1] for x in self)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, x in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, x in enumerate(self):
             inv[x - 1] = i + 1
         return Permutation(inv)
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __lt__(self, other: "Permutation"):
-        return self.images < other.images
-
     def __repr__(self):
-        return f"Permutation({list(self.images)})"
+        return f"Permutation({list(self)})"
 
     def is_identity(self) -> bool:
-        return all(x == i + 1 for i, x in enumerate(self.images))
+        return all(x == i + 1 for i, x in enumerate(self))
 
     def length(self) -> int:
         """Coxeter length = number of inversions."""
         count = 0
-        im = self.images
-        for i in range(len(im)):
-            for j in range(i + 1, len(im)):
-                if im[i] > im[j]:
+        for i in range(len(self)):
+            for j in range(i + 1, len(self)):
+                if self[i] > self[j]:
                     count += 1
         return count
 
     def right_descents(self) -> list[int]:
         """Indices i with l(w s_i) < l(w), i.e. i appears after i+1."""
         pos = [0] * (self.n + 1)
-        for idx, x in enumerate(self.images):
+        for idx, x in enumerate(self):
             pos[x] = idx
         return [i for i in range(1, self.n) if pos[i] > pos[i + 1]]
 
     def times_s(self, i: int) -> "Permutation":
         """w * s_i (swap the values i and i+1)."""
-        im = list(self.images)
+        im = list(self)
         for idx, x in enumerate(im):
             if x == i:
                 im[idx] = i + 1
@@ -90,7 +87,7 @@ class Permutation:
 
     def s_times(self, i: int) -> "Permutation":
         """s_i * w (swap the entries in positions i and i+1)."""
-        im = list(self.images)
+        im = list(self)
         im[i - 1], im[i] = im[i], im[i - 1]
         return Permutation(im)
 
@@ -199,7 +196,7 @@ def is_distinguished(w: Permutation, blocks: Sequence[int]) -> bool:
     start = 0
     for size in blocks:
         for k in range(start, start + size - 1):
-            if w.images[k] > w.images[k + 1]:
+            if w[k] > w[k + 1]:
                 return False
         start += size
     return True

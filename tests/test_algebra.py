@@ -216,6 +216,25 @@ def test_engine_hands_back_canonical_field_values(field, q, Q):
         assert any(c for row in matrix for c in row)
 
 
+@pytest.mark.parametrize("n,r,field,q,Q", [
+    (2, 3, Rationals(), 2, (1, 5, 7)),
+    (3, 2, PrimeField(5), 2, (1, 3)),
+], ids=["2-3-Q", "3-2-GF5"])
+def test_monomial_codes_are_basis_positions(n, r, field, q, Q):
+    # the engine keys each monomial on its code; code k must be basis()[k], and
+    # a left multiplication matrix written by code must match the Element route
+    alg = make(n=n, r=r, q=q, Q=Q, field=field)
+    basis = alg.basis()
+    assert [alg.code(d, w) for d, w in basis] == list(range(alg.dim))
+    rng = random.Random(7)
+    for _ in range(2):
+        a = random_element(alg, rng, nterms=5)
+        matrix = alg.left_mult_matrix(a)
+        for j, mono in enumerate(basis):
+            column = [row[j] for row in matrix]
+            assert column == alg.vec(a * alg.element({mono: field.one}))
+
+
 def test_u_elements():
     alg = make(n=2)
     assert alg.u_seq((0, 0)) == alg.one()

@@ -329,9 +329,18 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("r, n, admitted", [
     (1, 6, True), (2, 4, True), (3, 3, True), (4, 2, True), (2, 5, False), (3, 4, False),
+    (2, 13, False), (7, 11, False),
 ])
-def test_default_size_guard(r, n, admitted):
-    # the guard alone, without running a suite
+def test_default_size_guard(r, n, admitted, monkeypatch):
+    from ariki_koike.algebra import ArikiKoikeAlgebra
+    from ariki_koike.cli import build_params
+
+    def refuse(self):
+        raise AssertionError("the guard built a table of S_n or of the exponents")
+
+    # the guard alone, without running a suite, and without building S_n
+    monkeypatch.setattr(ArikiKoikeAlgebra, "_perms", property(refuse))
+    monkeypatch.setattr(ArikiKoikeAlgebra, "_exps", property(refuse))
     args = make_parser().parse_args(["verify", "--n", str(n), "--r", str(r)])
     if admitted:
         alg = build_algebra(args)
@@ -339,6 +348,10 @@ def test_default_size_guard(r, n, admitted):
     else:
         with pytest.raises(SizeGuardError):
             build_algebra(args)
+        if n > 6:
+            # a library caller's algebra of that size is refused by its transition guard
+            with pytest.raises(SizeGuardError):
+                ArikiKoikeAlgebra(build_params(args)).transition()
 
 
 @pytest.mark.parametrize("b", [7, -1])
@@ -348,16 +361,20 @@ def test_verify_level_out_of_range_is_refused_before_the_algebra(b, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("an algebra was built for an out-of-range level")
 
-    split = ["--n", "2", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,4", "--b", str(b)]
+    base = ["--n", "2", "--r", "2", "--q", "2", "--Q", "1,4", "--b", str(b)]
+    split = [*base, "--s", "1"]
     errors = []
-    for argv in (["enumerate", *split], ["verify", "--suite", "morita", *split]):
+    # without a split (no --s, or s = r) the level is refused all the same
+    for argv in (["enumerate", *split], ["verify", "--suite", "morita", *split],
+                 ["enumerate", *base], ["enumerate", *base, "--s", "2"],
+                 ["verify", "--suite", "relations", *base]):
         with monkeypatch.context() as patch:
             patch.setattr(algebra.ArikiKoikeAlgebra, "__init__", refuse)
             with pytest.raises(SystemExit) as exc:
                 main(argv)
         assert exc.value.code == 2
         errors.append(capsys.readouterr().err.splitlines()[-1])
-    assert errors[0] == errors[1] == f"ariki-koike: error: b={b} out of range 0..2"
+    assert errors == [f"ariki-koike: error: b={b} out of range 0..2"] * 5
 
 
 @pytest.mark.parametrize("argv", [

@@ -54,6 +54,22 @@ GOLDEN = {
         ["gram", "--n", "2", "--r", "2", "--q", "2/3", "--Q", "1/3,5/2"],
         "f4c298572be7de896d130de57955c24659501dc6ecccb888139f2f339f99a0de",
     ),
+    # suites no benchmark workload runs
+    "verify-cellular-n3": (
+        ["verify", "--suite", "cellular", "--n", "3", "--r", "2", "--q", "2", "--Q", "1,5"],
+        "3a3a6cbb52075d4e923001bce955234c4329d5d26e3881a943224704319e95fb",
+    ),
+    "verify-specht-n3-GF5": (  # q-connected: Q_2 = q Q_1
+        ["verify", "--suite", "specht", "--n", "3", "--r", "2", "--field", "GF(5)", "--q", "2",
+         "--Q", "1,2"],
+        "88a4d9fb9e6e28a9a980fd9471a036276e2ef2ff499feb8113f9f63625bba54f",
+    ),
+    # the product engine's heaviest default relations instance
+    "verify-relations-n3-r3-GF97": (
+        ["verify", "--suite", "relations", "--n", "3", "--r", "3", "--field", "GF(97)", "--q", "5",
+         "--Q", "1,2,3"],
+        "858482a7c13e444f7b7733297664ed24511bcbe3d2c28c9bdc6514614c5fd8f2",
+    ),
 }
 
 

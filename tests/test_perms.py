@@ -1,3 +1,5 @@
+import itertools
+import random
 from math import comb, factorial
 
 import pytest
@@ -11,6 +13,7 @@ from ariki_koike.perms import (
     is_distinguished,
     s_interval,
     simple_transposition,
+    sorted_permutations,
     w_ab,
     young_subgroup,
 )
@@ -19,6 +22,44 @@ from ariki_koike.perms import (
 def brute_length(w):
     im = w.images
     return sum(1 for i in range(len(im)) for j in range(i + 1, len(im)) if im[i] > im[j])
+
+
+# A Permutation is the tuple of its images: hashing, equality and order are
+# the tuple's, so sets and dicts of them iterate as those of the image tuples.
+
+def test_hash_is_the_hash_of_the_images():
+    for n in range(5):
+        for im in itertools.permutations(range(1, n + 1)):
+            w = Permutation(im)
+            assert hash(w) == hash(tuple(im)) and w.images == tuple(im)
+            assert type(w.images) is tuple
+
+
+def test_sorting_is_lexicographic_on_the_images():
+    for n in range(5):
+        ordered = sorted(all_permutations(n))
+        assert ordered == list(sorted_permutations(n))
+        assert [w.images for w in ordered] == sorted(itertools.permutations(range(1, n + 1)))
+
+
+def test_sets_iterate_as_sets_of_the_image_tuples():
+    perms = list(all_permutations(4))
+    random.Random(3).shuffle(perms)
+    for k in (1, 5, 24):
+        assert [w.images for w in set(perms[:k])] == list(set(w.images for w in perms[:k]))
+
+
+@pytest.mark.parametrize("images", [(1, 1), (0, 1), (2, 3), (1, 2, 4)])
+def test_a_non_permutation_is_refused(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
+def test_products_and_inverses_are_permutations():
+    for w in all_permutations(3):
+        assert type(w.inverse()) is Permutation
+        for v in all_permutations(3):
+            assert type(w * v) is Permutation
 
 
 def test_compose_identity():
