@@ -39,29 +39,24 @@ and defining-relation test batteries, and by a test that folds every product
 of two basis monomials a second way, one generator at a time, rather than by
 proof.
 
-The fold computes with plain ints.  A cached step is (den, {monomial: int}),
-standing for {monomial: int / den}: over Q, den is the least common
-denominator of its coefficients; over GF(p), den is 1 and the ints are
-residues.  A product adds every step into one accumulator (D, {monomial: int})
-with int multiply-adds; only a step whose denominator does not divide D
-rescales the accumulator to their lcm, which is rare, as the denominators are
-mostly powers of the numerator of q.  Over GF(p) nothing is reduced mod p
-inside the fold.  Field values exist only at the engine's boundary:
-`_product_terms` (behind `Element.__mul__`), `left_mult_matrix` and
-`Element.star` convert their operands with the field's `to_ints` and their
-results with `from_ints`, which returns canonical Fractions, or FpElements
-reduced once mod p.  The rewriting rules themselves (Hecke products, T_x L^d,
-L_m^r) are derived in field values, once per key, and enter int form as they
-are cached.
+The fold computes with plain ints, and every Element is kept in the same
+canonical int form (den, {code: int}), standing for {monomial: int / den}:
+over Q, den is the least common denominator and no int is zero; over GF(p),
+den is 1 and the ints are residues in 1..p-1 (the field's `canonical` puts a
+result in this form).  A product adds every cached step into one accumulator
+(D, {code: int}) with int multiply-adds; only a step whose denominator does
+not divide D rescales the accumulator to their lcm, which is rare, as the
+denominators are mostly powers of the numerator of q.  Over GF(p) nothing is
+reduced mod p inside the fold.
 
-Inside the engine a monomial L^d T_w is one int, its code
-dindex(d) * n! + rank(w): its position in `basis()`, where rank(w) is w's
-position in `sorted_permutations(n)` (the identity is 0).  Every cache and
-accumulator is keyed on codes, and the rules are turned into codes as they
-are cached.  Codes are translated where field values are, in the three
-boundary methods above and `gen_L`.  Outside, terms stay keyed on
-(d, Permutation); a Permutation is the tuple of its images, so those keys
-hash and compare in C too.
+A monomial L^d T_w is one int, its code dindex(d) * n! + rank(w): its
+position in `basis()`, where rank(w) is w's position in
+`sorted_permutations(n)` (the identity is 0).  Field values on (d, Permutation)
+keys appear only where something outside the engine reads or writes them:
+`element` and `from_vec` take them in, and `vec`, `left_mult_matrix`,
+`Element.terms`, `serialize` and repr give them out.  The rewriting rules
+themselves (Hecke products, T_x L^d, L_m^r) are derived in field values, once
+per key, and enter int form as they are cached.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ from math import factorial, gcd
 from operator import add
 
 from .fields import Params, SizeGuardError
-from .linalg import inverse as mat_inverse, mat_vec, transpose
+from .linalg import identity_matrix, solve, sparse, sparse_vec_mat, transpose
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
     MultiComposition,
@@ -92,78 +87,90 @@ DEFAULT_MAX_DIM = 5000
 
 
 class Element:
-    """A sparse element of the algebra, kept in normal form."""
+    """A sparse element of the algebra in the product engine's canonical int
+    form: den and {code: int} stand for {basis()[code]: int / den}.  Over Q,
+    den is the least common denominator and no int is zero; over GF(p), den
+    is 1 and the ints are residues in 1..p-1.  Equal elements therefore have
+    equal forms, and `==` and `hash` compare ints.  An Element is never
+    changed in place, so its dict may be shared with the algebra's caches."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg", "den", "ints")
 
-    def __init__(self, alg: "ArikiKoikeAlgebra", terms: dict):
+    def __init__(self, alg: "ArikiKoikeAlgebra", den: int, ints: dict):
         self.alg = alg
-        self.terms = terms
+        self.den = den
+        self.ints = ints
+
+    @property
+    def form(self) -> tuple[int, dict]:
+        """(den, ints), as the algebra's caches and memo keep an element."""
+        return self.den, self.ints
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        return Element(self.alg, out)
+        a, b = self.den, other.den
+        den = a // gcd(a, b) * b
+        out = {k: v * (den // a) for k, v in self.ints.items()}
+        get, m = out.get, den // b
+        for k, v in other.ints.items():
+            out[k] = get(k, 0) + v * m
+        return Element(self.alg, *self.alg.field.canonical(den, out))
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, -c)
-        return Element(self.alg, out)
+        return self + -other
 
     def __neg__(self) -> "Element":
-        return Element(self.alg, {k: -c for k, c in self.terms.items()})
+        return Element(self.alg, *self.alg.field.canonical(self.den, {k: -v for k, v in self.ints.items()}))
 
     def scale(self, c) -> "Element":
-        c = self.alg.field(c)
-        if not c:
-            return self.alg.zero()
-        return Element(self.alg, {k: v * c for k, v in self.terms.items()})
+        field = self.alg.field
+        cden, cnum = field.to_ints({0: field(c)})
+        return Element(self.alg, *field.canonical(self.den * cden, {k: v * cnum[0] for k, v in self.ints.items()}))
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            return self.alg._product(self, other)
+            alg = self.alg
+            return Element(alg, *alg.field.canonical(*alg._product_into([1, {}], *self.form, *other.form)))
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.alg is other.alg and self.terms == other.terms
+        return (isinstance(other, Element) and self.alg is other.alg
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.ints.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
+
+    @property
+    def terms(self) -> dict:
+        """{(d, Permutation): field value}: a new dict on each call."""
+        basis = self.alg.basis()
+        return {basis[k]: c for k, c in self.alg.field.from_ints(self.den, self.ints).items()}
 
     def star(self) -> "Element":
         """The anti-automorphism fixing every generator: T_w -> T_{w^{-1}}, L_k -> L_k."""
         alg = self.alg
-        den, ints = alg.field.to_ints(self.terms)
         acc = [1, {}]
-        zero_exp, e = (0,) * alg.n, identity(alg.n)
-        for (d, w), c in ints.items():
-            alg._product_into(acc, 1, {alg.code(zero_exp, w.inverse()): 1}, den, {alg.code(d, e): c})
-        return Element(alg, alg._field_terms(acc))
-
-    def support(self) -> list[Monomial]:
-        return sorted(self.terms)
+        for code, c in self.ints.items():
+            w = code % alg._nperm
+            alg._product_into(acc, 1, {alg._rank[alg._perms[w].inverse()]: 1}, self.den, {code - w: c})
+        return Element(alg, *alg.field.canonical(*acc))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.ints:
             return "<0>"
         return "<" + " + ".join(f"{c}*{_mono_str(m)}" for m, c in sorted(self.terms.items())) + ">"
 
     def serialize(self) -> str:
         """One term per line: ``coeff * L1^d1 ... Ln^dn * T[i1,...,in]``."""
         lines = []
-        for (d, w) in self.support():
-            c = self.terms[(d, w)]
+        for (d, w), c in sorted(self.terms.items()):
             lpart = " ".join(f"L{k}^{d[k - 1]}" for k in range(1, self.alg.n + 1)) or "1"
             wpart = "T[" + ",".join(map(str, w)) + "]"
             lines.append(f"{c} * {lpart} * {wpart}")
@@ -240,8 +247,8 @@ class ArikiKoikeAlgebra:
         Specht modules, Gram matrices, decomposition data, factor algebras).
 
         Nothing kept here refers back to the algebra (elements are kept as
-        their term dicts), so a finished run's algebra is freed by reference
-        counting, without waiting for the cycle collector."""
+        their int forms `Element.form`), so a finished run's algebra is freed
+        by reference counting, without waiting for the cycle collector."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
@@ -249,13 +256,14 @@ class ArikiKoikeAlgebra:
     # -- basic elements ------------------------------------------------------
 
     def zero(self) -> Element:
-        return Element(self, {})
+        return Element(self, 1, {})
 
     def one(self) -> Element:
-        return Element(self, {((0,) * self.n, identity(self.n)): self.field.one})
+        return Element(self, 1, {0: 1})
 
     def element(self, terms: dict) -> Element:
-        return Element(self, {k: v for k, v in terms.items() if v})
+        """The element sum c L^d T_w of field values c on monomials (d, w)."""
+        return Element(self, *self.field.to_ints({self.code(d, w): c for (d, w), c in terms.items() if c}))
 
     def from_scalar(self, c) -> Element:
         return self.one().scale(c)
@@ -266,19 +274,19 @@ class ArikiKoikeAlgebra:
             return self.gen_L(1)
         if not (1 <= i <= self.n - 1):
             raise ValueError(f"T_{i} does not exist for n={self.n}")
-        return self.element({((0,) * self.n, simple_transposition(i, self.n)): self.field.one})
+        return Element(self, 1, {self._rank[simple_transposition(i, self.n)]: 1})
 
     def gen_L(self, k: int) -> Element:
         """The commuting element L_k (already reduced when r = 1)."""
         if not (1 <= k <= self.n):
             raise ValueError(f"L_{k} does not exist for n={self.n}")
         exp = tuple(1 if m == k else 0 for m in range(1, self.n + 1))
-        return self.element(self._field_terms(self._normal_L(exp, 0)))
+        return Element(self, *self._normal_L(exp, 0))
 
     def t_elem(self, w: Permutation) -> Element:
         if w.n != self.n:
             raise ValueError("permutation size mismatch")
-        return self.element({((0,) * self.n, w): self.field.one})
+        return Element(self, 1, {self._rank[w]: 1})
 
     # -- the canonical basis ---------------------------------------------------
 
@@ -297,26 +305,24 @@ class ArikiKoikeAlgebra:
 
     def vec(self, elem: Element) -> list:
         out = [self.field.zero] * self.dim
-        for (d, w), c in elem.terms.items():
-            out[self.code(d, w)] = c
+        for k, c in self.field.from_ints(elem.den, elem.ints).items():
+            out[k] = c
         return out
 
     def from_vec(self, v) -> Element:
-        basis = self.basis()
-        return self.element({basis[i]: c for i, c in enumerate(v) if c})
+        return Element(self, *self.field.to_ints({k: c for k, c in enumerate(v) if c}))
 
     def left_mult_matrix(self, elem: Element) -> list[list]:
         """Columns are vec(elem * mono) over the canonical basis.
 
         The column of L^d T_w is at its code: elem L^d is folded once per d
         and then times each T_w, and each entry is written at its row's code."""
-        den, ints = self._int_codes(elem.terms)
         size = self._nexp * self._nperm
         zero = self.field.zero
         rows = [[zero] * size for _ in range(size)]
         col = 0
         for d in range(self._nexp):
-            hden, head = self._fold(den, ints, self._mono_times_L, d) if d else (den, ints)
+            hden, head = self._fold(*elem.form, self._mono_times_L, d) if d else elem.form
             for w in range(self._nperm):
                 for k, c in self.field.from_ints(*self._fold(hden, head, self._mono_times_T, w)).items():
                     rows[k][col] = c
@@ -338,23 +344,6 @@ class ArikiKoikeAlgebra:
                 e += k - 1
         word.extend(w.reduced_word())
         return word, e
-
-    def _product(self, a: Element, b: Element) -> Element:
-        return Element(self, self._product_terms(a.terms, b.terms))
-
-    def _product_terms(self, aterms: dict, bterms: dict) -> dict:
-        """a * b on term dicts of field values, computed in int form."""
-        return self._field_terms(self._product_into([1, {}], *self._int_codes(aterms), *self._int_codes(bterms)))
-
-    def _int_codes(self, terms: dict) -> tuple[int, dict]:
-        """Field values on monomials as the engine's (den, {code: int})."""
-        den, ints = self.field.to_ints(terms)
-        return den, {self.code(d, w): c for (d, w), c in ints.items()}
-
-    def _field_terms(self, acc) -> dict:
-        """The engine's (den, {code: int}) as field values on monomials."""
-        exps, perms, nperm = self._exps, self._perms, self._nperm
-        return {(exps[k // nperm], perms[k % nperm]): c for k, c in self.field.from_ints(*acc).items()}
 
     def _product_into(self, acc: list, aden: int, aints: dict, bden: int, bints: dict) -> list:
         """acc += (aints / aden) * (bints / bden); each monomial c L^d T_w of the
@@ -400,14 +389,9 @@ class ArikiKoikeAlgebra:
         acc[0] = D
         return acc
 
-    def _canonical(self, acc: list) -> tuple[int, dict]:
-        """A step result as cached: over Q the least common denominator, over
-        GF(p) residues in 0..p-1, and no zero ints."""
-        return self.field.to_ints(self.field.from_ints(*acc))
-
     def _mono_times_gen(self, mono: Monomial, g: int) -> dict:
         """mono * T_g in normal form, where T_0 = L_1."""
-        return self._product_terms({mono: self.field.one}, self.gen_T(g).terms)
+        return (self.element({mono: self.field.one}) * self.gen_T(g)).terms
 
     def _mono_times_L(self, code: int, d: int) -> tuple[int, dict]:
         """(L^a T_x) L^d in normal form, for the codes of L^a T_x and of L^d:
@@ -417,7 +401,7 @@ class ArikiKoikeAlgebra:
         if cached is not None:
             return cached
         a, x = divmod(code, self._nperm)
-        out = self._canonical(self._fold(*self._T_times_L(x, d), self._L_times_normal, self._exps[a]))
+        out = self.field.canonical(*self._fold(*self._T_times_L(x, d), self._L_times_normal, self._exps[a]))
         self._L_step_cache[key] = out
         return out
 
@@ -451,7 +435,7 @@ class ArikiKoikeAlgebra:
         terms = {(self._exps[d], identity(self.n)): self.field.one}
         for i in reversed(self._perms[x].reduced_word()):
             terms = self._left_mul_gen_terms(terms, i)
-        out = self._TL_cache[key] = self._int_codes(terms)
+        out = self._TL_cache[key] = self.element(terms).form
         return out
 
     def _hecke_prod(self, x: int, v: int) -> tuple[int, dict]:
@@ -524,43 +508,37 @@ class ArikiKoikeAlgebra:
                     _accumulate(out, (e, w), co * c)
         return out
 
-    def _L_pow_r(self, m: int) -> dict:
-        """The normal form of L_m^r, supported on positions <= m."""
+    def _L_pow_r(self, m: int) -> tuple[int, dict]:
+        """The normal form of L_m^r in int form on codes, supported on positions <= m."""
         cached = self._Lr_cache.get(m)
         if cached is not None:
             return cached
-        zero_exp = [0] * self.n
+        one, zero_exp = self.field.one, [0] * self.n
         if m == 1:
             # cyclotomic relation: L_1^r = sum_j (-1)^{r-1-j} e_{r-j}(Q) L_1^j
-            elem_sym = [self.field.one] + [self.field.zero] * self.r
+            elem_sym = [one] + [self.field.zero] * self.r
             for Qt in self.Q:
                 for j in range(self.r, 0, -1):
                     elem_sym[j] = elem_sym[j] + elem_sym[j - 1] * Qt
             out = {}
-            sign = self.field.one
+            sign = one
             for j in range(self.r - 1, -1, -1):
                 exp = list(zero_exp)
                 exp[0] = j
-                coeff = sign * elem_sym[self.r - j]
-                if coeff:
-                    out[(tuple(exp), identity(self.n))] = coeff
+                out[(tuple(exp), identity(self.n))] = sign * elem_sym[self.r - j]
                 sign = -sign
+            lr = self.element(out)
         else:
-            prev = self._L_pow_r(m - 1)
-            qinv = self.field.one / self.q
-            first = self._left_mul_gen_terms(prev, m - 1)
-            first = self._product_terms(first, self.gen_T(m - 1).terms)
-            out = {}
-            for k, v in first.items():
-                _accumulate(out, k, v * qinv)
+            prev = Element(self, *self._L_pow_r(m - 1)).terms
+            lr = self.element(self._left_mul_gen_terms(prev, m - 1)) * self.gen_T(m - 1)
             for k in range(1, self.r):
                 exp = list(zero_exp)
                 exp[m - 2] = self.r - k
                 exp[m - 1] = k
-                single = {(tuple(exp), identity(self.n)): self.field.one}
-                for key, v in self._left_mul_gen_terms(single, m - 1).items():
-                    _accumulate(out, key, v * qinv * self._qm1)
-        self._Lr_cache[m] = out
+                single = {(tuple(exp), identity(self.n)): one}
+                lr = lr + self.element(self._left_mul_gen_terms(single, m - 1)).scale(self._qm1)
+            lr = lr.scale(one / self.q)
+        out = self._Lr_cache[m] = lr.form
         return out
 
     def _normal_L(self, exp: tuple[int, ...], w: int) -> tuple[int, dict]:
@@ -576,12 +554,13 @@ class ArikiKoikeAlgebra:
         else:
             base = list(exp)
             base[m - 1] -= self.r
-            lden, lterms = self.field.to_ints(self._L_pow_r(m))
+            lden, lterms = self._L_pow_r(m)
             acc = [1, {}]
-            for (f, v), c in lterms.items():
-                nden, nterms = self._normal_L(tuple(map(add, base, f)), self._rank[v])
+            for code, c in lterms.items():
+                f, v = divmod(code, self._nperm)
+                nden, nterms = self._normal_L(tuple(map(add, base, self._exps[f])), v)
                 self._fold(lden * nden, nterms, self._mono_times_T, w, acc, scale=c)
-            out = self._canonical(acc)
+            out = self.field.canonical(*acc)
         self._normalL_cache[key] = out
         return out
 
@@ -643,8 +622,7 @@ class ArikiKoikeAlgebra:
 
     def m_lambda(self, lam: MultiComposition) -> Element:
         """m_lambda = u_lambda^+ x_lambda, built once per lambda."""
-        return Element(self, self.derived(
-            ("m_lambda", lam), lambda: (self.u_plus(lam) * self.x_lambda(lam)).terms))
+        return Element(self, *self.derived(("m_lambda", lam), lambda: (self.u_plus(lam) * self.x_lambda(lam)).form))
 
     def m_st(self, s: StandardTableau, t: StandardTableau) -> Element:
         if s.shape != t.shape:
@@ -681,14 +659,14 @@ class ArikiKoikeAlgebra:
 
     def v_b_elem(self, b: int) -> Element:
         """v_b = u_{n-b}^- T_{w_{n-b,b}} u_b^+, built once per b."""
-        return Element(self, self.derived(("v_b", b), lambda: self.theta_b(b, self.u_b_plus(b)).terms))
+        return Element(self, *self.derived(("v_b", b), lambda: self.theta_b(b, self.u_b_plus(b)).form))
 
     def theta_head(self, b: int) -> Element:
         """u_{n-b}^- T_{w_{n-b,b}}, the left factor of theta_b, built once per b."""
         if not (0 <= b <= self.n):
             raise ValueError(f"b={b} out of range")
-        return Element(self, self.derived(("theta_head", b), lambda: (
-            self.u_minus(self.n - b) * self.t_elem(w_ab(self.n - b, b, self.n))).terms))
+        return Element(self, *self.derived(("theta_head", b), lambda: (
+            self.u_minus(self.n - b) * self.t_elem(w_ab(self.n - b, b, self.n))).form))
 
     def theta_b(self, b: int, h: Element) -> Element:
         """theta_b(h) = u_{n-b}^- T_{w_{n-b,b}} h (membership of h in its domain is the caller's duty)."""
@@ -728,17 +706,23 @@ class TransitionMatrix:
                 f"cellular data count {len(self.cells)} != rank {len(self.monomials)}"
             )
         self.matrix = transpose([alg.vec(alg.m_st(s, t)) for (_, s, t) in self.cells])
-        self._inverse: list[list] | None = None
+        self._inverse: list[dict] | None = None
 
-    def inverse(self) -> list[list]:
+    def inverse(self) -> list[dict]:
+        """The columns of the inverse matrix as sparse rows: row k holds the
+        cellular coordinates of the monomial with code k.  Raises ValueError
+        if the matrix is singular."""
         if self._inverse is None:
-            self._inverse = mat_inverse(self.matrix, self.field)
+            cols = solve(self.matrix, identity_matrix(len(self.matrix), self.field), self.field)
+            if any(x is None for x in cols):
+                raise ValueError("matrix is singular")
+            self._inverse = [sparse(x) for x in cols]
         return self._inverse
 
     def express(self, elem: Element) -> dict:
         """Exact coordinates of elem in the cellular basis: {(lam, s, t): coeff}."""
-        coords = mat_vec(self.inverse(), elem.alg.vec(elem), self.field)
-        return {cell: c for cell, c in zip(self.cells, coords) if c}
+        coords = sparse_vec_mat(self.field.from_ints(elem.den, elem.ints), self.inverse())
+        return {self.cells[i]: coords[i] for i in sorted(coords)}
 
     def combine(self, coords: dict) -> Element:
         alg = self._alg()

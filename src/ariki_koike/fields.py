@@ -169,6 +169,12 @@ class Rationals:
             return 1, {k: v.numerator for k, v in terms.items()}
         return den, {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
 
+    def canonical(self, den: int, ints: dict) -> tuple[int, dict]:
+        """The same values with den their least common denominator and no zero
+        int: den and the ints divided by their gcd (a zero int leaves it alone)."""
+        g = gcd(den, *ints.values())
+        return den // g, {k: a // g for k, a in ints.items() if a}
+
     def from_ints(self, den: int, ints: dict) -> dict:
         """{k: ints[k] / den} as Fractions, dropping the zeros."""
         if den == 1:
@@ -214,22 +220,23 @@ class PrimeField:
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
     # The product engine's int form: (1, {k: residue}); the engine leaves the
-    # residues unreduced while it adds them.
+    # residues unreduced while it adds them, and `canonical` reduces them.
 
     def to_ints(self, terms: dict) -> tuple[int, dict]:
         """(1, residues) of a term dict."""
         return 1, {k: v.val for k, v in terms.items()}
 
-    def from_ints(self, den: int, ints: dict) -> dict:
-        """{k: ints[k] / den} as FpElements, reduced mod p once, dropping the zeros."""
+    def canonical(self, den: int, ints: dict) -> tuple[int, dict]:
+        """The same values as (1, residues in 1..p-1): den inverted mod p and
+        every int reduced once."""
         p = self.p
-        scale = 1 if den == 1 else pow(den, -1, p)
-        out = {}
-        for k, a in ints.items():
-            a = a * scale % p
-            if a:
-                out[k] = FpElement(a, p)
-        return out
+        scale = pow(den, -1, p)
+        return 1, {k: r for k, a in ints.items() if (r := a * scale % p)}
+
+    def from_ints(self, den: int, ints: dict) -> dict:
+        """{k: ints[k] / den} as FpElements, dropping the zeros."""
+        p = self.p
+        return {k: FpElement(a, p) for k, a in self.canonical(den, ints)[1].items()}
 
     # Built once per field; an FpElement is never mutated.
     @cached_property

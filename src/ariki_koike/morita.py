@@ -165,13 +165,13 @@ class TensorAlgebra:
 
     def multiply(self, x: dict, y: dict) -> dict:
         out: dict = {}
+        one = self.left.field.one
         for (a1, a2), c in x.items():
             for (b1, b2), d in y.items():
-                left = self.left._product_terms({a1: self.left.field.one}, {b1: self.left.field.one})
-                right = self.right._product_terms({a2: self.right.field.one}, {b2: self.right.field.one})
-                for m1, c1 in left.items():
-                    for m2, c2 in right.items():
-                        _accumulate(out, (m1, m2), c * d * c1 * c2)
+                left = self.left.element({a1: c * d}) * self.left.element({b1: one})
+                right = self.right.element({a2: one}) * self.right.element({b2: one})
+                for m, v in self.tensor(left, right).items():
+                    _accumulate(out, m, v)
         return out
 
 
@@ -208,9 +208,9 @@ class MoritaSuite:
         if not self.fs:
             raise GateError(GATE_MESSAGE)
         alg, triples = self.alg, self.level(b).triples
-        terms = alg.derived(("v_basis", b), lambda: [
-            alg.theta_b(b, alg.m_st(st, tt)).terms for (_, st, tt) in triples])
-        return VBasis(b, triples, [Element(alg, t) for t in terms])
+        forms = alg.derived(("v_basis", b), lambda: [
+            alg.theta_b(b, alg.m_st(st, tt)).form for (_, st, tt) in triples])
+        return VBasis(b, triples, [Element(alg, *f) for f in forms])
 
     def _vmatrix(self, b: int) -> list[list]:
         """The v-basis of V^b as the columns of a matrix."""

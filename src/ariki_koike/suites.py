@@ -195,10 +195,12 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
                 for u in std_tableaux(mu):
                     for v in std_tableaux(mu):
                         elems.append(alg.m_st(u, v))
-            rows = [alg.vec(e) for e in elems]
-            if not all(in_row_space(rows, [alg.vec(e * t) for e in elems for t in gens])):
+            right = [alg.vec(e * t) for e in elems for t in gens]
+            left = [alg.vec(t * e) for e in elems for t in gens]
+            inside = in_row_space([alg.vec(e) for e in elems], right + left)
+            if not all(inside[:len(right)]):
                 failures.append("right multiplication leaves the layer ideal")
-            if not all(in_row_space(rows, [alg.vec(t * e) for e in elems for t in gens])):
+            if not all(inside[len(right):]):
                 failures.append("left multiplication leaves the layer ideal")
     out.append(result("cellular.layer_ideals", REF_IDEALS, pd, not failures,
                       "; ".join(sorted(set(failures))[:2])))

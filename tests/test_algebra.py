@@ -216,6 +216,28 @@ def test_engine_hands_back_canonical_field_values(field, q, Q):
         assert any(c for row in matrix for c in row)
 
 
+@pytest.mark.parametrize("field,Q", [
+    (Rationals(), (Fraction(1, 3), Fraction(5, 2))),
+    (PrimeField(5), (1, 2)),
+], ids=["Q", "GF5"])
+def test_elements_are_kept_in_canonical_form(field, Q):
+    # equal elements must have equal int forms, so == and hash may compare ints
+    alg = make(n=2, r=2, q=Fraction(2, 3), Q=Q, field=field)
+    rng = random.Random(3)
+    for _ in range(20):
+        x, y = random_element(alg, rng), random_element(alg, rng)
+        for z in (x, x * y, x + y, x - y, -x, x.star(), x.scale(Fraction(2, 3))):
+            if isinstance(field, Rationals):
+                assert gcd(z.den, *z.ints.values()) == 1
+            else:
+                assert z.den == 1 and all(0 < v < field.p for v in z.ints.values())
+            assert all(z.ints.values())
+            same = alg.element(z.terms)
+            assert same == z and hash(same) == hash(z)
+        assert x + y - y == x and hash(x + y - y) == hash(x)
+        assert (x - x).is_zero() and x - x == alg.zero()
+
+
 @pytest.mark.parametrize("n,r,field,q,Q", [
     (2, 3, Rationals(), 2, (1, 5, 7)),
     (3, 2, PrimeField(5), 2, (1, 3)),

@@ -443,3 +443,27 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
     # per level b = 0, 1, 2: the preimages, the action and the complement once
     # each, plus one call per split pair (12 in all)
     assert len(calls) == 3 + 3 + 12 + 3
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("verify --suite all --n 0 --r 2 --s 1", 0),
+    ("verify --suite relations --n 2 --r 2 --Q 3,3", 0),
+    ("verify --suite morita --n 2 --r 2 --s 1 --Q 3,3", 2),
+    ("verify --suite relations --n 2 --r 2 --q 1 --Q 1,5", 0),
+    ("verify --suite relations --n 2 --r 2 --q 0 --Q 1,5", 2),
+    ("verify --suite morita --n 2 --r 2 --s 1 --Q 1,5 --b 3", 2),
+    ("verify --suite morita --n 2 --r 2 --s 2 --Q 1,5", 2),
+    ("verify --suite relations --n 2 --r 2 --field GF(4) --Q 1,2", 2),
+    ("verify --suite relations --n x", 2),
+    ("verify --suite relations --n 5 --r 2", 3),
+], ids=["n=0", "Qi=Qj-relations", "Qi=Qj-morita", "q=1", "q=0", "b-out-of-range", "s=r",
+        "non-prime-field", "malformed-int", "size-guard"])
+def test_exit_code_contract(argv, code, capsys):
+    """0 pass / 1 check failed / 2 gate refused or usage error / 3 size guard."""
+    try:
+        got = main(argv.split())
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    if code:
+        assert capsys.readouterr().err.strip()

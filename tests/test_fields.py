@@ -172,6 +172,28 @@ def test_int_form_round_trip():
     assert gf5.from_ints(3, {"a": 1}) == {"a": gf5(2)}
 
 
+def test_canonical_int_form():
+    Q = Rationals()
+    # 2/12, 4/12, -6/12 are 1/6, 1/3, -1/2: dividing by gcd(12, 2, 4, -6) = 2
+    # gives 6, their least common denominator, and the zero is dropped
+    assert Q.canonical(12, {"a": 2, "b": 4, "c": -6, "d": 0}) == (6, {"a": 1, "b": 2, "c": -3})
+    assert Q.canonical(4, {"a": 8, "b": -4}) == (1, {"a": 2, "b": -1})
+    assert Q.canonical(6, {"a": 1, "b": 0}) == (6, {"a": 1})
+    assert Q.canonical(5, {"a": 0}) == (1, {})
+    gf5 = PrimeField(5)
+    # reduced mod 5 and zeros dropped: 12 = 2, 10 = 0, -1 = 4
+    assert gf5.canonical(1, {"a": 12, "b": 10, "c": -1}) == (1, {"a": 2, "c": 4})
+    # a den > 1 is inverted mod 5: 1/3 = 2, 6/3 = 2, 5/3 = 0
+    assert gf5.canonical(3, {"a": 1, "b": 6, "c": 5}) == (1, {"a": 2, "b": 2})
+    # the same values as the round trip through field values
+    rng = random.Random(4)
+    for field in (Q, gf5):
+        for _ in range(50):
+            den = rng.choice((1, 2, 3, 4, 6, 12, 36))
+            ints = {k: rng.randint(-30, 30) for k in range(rng.randint(0, 5))}
+            assert field.canonical(den, ints) == field.to_ints(field.from_ints(den, ints))
+
+
 def test_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         Rationals()("1/0")
