@@ -24,7 +24,7 @@ total = 0
 for lam in multipartitions(2, 2):
     sm = specht_module(alg, lam)
     g = gram_matrix(alg, lam)
-    d = rank(g)
+    d = rank(g, alg.field)
     total += d * d
     print(f"  {lam.serialize():12} dim S = {sm.dim}, dim D = rank(Gram) = {d}")
 print(f"  sum of squared simple dimensions: {total} = rank of the algebra: {alg.dim}")

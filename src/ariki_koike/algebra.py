@@ -390,8 +390,8 @@ class ArikiKoikeAlgebra:
         return acc
 
     def _mono_times_gen(self, mono: Monomial, g: int) -> dict:
-        """mono * T_g in normal form, where T_0 = L_1."""
-        return (self.element({mono: self.field.one}) * self.gen_T(g)).terms
+        """mono * T_g in normal form, where T_0 = L_1, as {code: int}."""
+        return (self.element({mono: self.field.one}) * self.gen_T(g)).ints
 
     def _mono_times_L(self, code: int, d: int) -> tuple[int, dict]:
         """(L^a T_x) L^d in normal form, for the codes of L^a T_x and of L^d:

@@ -4,23 +4,26 @@ Matrices are plain lists of lists of field elements (Fraction or FpElement).
 Products skip zero factors and start each sum from its first nonzero term.
 
 All elimination goes through one kernel, `Echelon`: a row space kept in
-reduced row echelon form as sparse dict rows, grown one row at a time.  A
-new row is reduced against the stored rows and dropped if it vanishes, so
-a tall, mostly dependent system never stores more than rank-many rows.
-`rank`, `nullspace`, `solve`, `inverse`, `row_space_basis`, `determinant`,
-the membership test `in_row_space` and the in-place `row_echelon` are thin
-calls into it; the composition-factor chop (`specht.spin` and the sub- and
+reduced row echelon form, grown one row at a time.  Its rows are sparse and
+in the product engine's canonical int form (den, {column: int}), so a
+reduction adds plain ints over one common denominator (always 1 over
+GF(p)) and normalizes once; field values exist only at its boundary, where
+rows come in and results go out.  A new row is reduced against the stored
+rows and dropped if it vanishes, so a tall, mostly dependent system never
+stores more than rank-many rows.  `rank`, `nullspace`, `solve`, `inverse`,
+`row_space_basis`, `determinant`, the membership test `in_row_space` and
+the in-place `row_echelon` are thin calls into it and take the field
+explicitly; the composition-factor chop (`specht.spin` and the sub- and
 quotient actions) and the Morita checks against the row space of v_b keep
 an `Echelon` and reduce against it.  The reduced echelon form of a row
-space is unique, so results (nullspace and row-space bases, the solution
-with free variables 0, a spun submodule) do not depend on row order or on
-how the kernel stores its rows.  `solve` and `in_row_space` take every
-right-hand side (or vector) at once and eliminate their matrix once, and
-`inverse` is `solve` against the identity.
+space is unique, so results do not depend on row order.  `solve` and
+`in_row_space` take every right-hand side (or vector) at once and
+eliminate their matrix once, and `inverse` is `solve` against the identity.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 
@@ -92,64 +95,68 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
 
 
 class Echelon:
-    """A row space in reduced row echelon form, grown one row at a time.
+    """A row space over `field` in reduced row echelon form, grown one row at a time.
 
-    Rows are sparse dicts {column: nonzero value}.  `rows` maps each pivot
-    column to its row; a stored row is 1 at its own pivot and 0 at every
-    other pivot, so the echelon holds at most rank-many rows and is always
-    fully reduced.
+    `rows` maps each pivot column to its row in canonical int form (den,
+    {column: int}), 1 at its own pivot (ints[pivot] == den > 0) and 0 at every
+    other pivot, so the echelon holds at most rank-many rows.
     """
 
-    def __init__(self):
-        self.rows: dict[int, dict] = {}
+    def __init__(self, field):
+        self.field = field
+        self.rows: dict[int, tuple[int, dict]] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: dict) -> dict:
-        """A copy of row with every pivot column cleared by the stored rows.
+    def row(self, pc: int) -> dict:
+        """The stored row with pivot pc, as {column: field value}."""
+        return self.field.from_ints(*self.rows[pc])
 
-        A stored row is 0 at the other pivots, so one pass over the pivots
-        that row touches clears them all.
-        """
-        rows = self.rows
-        out = dict(row)
-        for col, c in row.items():
-            if col in rows:
-                _add_scaled(out, rows[col], -c)
-        return out
+    def reduce(self, row: dict) -> dict:
+        """A new dict: row with every pivot column cleared by the stored rows."""
+        return self.field.from_ints(*_clear(self.field, *self.field.to_ints(row), self.rows))
 
     def add(self, row: dict) -> tuple[int, object] | None:
         """Insert row: reduce it, drop it if it becomes zero, else pivot on its
         lowest column, scale the pivot to 1 and clear that column from every
         stored row.  Returns (pivot column, pivot value before scaling), or
         None for a dependent row."""
-        red = self.reduce(row)
-        if not red:
+        field = self.field
+        den, ints = _clear(field, *field.to_ints(row), self.rows)
+        if not ints:
             return None
-        col = min(red)
-        value = red[col]
-        inv = 1 / value
-        red = {k: v * inv for k, v in red.items()}
-        for other in self.rows.values():
-            c = other.get(col)
-            if c is not None:
-                _add_scaled(other, red, -c)
-        self.rows[col] = red
+        col = min(ints)
+        a = ints[col]
+        value = field.from_ints(den, {col: a})[col]
+        if a < 0:
+            a, ints = -a, {k: -v for k, v in ints.items()}
+        new = field.canonical(a, ints)
+        rows = self.rows
+        for pc, (d, other) in rows.items():
+            if col in other:
+                rows[pc] = _clear(field, d, other, {col: new})
+        rows[col] = new
         return col, value
 
 
-def _add_scaled(out: dict, row: dict, c) -> None:
-    """out += c * row, dropping the entries that cancel."""
+def _clear(field, den: int, ints: dict, rows: dict) -> tuple[int, dict]:
+    """(den, ints) with each pivot column c of rows cleared, in canonical form.
+
+    rows[c] = (den_c, ints_c) is 1 at c and 0 at the other pivots, so one pass
+    does it: the row is scaled once by L, the lcm of the den_c it touches (1
+    over GF(p)), and gains -a * (L // den_c) * ints_c for its entry a at c."""
+    hits = [(a, *rows[c]) for c, a in ints.items() if c in rows]
+    if not hits:
+        return den, ints
+    big = lcm(*(d for _, d, _ in hits))
+    out = {k: v * big for k, v in ints.items()} if big != 1 else dict(ints)
     get = out.get
-    for k, v in row.items():
-        cur = get(k)
-        if cur is None:
-            out[k] = c * v
-        elif cur := cur + c * v:
-            out[k] = cur
-        else:
-            del out[k]
+    for a, d, row in hits:
+        f = -a * (big // d)
+        for k, v in row.items():
+            out[k] = get(k, 0) + f * v
+    return field.canonical(den * big, out)
 
 
 def sparse(row: Sequence) -> dict:
@@ -160,15 +167,18 @@ def sparse(row: Sequence) -> dict:
 def sparse_vec_mat(row: dict, m: Sequence[dict]) -> dict:
     """The row vector row m, for a sparse row and a matrix of sparse rows."""
     out: dict = {}
+    get = out.get
     for k, x in row.items():
-        _add_scaled(out, m[k], x)
-    return out
+        for j, v in m[k].items():
+            cur = get(j)
+            out[j] = x * v if cur is None else cur + x * v
+    return {j: v for j, v in out.items() if v}
 
 
-def echelon(m: Sequence[Sequence]) -> Echelon:
+def echelon(m: Sequence[Sequence], field) -> Echelon:
     """The echelon of the rows of m; stops early once every column is a pivot."""
     n_cols = len(m[0]) if m else 0
-    ech = Echelon()
+    ech = Echelon(field)
     for row in m:
         ech.add(sparse(row))
         if len(ech) == n_cols:
@@ -178,28 +188,21 @@ def echelon(m: Sequence[Sequence]) -> Echelon:
 
 def dense_rows(ech: Echelon, n_cols: int) -> list[list]:
     """The stored rows in pivot order, as dense lists."""
-    out = []
-    for col in sorted(ech.rows):
-        row = ech.rows[col]
-        dense = [row[col] - row[col]] * n_cols
-        for k, v in row.items():
-            dense[k] = v
-        out.append(dense)
-    return out
+    zero = ech.field.zero
+    return [[row.get(k, zero) for k in range(n_cols)] for row in map(ech.row, sorted(ech.rows))]
 
 
-def row_echelon(m: list[list]) -> list[int]:
+def row_echelon(m: list[list], field) -> list[int]:
     """Reduce m in place to reduced row echelon form; return pivot columns."""
-    ech = echelon(m)
+    ech = echelon(m, field)
     if ech.rows:
         n_cols = len(m[0])
-        zero = m[0][0] - m[0][0]
-        m[:] = dense_rows(ech, n_cols) + [[zero] * n_cols for _ in range(len(m) - len(ech))]
+        m[:] = dense_rows(ech, n_cols) + [zero_vector(n_cols, field) for _ in range(len(m) - len(ech))]
     return sorted(ech.rows)
 
 
-def rank(m: Sequence[Sequence]) -> int:
-    return len(echelon(m))
+def rank(m: Sequence[Sequence], field) -> int:
+    return len(echelon(m, field))
 
 
 def nullspace(m: Sequence[Sequence], field) -> list[list]:
@@ -207,7 +210,8 @@ def nullspace(m: Sequence[Sequence], field) -> list[list]:
     if not m:
         return []
     n_cols = len(m[0])
-    rows = echelon(m).rows
+    ech = echelon(m, field)
+    rows = {pc: ech.row(pc) for pc in ech.rows}
     basis = []
     for free in range(n_cols):
         if free in rows:
@@ -233,22 +237,19 @@ def solve(m: Sequence[Sequence], rhs: Sequence[Sequence], field) -> list[list | 
     if not m:
         return [[] if not any(b) else None for b in rhs]
     n_cols = len(m[0])
-    ech = Echelon()
+    ech = Echelon(field)
     for row, *b in zip(m, *rhs):
         row = sparse(row)
         for j, x in enumerate(b):
             if x:
                 row[n_cols + j] = x
         ech.add(row)
-    inconsistent = set()
-    for pc, row in ech.rows.items():
-        if pc >= n_cols:
-            inconsistent.update(row)
+    inconsistent = {col for pc, (_, ints) in ech.rows.items() if pc >= n_cols for col in ints}
     xs = [None if n_cols + j in inconsistent else zero_vector(n_cols, field)
           for j in range(len(rhs))]
-    for pc, row in ech.rows.items():
+    for pc in ech.rows:
         if pc < n_cols:
-            for col, c in row.items():
+            for col, c in ech.row(pc).items():
                 if col >= n_cols and (x := xs[col - n_cols]) is not None:
                     x[pc] = c
     return xs
@@ -267,7 +268,7 @@ def determinant(m: Sequence[Sequence], field):
     """The product of the pivots before scaling, times the sign of the pivot
     permutation: the rows reduced at insertion are the rows of m minus
     combinations of earlier rows, and triangular once columns are permuted."""
-    ech = Echelon()
+    ech = Echelon(field)
     det = field.one
     pivots = []
     for row in m:
@@ -280,15 +281,14 @@ def determinant(m: Sequence[Sequence], field):
     return -det if inversions % 2 else det
 
 
-def row_space_basis(m: Sequence[Sequence]) -> list[list]:
+def row_space_basis(m: Sequence[Sequence], field) -> list[list]:
     """A basis of the row space, in reduced echelon form."""
     if not m:
         return []
-    n_cols = len(m[0])
-    return dense_rows(echelon(m), n_cols)
+    return dense_rows(echelon(m, field), len(m[0]))
 
 
-def in_row_space(basis: Sequence[Sequence], vectors: Sequence[Sequence]) -> list[bool]:
+def in_row_space(basis: Sequence[Sequence], vectors: Sequence[Sequence], field) -> list[bool]:
     """For each vector, whether it lies in the row space of `basis`."""
-    ech = echelon(basis)
+    ech = echelon(basis, field)
     return [not ech.reduce(sparse(v)) for v in vectors]

@@ -224,7 +224,7 @@ class MoritaSuite:
 
     def _vb_echelon(self, b: int) -> Echelon:
         """The row space of left multiplication by v_b, reduced once per level."""
-        return self.alg.derived(("v_b_echelon", b), lambda: echelon(self._vb_left_mult(b)))
+        return self.alg.derived(("v_b_echelon", b), lambda: echelon(self._vb_left_mult(b), self.field))
 
     def _vb_rank(self, b: int) -> int:
         """rank V^b = rank of left multiplication by v_b, independent of any listing."""
@@ -382,7 +382,7 @@ class MoritaSuite:
         alg, lv = self.alg, self.level(b)
         out = []
         vb = self.v_basis(b)
-        r_v = rank(self._vmatrix(b)) if vb.entries else 0
+        r_v = rank(self._vmatrix(b), self.field) if vb.entries else 0
         expected = self.expected_rank(b)
         out.append(result(
             "morita.v_basis", REF_VBASIS, self._pdict(b=b),
@@ -395,9 +395,9 @@ class MoritaSuite:
         module_rows = transpose(alg.left_mult_matrix(alg.m_lambda(omega)))
         claimed = lv.one_sided
         claimed_rows = [alg.vec(alg.m_st(u, v)) for (_, u, v) in claimed]
-        r_module = rank(module_rows)
-        r_claimed = rank(claimed_rows)
-        r_joint = rank(module_rows + claimed_rows)
+        r_module = rank(module_rows, self.field)
+        r_claimed = rank(claimed_rows, self.field)
+        r_joint = rank(module_rows + claimed_rows, self.field)
         basis_ok = r_module == r_claimed == r_joint == len(claimed)
         out.append(result(
             "morita.omega_module_basis", REF_VBASIS, self._pdict(b=b), basis_ok,
@@ -407,7 +407,7 @@ class MoritaSuite:
         # ker theta_b: claimed basis, complementarity of ranks, ideal intersection.
         kers = lv.kernel
         ker_rows = [alg.vec(alg.m_st(u, v)) for (_, u, v) in kers]
-        r_ker = rank(ker_rows) if ker_rows else 0
+        r_ker = rank(ker_rows, self.field) if ker_rows else 0
         complement_ok = r_ker == len(kers) and len(vb.entries) + r_ker == r_module
         out.append(result(
             "morita.kernel_basis", REF_VBASIS, self._pdict(b=b), complement_ok,
@@ -417,8 +417,8 @@ class MoritaSuite:
         # ker theta_b = M^{omega_b} cap N-bar^b (the span of higher-level cells).
         ideal_rows = [alg.vec(alg.m_st(u, v)) for mu in lv.above
                       for u in std_tableaux(mu) for v in std_tableaux(mu)]
-        r_ideal = rank(ideal_rows) if ideal_rows else 0
-        r_stack = rank(module_rows + ideal_rows) if ideal_rows else r_module
+        r_ideal = rank(ideal_rows, self.field) if ideal_rows else 0
+        r_stack = rank(module_rows + ideal_rows, self.field) if ideal_rows else r_module
         inter = r_module + r_ideal - r_stack
         out.append(result(
             "morita.kernel_complement", REF_COMPLEMENT, self._pdict(b=b), inter == r_ker,
@@ -498,7 +498,7 @@ class MoritaSuite:
                         for k in range(rc):
                             row[i * rc + k] = row[i * rc + k] - act_c[g][k][j]
                         rows.append(row)
-            dim_hom = rb * rc - rank(rows) if rows else rb * rc
+            dim_hom = rb * rc - rank(rows, self.field) if rows else rb * rc
             out.append(result("morita.hom_vanishing", REF_HOM_VANISH, self._pdict(b=b, c=c),
                               dim_hom == 0, f"dim Hom = {dim_hom}"))
         return out
@@ -539,7 +539,7 @@ class MoritaSuite:
                 if mat_mul(act, mat, self.field) != mat_mul(mat, act, self.field):
                     failures.append("endomorphism does not commute with the action")
         flat = [[x for row in m for x in row] for m in mats]
-        indep = rank(flat) == len(mats) if mats else True
+        indep = rank(flat, self.field) == len(mats) if mats else True
         tensor_dim = TensorAlgebra(alg, b).dim
         count_ok = len(pairs) == tensor_dim
         if not indep:
@@ -608,20 +608,20 @@ class MoritaSuite:
             comp = self.splitting_complement(b)
             expected = self.expected_rank(b)
             comp_rows = [alg.vec(e) for e in comp]
-            ok_dim = len(comp) == expected and rank(comp_rows) == expected
+            ok_dim = len(comp) == expected and rank(comp_rows, self.field) == expected
             # theta_b restricted to the complement is a bijection onto V^b
             theta_rows = [alg.vec(alg.theta_b(b, e)) for e in comp]
             vmat_rows = [alg.vec(e) for e in self.v_basis(b).elements]
             ok_theta = (
-                rank(theta_rows) == expected
-                and rank(theta_rows + vmat_rows) == expected
+                rank(theta_rows, self.field) == expected
+                and rank(theta_rows + vmat_rows, self.field) == expected
             )
             # generator stability (the complement is a submodule)
             stab_rows = list(comp_rows)
             for e in comp:
                 for g in range(n):
                     stab_rows.append(alg.vec(e * alg.gen_T(g)))
-            ok_stable = rank(stab_rows) == expected
+            ok_stable = rank(stab_rows, self.field) == expected
             if not (ok_dim and ok_theta and ok_stable):
                 failures.append(
                     f"b={b}: dim ok {ok_dim}, theta bijective {ok_theta}, submodule {ok_stable}"
@@ -634,7 +634,7 @@ class MoritaSuite:
                     all_rows.append(alg.vec(tw * e))
                     block += 1
             block_sizes.append((b, block, comb(n, b) * expected))
-        total_rank = rank(all_rows)
+        total_rank = rank(all_rows, self.field)
         ok_total = total_rank == alg.dim and all(got == want for (_, got, want) in block_sizes)
         detail = (
             f"total rank {total_rank} of {alg.dim}; blocks "
@@ -758,7 +758,7 @@ class MoritaSuite:
         alg = self.alg
         ta = TensorAlgebra(alg, b)
         vb = alg.v_b_elem(b)
-        got = rank([alg.vec(self.theta_map(b, {m: self.field.one}) * vb) for m in ta.basis()])
+        got = rank([alg.vec(self.theta_map(b, {m: self.field.one}) * vb) for m in ta.basis()], self.field)
         return [result("morita.faithfulness", REF_FAITHFUL, self._pdict(b=b), got == ta.dim,
                        f"rank {got} of {ta.dim}")]
 
@@ -778,7 +778,7 @@ class MoritaSuite:
         for w in reps:
             tw = alg.t_elem(w)
             rows = [alg.vec(e * tw) for e in images]
-            if rank(rows) != ta.dim:
+            if rank(rows, self.field) != ta.dim:
                 failures.append(f"summand at a coset rep has deficient rank")
             all_rows.extend(rows)
             # Prop 4.8's basis of the same summand: v_(s, tw) over two-sided pairs
@@ -794,9 +794,9 @@ class MoritaSuite:
                     failures.append("translated tableau left the standard set")
                     continue
                 summand2.append(alg.vec(vbasis.elements[idx]))
-            if rank(summand2) != ta.dim or rank(rows + summand2) != ta.dim:
+            if rank(summand2, self.field) != ta.dim or rank(rows + summand2, self.field) != ta.dim:
                 failures.append("cell-indexed summand basis spans a different space")
-        total = rank(all_rows)
+        total = rank(all_rows, self.field)
         expected = self.expected_rank(b)
         if total != expected or len(all_rows) != expected:
             failures.append(f"total rank {total} != expected {expected}")
@@ -807,7 +807,7 @@ class MoritaSuite:
         bounds = [range(s) if i < b else range(r - s) for i in range(n)]
         bounded_rows = [vb_cols[alg.code(d, w)]
                         for d in itertools.product(*bounds) for w in sorted_permutations(n)]
-        if rank(bounded_rows) != expected or len(bounded_rows) != expected:
+        if rank(bounded_rows, self.field) != expected or len(bounded_rows) != expected:
             failures.append("bounded-exponent family is not a basis")
         return [result("morita.free_decomposition", REF_FREE, self._pdict(b=b), not failures,
                        "; ".join(sorted(set(failures))[:4]) if failures else
@@ -885,9 +885,9 @@ class MoritaSuite:
         for c in range(n + 1):
             for mu in self.level(c).shapes:
                 alpha, beta = split_multipartition(mu, s)
-                d_mu = rank(gram_matrix(self.alg, mu))
-                d_alpha = rank(gram_matrix(left_algs[c], alpha))
-                d_beta = rank(gram_matrix(right_algs[n - c], beta))
+                d_mu = rank(gram_matrix(self.alg, mu), self.field)
+                d_alpha = rank(gram_matrix(left_algs[c], alpha), self.field)
+                d_beta = rank(gram_matrix(right_algs[n - c], beta), self.field)
                 simple_dims[mu] = d_mu
                 if d_mu != comb(n, c) * d_alpha * d_beta:
                     fail_b.append(

@@ -98,12 +98,12 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
                 members.append(alg.m_semi2(S, T))
 
     member_rows = [alg.vec(m) for m in members]
-    members_inside = all(in_row_space(mat_mul(sols, mu_basis, field), member_rows))
+    members_inside = all(in_row_space(mat_mul(sols, mu_basis, field), member_rows, field))
     return {
         "dim": solved_dim,
         "expected": expected,
         "members_inside": members_inside,
-        "members_independent": rank(member_rows) == expected,
+        "members_independent": rank(member_rows, field) == expected,
     }
 
 
@@ -115,7 +115,7 @@ def _m_lambda_left_mult(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> list[li
 
 def _hom_target(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> tuple[list, list]:
     """A row basis of M^mu and the left-multiplication matrix of each row."""
-    mu_basis = row_space_basis(transpose(_m_lambda_left_mult(mu, alg)))
+    mu_basis = row_space_basis(transpose(_m_lambda_left_mult(mu, alg)), alg.field)
     return mu_basis, [alg.left_mult_matrix(alg.from_vec(v)) for v in mu_basis]
 
 

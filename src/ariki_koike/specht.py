@@ -135,16 +135,16 @@ def block_partition(params: Params) -> list[list[MultiPartition]]:
 # -- composition factors over a prime field ----------------------------------
 
 
-def spin(vectors: list[list], action: list[list[list]]) -> Echelon:
+def spin(vectors: list[list], action: list[list[list]], field) -> Echelon:
     """Row-space closure of `vectors` under right multiplication by the action,
     as the reduced echelon of the submodule they generate."""
     mats = _sparse_action(action)
-    ech = Echelon()
+    ech = Echelon(field)
     queue = [sparse(v) for v in vectors]
     while queue:
         added = ech.add(queue.pop())
         if added is not None:
-            row = ech.rows[added[0]]
+            row = ech.row(added[0])
             queue.extend(sparse_vec_mat(row, mat) for mat in mats)
     return ech
 
@@ -161,7 +161,7 @@ def submodule_action(ech: Echelon, action: list[list[list]], field) -> list[list
     for mat in _sparse_action(action):
         sub = []
         for pc in pivots:
-            img = sparse_vec_mat(ech.rows[pc], mat)
+            img = sparse_vec_mat(ech.row(pc), mat)
             if ech.reduce(img):
                 raise ComputationError("subspace is not invariant")
             sub.append([img.get(c, field.zero) for c in pivots])
@@ -216,7 +216,7 @@ def _split(action: list[list[list]], dim: int, field) -> Echelon:
     if p == 0:
         raise ComputationError("the chop works over prime fields only")
     if dim == 1:  # simple; spun so that every factor counts at least one spin
-        return spin([[field.one]], action)
+        return spin([[field.one]], action, field)
     rng = random.Random(dim)
     words = list(action)
     for _ in range(MAX_TRIES):
@@ -253,14 +253,14 @@ def _norton(action: list[list[list]], theta: list[list], field) -> Echelon | Non
         kernel = nullspace(transpose(shifted), field)  # row vectors v with v shifted = 0
         if not kernel:
             continue
-        sub = spin(kernel[:1], action)
+        sub = spin(kernel[:1], action, field)
         if len(sub) < dim:
             return sub
         if len(kernel) > 1:
             continue
-        dual = spin(nullspace(shifted, field)[:1], [transpose(m) for m in action])
+        dual = spin(nullspace(shifted, field)[:1], [transpose(m) for m in action], field)
         if len(dual) < dim:
-            return echelon(nullspace(dense_rows(dual, dim), field))
+            return echelon(nullspace(dense_rows(dual, dim), field), field)
         return sub
     return None
 
@@ -326,7 +326,7 @@ def _decomposition_matrix(alg: ArikiKoikeAlgebra) -> DecompositionData:
     lams = multipartitions(alg.n, alg.r)
     modules = {lam: specht_module(alg, lam) for lam in lams}
     grams = {lam: gram_matrix(alg, lam) for lam in lams}
-    simple_dims = {lam: rank(grams[lam]) for lam in lams}
+    simple_dims = {lam: rank(grams[lam], field) for lam in lams}
     cols = [lam for lam in lams if simple_dims[lam] > 0]
 
     # Reference fingerprints of the simple quotients D^mu = S^mu / rad.
@@ -334,7 +334,7 @@ def _decomposition_matrix(alg: ArikiKoikeAlgebra) -> DecompositionData:
     for mu in cols:
         rad_rows = nullspace(grams[mu], field)
         if rad_rows:
-            act = quotient_action(echelon(rad_rows), modules[mu].action, field)
+            act = quotient_action(echelon(rad_rows, field), modules[mu].action, field)
             d = simple_dims[mu]
         else:
             act = modules[mu].action

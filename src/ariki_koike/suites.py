@@ -52,11 +52,11 @@ def relations_suite(alg: ArikiKoikeAlgebra, seed: int = 2024) -> list[CheckResul
     pd = alg.params.describe()
     out = []
 
-    basis = set(alg.basis())
+    basis, codes = set(alg.basis()), range(alg.dim)
     closure_ok = len(basis) == alg.dim
     for mono in alg.basis():
         for g in range(n):
-            if not all(k in basis for k in alg._mono_times_gen(mono, g)):
+            if not all(k in codes for k in alg._mono_times_gen(mono, g)):
                 closure_ok = False
     out.append(result("relations.basis_closure", REF_RANK, pd, closure_ok,
                       f"rank {len(basis)}"))
@@ -197,7 +197,7 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
                         elems.append(alg.m_st(u, v))
             right = [alg.vec(e * t) for e in elems for t in gens]
             left = [alg.vec(t * e) for e in elems for t in gens]
-            inside = in_row_space([alg.vec(e) for e in elems], right + left)
+            inside = in_row_space([alg.vec(e) for e in elems], right + left, alg.field)
             if not all(inside[:len(right)]):
                 failures.append("right multiplication leaves the layer ideal")
             if not all(inside[len(right):]):
@@ -271,7 +271,7 @@ def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
         failures = []
         total = 0
         for lam in lams:
-            d = rank(grams[lam])
+            d = rank(grams[lam], alg.field)
             if d != modules[lam].dim:
                 failures.append(f"singular form on {lam.serialize()}")
             total += d * d

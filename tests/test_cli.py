@@ -45,6 +45,24 @@ def test_verify_relations_passes(capsys):
     assert {"check", "paper_ref", "params", "status", "detail"} <= set(entries[0])
 
 
+@pytest.mark.parametrize("stray", ["-1", "dim"])
+def test_basis_closure_fails_on_a_code_outside_the_basis(stray, monkeypatch, capsys):
+    from ariki_koike.algebra import ArikiKoikeAlgebra
+
+    original = ArikiKoikeAlgebra._mono_times_gen
+
+    def leaky(alg, mono, g):
+        # a negative code would index basis() from the end; one past it raises
+        return {**original(alg, mono, g), (-1 if stray == "-1" else alg.dim): 1}
+
+    monkeypatch.setattr(ArikiKoikeAlgebra, "_mono_times_gen", leaky)
+    code, out, _ = run_cli(["verify", "--suite", "relations", "--n", "2", "--r", "2"], capsys)
+    assert code == 1
+    rows = {e["check"]: e for e in json.loads(out)}
+    assert rows.pop("relations.basis_closure")["status"] == "fail"
+    assert rows and all(e["status"] == "pass" for e in rows.values())
+
+
 def test_verify_morita_small(capsys):
     code, out, _ = run_cli(
         ["verify", "--suite", "morita", "--n", "2", "--r", "2", "--s", "1",

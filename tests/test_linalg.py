@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -100,16 +101,16 @@ def test_transpose():
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_reduce_by_echelon_and_membership(field):
     rows = lift(field, [[1, 2, 0, 1], [2, 4, 1, 3]])
-    basis = row_space_basis(rows)
+    basis = row_space_basis(rows, field)
     assert basis == lift(field, [[1, 2, 0, 1], [0, 0, 1, 1]])
     member = lift(field, [[3, 6, 2, 5]])[0]
     outsider = lift(field, [[0, 1, 0, 0]])[0]
     near = lift(field, [[1, 3, 1, 1]])[0]
     for spanning in (basis, rows):
-        assert in_row_space(spanning, [member]) == [True]
-        assert in_row_space(spanning, [outsider]) == [False]
-        assert in_row_space(spanning, [near]) == [False]
-    ech = echelon(rows)
+        assert in_row_space(spanning, [member], field) == [True]
+        assert in_row_space(spanning, [outsider], field) == [False]
+        assert in_row_space(spanning, [near], field) == [False]
+    ech = echelon(rows, field)
     assert sorted(ech.rows) == [0, 2]
     assert ech.reduce(sparse(member)) == {}
     assert ech.reduce(sparse(outsider)) == sparse(outsider)
@@ -118,8 +119,8 @@ def test_reduce_by_echelon_and_membership(field):
 
 def test_reduce_by_echelon_copies_its_input():
     v = {1: Fraction(1)}
-    assert Echelon().reduce(v) == v and Echelon().reduce(v) is not v
-    ech = echelon([[Fraction(1), Fraction(0)]])
+    assert Echelon(Rationals()).reduce(v) == v and Echelon(Rationals()).reduce(v) is not v
+    ech = echelon([[Fraction(1), Fraction(0)]], Rationals())
     out = ech.reduce(v)
     assert out == v and out is not v
 
@@ -193,14 +194,24 @@ def leibniz_determinant(m, field):
     return total
 
 
-def random_sparse(rng, field, n_rows, n_cols, density=0.35):
-    return [[field(rng.randint(-4, 4)) if rng.random() < density else field.zero
+def entry_draws(field):
+    """Integer entries -4..4, and over Q also fractions a / b with b in 1..6,
+    so that stored rows get denominators > 1 and reductions meet negative pivots."""
+    draws = [lambda rng: field(rng.randint(-4, 4))]
+    if field.characteristic == 0:
+        draws.append(lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+    return draws
+
+
+def random_sparse(rng, field, n_rows, n_cols, density=0.35, draw=None):
+    draw = draw or entry_draws(field)[0]
+    return [[draw(rng) if rng.random() < density else field.zero
              for _ in range(n_cols)] for _ in range(n_rows)]
 
 
-def tall_dependent(rng, field, n_rows, n_cols, true_rank):
+def tall_dependent(rng, field, n_rows, n_cols, true_rank, draw=None):
     """Many random combinations of a few random rows: tall and almost all dependent."""
-    base = random_sparse(rng, field, true_rank, n_cols, density=0.6)
+    base = random_sparse(rng, field, true_rank, n_cols, density=0.6, draw=draw)
     rows = []
     for _ in range(n_rows):
         coeffs = [field(rng.randint(-2, 2)) if rng.random() < 0.5 else field.zero for _ in base]
@@ -208,9 +219,9 @@ def tall_dependent(rng, field, n_rows, n_cols, true_rank):
     return rows
 
 
-def with_zero_lines(rng, field, n_rows, n_cols):
+def with_zero_lines(rng, field, n_rows, n_cols, draw=None):
     """A random matrix with a zero row and a zero column spliced in."""
-    m = random_sparse(rng, field, n_rows, n_cols)
+    m = random_sparse(rng, field, n_rows, n_cols, draw=draw)
     zero_col = rng.randrange(n_cols)
     for row in m:
         row[zero_col] = field.zero
@@ -221,11 +232,12 @@ def with_zero_lines(rng, field, n_rows, n_cols):
 def kernel_cases(field):
     rng = random.Random(f"kernel:{field}")
     cases = []
-    for _ in range(12):
-        cases.append(random_sparse(rng, field, rng.randint(1, 7), rng.randint(1, 7)))
-    for _ in range(4):
-        cases.append(tall_dependent(rng, field, 40, rng.randint(3, 8), rng.randint(1, 3)))
-        cases.append(with_zero_lines(rng, field, rng.randint(2, 6), rng.randint(2, 6)))
+    for draw in entry_draws(field):
+        for _ in range(12):
+            cases.append(random_sparse(rng, field, rng.randint(1, 7), rng.randint(1, 7), draw=draw))
+        for _ in range(4):
+            cases.append(tall_dependent(rng, field, 40, rng.randint(3, 8), rng.randint(1, 3), draw))
+            cases.append(with_zero_lines(rng, field, rng.randint(2, 6), rng.randint(2, 6), draw))
     cases.append([[field.zero] * 4 for _ in range(3)])
     return cases
 
@@ -234,13 +246,13 @@ def kernel_cases(field):
 def test_kernel_matches_dense_gauss_jordan(field):
     for m in kernel_cases(field):
         rows, pivots = reference_rref(m)
-        assert rank(m) == len(pivots)
-        assert row_space_basis(m) == rows
+        assert rank(m, field) == len(pivots)
+        assert row_space_basis(m, field) == rows
         assert nullspace(m, field) == reference_nullspace(m, field)
         for x in nullspace(m, field):
             assert not any(mat_vec(m, x, field))
         work = [list(row) for row in m]
-        assert row_echelon(work) == pivots
+        assert row_echelon(work, field) == pivots
         assert work[:len(rows)] == rows and not any(any(row) for row in work[len(rows):])
 
 
@@ -291,39 +303,38 @@ def test_batched_in_row_space_matches_per_vector(field):
         members = [vec_mat([field(rng.randint(-2, 2)) for _ in m], m, field) for _ in range(3)]
         others = [[field(rng.randint(-2, 2)) for _ in m[0]] for _ in range(3)]
         vectors = members + others
-        assert in_row_space(m, vectors) == [rank(m + [v]) == rank(m) for v in vectors]
-        assert in_row_space(m, members) == [True] * 3
-        assert in_row_space(m, []) == []
+        assert in_row_space(m, vectors, field) == [rank(m + [v], field) == rank(m, field) for v in vectors]
+        assert in_row_space(m, members, field) == [True] * 3
+        assert in_row_space(m, [], field) == []
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_kernel_inverse_and_determinant(field):
     rng = random.Random(f"square:{field}")
-    for size in range(6):
-        for _ in range(6):
-            m = random_sparse(rng, field, size, size, density=0.6)
-            det = leibniz_determinant(m, field)
-            assert determinant(m, field) == det
-            if det:
-                inv = inverse(m, field)
-                assert mat_mul(m, inv, field) == identity_matrix(size, field)
-                rows, _ = reference_rref([list(row) + list(e) for row, e in
-                                          zip(m, identity_matrix(size, field))])
-                assert inv == [row[size:] for row in rows]
-            else:
-                with pytest.raises(ValueError):
-                    inverse(m, field)
+    for draw, size, _ in itertools.product(entry_draws(field), range(6), range(6)):
+        m = random_sparse(rng, field, size, size, density=0.6, draw=draw)
+        det = leibniz_determinant(m, field)
+        assert determinant(m, field) == det
+        if det:
+            inv = inverse(m, field)
+            assert mat_mul(m, inv, field) == identity_matrix(size, field)
+            rows, _ = reference_rref([list(row) + list(e) for row, e in
+                                      zip(m, identity_matrix(size, field))])
+            assert inv == [row[size:] for row in rows]
+        else:
+            with pytest.raises(ValueError):
+                inverse(m, field)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_kernel_edge_cases(field):
-    assert rank([]) == 0 and row_space_basis([]) == [] and nullspace([], field) == []
+    assert rank([], field) == 0 and row_space_basis([], field) == [] and nullspace([], field) == []
     assert solve([], [[]], field) == [[]] and solve([], [[field.one]], field) == [None]
     assert inverse([], field) == [] and determinant([], field) == field.one
     empty = []
-    assert row_echelon(empty) == [] and empty == []
+    assert row_echelon(empty, field) == [] and empty == []
     zero = [[field.zero] * 3 for _ in range(2)]
-    assert rank(zero) == 0 and row_space_basis(zero) == []
+    assert rank(zero, field) == 0 and row_space_basis(zero, field) == []
     assert nullspace(zero, field) == identity_matrix(3, field)
     # inconsistent: x + y = 1 and 2x + 2y = 3
     m = lift(field, [[1, 1], [2, 2]])
@@ -338,14 +349,44 @@ def test_echelon_holds_at_most_rank_rows_in_reduced_form():
     field = Rationals()
     rng = random.Random("echelon")
     m = tall_dependent(rng, field, 60, 7, 3)
-    ech = Echelon()
+    ech = Echelon(field)
     for row in m:
         ech.add({j: x for j, x in enumerate(row) if x})
         assert len(ech) <= 3
-    assert len(ech) == rank(m) == 3
-    for col, row in ech.rows.items():
+    assert len(ech) == rank(m, field) == 3
+    for col, (den, ints) in ech.rows.items():
+        assert min(ints) == col and ints[col] == den > 0
+        assert all(other == col or other not in ints for other in ech.rows)
+        row = ech.row(col)
         assert min(row) == col and row[col] == 1
         assert all(other == col or other not in row for other in ech.rows)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_echelon_stores_canonical_int_rows_and_reads_out_field_values(field):
+    p, value_type = field.characteristic, type(field.one)
+    rng = random.Random(f"stored:{field}")
+    dens, pivot_signs = set(), set()
+    for m in kernel_cases(field):
+        ech = Echelon(field)
+        for row in m:
+            added = ech.add(sparse(row))
+            if added is not None:
+                assert type(added[1]) is value_type
+                pivot_signs.add(added[1] > 0 if p == 0 else True)
+            for col, (den, ints) in ech.rows.items():
+                dens.add(den)
+                assert min(ints) == col and ints[col] == den > 0
+                assert all(other == col or other not in ints for other in ech.rows)
+                if p:
+                    assert den == 1 and all(0 < a < p for a in ints.values())
+                else:
+                    assert gcd(den, *ints.values()) == 1
+                assert all(type(v) is value_type for v in ech.row(col).values())
+        for v in random_sparse(rng, field, 3, len(m[0])):
+            assert all(type(x) is value_type for x in ech.reduce(sparse(v)).values())
+    if p == 0:  # the fractional cases reach both
+        assert max(dens) > 1 and pivot_signs == {True, False}
 
 
 def test_row_echelon_stays_importable():

@@ -294,6 +294,6 @@ def test_end_basis_ill_defined_against_a_smaller_row_space(monkeypatch):
     suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
     assert all_ok(suite.verify_end_basis(1))
     first = next(row for row in suite._vb_left_mult(1) if any(row))
-    monkeypatch.setattr(suite, "_vb_echelon", lambda b: echelon([first]))
+    monkeypatch.setattr(suite, "_vb_echelon", lambda b: echelon([first], suite.field))
     (row,) = suite.verify_end_basis(1)
     assert row.status == "fail" and "ill-defined" in row.detail
