@@ -64,11 +64,11 @@ from __future__ import annotations
 import itertools
 import weakref
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import add
 
 from .fields import Params, SizeGuardError
-from .linalg import identity_matrix, solve, sparse, sparse_vec_mat, transpose
+from .linalg import dense, identity_matrix, solve, sparse, sparse_vec_mat, transpose
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
     MultiComposition,
@@ -194,6 +194,18 @@ def _accumulate(store: dict, key, value):
         del store[key]
 
 
+def coordinate_rows(field, forms: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
+    """One row {i: coordinate c of forms[i]} per code c where some form is
+    nonzero, in canonical int form: every entry over the lcm of the dens."""
+    big = lcm(*(d for d, _ in forms))
+    cols: dict = {}
+    for i, (d, ints) in enumerate(forms):
+        m = big // d
+        for c, a in ints.items():
+            cols.setdefault(c, {})[i] = a * m
+    return [field.canonical(big, row) for row in cols.values()]
+
+
 def _mono_str(mono: Monomial) -> str:
     d, w = mono
     lpart = "".join(f"L{k}^{d[k-1]}" for k in range(1, len(d) + 1) if d[k - 1])
@@ -304,10 +316,7 @@ class ArikiKoikeAlgebra:
         return self._dindex[d] * self._nperm + self._rank[w]
 
     def vec(self, elem: Element) -> list:
-        out = [self.field.zero] * self.dim
-        for k, c in self.field.from_ints(elem.den, elem.ints).items():
-            out[k] = c
-        return out
+        return dense(self.field, elem.form, self.dim)
 
     def from_vec(self, v) -> Element:
         return Element(self, *self.field.to_ints({k: c for k, c in enumerate(v) if c}))
@@ -328,6 +337,15 @@ class ArikiKoikeAlgebra:
                     rows[k][col] = c
                 col += 1
         return rows
+
+    def condition_rows(self, forms: list[tuple[int, dict]], kernel: list[tuple[int, dict]]):
+        """The rows of the conditions (sum_i z_i x_i) k = 0, x_i = forms[i], for each
+        int form k of `kernel`, yielded k by k: one engine product x_i k per i,
+        then `coordinate_rows` of the products."""
+        canonical = self.field.canonical
+        for kden, kints in kernel:
+            yield from coordinate_rows(self.field, [
+                canonical(*self._product_into([1, {}], den, ints, kden, kints)) for den, ints in forms])
 
     # -- multiplication engine -------------------------------------------------
 

@@ -7,18 +7,18 @@ All elimination goes through one kernel, `Echelon`: a row space kept in
 reduced row echelon form, grown one row at a time.  Its rows are sparse and
 in the product engine's canonical int form (den, {column: int}), so a
 reduction adds plain ints over one common denominator (always 1 over
-GF(p)) and normalizes once; field values exist only at its boundary, where
-rows come in and results go out.  A new row is reduced against the stored
-rows and dropped if it vanishes, so a tall, mostly dependent system never
-stores more than rank-many rows.  `rank`, `nullspace`, `solve`, `inverse`,
-`row_space_basis`, `determinant`, the membership test `in_row_space` and
-the in-place `row_echelon` are thin calls into it and take the field
-explicitly; the composition-factor chop (`specht.spin` and the sub- and
-quotient actions) and the Morita checks against the row space of v_b keep
-an `Echelon` and reduce against it.  The reduced echelon form of a row
-space is unique, so results do not depend on row order.  `solve` and
-`in_row_space` take every right-hand side (or vector) at once and
-eliminate their matrix once, and `inverse` is `solve` against the identity.
+GF(p)) and normalizes once.  Rows come in as field values (`add`) or in
+int form (`add_form`: `schur.hom_space` streams engine products into it),
+and field values exist only where results go out.  A new row is reduced
+against the stored rows and dropped if it vanishes, so a tall, mostly
+dependent system never stores more than rank-many rows.  `rank`,
+`nullspace`, `solve`, `inverse`, `row_space_basis`, `determinant`, the
+membership test `in_row_space` and the in-place `row_echelon` are thin
+calls into it and take the field explicitly; `kernel_basis` reads a kernel
+off an echelon built elsewhere.  The reduced echelon form of a row space
+is unique, so results do not depend on row order.  `solve` and
+`in_row_space` take every right-hand side (or vector) at once, and
+`inverse` is `solve` against the identity.
 """
 
 from __future__ import annotations
@@ -62,34 +62,6 @@ def vec_mat(v: Sequence, m: Sequence[Sequence], field) -> list:
     return out
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence, field) -> list:
-    """The column vector m v, skipping the zero entries of v and of m."""
-    support = [(j, y) for j, y in enumerate(v) if y]
-    out = []
-    for row in m:
-        acc = None
-        for j, y in support:
-            x = row[j]
-            if x:
-                acc = x * y if acc is None else acc + x * y
-        out.append(field.zero if acc is None else acc)
-    return out
-
-
-def kernel_conditions(mats: Sequence[Sequence[Sequence]], kernel: Sequence[Sequence],
-                      field) -> list[list]:
-    """The nonzero rows of the linear conditions (sum_i z_i mats[i]) k = 0.
-
-    One row per vector k of `kernel` and coordinate c: entry i is
-    coordinate c of mats[i] k.
-    """
-    rows = []
-    for k in kernel:
-        images = [mat_vec(m, k, field) for m in mats]
-        rows.extend(list(row) for row in zip(*images) if any(row))
-    return rows
-
-
 def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)]
 
@@ -117,18 +89,21 @@ class Echelon:
         """A new dict: row with every pivot column cleared by the stored rows."""
         return self.field.from_ints(*_clear(self.field, *self.field.to_ints(row), self.rows))
 
-    def add(self, row: dict) -> tuple[int, object] | None:
-        """Insert row: reduce it, drop it if it becomes zero, else pivot on its
-        lowest column, scale the pivot to 1 and clear that column from every
-        stored row.  Returns (pivot column, pivot value before scaling), or
-        None for a dependent row."""
+    def add(self, row: dict) -> tuple[int, tuple[int, int]] | None:
+        """Insert a row given as {column: field value}."""
+        return self.add_form(*self.field.to_ints(row))
+
+    def add_form(self, den: int, ints: dict) -> tuple[int, tuple[int, int]] | None:
+        """Insert the row ints / den: reduce it, drop it if it becomes zero,
+        else pivot on its lowest column, scale the pivot to 1 and clear that
+        column from every stored row.  Returns (pivot column, (den, a)) with
+        a / den the pivot before scaling, or None for a dependent row."""
         field = self.field
-        den, ints = _clear(field, *field.to_ints(row), self.rows)
+        den, ints = _clear(field, den, ints, self.rows)
         if not ints:
             return None
         col = min(ints)
-        a = ints[col]
-        value = field.from_ints(den, {col: a})[col]
+        a = pivot = ints[col]
         if a < 0:
             a, ints = -a, {k: -v for k, v in ints.items()}
         new = field.canonical(a, ints)
@@ -137,7 +112,7 @@ class Echelon:
             if col in other:
                 rows[pc] = _clear(field, d, other, {col: new})
         rows[col] = new
-        return col, value
+        return col, (den, pivot)
 
 
 def _clear(field, den: int, ints: dict, rows: dict) -> tuple[int, dict]:
@@ -186,10 +161,17 @@ def echelon(m: Sequence[Sequence], field) -> Echelon:
     return ech
 
 
+def dense(field, form: tuple[int, dict], n_cols: int) -> list:
+    """The int form (den, {column: int}) as a dense row of field values."""
+    out = zero_vector(n_cols, field)
+    for k, c in field.from_ints(*form).items():
+        out[k] = c
+    return out
+
+
 def dense_rows(ech: Echelon, n_cols: int) -> list[list]:
     """The stored rows in pivot order, as dense lists."""
-    zero = ech.field.zero
-    return [[row.get(k, zero) for k in range(n_cols)] for row in map(ech.row, sorted(ech.rows))]
+    return [dense(ech.field, ech.rows[pc], n_cols) for pc in sorted(ech.rows)]
 
 
 def row_echelon(m: list[list], field) -> list[int]:
@@ -205,25 +187,26 @@ def rank(m: Sequence[Sequence], field) -> int:
     return len(echelon(m, field))
 
 
+def kernel_basis(ech: Echelon, n_cols: int) -> list[tuple[int, dict]]:
+    """A basis of the right kernel of the stored rows in canonical int form,
+    one vector per free column f: 1 at f and 0 at the other free columns."""
+    rows, basis = ech.rows, []
+    for free in range(n_cols):
+        if free not in rows:
+            hits = [(pc, d, ints[free]) for pc, (d, ints) in rows.items() if free in ints]
+            den = lcm(*(d for _, d, _ in hits))
+            vec = {pc: -a * (den // d) for pc, d, a in hits}
+            vec[free] = den
+            basis.append(ech.field.canonical(den, vec))
+    return basis
+
+
 def nullspace(m: Sequence[Sequence], field) -> list[list]:
     """A basis of the right kernel {x : m x = 0}, one vector per free column."""
     if not m:
         return []
     n_cols = len(m[0])
-    ech = echelon(m, field)
-    rows = {pc: ech.row(pc) for pc in ech.rows}
-    basis = []
-    for free in range(n_cols):
-        if free in rows:
-            continue
-        vec = zero_vector(n_cols, field)
-        vec[free] = field.one
-        for pc, row in rows.items():
-            c = row.get(free)
-            if c is not None:
-                vec[pc] = -c
-        basis.append(vec)
-    return basis
+    return [dense(field, v, n_cols) for v in kernel_basis(echelon(m, field), n_cols)]
 
 
 def solve(m: Sequence[Sequence], rhs: Sequence[Sequence], field) -> list[list | None]:
@@ -267,18 +250,20 @@ def inverse(m: Sequence[Sequence], field) -> list[list]:
 def determinant(m: Sequence[Sequence], field):
     """The product of the pivots before scaling, times the sign of the pivot
     permutation: the rows reduced at insertion are the rows of m minus
-    combinations of earlier rows, and triangular once columns are permuted."""
+    combinations of earlier rows, and triangular once columns are permuted.
+    The pivots are multiplied as ints and converted to a field value once."""
     ech = Echelon(field)
-    det = field.one
+    den = num = 1
     pivots = []
     for row in m:
         added = ech.add(sparse(row))
         if added is None:
             return field.zero
-        pivots.append(added[0])
-        det = det * added[1]
+        col, (d, a) = added
+        pivots.append(col)
+        den, num = den * d, num * a
     inversions = sum(1 for i, p in enumerate(pivots) for q in pivots[i + 1:] if q < p)
-    return -det if inversions % 2 else det
+    return field.from_ints(den, {0: -num if inversions % 2 else num})[0]
 
 
 def row_space_basis(m: Sequence[Sequence], field) -> list[list]:

@@ -29,10 +29,10 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .algebra import ArikiKoikeAlgebra, Element, _accumulate
+from .algebra import ArikiKoikeAlgebra, Element, _accumulate, coordinate_rows
 from .fields import ComputationError, GateError, Params, f_s_value
 from .linalg import (
-    Echelon, echelon, kernel_conditions, mat_mul, mat_vec, nullspace, rank, solve, sparse, transpose,
+    Echelon, dense, echelon, kernel_basis, mat_mul, rank, solve, sparse, transpose,
 )
 from .perms import coset_reps, shift_perm, sorted_permutations, w_ab
 from .report import CheckResult, result
@@ -528,7 +528,7 @@ class MoritaSuite:
                 failures.append(f"map for a pair at {lam.serialize()} is ill-defined")
                 continue
             mat = []
-            for coords in solve(vmat, [mat_vec(L_vst, x, self.field) for x in preimages],
+            for coords in solve(vmat, [alg.vec(vst * alg.from_vec(x)) for x in preimages],
                                 self.field):
                 if coords is None:
                     failures.append("endomorphism image left V^b")
@@ -565,24 +565,18 @@ class MoritaSuite:
         ker theta_b makes that map the (unique) right inverse of theta_b.
         The returned basis is y_0 * h for preimages h of the v-basis.
         """
-        alg = self.alg
-        vb_elem = alg.v_b_elem(b)
-        L_vb = self._vb_left_mult(b)
-        ann = nullspace(L_vb, self.field)
+        alg, field = self.alg, self.field
         m_elems = [alg.m_st(u, v) for (_, u, v) in self.level(b).one_sided]
-        l_mats = [alg.left_mult_matrix(e) for e in m_elems]
-        # homogeneous rows: coordinates of (sum z_i m_i) * k over all k in rAnn(v_b)
-        rows = kernel_conditions(l_mats, ann, self.field)
-        rhs = [self.field.zero] * len(rows)
-        # affine normalization: theta_b(sum z_i m_i) = v_b
-        theta_cols = [alg.vec(alg.theta_b(b, e)) for e in m_elems]
-        target = alg.vec(vb_elem)
-        for out_coord in range(alg.dim):
-            row = [theta_cols[i][out_coord] for i in range(len(m_elems))]
-            if any(row) or target[out_coord]:
-                rows.append(row)
-                rhs.append(target[out_coord])
-        z, = solve(rows, [rhs], self.field)
+        n = len(m_elems)
+        # one `solve` on rows of n + 1 field values (the last is v_b's), so the
+        # tall system is a single call into the linalg layer
+        rows = [dense(field, form, n + 1) for form in itertools.chain(
+            # homogeneous rows: coordinates of (sum z_i m_i) * k over all k in rAnn(v_b)
+            alg.condition_rows([e.form for e in m_elems], kernel_basis(self._vb_echelon(b), alg.dim)),
+            # affine rows: theta_b(sum z_i m_i) = v_b
+            coordinate_rows(field, [alg.theta_b(b, e).form for e in m_elems] + [alg.v_b_elem(b).form]),
+        )]
+        z, = solve([row[:n] for row in rows], [[row[n] for row in rows]], field)
         if z is None:
             raise ComputationError("no right inverse of theta_b exists (split failed)")
         y0 = alg.zero()
@@ -590,12 +584,11 @@ class MoritaSuite:
             if coeff:
                 y0 = y0 + m.scale(coeff)
         # transport the v-basis through the right inverse
-        L_y0 = alg.left_mult_matrix(y0)
         basis = []
         for h in self._preimages(b):
             if h is None:
                 raise ComputationError("v-basis element is not in v_b H")
-            basis.append(alg.from_vec(mat_vec(L_y0, h, self.field)))
+            basis.append(y0 * alg.from_vec(h))
         return basis
 
     def verify_regular_decomposition(self) -> list[CheckResult]:

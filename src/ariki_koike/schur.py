@@ -7,9 +7,10 @@ verifies the facts the Morita transfer rests on: the semistandard dimension
 formula, the explicit Hom-space bases computed by exact linear algebra, the
 splitting of the index poset, and the compatibility of theta_b with the
 tensor decomposition on the M-side.
-A Hom space is solved per pair of shapes; what depends on one side only
-(the row space of M^mu, the right annihilator of m_nu) is kept in the memo
-of the algebra.
+A Hom space is solved per pair of shapes: its conditions x k = 0, for k in
+the right annihilator of m_nu, are engine products streamed in int form into
+one echelon.  What depends on one side only (the row basis of M^mu and its
+int forms, the right annihilator of m_nu) is kept in the algebra's memo.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 from .algebra import ArikiKoikeAlgebra
 from .fields import Params
 from .linalg import (
-    identity_matrix,
+    Echelon,
+    dense,
+    echelon,
     in_row_space,
-    kernel_conditions,
+    kernel_basis,
     mat_mul,
-    nullspace,
     rank,
     row_space_basis,
     transpose,
@@ -77,14 +79,14 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     pair count, and whether every basis map lands in the solved space.
     """
     field = alg.field
-    mu_basis, x_mats = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
-    ann = alg.derived(("right_annihilator", nu), lambda: nullspace(_m_lambda_left_mult(nu, alg), field))
+    mu_basis, x_forms = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
+    ann = alg.derived(("right_annihilator", nu), lambda: kernel_basis(
+        echelon(_m_lambda_left_mult(nu, alg), field), alg.dim))
     # solve: x in span(mu_basis) with x k = 0 for all k in ann
-    cond_rows = kernel_conditions(x_mats, ann, field)
-    if cond_rows:
-        sols = nullspace(cond_rows, field)
-    else:
-        sols = identity_matrix(len(mu_basis), field)
+    ech = Echelon(field)
+    for row in alg.condition_rows(x_forms, ann):
+        ech.add_form(*row)
+    sols = [dense(field, v, len(mu_basis)) for v in kernel_basis(ech, len(mu_basis))]
     solved_dim = len(sols)
 
     expected = 0
@@ -114,9 +116,9 @@ def _m_lambda_left_mult(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> list[li
 
 
 def _hom_target(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> tuple[list, list]:
-    """A row basis of M^mu and the left-multiplication matrix of each row."""
+    """A row basis of M^mu and the int form of each row as an element."""
     mu_basis = row_space_basis(transpose(_m_lambda_left_mult(mu, alg)), alg.field)
-    return mu_basis, [alg.left_mult_matrix(alg.from_vec(v)) for v in mu_basis]
+    return mu_basis, [alg.from_vec(v).form for v in mu_basis]
 
 
 def gamma_split(gamma: list[MultiComposition], n: int, r: int, s: int, b: int) -> tuple:

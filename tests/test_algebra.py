@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
-from ariki_koike.algebra import ArikiKoikeAlgebra, random_element
+from ariki_koike.algebra import ArikiKoikeAlgebra, Element, random_element
 from ariki_koike.fields import FpElement, Params, PrimeField, Rationals, SizeGuardError
-from ariki_koike.linalg import rank
+from ariki_koike.linalg import dense, echelon, kernel_basis, rank
 from ariki_koike.perms import all_permutations, identity, s_interval
 from ariki_koike.tableaux import (
     MultiPartition,
@@ -255,6 +255,41 @@ def test_monomial_codes_are_basis_positions(n, r, field, q, Q):
         for j, mono in enumerate(basis):
             column = [row[j] for row in matrix]
             assert column == alg.vec(a * alg.element({mono: field.one}))
+
+
+@pytest.mark.parametrize("field,q,Q", [
+    (Rationals(), Fraction(2, 3), (1, 5)),
+    (PrimeField(7), 3, (1, 2)),
+], ids=["Q", "GF(7)"])
+def test_condition_rows_span_the_dense_conditions(field, q, Q):
+    # rows of (sum_i z_i x_i) k = 0 over the right annihilator of m_lambda,
+    # against the dense route: coordinate c of left_mult_matrix(x_i) k
+    alg = make(n=2, r=2, q=q, Q=Q, field=field)
+    rng = random.Random(f"conditions:{field}")
+    xs = [random_element(alg, rng) for _ in range(4)]
+    dens, sizes = {1}, []
+    for lam in multipartitions(2, 2):
+        kernel = kernel_basis(echelon(alg.left_mult_matrix(alg.m_lambda(lam)), field), alg.dim)
+        got = list(alg.condition_rows([x.form for x in xs], kernel))
+        sizes.append(len(kernel))
+        if isinstance(field, Rationals):
+            assert all(gcd(den, *ints.values()) == 1 for den, ints in got)
+        else:
+            assert all(den == 1 and all(0 < a < field.p for a in ints.values()) for den, ints in got)
+        got = [dense(field, row, len(xs)) for row in got]
+        want = []
+        for k in kernel:
+            kv = dense(field, k, alg.dim)
+            images = [[sum((a * b for a, b in zip(row, kv)), field.zero)
+                       for row in alg.left_mult_matrix(x)] for x in xs]
+            want.extend(list(row) for row in zip(*images) if any(row))
+        assert bool(got) == bool(kernel)
+        assert rank(got, field) == rank(want, field) == rank(got + want, field)
+        dens.update((x * Element(alg, *k)).den for x in xs for k in kernel)
+    assert min(sizes) == 0 and max(sizes) > 1
+    if isinstance(field, Rationals):  # the products reach dens > 1
+        assert max(dens) > 1
+    assert list(alg.condition_rows([x.form for x in xs], [])) == []
 
 
 def test_u_elements():

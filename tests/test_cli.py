@@ -446,21 +446,57 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
     from ariki_koike import morita
 
     calls = []
-    solve = morita.solve
 
-    def counting(m, rhs, field):
-        calls.append(len(rhs))
-        return solve(m, rhs, field)
+    def counting(name):
+        fn = getattr(morita, name)
 
-    monkeypatch.setattr(morita, "solve", counting)
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    # every elimination the battery reads solutions or a kernel off: solve and
+    # the echelon of L_vb (its free columns give rAnn(v_b))
+    for name in ("solve", "echelon"):
+        monkeypatch.setattr(morita, name, counting(name))
     code, _, _ = run_cli(
         ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
          "--q", "2", "--Q", "1,5,7"], capsys
     )
     assert code == 0
-    # per level b = 0, 1, 2: the preimages, the action and the complement once
-    # each, plus one call per split pair (12 in all)
-    assert len(calls) == 3 + 3 + 12 + 3
+    # per level b = 0, 1, 2: L_vb, the preimages, the action and the complement
+    # once each, plus one solve per split pair (12 in all)
+    assert calls.count("echelon") == 3
+    assert len(calls) == 3 + 3 + 3 + 12 + 3
+
+
+def _no_condition_rows(alg, forms, kernel):
+    return iter(())
+
+
+def _condition_rows_over_den_1(alg, forms, kernel):
+    # the products as the helper computes them, but each entry put over den 1
+    from ariki_koike.algebra import coordinate_rows
+
+    for kden, kints in kernel:
+        prods = [alg.field.canonical(*alg._product_into([1, {}], den, ints, kden, kints))
+                 for den, ints in forms]
+        yield from coordinate_rows(alg.field, [(1, ints) for _, ints in prods])
+
+
+@pytest.mark.parametrize("fault", [_no_condition_rows, _condition_rows_over_den_1],
+                         ids=["no-rows", "den-1"])
+def test_wrong_condition_rows_fail_schur_and_morita(fault, monkeypatch, capsys):
+    from ariki_koike.algebra import ArikiKoikeAlgebra
+
+    monkeypatch.setattr(ArikiKoikeAlgebra, "condition_rows", fault)
+    code, out, _ = run_cli(["verify", "--suite", "schur", "--n", "2", "--r", "2", "--s", "1",
+                            "--q", "2", "--Q", "1,8"], capsys)
+    failed = {row["check"] for row in json.loads(out) if row["status"] == "fail"}
+    assert code == 1 and "schur.hom_space" in failed
+    code, _, _ = run_cli(["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
+                          "--q", "3", "--Q", "8,2,3"], capsys)
+    assert code != 0
 
 
 @pytest.mark.parametrize("argv, code", [
