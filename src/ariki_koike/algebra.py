@@ -53,10 +53,12 @@ A monomial L^d T_w is one int, its code dindex(d) * n! + rank(w): its
 position in `basis()`, where rank(w) is w's position in
 `sorted_permutations(n)` (the identity is 0).  Field values on (d, Permutation)
 keys appear only where something outside the engine reads or writes them:
-`element` and `from_vec` take them in, and `vec`, `left_mult_matrix`,
-`Element.terms`, `serialize` and repr give them out.  The rewriting rules
-themselves (Hecke products, T_x L^d, L_m^r) are derived in field values, once
-per key, and enter int form as they are cached.
+`element` and `from_vec` take them in, and `vec`, `Element.terms`, `serialize`
+and repr give them out.  `left_mult_matrix(x)` lists the products x L^d T_w
+in int form, and `coordinates`, `right_annihilator` and `condition_rows` solve
+and take kernels from such products.  The rewriting rules themselves (Hecke
+products, T_x L^d, L_m^r) are derived in field values, once per key, and enter
+int form as they are cached.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from math import factorial, gcd, lcm
 from operator import add
 
 from .fields import Params, SizeGuardError
-from .linalg import dense, identity_matrix, solve, sparse, sparse_vec_mat, transpose
+from .linalg import Echelon, dense, identity_matrix, kernel_basis, solve, sparse, sparse_vec_mat, transpose
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
     MultiComposition,
@@ -206,6 +208,13 @@ def coordinate_rows(field, forms: list[tuple[int, dict]]) -> list[tuple[int, dic
     return [field.canonical(big, row) for row in cols.values()]
 
 
+def solve_rows(field, rows, n: int, k: int) -> tuple[list[list], list[list]]:
+    """Int-form rows over n unknowns followed by k right-hand sides, as the
+    dense matrix and the right-hand sides that `linalg.solve` takes."""
+    full = [dense(field, row, n + k) for row in rows]
+    return [row[:n] for row in full], [[row[n + j] for row in full] for j in range(k)]
+
+
 def _mono_str(mono: Monomial) -> str:
     d, w = mono
     lpart = "".join(f"L{k}^{d[k-1]}" for k in range(1, len(d) + 1) if d[k - 1])
@@ -321,22 +330,28 @@ class ArikiKoikeAlgebra:
     def from_vec(self, v) -> Element:
         return Element(self, *self.field.to_ints({k: c for k, c in enumerate(v) if c}))
 
-    def left_mult_matrix(self, elem: Element) -> list[list]:
-        """Columns are vec(elem * mono) over the canonical basis.
-
-        The column of L^d T_w is at its code: elem L^d is folded once per d
-        and then times each T_w, and each entry is written at its row's code."""
-        size = self._nexp * self._nperm
-        zero = self.field.zero
-        rows = [[zero] * size for _ in range(size)]
-        col = 0
+    def left_mult_matrix(self, elem: Element) -> list[tuple[int, dict]]:
+        """The products elem * L^d T_w over the canonical basis, as int forms:
+        entry k is (elem * basis()[k]).form.  elem L^d is folded once per d
+        and then times each T_w."""
+        canonical = self.field.canonical
+        out = []
         for d in range(self._nexp):
             hden, head = self._fold(*elem.form, self._mono_times_L, d) if d else elem.form
             for w in range(self._nperm):
-                for k, c in self.field.from_ints(*self._fold(hden, head, self._mono_times_T, w)).items():
-                    rows[k][col] = c
-                col += 1
-        return rows
+                out.append(canonical(*self._fold(hden, head, self._mono_times_T, w)))
+        return out
+
+    def coordinates(self, forms: list, targets: list) -> list[list | None]:
+        """For each target t, a dense solution z of sum_i z_i forms[i] = t (free
+        variables 0) or None: one `solve` on the coordinate rows of all forms."""
+        rows = coordinate_rows(self.field, forms + targets)
+        return solve(*solve_rows(self.field, rows, len(forms), len(targets)), self.field)
+
+    def right_annihilator(self, elem: Element) -> list[tuple[int, dict]]:
+        """{h : elem h = 0}, a basis in int form: the kernel of the coordinate rows of elem L^d T_w."""
+        rows = coordinate_rows(self.field, self.left_mult_matrix(elem))
+        return kernel_basis(Echelon(self.field, rows), self.dim)
 
     def condition_rows(self, forms: list[tuple[int, dict]], kernel: list[tuple[int, dict]]):
         """The rows of the conditions (sum_i z_i x_i) k = 0, x_i = forms[i], for each

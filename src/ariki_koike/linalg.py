@@ -8,7 +8,7 @@ reduced row echelon form, grown one row at a time.  Its rows are sparse and
 in the product engine's canonical int form (den, {column: int}), so a
 reduction adds plain ints over one common denominator (always 1 over
 GF(p)) and normalizes once.  Rows come in as field values (`add`) or in
-int form (`add_form`: `schur.hom_space` streams engine products into it),
+int form (`add_form`, or `Echelon(field, forms)`: engine products stream in),
 and field values exist only where results go out.  A new row is reduced
 against the stored rows and dropped if it vanishes, so a tall, mostly
 dependent system never stores more than rank-many rows.  `rank`,
@@ -71,12 +71,15 @@ class Echelon:
 
     `rows` maps each pivot column to its row in canonical int form (den,
     {column: int}), 1 at its own pivot (ints[pivot] == den > 0) and 0 at every
-    other pivot, so the echelon holds at most rank-many rows.
+    other pivot, so the echelon holds at most rank-many rows.  `forms`, rows
+    already in int form, are added one by one with `add_form`.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, forms=()):
         self.field = field
         self.rows: dict[int, tuple[int, dict]] = {}
+        for form in forms:
+            self.add_form(*form)
 
     def __len__(self) -> int:
         return len(self.rows)

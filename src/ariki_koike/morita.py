@@ -18,6 +18,9 @@ f_s(q, Q): the statements are simply false without it, so when it vanishes
 exit code 2).  The two unconditional identity families (the intertwining and
 annihilation laws) are callable without the gate.
 
+V^b and rAnn(v_b) are read off the int-form products v_b L^d T_w
+(`alg.left_mult_matrix`); no dense matrix of left multiplication is built.
+
 `MoritaSuite.run_all()` is the one entry point to the battery: the rank count,
 the per-level checks at every level b, then the checks across levels.
 `run_all(b)` is the rank count and the per-level checks at level b alone.
@@ -29,11 +32,9 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .algebra import ArikiKoikeAlgebra, Element, _accumulate, coordinate_rows
+from .algebra import ArikiKoikeAlgebra, Element, _accumulate, coordinate_rows, solve_rows
 from .fields import ComputationError, GateError, Params, f_s_value
-from .linalg import (
-    Echelon, dense, echelon, kernel_basis, mat_mul, rank, solve, sparse, transpose,
-)
+from .linalg import Echelon, dense, dense_rows, mat_mul, rank, solve
 from .perms import coset_reps, shift_perm, sorted_permutations, w_ab
 from .report import CheckResult, result
 from .specht import decomposition_matrix, gram_matrix, specht_module
@@ -212,29 +213,24 @@ class MoritaSuite:
             alg.theta_b(b, alg.m_st(st, tt)).form for (_, st, tt) in triples])
         return VBasis(b, triples, [Element(alg, *f) for f in forms])
 
-    def _vmatrix(self, b: int) -> list[list]:
-        """The v-basis of V^b as the columns of a matrix."""
-        return self.alg.derived(("v_matrix", b), lambda: transpose(
-            [self.alg.vec(e) for e in self.v_basis(b).elements]))
-
-    def _vb_left_mult(self, b: int) -> list[list]:
-        """The matrix of left multiplication by v_b."""
+    def _vb_products(self, b: int) -> list[tuple[int, dict]]:
+        """The products v_b L^d T_w, in int form at the code of L^d T_w: they span V^b."""
         alg = self.alg
-        return alg.derived(("v_b_left_mult", b), lambda: alg.left_mult_matrix(alg.v_b_elem(b)))
+        return alg.derived(("v_b_products", b), lambda: alg.left_mult_matrix(alg.v_b_elem(b)))
 
-    def _vb_echelon(self, b: int) -> Echelon:
-        """The row space of left multiplication by v_b, reduced once per level."""
-        return self.alg.derived(("v_b_echelon", b), lambda: echelon(self._vb_left_mult(b), self.field))
+    def _vb_kernel(self, b: int) -> list[tuple[int, dict]]:
+        """rAnn(v_b) = {h : v_b h = 0} in int form, solved once per level."""
+        alg = self.alg
+        return alg.derived(("v_b_kernel", b), lambda: alg.right_annihilator(alg.v_b_elem(b)))
 
     def _vb_rank(self, b: int) -> int:
-        """rank V^b = rank of left multiplication by v_b, independent of any listing."""
-        return len(self._vb_echelon(b))
+        """rank V^b = dim H - dim rAnn(v_b), independent of any listing."""
+        return self.alg.dim - len(self._vb_kernel(b))
 
     def _preimages(self, b: int) -> list[list | None]:
         """For each v-basis element v, the solution h of v_b h = v (None if there is none)."""
-        alg = self.alg
-        return alg.derived(("v_preimages", b), lambda: solve(
-            self._vb_left_mult(b), [alg.vec(e) for e in self.v_basis(b).elements], self.field))
+        return self.alg.derived(("v_preimages", b), lambda: self.alg.coordinates(
+            self._vb_products(b), [e.form for e in self.v_basis(b).elements]))
 
     def v_action(self, b: int) -> list[list[list]]:
         """Right action matrices of the generators on the v-basis of V^b."""
@@ -242,8 +238,8 @@ class MoritaSuite:
 
     def _build_v_action(self, b: int) -> list[list[list]]:
         alg, elements = self.alg, self.v_basis(b).elements
-        coords = solve(self._vmatrix(b), [
-            alg.vec(e * alg.gen_T(g)) for g in range(self.n) for e in elements], self.field)
+        coords = alg.coordinates([e.form for e in elements], [
+            (e * alg.gen_T(g)).form for g in range(self.n) for e in elements])
         if any(x is None for x in coords):
             raise ComputationError("V^b is not stable under a generator")
         k = len(elements)
@@ -382,7 +378,7 @@ class MoritaSuite:
         alg, lv = self.alg, self.level(b)
         out = []
         vb = self.v_basis(b)
-        r_v = rank(self._vmatrix(b), self.field) if vb.entries else 0
+        r_v = rank([alg.vec(e) for e in vb.elements], self.field) if vb.entries else 0
         expected = self.expected_rank(b)
         out.append(result(
             "morita.v_basis", REF_VBASIS, self._pdict(b=b),
@@ -390,9 +386,10 @@ class MoritaSuite:
             f"rank {r_v}, entries {len(vb.entries)}, expected {expected}",
         ))
 
-        # M^{omega_b} = m_{omega_b} H: compare the module with its claimed cell basis.
+        # M^{omega_b} = m_{omega_b} H, as the echelon of its products m_{omega_b} L^d T_w:
+        # compare the module with its claimed cell basis.
         omega = omega_b(self.n, self.params.r, self.s, b)
-        module_rows = transpose(alg.left_mult_matrix(alg.m_lambda(omega)))
+        module_rows = dense_rows(Echelon(self.field, alg.left_mult_matrix(alg.m_lambda(omega))), alg.dim)
         claimed = lv.one_sided
         claimed_rows = [alg.vec(alg.m_st(u, v)) for (_, u, v) in claimed]
         r_module = rank(module_rows, self.field)
@@ -507,33 +504,31 @@ class MoritaSuite:
         """Well-definedness, equivariance and independence of the maps
         v_b h -> v_st h for pairs of two-sided filtered tableaux."""
         alg = self.alg
-        vb_rows = self._vb_echelon(b)
+        kernel = [Element(alg, *k) for k in self._vb_kernel(b)]
         vb = self.v_basis(b)
-        vmat = self._vmatrix(b)
         pairs = self.level(b).pairs
         failures = []
-        mats = []
-        preimages = []
-        for x in self._preimages(b):
-            if x is None:
-                failures.append("v-basis element outside v_b H")
-                x = [self.field.zero] * alg.dim
-            preimages.append(x)
+        if None in self._preimages(b):
+            failures.append("v-basis element outside v_b H")
+        preimages = [alg.from_vec(x or []) for x in self._preimages(b)]
+        maps = []
         for (lam, st, tt) in pairs:
             vst = alg.theta_b(b, alg.m_st(st, tt))
-            L_vst = alg.left_mult_matrix(vst)
-            # well defined iff ker L_vb lies in ker L_vst, i.e. the rows of
-            # L_vst lie in the row space of L_vb
-            if any(vb_rows.reduce(sparse(row)) for row in L_vst):
+            # well defined iff v_st kills rAnn(v_b), i.e. ker L_vb lies in ker L_vst
+            if any(not (vst * k).is_zero() for k in kernel):
                 failures.append(f"map for a pair at {lam.serialize()} is ill-defined")
-                continue
-            mat = []
-            for coords in solve(vmat, [alg.vec(vst * alg.from_vec(x)) for x in preimages],
-                                self.field):
-                if coords is None:
-                    failures.append("endomorphism image left V^b")
-                    coords = [self.field.zero] * len(vb.entries)
-                mat.append(coords)
+            else:
+                maps.append(vst)
+        # the images v_st h of every preimage h, for every well-defined pair, in one solve
+        coords = alg.coordinates([e.form for e in vb.elements],
+                                 [(vst * h).form for vst in maps for h in preimages])
+        zero_row = [self.field.zero] * len(vb.entries)
+        mats = []
+        for i in range(len(maps)):
+            mat = coords[i * len(preimages):(i + 1) * len(preimages)]
+            if None in mat:
+                failures.append("endomorphism image left V^b")
+                mat = [x or zero_row for x in mat]
             mats.append(mat)
             for act in self.v_action(b):
                 if mat_mul(act, mat, self.field) != mat_mul(mat, act, self.field):
@@ -567,16 +562,15 @@ class MoritaSuite:
         """
         alg, field = self.alg, self.field
         m_elems = [alg.m_st(u, v) for (_, u, v) in self.level(b).one_sided]
-        n = len(m_elems)
-        # one `solve` on rows of n + 1 field values (the last is v_b's), so the
+        # one `solve` on rows of len(m_elems) unknowns and v_b's column, so the
         # tall system is a single call into the linalg layer
-        rows = [dense(field, form, n + 1) for form in itertools.chain(
+        rows = itertools.chain(
             # homogeneous rows: coordinates of (sum z_i m_i) * k over all k in rAnn(v_b)
-            alg.condition_rows([e.form for e in m_elems], kernel_basis(self._vb_echelon(b), alg.dim)),
+            alg.condition_rows([e.form for e in m_elems], self._vb_kernel(b)),
             # affine rows: theta_b(sum z_i m_i) = v_b
             coordinate_rows(field, [alg.theta_b(b, e).form for e in m_elems] + [alg.v_b_elem(b).form]),
-        )]
-        z, = solve([row[:n] for row in rows], [[row[n] for row in rows]], field)
+        )
+        z, = solve(*solve_rows(field, rows, len(m_elems), 1), field)
         if z is None:
             raise ComputationError("no right inverse of theta_b exists (split failed)")
         y0 = alg.zero()
@@ -794,11 +788,11 @@ class MoritaSuite:
         if total != expected or len(all_rows) != expected:
             failures.append(f"total rank {total} != expected {expected}")
         # bounded-exponent spanning family: v_b L^d T_w with d_i < s (i <= b),
-        # d_i < r-s (i > b), read off the columns of left multiplication by v_b
+        # d_i < r-s (i > b), read off the products v_b L^d T_w
         s, r = self.s, self.params.r
-        vb_cols = transpose(self._vb_left_mult(b))
+        products = self._vb_products(b)
         bounds = [range(s) if i < b else range(r - s) for i in range(n)]
-        bounded_rows = [vb_cols[alg.code(d, w)]
+        bounded_rows = [dense(self.field, products[alg.code(d, w)], alg.dim)
                         for d in itertools.product(*bounds) for w in sorted_permutations(n)]
         if rank(bounded_rows, self.field) != expected or len(bounded_rows) != expected:
             failures.append("bounded-exponent family is not a basis")

@@ -6,7 +6,7 @@ import pytest
 
 from ariki_koike.algebra import ArikiKoikeAlgebra, Element, random_element
 from ariki_koike.fields import FpElement, Params, PrimeField, Rationals, SizeGuardError
-from ariki_koike.linalg import dense, echelon, kernel_basis, rank
+from ariki_koike.linalg import dense, rank, solve, transpose
 from ariki_koike.perms import all_permutations, identity, s_interval
 from ariki_koike.tableaux import (
     MultiPartition,
@@ -211,9 +211,15 @@ def test_engine_hands_back_canonical_field_values(field, q, Q):
         a, b = random_element(alg, rng, nterms=6), random_element(alg, rng, nterms=6)
         for product in (a * b, a.star()):
             assert product.terms and all(canonical(c) and c for c in product.terms.values())
-        matrix = alg.left_mult_matrix(a)
-        assert all(canonical(c) for row in matrix for c in row)
-        assert any(c for row in matrix for c in row)
+        # left multiplication hands back int forms, canonical as every Element's
+        forms = alg.left_mult_matrix(a)
+        for den, ints in forms:
+            if isinstance(field, Rationals):
+                assert den > 0 and gcd(den, *ints.values()) == 1
+            else:
+                assert den == 1 and all(0 < v < field.p for v in ints.values())
+            assert all(ints.values())
+        assert len(forms) == alg.dim and any(ints for _, ints in forms)
 
 
 @pytest.mark.parametrize("field,Q", [
@@ -244,17 +250,37 @@ def test_elements_are_kept_in_canonical_form(field, Q):
 ], ids=["2-3-Q", "3-2-GF5"])
 def test_monomial_codes_are_basis_positions(n, r, field, q, Q):
     # the engine keys each monomial on its code; code k must be basis()[k], and
-    # a left multiplication matrix written by code must match the Element route
+    # left multiplication, listed by code, must match the Element route
     alg = make(n=n, r=r, q=q, Q=Q, field=field)
     basis = alg.basis()
     assert [alg.code(d, w) for d, w in basis] == list(range(alg.dim))
     rng = random.Random(7)
     for _ in range(2):
         a = random_element(alg, rng, nterms=5)
-        matrix = alg.left_mult_matrix(a)
-        for j, mono in enumerate(basis):
-            column = [row[j] for row in matrix]
-            assert column == alg.vec(a * alg.element({mono: field.one}))
+        forms = alg.left_mult_matrix(a)
+        assert len(forms) == len(basis)
+        for k, mono in enumerate(basis):
+            assert forms[k] == (a * alg.element({mono: field.one})).form
+
+
+@pytest.mark.parametrize("field,q,Q", [
+    (Rationals(), Fraction(2, 3), (1, 5)),
+    (PrimeField(7), 3, (1, 2)),
+], ids=["Q", "GF(7)"])
+def test_coordinates_solve_against_the_dense_span(field, q, Q):
+    # one solution per target, read against a dense solve on vec columns; a
+    # target outside the span has none
+    alg = make(n=2, r=2, q=q, Q=Q, field=field)
+    rng = random.Random(f"coordinates:{field}")
+    xs = [random_element(alg, rng) for _ in range(3)]
+    inside = xs[0].scale(field(2)) - xs[2]
+    outside = next(m for m in (alg.element({mono: field.one}) for mono in alg.basis())
+                   if rank([alg.vec(x) for x in xs + [m]], field) > rank([alg.vec(x) for x in xs], field))
+    got = alg.coordinates([x.form for x in xs], [inside.form, outside.form, alg.zero().form])
+    want = solve(transpose([alg.vec(x) for x in xs]), [alg.vec(inside), alg.vec(outside), alg.vec(alg.zero())],
+                 field)
+    assert got == want and got[1] is None and got[2] == [field.zero] * 3
+    assert sum((x.scale(c) for x, c in zip(xs, got[0])), alg.zero()) == inside
 
 
 @pytest.mark.parametrize("field,q,Q", [
@@ -263,13 +289,21 @@ def test_monomial_codes_are_basis_positions(n, r, field, q, Q):
 ], ids=["Q", "GF(7)"])
 def test_condition_rows_span_the_dense_conditions(field, q, Q):
     # rows of (sum_i z_i x_i) k = 0 over the right annihilator of m_lambda,
-    # against the dense route: coordinate c of left_mult_matrix(x_i) k
+    # against the dense route: coordinate c of L(x_i) k, where the column of
+    # L(x) at code j is vec(x * basis()[j])
     alg = make(n=2, r=2, q=q, Q=Q, field=field)
     rng = random.Random(f"conditions:{field}")
     xs = [random_element(alg, rng) for _ in range(4)]
+    monos = [alg.element({m: field.one}) for m in alg.basis()]
     dens, sizes = {1}, []
     for lam in multipartitions(2, 2):
-        kernel = kernel_basis(echelon(alg.left_mult_matrix(alg.m_lambda(lam)), field), alg.dim)
+        m_lam = alg.m_lambda(lam)
+        kernel = alg.right_annihilator(m_lam)
+        # a basis of rAnn(m_lambda): independent vectors that m_lambda kills, as many as
+        # dim minus the rank of the products m_lambda * mono
+        assert all((m_lam * Element(alg, *k)).is_zero() for k in kernel)
+        assert rank([dense(field, k, alg.dim) for k in kernel], field) == len(kernel)
+        assert len(kernel) == alg.dim - rank([alg.vec(m_lam * m) for m in monos], field)
         got = list(alg.condition_rows([x.form for x in xs], kernel))
         sizes.append(len(kernel))
         if isinstance(field, Rationals):
@@ -281,7 +315,7 @@ def test_condition_rows_span_the_dense_conditions(field, q, Q):
         for k in kernel:
             kv = dense(field, k, alg.dim)
             images = [[sum((a * b for a, b in zip(row, kv)), field.zero)
-                       for row in alg.left_mult_matrix(x)] for x in xs]
+                       for row in zip(*(alg.vec(x * m) for m in monos))] for x in xs]
             want.extend(list(row) for row in zip(*images) if any(row))
         assert bool(got) == bool(kernel)
         assert rank(got, field) == rank(want, field) == rank(got + want, field)

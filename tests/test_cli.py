@@ -338,7 +338,7 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
     )
     assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
     for b in range(3):
-        for name in ("theta_head", "v_b", "v_matrix", "v_b_left_mult"):
+        for name in ("theta_head", "v_b", "v_b_products", "v_b_kernel"):
             assert builds[(2, 3, (name, b))] == 1, (name, b)
     assert all(count == 1 for count in builds.values()), builds
     # u_{n-b}^- enters only through the memoized head of theta_b
@@ -443,31 +443,37 @@ def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
 
 
 def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, capsys):
-    from ariki_koike import morita
+    from ariki_koike import algebra, morita
 
     calls = []
 
-    def counting(name):
-        fn = getattr(morita, name)
+    def counting(owner, name):
+        fn = getattr(owner, name)
 
         def counted(*args):
             calls.append(name)
             return fn(*args)
-        return counted
+        monkeypatch.setattr(owner, name, counted)
 
-    # every elimination the battery reads solutions or a kernel off: solve and
-    # the echelon of L_vb (its free columns give rAnn(v_b))
-    for name in ("solve", "echelon"):
-        monkeypatch.setattr(morita, name, counting(name))
+    # every elimination the battery reads solutions or a kernel off: the one
+    # solve of each `alg.coordinates`, the complement's solve, and the echelon
+    # whose free columns give rAnn(v_b) (the transition's own solve, once per
+    # algebra, is not counted)
+    counting(algebra.ArikiKoikeAlgebra, "coordinates")
+    counting(algebra, "Echelon")
+    counting(morita, "solve")
     code, _, _ = run_cli(
         ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
          "--q", "2", "--Q", "1,5,7"], capsys
     )
     assert code == 0
-    # per level b = 0, 1, 2: L_vb, the preimages, the action and the complement
-    # once each, plus one solve per split pair (12 in all)
-    assert calls.count("echelon") == 3
-    assert len(calls) == 3 + 3 + 3 + 12 + 3
+    # per level b = 0, 1, 2: rAnn(v_b), the preimages, the action, the images
+    # of every split pair and the complement once each
+    # (15 in all; 24 when the end basis solved once per split pair)
+    assert calls.count("Echelon") == 3
+    assert calls.count("solve") == 3
+    assert calls.count("coordinates") == 3 * 3
+    assert len(calls) == 5 * 3
 
 
 def _no_condition_rows(alg, forms, kernel):
@@ -497,6 +503,17 @@ def test_wrong_condition_rows_fail_schur_and_morita(fault, monkeypatch, capsys):
     code, _, _ = run_cli(["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
                           "--q", "3", "--Q", "8,2,3"], capsys)
     assert code != 0
+
+
+def test_saturated_row_fails_when_every_set_passes_as_saturated(monkeypatch, capsys):
+    from ariki_koike import schur
+
+    monkeypatch.setattr(schur, "saturated_check", lambda gamma, n, r: True)
+    code, out, _ = run_cli(["verify", "--suite", "schur", "--n", "2", "--r", "2", "--s", "1",
+                            "--q", "2", "--Q", "1,5"], capsys)
+    rows = [row for row in json.loads(out) if row["check"] == "schur.saturated"]
+    assert code == 1 and len(rows) == 1
+    assert rows[0]["status"] == "fail" and rows[0]["detail"] == "Gamma = all multipartitions"
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -64,6 +64,16 @@ GOLDEN = {
          "--Q", "1,2"],
         "88a4d9fb9e6e28a9a980fd9471a036276e2ef2ff499feb8113f9f63625bba54f",
     ),
+    # the Schur battery beyond n=2 r=2, and the Morita battery over GF(p)
+    "verify-schur-r3": (
+        ["verify", "--suite", "schur", "--n", "2", "--r", "3", "--s", "1", "--q", "2", "--Q", "1,5,7"],
+        "b4e773386520daf96c80fc1f40b58b20e90bbf979000b5e552297fd167961f9e",
+    ),
+    "verify-morita-r3-GF7": (
+        ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1", "--field", "GF(7)", "--q", "3",
+         "--Q", "1,2,4"],
+        "f53067270016f124eaa9b3a64ddb384d61b1224cc33ad293b0e641ddc5e80d19",
+    ),
     # the product engine's heaviest default relations instance
     "verify-relations-n3-r3-GF97": (
         ["verify", "--suite", "relations", "--n", "3", "--r", "3", "--field", "GF(97)", "--q", "5",

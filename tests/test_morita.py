@@ -289,11 +289,48 @@ def test_filtration_fails_without_raising_when_v_action_leaves_v_b(monkeypatch):
 
 
 def test_end_basis_ill_defined_against_a_smaller_row_space(monkeypatch):
-    from ariki_koike.linalg import echelon
+    from ariki_koike.algebra import coordinate_rows
+    from ariki_koike.linalg import Echelon, kernel_basis
 
     suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
     assert all_ok(suite.verify_end_basis(1))
-    first = next(row for row in suite._vb_left_mult(1) if any(row))
-    monkeypatch.setattr(suite, "_vb_echelon", lambda b: echelon([first], suite.field))
+    # the kernel of one row of left multiplication by v_b is larger than rAnn(v_b)
+    first = coordinate_rows(suite.field, suite._vb_products(1))[0]
+    kernel = kernel_basis(Echelon(suite.field, [first]), suite.alg.dim)
+    assert len(kernel) > len(suite._vb_kernel(1))
+    monkeypatch.setattr(suite, "_vb_kernel", lambda b: kernel)
     (row,) = suite.verify_end_basis(1)
     assert row.status == "fail" and "ill-defined" in row.detail
+
+
+@pytest.mark.parametrize("params", [
+    qparams(n=2, r=3, Q=(1, 5, 7)),
+    qparams(n=3, r=2, q=4, Q=(1, 2), field=PrimeField(5)),
+], ids=["n2-r3-Q", "n3-r2-GF5"])
+def test_end_basis_kernel_verdict_matches_the_row_space_reduction(params):
+    # v_b h -> x h is well defined iff x kills rAnn(v_b), the verdict of the
+    # kernel products, iff every row of left multiplication by x lies in the
+    # row space of left multiplication by v_b, the dense reduction built here
+    from ariki_koike.algebra import Element
+    from ariki_koike.linalg import in_row_space, transpose
+
+    alg = ArikiKoikeAlgebra(params)
+    suite = MoritaSuite(alg)
+    monos = [alg.element({m: alg.field.one}) for m in alg.basis()]
+
+    def left_mult_rows(x):
+        return transpose([alg.vec(x * m) for m in monos])
+
+    pairs = 0
+    for b in range(alg.n + 1):
+        kernel = [Element(alg, *k) for k in suite._vb_kernel(b)]
+        assert kernel
+        vb_rows = left_mult_rows(alg.v_b_elem(b))
+        vsts = [alg.theta_b(b, alg.m_st(st, tt)) for (_, st, tt) in suite.level(b).pairs]
+        # every split pair is well defined; v_st + 1 sends each k in rAnn(v_b) to k
+        for x, defined in [(vst, True) for vst in vsts] + [(vsts[0] + alg.one(), False)]:
+            by_kernel = all((x * k).is_zero() for k in kernel)
+            by_rows = all(in_row_space(vb_rows, left_mult_rows(x), alg.field))
+            assert by_kernel == by_rows == defined
+        pairs += len(vsts)
+    assert pairs == sum(TensorAlgebra(alg, b).dim for b in range(alg.n + 1))

@@ -13,6 +13,7 @@ from ariki_koike.schur import (
 from ariki_koike.tableaux import (
     MultiComposition,
     MultiPartition,
+    dominates,
     multicompositions,
     multipartitions,
     omega,
@@ -31,6 +32,11 @@ def test_saturated_examples():
     # the least multipartition alone misses its dominators
     bottom = [omega(2, 2)]
     assert not saturated_check(bottom, 2, 2)
+    # without its most dominant member, listed first, Gamma is not saturated
+    for n, r in [(1, 2), (2, 2), (3, 2), (2, 3)]:
+        lams = multipartitions(n, r)
+        assert all(dominates(lams[0], mu) for mu in lams)
+        assert saturated_check(lams, n, r) and not saturated_check(lams[1:], n, r)
 
 
 def test_schur_dimension_frozen_values():
