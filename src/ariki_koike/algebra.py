@@ -53,12 +53,12 @@ A monomial L^d T_w is one int, its code dindex(d) * n! + rank(w): its
 position in `basis()`, where rank(w) is w's position in
 `sorted_permutations(n)` (the identity is 0).  Field values on (d, Permutation)
 keys appear only where something outside the engine reads or writes them:
-`element` and `from_vec` take them in, and `vec`, `Element.terms`, `serialize`
-and repr give them out.  `left_mult_matrix(x)` lists the products x L^d T_w
-in int form, and `coordinates`, `right_annihilator` and `condition_rows` solve
-and take kernels from such products.  The rewriting rules themselves (Hecke
-products, T_x L^d, L_m^r) are derived in field values, once per key, and enter
-int form as they are cached.
+`element` and `from_vec` take them in, and `Element.terms`, `serialize`, repr
+and `TransitionMatrix.express` give them out.  `left_mult_matrix(x)` lists
+the products x L^d T_w in int form, and `coordinates`, `right_annihilator` and
+`condition_rows` solve and take kernels from such products.  The rewriting
+rules themselves (Hecke products, T_x L^d, L_m^r) are derived in field values,
+once per key, and enter int form as they are cached.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from math import factorial, gcd, lcm
 from operator import add
 
 from .fields import Params, SizeGuardError
-from .linalg import Echelon, dense, identity_matrix, kernel_basis, solve, sparse, sparse_vec_mat, transpose
+from .linalg import Echelon, dense, kernel_basis, solve
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
     MultiComposition,
@@ -324,9 +324,6 @@ class ArikiKoikeAlgebra:
         """The code of L^d T_w: its position in basis()."""
         return self._dindex[d] * self._nperm + self._rank[w]
 
-    def vec(self, elem: Element) -> list:
-        return dense(self.field, elem.form, self.dim)
-
     def from_vec(self, v) -> Element:
         return Element(self, *self.field.to_ints({k: c for k, c in enumerate(v) if c}))
 
@@ -348,10 +345,15 @@ class ArikiKoikeAlgebra:
         rows = coordinate_rows(self.field, forms + targets)
         return solve(*solve_rows(self.field, rows, len(forms), len(targets)), self.field)
 
-    def right_annihilator(self, elem: Element) -> list[tuple[int, dict]]:
-        """{h : elem h = 0}, a basis in int form: the kernel of the coordinate rows of elem L^d T_w."""
-        rows = coordinate_rows(self.field, self.left_mult_matrix(elem))
-        return kernel_basis(Echelon(self.field, rows), self.dim)
+    def right_annihilator(self, products: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
+        """{h : x h = 0}, a basis in int form, for the products x L^d T_w of an
+        element x (`left_mult_matrix(x)`): the kernel of their coordinate rows."""
+        return kernel_basis(Echelon(self.field, coordinate_rows(self.field, products)), self.dim)
+
+    def combination(self, coeffs: tuple[int, dict], forms: list) -> tuple[int, dict]:
+        """sum_k c_k forms[k] in canonical int form, for coeffs = (den, {k: int})
+        standing for c_k = int / den: one fold with forms[k] as the step of k."""
+        return self.field.canonical(*self._fold(*coeffs, lambda k, _: forms[k], None))
 
     def condition_rows(self, forms: list[tuple[int, dict]], kernel: list[tuple[int, dict]]):
         """The rows of the conditions (sum_i z_i x_i) k = 0, x_i = forms[i], for each
@@ -725,7 +727,8 @@ class ArikiKoikeAlgebra:
 
 
 class TransitionMatrix:
-    """Change of basis between normal-form monomials and the cellular basis.
+    """Change of basis between normal-form monomials and the cellular basis,
+    forms[i] being m_st of cells[i] in int form.
 
     Kept in its algebra's memo, so it holds the algebra only weakly."""
 
@@ -733,28 +736,27 @@ class TransitionMatrix:
         self._alg = weakref.ref(alg)
         self.field = alg.field
         self.cells = alg.cell_data()
-        self.monomials = alg.basis()
-        if len(self.cells) != len(self.monomials):
-            raise ValueError(
-                f"cellular data count {len(self.cells)} != rank {len(self.monomials)}"
-            )
-        self.matrix = transpose([alg.vec(alg.m_st(s, t)) for (_, s, t) in self.cells])
-        self._inverse: list[dict] | None = None
+        if len(self.cells) != alg.dim:
+            raise ValueError(f"cellular data count {len(self.cells)} != rank {alg.dim}")
+        self.forms = [alg.m_st(s, t).form for (_, s, t) in self.cells]
+        self._inverse: list[tuple[int, dict]] | None = None
 
-    def inverse(self) -> list[dict]:
-        """The columns of the inverse matrix as sparse rows: row k holds the
-        cellular coordinates of the monomial with code k.  Raises ValueError
-        if the matrix is singular."""
+    def inverse(self) -> list[tuple[int, dict]]:
+        """Row k, in int form: the cellular coordinates of the monomial with
+        code k.  The echelon of the rows (m_i | e_i) is (e_k | row k) at pivot
+        k; a missing pivot k < dim raises ValueError."""
         if self._inverse is None:
-            cols = solve(self.matrix, identity_matrix(len(self.matrix), self.field), self.field)
-            if any(x is None for x in cols):
+            dim = len(self.forms)
+            ech = Echelon(self.field, ((den, {**ints, dim + i: den}) for i, (den, ints) in enumerate(self.forms)))
+            if any(k not in ech.rows for k in range(dim)):
                 raise ValueError("matrix is singular")
-            self._inverse = [sparse(x) for x in cols]
+            self._inverse = [(den, {c - dim: a for c, a in ints.items() if c >= dim})
+                             for den, ints in (ech.rows[k] for k in range(dim))]
         return self._inverse
 
     def express(self, elem: Element) -> dict:
         """Exact coordinates of elem in the cellular basis: {(lam, s, t): coeff}."""
-        coords = sparse_vec_mat(self.field.from_ints(elem.den, elem.ints), self.inverse())
+        coords = self.field.from_ints(*self._alg().combination(elem.form, self.inverse()))
         return {self.cells[i]: coords[i] for i in sorted(coords)}
 
     def combine(self, coords: dict) -> Element:

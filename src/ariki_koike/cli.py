@@ -129,8 +129,11 @@ def build_algebra(args) -> ArikiKoikeAlgebra:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write output file {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

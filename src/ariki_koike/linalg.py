@@ -11,14 +11,13 @@ GF(p)) and normalizes once.  Rows come in as field values (`add`) or in
 int form (`add_form`, or `Echelon(field, forms)`: engine products stream in),
 and field values exist only where results go out.  A new row is reduced
 against the stored rows and dropped if it vanishes, so a tall, mostly
-dependent system never stores more than rank-many rows.  `rank`,
-`nullspace`, `solve`, `inverse`, `row_space_basis`, `determinant`, the
-membership test `in_row_space` and the in-place `row_echelon` are thin
-calls into it and take the field explicitly; `kernel_basis` reads a kernel
-off an echelon built elsewhere.  The reduced echelon form of a row space
-is unique, so results do not depend on row order.  `solve` and
-`in_row_space` take every right-hand side (or vector) at once, and
-`inverse` is `solve` against the identity.
+dependent system never stores more than rank-many rows; `contains` tests
+an int-form row for membership.  `rank`, `nullspace`, `solve`, `inverse`,
+`row_space_basis`, `determinant`, `in_row_space` and the in-place
+`row_echelon` take dense rows and are thin calls into it; `kernel_basis`
+reads a kernel off an echelon built elsewhere.  The reduced echelon form
+of a row space is unique, so results do not depend on row order.  `solve`
+and `in_row_space` take every right-hand side (or vector) at once.
 """
 
 from __future__ import annotations
@@ -91,6 +90,10 @@ class Echelon:
     def reduce(self, row: dict) -> dict:
         """A new dict: row with every pivot column cleared by the stored rows."""
         return self.field.from_ints(*_clear(self.field, *self.field.to_ints(row), self.rows))
+
+    def contains(self, den: int, ints: dict) -> bool:
+        """Whether the canonical int form ints / den lies in the row space."""
+        return not _clear(self.field, den, ints, self.rows)[1]
 
     def add(self, row: dict) -> tuple[int, tuple[int, int]] | None:
         """Insert a row given as {column: field value}."""

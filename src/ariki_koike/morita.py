@@ -19,7 +19,7 @@ exit code 2).  The two unconditional identity families (the intertwining and
 annihilation laws) are callable without the gate.
 
 V^b and rAnn(v_b) are read off the int-form products v_b L^d T_w
-(`alg.left_mult_matrix`); no dense matrix of left multiplication is built.
+(`alg.left_mult_matrix`); a rank of elements is one `Echelon` of their forms.
 
 `MoritaSuite.run_all()` is the one entry point to the battery: the rank count,
 the per-level checks at every level b, then the checks across levels.
@@ -32,9 +32,9 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .algebra import ArikiKoikeAlgebra, Element, _accumulate, coordinate_rows, solve_rows
+from .algebra import ArikiKoikeAlgebra, Element, coordinate_rows, solve_rows
 from .fields import ComputationError, GateError, Params, f_s_value
-from .linalg import Echelon, dense, dense_rows, mat_mul, rank, solve
+from .linalg import Echelon, mat_mul, rank, solve
 from .perms import coset_reps, shift_perm, sorted_permutations, w_ab
 from .report import CheckResult, result
 from .specht import decomposition_matrix, gram_matrix, specht_module
@@ -150,30 +150,10 @@ class TensorAlgebra:
     def dim(self) -> int:
         return self.left.dim * self.right.dim
 
-    def basis(self) -> list[tuple]:
-        return [(m1, m2) for m1 in self.left.basis() for m2 in self.right.basis()]
-
-    def tensor(self, a: Element, c: Element) -> dict:
-        """The pure tensor a (x) c as a sparse tensor element."""
-        out = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in c.terms.items():
-                out[(m1, m2)] = c1 * c2
-        return out
-
-    def one(self) -> dict:
-        return self.tensor(self.left.one(), self.right.one())
-
-    def multiply(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        one = self.left.field.one
-        for (a1, a2), c in x.items():
-            for (b1, b2), d in y.items():
-                left = self.left.element({a1: c * d}) * self.left.element({b1: one})
-                right = self.right.element({a2: one}) * self.right.element({b2: one})
-                for m, v in self.tensor(left, right).items():
-                    _accumulate(out, m, v)
-        return out
+    def basis(self) -> list[tuple[Element, Element]]:
+        """The pure tensors of monomials, as pairs of monomial elements."""
+        return [(Element(self.left, 1, {i: 1}), Element(self.right, 1, {j: 1}))
+                for i in range(self.left.dim) for j in range(self.right.dim)]
 
 
 class MoritaSuite:
@@ -220,8 +200,7 @@ class MoritaSuite:
 
     def _vb_kernel(self, b: int) -> list[tuple[int, dict]]:
         """rAnn(v_b) = {h : v_b h = 0} in int form, solved once per level."""
-        alg = self.alg
-        return alg.derived(("v_b_kernel", b), lambda: alg.right_annihilator(alg.v_b_elem(b)))
+        return self.alg.derived(("v_b_kernel", b), lambda: self.alg.right_annihilator(self._vb_products(b)))
 
     def _vb_rank(self, b: int) -> int:
         """rank V^b = dim H - dim rAnn(v_b), independent of any listing."""
@@ -375,10 +354,10 @@ class MoritaSuite:
 
     def verify_bases(self, b: int) -> list[CheckResult]:
         """Independence and counting for the bases of V^b, ker theta_b, M^{omega_b}."""
-        alg, lv = self.alg, self.level(b)
+        alg, lv, field = self.alg, self.level(b), self.field
         out = []
         vb = self.v_basis(b)
-        r_v = rank([alg.vec(e) for e in vb.elements], self.field) if vb.entries else 0
+        r_v = len(Echelon(field, [e.form for e in vb.elements]))
         expected = self.expected_rank(b)
         out.append(result(
             "morita.v_basis", REF_VBASIS, self._pdict(b=b),
@@ -389,12 +368,12 @@ class MoritaSuite:
         # M^{omega_b} = m_{omega_b} H, as the echelon of its products m_{omega_b} L^d T_w:
         # compare the module with its claimed cell basis.
         omega = omega_b(self.n, self.params.r, self.s, b)
-        module_rows = dense_rows(Echelon(self.field, alg.left_mult_matrix(alg.m_lambda(omega))), alg.dim)
+        module_rows = list(Echelon(field, alg.left_mult_matrix(alg.m_lambda(omega))).rows.values())
         claimed = lv.one_sided
-        claimed_rows = [alg.vec(alg.m_st(u, v)) for (_, u, v) in claimed]
-        r_module = rank(module_rows, self.field)
-        r_claimed = rank(claimed_rows, self.field)
-        r_joint = rank(module_rows + claimed_rows, self.field)
+        claimed_rows = [alg.m_st(u, v).form for (_, u, v) in claimed]
+        r_module = len(module_rows)
+        r_claimed = len(Echelon(field, claimed_rows))
+        r_joint = len(Echelon(field, module_rows + claimed_rows))
         basis_ok = r_module == r_claimed == r_joint == len(claimed)
         out.append(result(
             "morita.omega_module_basis", REF_VBASIS, self._pdict(b=b), basis_ok,
@@ -403,8 +382,7 @@ class MoritaSuite:
 
         # ker theta_b: claimed basis, complementarity of ranks, ideal intersection.
         kers = lv.kernel
-        ker_rows = [alg.vec(alg.m_st(u, v)) for (_, u, v) in kers]
-        r_ker = rank(ker_rows, self.field) if ker_rows else 0
+        r_ker = len(Echelon(field, [alg.m_st(u, v).form for (_, u, v) in kers]))
         complement_ok = r_ker == len(kers) and len(vb.entries) + r_ker == r_module
         out.append(result(
             "morita.kernel_basis", REF_VBASIS, self._pdict(b=b), complement_ok,
@@ -412,10 +390,10 @@ class MoritaSuite:
         ))
 
         # ker theta_b = M^{omega_b} cap N-bar^b (the span of higher-level cells).
-        ideal_rows = [alg.vec(alg.m_st(u, v)) for mu in lv.above
+        ideal_rows = [alg.m_st(u, v).form for mu in lv.above
                       for u in std_tableaux(mu) for v in std_tableaux(mu)]
-        r_ideal = rank(ideal_rows, self.field) if ideal_rows else 0
-        r_stack = rank(module_rows + ideal_rows, self.field) if ideal_rows else r_module
+        r_ideal = len(Echelon(field, ideal_rows))
+        r_stack = len(Echelon(field, module_rows + ideal_rows))
         inter = r_module + r_ideal - r_stack
         out.append(result(
             "morita.kernel_complement", REF_COMPLEMENT, self._pdict(b=b), inter == r_ker,
@@ -586,7 +564,7 @@ class MoritaSuite:
         return basis
 
     def verify_regular_decomposition(self) -> list[CheckResult]:
-        alg, n = self.alg, self.n
+        alg, n, field = self.alg, self.n, self.field
         out = []
         all_rows = []
         block_sizes = []
@@ -594,21 +572,18 @@ class MoritaSuite:
         for b in range(n + 1):
             comp = self.splitting_complement(b)
             expected = self.expected_rank(b)
-            comp_rows = [alg.vec(e) for e in comp]
-            ok_dim = len(comp) == expected and rank(comp_rows, self.field) == expected
+            comp_rows = [e.form for e in comp]
+            ok_dim = len(comp) == expected and len(Echelon(field, comp_rows)) == expected
             # theta_b restricted to the complement is a bijection onto V^b
-            theta_rows = [alg.vec(alg.theta_b(b, e)) for e in comp]
-            vmat_rows = [alg.vec(e) for e in self.v_basis(b).elements]
+            theta_rows = [alg.theta_b(b, e).form for e in comp]
+            vmat_rows = [e.form for e in self.v_basis(b).elements]
             ok_theta = (
-                rank(theta_rows, self.field) == expected
-                and rank(theta_rows + vmat_rows, self.field) == expected
+                len(Echelon(field, theta_rows)) == expected
+                and len(Echelon(field, theta_rows + vmat_rows)) == expected
             )
             # generator stability (the complement is a submodule)
-            stab_rows = list(comp_rows)
-            for e in comp:
-                for g in range(n):
-                    stab_rows.append(alg.vec(e * alg.gen_T(g)))
-            ok_stable = rank(stab_rows, self.field) == expected
+            stab_rows = comp_rows + [(e * alg.gen_T(g)).form for e in comp for g in range(n)]
+            ok_stable = len(Echelon(field, stab_rows)) == expected
             if not (ok_dim and ok_theta and ok_stable):
                 failures.append(
                     f"b={b}: dim ok {ok_dim}, theta bijective {ok_theta}, submodule {ok_stable}"
@@ -618,10 +593,10 @@ class MoritaSuite:
             for w in reps:
                 tw = alg.t_elem(w.inverse())
                 for e in comp:
-                    all_rows.append(alg.vec(tw * e))
+                    all_rows.append((tw * e).form)
                     block += 1
             block_sizes.append((b, block, comb(n, b) * expected))
-        total_rank = rank(all_rows, self.field)
+        total_rank = len(Echelon(field, all_rows))
         ok_total = total_rank == alg.dim and all(got == want for (_, got, want) in block_sizes)
         detail = (
             f"total rank {total_rank} of {alg.dim}; blocks "
@@ -635,21 +610,24 @@ class MoritaSuite:
 
     # -- the tensor-side statements ------------------------------------------------
 
-    def theta_map(self, b: int, tensor_terms: dict) -> Element:
-        """The coordinate embedding of H_b (x) H_{n-b} into H.
+    def theta_map(self, b: int, a: Element, c: Element) -> Element:
+        """The coordinate embedding of H_b (x) H_{n-b} into H, at a (x) c for a
+        in the left factor H_b and c in the right factor H_{n-b}.
 
         A pure tensor L^d T_x (x) L^e T_y goes to
         L_1^{e_1}..L_{n-b}^{e_{n-b}} L_{n-b+1}^{d_1}..L_n^{d_b} T_{x' y}
-        with x' the shift of x to the last b points.
+        with x' the shift of x to the last b points; no two images coincide.
         """
         alg, n = self.alg, self.n
-        out: dict = {}
-        for ((d, x), (e, y)), coeff in tensor_terms.items():
-            exps = tuple(e) + tuple(d)
+        left, right = a.alg.basis(), c.alg.basis()
+        ints = {}
+        for i, ai in a.ints.items():
+            d, x = left[i]
             xprime = shift_perm(x, n - b, n)
-            yfull = shift_perm(y, 0, n)
-            _accumulate(out, (exps, xprime * yfull), coeff)
-        return alg.element(out)
+            for j, cj in c.ints.items():
+                e, y = right[j]
+                ints[alg.code(tuple(e) + tuple(d), xprime * shift_perm(y, 0, n))] = ai * cj
+        return Element(alg, *self.field.canonical(a.den * c.den, ints))
 
     def verify_theta_map(self, b: int) -> list[CheckResult]:
         """Spot identities for the embedding and agreement between its
@@ -662,34 +640,32 @@ class MoritaSuite:
         # normal form, so the T_0 identities are asserted as actions on v_b
         # (which is how they are used); for i, j >= 1 they hold on the nose.
         if b >= 1:
-            img = self.theta_map(b, ta.tensor(ta.left.gen_T(0), ta.right.one()))
+            img = self.theta_map(b, ta.left.gen_T(0), ta.right.one())
             if img * vb != alg.gen_L(n - b + 1) * vb:
                 failures.append("T_0 (x) 1 does not act as L_{n-b+1}")
             if self.s >= 2 and img != alg.gen_L(n - b + 1):
                 failures.append("T_0 (x) 1 does not map to L_{n-b+1}")
             for i in range(1, b):
-                img = self.theta_map(b, ta.tensor(ta.left.gen_T(i), ta.right.one()))
+                img = self.theta_map(b, ta.left.gen_T(i), ta.right.one())
                 if img != alg.gen_T(n - b + i):
                     failures.append(f"T_{i} (x) 1 does not map to T_{n - b + i}")
         if n - b >= 1:
-            img = self.theta_map(b, ta.tensor(ta.left.one(), ta.right.gen_T(0)))
+            img = self.theta_map(b, ta.left.one(), ta.right.gen_T(0))
             if img * vb != alg.gen_L(1) * vb:
                 failures.append("1 (x) T_0 does not act as L_1")
             if self.params.r - self.s >= 2 and img != alg.gen_L(1):
                 failures.append("1 (x) T_0 does not map to L_1")
             for j in range(1, n - b):
-                img = self.theta_map(b, ta.tensor(ta.left.one(), ta.right.gen_T(j)))
+                img = self.theta_map(b, ta.left.one(), ta.right.gen_T(j))
                 if img != alg.gen_T(j):
                     failures.append(f"1 (x) T_{j} does not map to T_{j}")
-        wb = w_ab(b, n - b, n)
-        for (m1, m2) in ta.basis():
-            d, x = m1
-            e, y = m2
+        wb, one = w_ab(b, n - b, n), self.field.one
+        for (d, x), (e, y) in itertools.product(ta.left.basis(), ta.right.basis()):
             prod_form = (
-                alg.element({(tuple(e) + (0,) * b, shift_perm(y, 0, n)): self.field.one})
-                * alg.element({((0,) * (n - b) + tuple(d), wb.inverse() * shift_perm(x, 0, n) * wb): self.field.one})
+                alg.element({(tuple(e) + (0,) * b, shift_perm(y, 0, n)): one})
+                * alg.element({((0,) * (n - b) + tuple(d), wb.inverse() * shift_perm(x, 0, n) * wb): one})
             )
-            if prod_form != self.theta_map(b, {(m1, m2): self.field.one}):
+            if prod_form != self.theta_map(b, ta.left.element({(d, x): one}), ta.right.element({(e, y): one})):
                 failures.append("product form differs from the monomial form")
                 break
         return [result("morita.theta_map", REF_THETA_MAP, self._pdict(b=b), not failures,
@@ -703,13 +679,10 @@ class MoritaSuite:
         vb = alg.v_b_elem(b)
         failures = []
         basis = ta.basis()
-        for m1 in basis:
-            for m2 in basis:
-                x = {m1: self.field.one}
-                y = {m2: self.field.one}
-                lhs = self.theta_map(b, ta.multiply(x, y))
-                rhs = self.theta_map(b, x) * self.theta_map(b, y)
-                diff = lhs - rhs
+        images = [self.theta_map(b, a, c) for a, c in basis]
+        for (a1, c1), img1 in zip(basis, images):
+            for (a2, c2), img2 in zip(basis, images):
+                diff = self.theta_map(b, a1 * a2, c1 * c2) - img1 * img2
                 if not diff.is_zero() and not (diff * vb).is_zero():
                     failures.append("module law fails on a basis pair")
                     break
@@ -723,7 +696,7 @@ class MoritaSuite:
         for lam in lv.shapes:
             sigma, tau = split_multipartition(lam, self.s)
             lhs = alg.theta_b(b, alg.u_plus(lam))
-            rhs = self.theta_map(b, ta.tensor(ta.left.u_plus(sigma), ta.right.u_plus(tau))) * vb
+            rhs = self.theta_map(b, ta.left.u_plus(sigma), ta.right.u_plus(tau)) * vb
             if lhs != rhs:
                 fail44.append(lam.serialize())
         out.append(result("morita.u_compatibility", REF_BIMODULE, self._pdict(b=b), not fail44,
@@ -734,7 +707,7 @@ class MoritaSuite:
             s1, s2 = pair_split(st, self.s)
             t1, t2 = pair_split(tt, self.s)
             lhs = alg.theta_b(b, alg.m_st(st, tt))
-            rhs = self.theta_map(b, ta.tensor(ta.left.m_st(s1, t1), ta.right.m_st(s2, t2))) * vb
+            rhs = self.theta_map(b, ta.left.m_st(s1, t1), ta.right.m_st(s2, t2)) * vb
             if lhs != rhs:
                 fail46.append(f"{lam.serialize()}")
         out.append(result("morita.cell_compatibility", REF_BIMODULE, self._pdict(b=b), not fail46,
@@ -745,7 +718,7 @@ class MoritaSuite:
         alg = self.alg
         ta = TensorAlgebra(alg, b)
         vb = alg.v_b_elem(b)
-        got = rank([alg.vec(self.theta_map(b, {m: self.field.one}) * vb) for m in ta.basis()], self.field)
+        got = len(Echelon(self.field, [(self.theta_map(b, a, c) * vb).form for a, c in ta.basis()]))
         return [result("morita.faithfulness", REF_FAITHFUL, self._pdict(b=b), got == ta.dim,
                        f"rank {got} of {ta.dim}")]
 
@@ -753,10 +726,10 @@ class MoritaSuite:
         """V^b = sum over distinguished reps w of Theta(tensor algebra) v_b T_w,
         each summand a copy of the regular tensor module; plus the bounded-
         exponent spanning family and the pairing-induced summand bases."""
-        alg, n = self.alg, self.n
+        alg, n, field = self.alg, self.n, self.field
         ta = TensorAlgebra(alg, b)
         vb_elem = alg.v_b_elem(b)
-        images = [self.theta_map(b, {m: self.field.one}) * vb_elem for m in ta.basis()]
+        images = [self.theta_map(b, a, c) * vb_elem for a, c in ta.basis()]
         reps = coset_reps([b, n - b], n)
         failures = []
         all_rows = []
@@ -764,8 +737,8 @@ class MoritaSuite:
         vindex = {(st, tt): i for i, (_, st, tt) in enumerate(vbasis.entries)}
         for w in reps:
             tw = alg.t_elem(w)
-            rows = [alg.vec(e * tw) for e in images]
-            if rank(rows, self.field) != ta.dim:
+            rows = [(e * tw).form for e in images]
+            if len(Echelon(field, rows)) != ta.dim:
                 failures.append(f"summand at a coset rep has deficient rank")
             all_rows.extend(rows)
             # Prop 4.8's basis of the same summand: v_(s, tw) over two-sided pairs
@@ -780,10 +753,10 @@ class MoritaSuite:
                 if idx is None:
                     failures.append("translated tableau left the standard set")
                     continue
-                summand2.append(alg.vec(vbasis.elements[idx]))
-            if rank(summand2, self.field) != ta.dim or rank(rows + summand2, self.field) != ta.dim:
+                summand2.append(vbasis.elements[idx].form)
+            if len(Echelon(field, summand2)) != ta.dim or len(Echelon(field, rows + summand2)) != ta.dim:
                 failures.append("cell-indexed summand basis spans a different space")
-        total = rank(all_rows, self.field)
+        total = len(Echelon(field, all_rows))
         expected = self.expected_rank(b)
         if total != expected or len(all_rows) != expected:
             failures.append(f"total rank {total} != expected {expected}")
@@ -792,9 +765,8 @@ class MoritaSuite:
         s, r = self.s, self.params.r
         products = self._vb_products(b)
         bounds = [range(s) if i < b else range(r - s) for i in range(n)]
-        bounded_rows = [dense(self.field, products[alg.code(d, w)], alg.dim)
-                        for d in itertools.product(*bounds) for w in sorted_permutations(n)]
-        if rank(bounded_rows, self.field) != expected or len(bounded_rows) != expected:
+        bounded_rows = [products[alg.code(d, w)] for d in itertools.product(*bounds) for w in sorted_permutations(n)]
+        if len(Echelon(field, bounded_rows)) != expected or len(bounded_rows) != expected:
             failures.append("bounded-exponent family is not a basis")
         return [result("morita.free_decomposition", REF_FREE, self._pdict(b=b), not failures,
                        "; ".join(sorted(set(failures))[:4]) if failures else

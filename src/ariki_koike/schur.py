@@ -9,16 +9,15 @@ splitting of the index poset, and the compatibility of theta_b with the
 tensor decomposition on the M-side.
 A Hom space is solved per pair of shapes: its conditions x k = 0, for k in
 the right annihilator of m_nu, are engine products streamed in int form into
-one echelon.  What depends on one side only is kept in the algebra's memo:
-the row basis of M^mu (one echelon of the products m_mu L^d T_w, as dense
-rows and int forms) and rAnn(m_nu) (`alg.right_annihilator`).
+one echelon.  The algebra's memo keeps, per shape, the products m_mu L^d T_w
+and what is read off them: the row basis of M^mu and rAnn(m_mu).
 """
 
 from __future__ import annotations
 
 from .algebra import ArikiKoikeAlgebra
 from .fields import Params
-from .linalg import Echelon, dense, dense_rows, in_row_space, kernel_basis, mat_mul, rank
+from .linalg import Echelon, kernel_basis
 from .morita import MoritaSuite, TensorAlgebra
 from .report import CheckResult, result
 from .tableaux import (
@@ -70,12 +69,11 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     pair count, and whether every basis map lands in the solved space.
     """
     field = alg.field
-    mu_basis, x_forms = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
-    ann = alg.derived(("right_annihilator", nu), lambda: alg.right_annihilator(alg.m_lambda(nu)))
+    mu_basis = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
+    ann = alg.derived(("right_annihilator", nu), lambda: alg.right_annihilator(_products(nu, alg)))
     # solve: x in span(mu_basis) with x k = 0 for all k in ann
-    ech = Echelon(field, alg.condition_rows(x_forms, ann))
-    sols = [dense(field, v, len(mu_basis)) for v in kernel_basis(ech, len(mu_basis))]
-    solved_dim = len(sols)
+    sols = kernel_basis(Echelon(field, alg.condition_rows(mu_basis, ann)), len(mu_basis))
+    maps = Echelon(field, (alg.combination(v, mu_basis) for v in sols))
 
     expected = 0
     members = []
@@ -87,21 +85,24 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
             for T in t_count:
                 members.append(alg.m_semi2(S, T))
 
-    member_rows = [alg.vec(m) for m in members]
-    members_inside = all(in_row_space(mat_mul(sols, mu_basis, field), member_rows, field))
     return {
-        "dim": solved_dim,
+        "dim": len(sols),
         "expected": expected,
-        "members_inside": members_inside,
-        "members_independent": rank(member_rows, field) == expected,
+        "members_inside": all(maps.contains(*m.form) for m in members),
+        "members_independent": len(Echelon(field, [m.form for m in members])) == expected,
     }
 
 
-def _hom_target(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> tuple[list, list]:
-    """A row basis of M^mu = m_mu H, as dense rows and as int forms: one
-    echelon of the products m_mu L^d T_w, in pivot order."""
-    ech = Echelon(alg.field, alg.left_mult_matrix(alg.m_lambda(mu)))
-    return dense_rows(ech, alg.dim), [ech.rows[pc] for pc in sorted(ech.rows)]
+def _products(lam: MultiComposition, alg: ArikiKoikeAlgebra) -> list[tuple[int, dict]]:
+    """The products m_lam L^d T_w in int form, computed once per shape."""
+    return alg.derived(("m_lambda_products", lam), lambda: alg.left_mult_matrix(alg.m_lambda(lam)))
+
+
+def _hom_target(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> list[tuple[int, dict]]:
+    """A row basis of M^mu = m_mu H in int form: one echelon of the products
+    m_mu L^d T_w, in pivot order."""
+    ech = Echelon(alg.field, _products(mu, alg))
+    return [ech.rows[pc] for pc in sorted(ech.rows)]
 
 
 def gamma_split(gamma: list[MultiComposition], n: int, r: int, s: int, b: int) -> tuple:
@@ -177,7 +178,7 @@ def morita_count_check(gamma: list[MultiComposition], alg: ArikiKoikeAlgebra) ->
             sigma = MultiComposition(lam.components[:s])
             tau = MultiComposition(lam.components[s:])
             lhs = alg.theta_b(b, alg.m_lambda(lam))
-            rhs = suite.theta_map(b, ta.tensor(ta.left.m_lambda(sigma), ta.right.m_lambda(tau))) * vb
+            rhs = suite.theta_map(b, ta.left.m_lambda(sigma), ta.right.m_lambda(tau)) * vb
             if lhs != rhs:
                 failures.append(lam.serialize())
     out.append(result(

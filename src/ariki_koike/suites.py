@@ -14,7 +14,7 @@ import random
 
 from .algebra import ArikiKoikeAlgebra, random_element
 from .fields import ComputationError, poincare
-from .linalg import in_row_space, mat_mul, mat_product, rank, transpose
+from .linalg import Echelon, mat_mul, mat_product, rank, transpose
 from .report import CheckResult, result
 from .specht import (
     block_partition,
@@ -195,12 +195,10 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
                 for u in std_tableaux(mu):
                     for v in std_tableaux(mu):
                         elems.append(alg.m_st(u, v))
-            right = [alg.vec(e * t) for e in elems for t in gens]
-            left = [alg.vec(t * e) for e in elems for t in gens]
-            inside = in_row_space([alg.vec(e) for e in elems], right + left, alg.field)
-            if not all(inside[:len(right)]):
+            ideal = Echelon(alg.field, [e.form for e in elems])
+            if not all(ideal.contains(*(e * t).form) for e in elems for t in gens):
                 failures.append("right multiplication leaves the layer ideal")
-            if not all(inside[len(right):]):
+            if not all(ideal.contains(*(t * e).form) for e in elems for t in gens):
                 failures.append("left multiplication leaves the layer ideal")
     out.append(result("cellular.layer_ideals", REF_IDEALS, pd, not failures,
                       "; ".join(sorted(set(failures))[:2])))

@@ -76,7 +76,7 @@ def test_criterion_03_cellular_transition():
         for r in (1, 2):
             alg = ArikiKoikeAlgebra(params_for(n, r))
             trans = alg.transition()
-            ok &= rank(trans.matrix, alg.field) == alg.dim
+            ok &= len(trans.inverse()) == alg.dim
     alg22 = ArikiKoikeAlgebra(params_for(2, 2))
     trans22 = alg22.transition()
     rng = random.Random(99)

@@ -6,7 +6,7 @@ import pytest
 
 from ariki_koike.algebra import ArikiKoikeAlgebra, Element, random_element
 from ariki_koike.fields import FpElement, Params, PrimeField, Rationals, SizeGuardError
-from ariki_koike.linalg import dense, rank, solve, transpose
+from ariki_koike.linalg import dense, inverse, rank, solve, transpose
 from ariki_koike.perms import all_permutations, identity, s_interval
 from ariki_koike.tableaux import (
     MultiPartition,
@@ -268,17 +268,20 @@ def test_monomial_codes_are_basis_positions(n, r, field, q, Q):
     (PrimeField(7), 3, (1, 2)),
 ], ids=["Q", "GF(7)"])
 def test_coordinates_solve_against_the_dense_span(field, q, Q):
-    # one solution per target, read against a dense solve on vec columns; a
-    # target outside the span has none
+    # one solution per target, read against a dense solve on the elements'
+    # coordinate columns; a target outside the span has none
     alg = make(n=2, r=2, q=q, Q=Q, field=field)
+
+    def vec(x):
+        return dense(field, x.form, alg.dim)
+
     rng = random.Random(f"coordinates:{field}")
     xs = [random_element(alg, rng) for _ in range(3)]
     inside = xs[0].scale(field(2)) - xs[2]
     outside = next(m for m in (alg.element({mono: field.one}) for mono in alg.basis())
-                   if rank([alg.vec(x) for x in xs + [m]], field) > rank([alg.vec(x) for x in xs], field))
+                   if rank([vec(x) for x in xs + [m]], field) > rank([vec(x) for x in xs], field))
     got = alg.coordinates([x.form for x in xs], [inside.form, outside.form, alg.zero().form])
-    want = solve(transpose([alg.vec(x) for x in xs]), [alg.vec(inside), alg.vec(outside), alg.vec(alg.zero())],
-                 field)
+    want = solve(transpose([vec(x) for x in xs]), [vec(inside), vec(outside), vec(alg.zero())], field)
     assert got == want and got[1] is None and got[2] == [field.zero] * 3
     assert sum((x.scale(c) for x, c in zip(xs, got[0])), alg.zero()) == inside
 
@@ -290,20 +293,24 @@ def test_coordinates_solve_against_the_dense_span(field, q, Q):
 def test_condition_rows_span_the_dense_conditions(field, q, Q):
     # rows of (sum_i z_i x_i) k = 0 over the right annihilator of m_lambda,
     # against the dense route: coordinate c of L(x_i) k, where the column of
-    # L(x) at code j is vec(x * basis()[j])
+    # L(x) at code j holds the coordinates of x * basis()[j]
     alg = make(n=2, r=2, q=q, Q=Q, field=field)
+
+    def vec(x):
+        return dense(field, x.form, alg.dim)
+
     rng = random.Random(f"conditions:{field}")
     xs = [random_element(alg, rng) for _ in range(4)]
     monos = [alg.element({m: field.one}) for m in alg.basis()]
     dens, sizes = {1}, []
     for lam in multipartitions(2, 2):
         m_lam = alg.m_lambda(lam)
-        kernel = alg.right_annihilator(m_lam)
+        kernel = alg.right_annihilator(alg.left_mult_matrix(m_lam))
         # a basis of rAnn(m_lambda): independent vectors that m_lambda kills, as many as
         # dim minus the rank of the products m_lambda * mono
         assert all((m_lam * Element(alg, *k)).is_zero() for k in kernel)
         assert rank([dense(field, k, alg.dim) for k in kernel], field) == len(kernel)
-        assert len(kernel) == alg.dim - rank([alg.vec(m_lam * m) for m in monos], field)
+        assert len(kernel) == alg.dim - rank([vec(m_lam * m) for m in monos], field)
         got = list(alg.condition_rows([x.form for x in xs], kernel))
         sizes.append(len(kernel))
         if isinstance(field, Rationals):
@@ -315,7 +322,7 @@ def test_condition_rows_span_the_dense_conditions(field, q, Q):
         for k in kernel:
             kv = dense(field, k, alg.dim)
             images = [[sum((a * b for a, b in zip(row, kv)), field.zero)
-                       for row in zip(*(alg.vec(x * m) for m in monos))] for x in xs]
+                       for row in zip(*(vec(x * m) for m in monos))] for x in xs]
             want.extend(list(row) for row in zip(*images) if any(row))
         assert bool(got) == bool(kernel)
         assert rank(got, field) == rank(want, field) == rank(got + want, field)
@@ -416,12 +423,36 @@ def test_m_semi2_star():
 def test_transition_n1_r2():
     alg = make(n=1)
     trans = alg.transition()
-    assert len(trans.matrix) == 2
-    assert rank(trans.matrix, alg.field) == 2
+    assert len(trans.inverse()) == alg.dim == 2
     # explicit cell generators: (L_1 - Q_2) for level 1, the unit for level 0
     lam_top = MultiPartition([[1], []])
     assert alg.m_lambda(lam_top) == alg.gen_L(1) - alg.from_scalar(5)
     assert alg.m_lambda(MultiPartition([[], [1]])) == alg.one()
+
+
+@pytest.mark.parametrize("n,r,field,Q", [
+    (0, 2, Rationals(), (1, 5)),
+    (2, 2, Rationals(), (1, 5)),
+    (2, 2, PrimeField(5), (1, 3)),
+    (1, 3, Rationals(), (1, 5, 7)),
+], ids=["n0", "n2-r2-Q", "n2-r2-GF5", "n1-r3"])
+def test_transition_inverse_matches_the_dense_inverse(n, r, field, Q):
+    # row k of the inverse (the cellular coordinates of the monomial with code
+    # k) against linalg.inverse of the dense cell matrix, row i = m_st of cell i
+    alg = make(n=n, r=r, Q=Q, field=field)
+    trans = alg.transition()
+    cells = [dense(field, alg.m_st(s, t).form, alg.dim) for (_, s, t) in alg.cell_data()]
+    got = [dense(field, row, alg.dim) for row in trans.inverse()]
+    assert got == inverse(cells, field) and len(got) == alg.dim
+
+
+def test_transition_inverse_refuses_a_repeated_cell(monkeypatch):
+    alg = make(n=2)
+    cells = alg.cell_data()
+    monkeypatch.setattr(alg, "cell_data", lambda: [cells[0]] + cells[:1] + cells[2:])
+    trans = alg.transition()
+    with pytest.raises(ValueError, match="matrix is singular"):
+        trans.inverse()
 
 
 def test_transition_roundtrip_seeded():

@@ -445,20 +445,31 @@ def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
 def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, capsys):
     from ariki_koike import algebra, morita
 
-    calls = []
+    calls, inverting, inverted = [], [], []
 
     def counting(owner, name):
         fn = getattr(owner, name)
 
         def counted(*args):
-            calls.append(name)
+            calls.append("transition" if inverting else name)
             return fn(*args)
         monkeypatch.setattr(owner, name, counted)
 
+    inverse = algebra.TransitionMatrix.inverse
+
+    def inverse_apart(trans):
+        inverted.append(trans)
+        inverting.append(trans)
+        try:
+            return inverse(trans)
+        finally:
+            inverting.pop()
+    monkeypatch.setattr(algebra.TransitionMatrix, "inverse", inverse_apart)
+
     # every elimination the battery reads solutions or a kernel off: the one
     # solve of each `alg.coordinates`, the complement's solve, and the echelon
-    # whose free columns give rAnn(v_b) (the transition's own solve, once per
-    # algebra, is not counted)
+    # whose free columns give rAnn(v_b) (the transition's own echelon, once per
+    # algebra, also sits in `algebra` and is counted apart)
     counting(algebra.ArikiKoikeAlgebra, "coordinates")
     counting(algebra, "Echelon")
     counting(morita, "solve")
@@ -473,7 +484,9 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
     assert calls.count("Echelon") == 3
     assert calls.count("solve") == 3
     assert calls.count("coordinates") == 3 * 3
-    assert len(calls) == 5 * 3
+    assert len(calls) - calls.count("transition") == 5 * 3
+    # one echelon per transition, however often its inverse is read
+    assert calls.count("transition") == len({id(trans) for trans in inverted}) > 1
 
 
 def _no_condition_rows(alg, forms, kernel):
@@ -527,12 +540,17 @@ def test_saturated_row_fails_when_every_set_passes_as_saturated(monkeypatch, cap
     ("verify --suite relations --n 2 --r 2 --field GF(4) --Q 1,2", 2),
     ("verify --suite relations --n x", 2),
     ("verify --suite relations --n 5 --r 2", 3),
+    ("verify --suite relations --n 1 --r 1 --Q 1 --params {tmp}/missing.txt", 2),
+    ("verify --suite relations --n 1 --r 1 --Q 1 --out {tmp}/missing/report.json", 2),
+    ("verify --suite relations --n 1 --r 1 --Q 1 --out {tmp}", 2),
 ], ids=["n=0", "Qi=Qj-relations", "Qi=Qj-morita", "q=1", "q=0", "b-out-of-range", "s=r",
-        "non-prime-field", "malformed-int", "size-guard"])
-def test_exit_code_contract(argv, code, capsys):
-    """0 pass / 1 check failed / 2 gate refused or usage error / 3 size guard."""
+        "non-prime-field", "malformed-int", "size-guard", "unreadable-params", "out-in-missing-dir",
+        "out-is-a-directory"])
+def test_exit_code_contract(argv, code, tmp_path, capsys):
+    """0 pass / 1 check failed / 2 gate refused or usage error / 3 size guard;
+    {tmp} in argv stands for a fresh empty directory."""
     try:
-        got = main(argv.split())
+        got = main(argv.format(tmp=tmp_path).split())
     except SystemExit as exc:
         got = exc.code
     assert got == code

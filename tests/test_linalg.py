@@ -296,6 +296,24 @@ def test_multi_rhs_solve_separates_a_shared_dependent_row(field):
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_echelon_contains_matches_in_row_space(field):
+    # contains takes a canonical int form and clears it in ints; in_row_space
+    # reduces field values
+    rng = random.Random(f"contains:{field}")
+    seen = set()
+    for m in kernel_cases(field):
+        ech = echelon(m, field)
+        members = [vec_mat([field(rng.randint(-2, 2)) for _ in m], m, field) for _ in range(3)]
+        others = [[field(rng.randint(-2, 2)) for _ in m[0]] for _ in range(3)]
+        vectors = members + others + [[field.zero] * len(m[0])]
+        got = [ech.contains(*field.canonical(*field.to_ints(sparse(v)))) for v in vectors]
+        assert got == in_row_space(m, vectors, field)
+        assert got[:3] == [True] * 3 and got[-1]
+        seen.update(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_batched_in_row_space_matches_per_vector(field):
     rng = random.Random(f"members:{field}")
     for m in kernel_cases(field):

@@ -130,10 +130,10 @@ def test_theta_map_spot_images(suite3):
     ta = TensorAlgebra(suite3.alg, 1)
     alg = suite3.alg
     # 1 (x) T_1 embeds as T_1, T_0-parts act as the commuting generators
-    img = suite3.theta_map(1, ta.tensor(ta.left.one(), ta.right.gen_T(1)))
+    img = suite3.theta_map(1, ta.left.one(), ta.right.gen_T(1))
     assert img == alg.gen_T(1)
     vb = alg.v_b_elem(1)
-    img0 = suite3.theta_map(1, ta.tensor(ta.left.gen_T(0), ta.right.one()))
+    img0 = suite3.theta_map(1, ta.left.gen_T(0), ta.right.one())
     assert img0 * vb == alg.gen_L(3) * vb
 
 
@@ -142,9 +142,9 @@ def test_theta_map_exact_for_two_parameters():
     p = Params(field=Rationals(), q=2, Q=(1, 5, 7, 11), n=2, r=4, s=2)
     suite = MoritaSuite(ArikiKoikeAlgebra(p))
     ta = TensorAlgebra(suite.alg, 1)
-    img = suite.theta_map(1, ta.tensor(ta.left.gen_T(0), ta.right.one()))
+    img = suite.theta_map(1, ta.left.gen_T(0), ta.right.one())
     assert img == suite.alg.gen_L(2)
-    img2 = suite.theta_map(1, ta.tensor(ta.left.one(), ta.right.gen_T(0)))
+    img2 = suite.theta_map(1, ta.left.one(), ta.right.gen_T(0))
     assert img2 == suite.alg.gen_L(1)
     assert all_ok(suite.verify_theta_map(1))
 
@@ -220,10 +220,14 @@ def test_factorization_gf5_split():
 
 
 def test_tensor_algebra_trivial_factor():
-    ta = TensorAlgebra(ArikiKoikeAlgebra(qparams(n=2)), 0)
-    assert ta.left.dim == 1 and ta.dim == ta.right.dim
-    prod = ta.multiply(ta.one(), ta.one())
-    assert prod == ta.one()
+    alg = ArikiKoikeAlgebra(qparams(n=2))
+    ta = TensorAlgebra(alg, 0)
+    assert ta.left.dim == 1 and ta.dim == ta.right.dim == len(ta.basis())
+    # theta(1 (x) 1) = 1, with the trivial factor on either side
+    suite = MoritaSuite(alg)
+    for b in range(3):
+        ta = TensorAlgebra(alg, b)
+        assert suite.theta_map(b, ta.left.one(), ta.right.one()) == alg.one()
 
 
 def test_ungated_run_fails_honestly_where_the_theory_does():
@@ -312,14 +316,14 @@ def test_end_basis_kernel_verdict_matches_the_row_space_reduction(params):
     # kernel products, iff every row of left multiplication by x lies in the
     # row space of left multiplication by v_b, the dense reduction built here
     from ariki_koike.algebra import Element
-    from ariki_koike.linalg import in_row_space, transpose
+    from ariki_koike.linalg import dense, in_row_space, transpose
 
     alg = ArikiKoikeAlgebra(params)
     suite = MoritaSuite(alg)
     monos = [alg.element({m: alg.field.one}) for m in alg.basis()]
 
     def left_mult_rows(x):
-        return transpose([alg.vec(x * m) for m in monos])
+        return transpose([dense(alg.field, (x * m).form, alg.dim) for m in monos])
 
     pairs = 0
     for b in range(alg.n + 1):
