@@ -11,7 +11,7 @@ of the algebra.
 
 Step 1, times L^d: (L^a T_x) L^d = L^a (T_x L^d).  T_x L^d is computed once
 per (x, d) by pushing L^d leftward through a reduced word of x, one T_i at a
-time, with the local moves
+time: T_i (L^f T_y) = (T_i L^f) T_y, with the local moves
 
     T_i L_j             = L_j T_i                                   (j != i, i+1),
     T_i L_i^a L_{i+1}^b = L_i^b L_{i+1}^a T_i
@@ -19,8 +19,9 @@ time, with the local moves
     T_i L_i^a L_{i+1}^b = L_i^b L_{i+1}^a T_i
                           + (q-1) sum_{k=1}^{b-a} L_i^{b-k} L_{i+1}^{a+k}   (a < b),
 
-which never raise an exponent above the largest of d.  Each term L^f T_y of
-T_x L^d then becomes L^{a+f} T_y, brought to normal form below.
+which never raise an exponent above the largest of d, and then step 2 for
+the T_y.  Each term L^f T_y of T_x L^d then becomes L^{a+f} T_y, brought to
+normal form below.
 
 Step 2, times T_w: L^h T_y T_w = L^h (T_y T_w), with T_y T_w expanded by the
 Hecke rule T_y T_s = T_{ys} if l(ys) > l(y), else q T_{ys} + (q-1) T_y.
@@ -57,8 +58,10 @@ keys appear only where something outside the engine reads or writes them:
 and `TransitionMatrix.express` give them out.  `left_mult_matrix(x)` lists
 the products x L^d T_w in int form, and `coordinates`, `right_annihilator` and
 `condition_rows` solve and take kernels from such products.  The rewriting
-rules themselves (Hecke products, T_x L^d, L_m^r) are derived in field values,
-once per key, and enter int form as they are cached.
+rules themselves are derived in the same int form, once per key: a Hecke
+product and T_x L^d are folds along a reduced word, whose steps read q and
+q-1 from one int form of the pair, and L_m^r (m >= 2) is Element arithmetic.
+Field values enter the rules only as the parameters q and Q.
 """
 
 from __future__ import annotations
@@ -183,19 +186,6 @@ class Element:
             raise ValueError("elements belong to different algebras")
 
 
-def _accumulate(store: dict, key, value):
-    cur = store.get(key)
-    if cur is None:
-        if value:
-            store[key] = value
-        return
-    cur = cur + value
-    if cur:
-        store[key] = cur
-    else:
-        del store[key]
-
-
 def coordinate_rows(field, forms: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
     """One row {i: coordinate c of forms[i]} per code c where some form is
     nonzero, in canonical int form: every entry over the lcm of the dens."""
@@ -242,9 +232,9 @@ class ArikiKoikeAlgebra:
         self._TL_cache: dict[int, tuple[int, dict]] = {}
         self._L_step_cache: dict[int, tuple[int, dict]] = {}
         self._T_step_cache: dict[int, tuple[int, dict]] = {}
-        self._pow_cache: dict[tuple[int, int], list] = {}
         self._derived: dict = {}
-        self._qm1 = self.q - self.field.one
+        # q and q - 1 as one int form (den, {0: q, 1: q - 1}); key 1 is absent at q = 1
+        self._q_form = self.field.canonical(*self.field.to_ints({0: self.q, 1: self.q - self.field.one}))
 
     @cached_property
     def _perms(self) -> tuple[Permutation, ...]:
@@ -338,6 +328,12 @@ class ArikiKoikeAlgebra:
             for w in range(self._nperm):
                 out.append(canonical(*self._fold(hden, head, self._mono_times_T, w)))
         return out
+
+    def products(self, elem: Element) -> list[tuple[int, dict]]:
+        """`left_mult_matrix(elem)`, built once per element: the one memo of
+        products elem L^d T_w, keyed on elem's form."""
+        return self.derived(("products", elem.den, frozenset(elem.ints.items())),
+                            lambda: self.left_mult_matrix(elem))
 
     def coordinates(self, forms: list, targets: list) -> list[list | None]:
         """For each target t, a dense solution z of sum_i z_i forms[i] = t (free
@@ -461,118 +457,83 @@ class ArikiKoikeAlgebra:
 
     def _T_times_L(self, x: int, d: int) -> tuple[int, dict]:
         """T_x L^d in int form on codes, for the rank of x and the code of L^d:
-        L^d pushed leftward through a reduced word of x, one T_i at a time; no
+        L^d folded leftward through a reduced word of x, one T_i at a time; no
         exponent of a term exceeds the largest of d."""
         key = x * self._nexp + d
         cached = self._TL_cache.get(key)
         if cached is not None:
             return cached
-        terms = {(self._exps[d], identity(self.n)): self.field.one}
+        acc = 1, {d * self._nperm: 1}
         for i in reversed(self._perms[x].reduced_word()):
-            terms = self._left_mul_gen_terms(terms, i)
-        out = self._TL_cache[key] = self.element(terms).form
+            acc = self._fold(*acc, self._Ti_times, i)
+        out = self._TL_cache[key] = self.field.canonical(*acc)
         return out
+
+    def _Ti_times(self, code: int, i: int) -> tuple[int, dict]:
+        """T_i (L^f T_y) = (T_i L^f) T_y in normal form, for the code of L^f T_y:
+        the local move T_i L_i^a L_{i+1}^b = L_i^b L_{i+1}^a T_i
+        -+ (q-1) sum_{k=1}^{c} L_i^{m+c-k} L_{i+1}^{m+k}, with m = min(a, b),
+        c = |a-b| and the minus for a > b, then each term times T_y."""
+        f, y = divmod(code, self._nperm)
+        e = list(self._exps[f])
+        a, b = e[i - 1], e[i]
+        qden, qints = self._q_form
+        e[i - 1], e[i] = b, a
+        move = {self._dindex[tuple(e)] * self._nperm + self._rank[simple_transposition(i, self.n)]: qden}
+        if 1 in qints:
+            m, c = min(a, b), abs(a - b)
+            sign = -qints[1] if a > b else qints[1]
+            for k in range(1, c + 1):
+                e[i - 1], e[i] = m + c - k, m + k
+                move[self._dindex[tuple(e)] * self._nperm] = sign
+        return self._fold(qden, move, self._mono_times_T, y)
 
     def _hecke_prod(self, x: int, v: int) -> tuple[int, dict]:
         """T_x T_v expanded over the T-basis, for ranks x and v, in int form:
-        (den, {rank of y: int})."""
+        (den, {rank of y: int}), T_x folded along a reduced word of v."""
         if not v:  # rank 0 is the identity
             return 1, {x: 1}
         key = x * self._nperm + v
         cached = self._hecke_cache.get(key)
         if cached is not None:
             return cached
-        cur: dict[Permutation, object] = {self._perms[x]: self.field.one}
+        acc = 1, {x: 1}
         for g in self._perms[v].reduced_word():
-            new: dict = {}
-            for w, c in cur.items():
-                ws = w.times_s(g)
-                if ws.length() > w.length():
-                    _accumulate(new, ws, c)
-                else:
-                    _accumulate(new, ws, self.q * c)
-                    _accumulate(new, w, self._qm1 * c)
-            cur = new
-        den, ints = self.field.to_ints(cur)
-        out = self._hecke_cache[key] = den, {self._rank[y]: c for y, c in ints.items()}
+            acc = self._fold(*acc, self._hecke_step, g)
+        out = self._hecke_cache[key] = self.field.canonical(*acc)
         return out
 
-    def _Ti_L_pows(self, a: int, b: int) -> list:
-        """T_i L_i^a L_{i+1}^b as [(x, y, has_t, coeff)]: sum coeff L_i^x L_{i+1}^y T_i^{has_t}.
-
-        Valid for any i; exponents never exceed max(a, b) because the central
-        product L_i L_{i+1} is pulled out first.
-        """
-        cached = self._pow_cache.get((a, b))
-        if cached is not None:
-            return cached
-        m = min(a, b)
-        one = self.field.one
-        out: list = []
-        if a >= b:
-            c = a - b
-            out.append((m, c + m, 1, one))
-            for k in range(1, c + 1):
-                out.append((c - k + m, k + m, 0, -self._qm1))
-        else:
-            c = b - a
-            out.append((c + m, m, 1, one))
-            for k in range(1, c + 1):
-                out.append((c - k + m, k + m, 0, self._qm1))
-        self._pow_cache[(a, b)] = out
-        return out
-
-    def _left_mul_gen_terms(self, terms: dict, i: int) -> dict:
-        """T_i * (terms), for terms whose L-part is in bounds at positions i, i+1."""
-        out: dict = {}
-        for (d, w), c in terms.items():
-            a, b = d[i - 1], d[i]
-            for x, y, has_t, co in self._Ti_L_pows(a, b):
-                e = list(d)
-                e[i - 1] = x
-                e[i] = y
-                e = tuple(e)
-                if has_t:
-                    su = w.s_times(i)
-                    if w[i - 1] < w[i]:
-                        _accumulate(out, (e, su), co * c)
-                    else:
-                        _accumulate(out, (e, su), self.q * co * c)
-                        _accumulate(out, (e, w), self._qm1 * co * c)
-                else:
-                    _accumulate(out, (e, w), co * c)
-        return out
+    def _hecke_step(self, y: int, g: int) -> tuple[int, dict]:
+        """T_y T_{s_g} for the rank of y: T_{ys} if l(ys) > l(y), else
+        q T_{ys} + (q-1) T_y."""
+        w = self._perms[y]
+        ws = w.times_s(g)
+        if ws.length() > w.length():
+            return 1, {self._rank[ws]: 1}
+        qden, qints = self._q_form
+        return qden, {(self._rank[ws], y)[k]: c for k, c in qints.items()}
 
     def _L_pow_r(self, m: int) -> tuple[int, dict]:
         """The normal form of L_m^r in int form on codes, supported on positions <= m."""
         cached = self._Lr_cache.get(m)
         if cached is not None:
             return cached
-        one, zero_exp = self.field.one, [0] * self.n
+        one = self.field.one
         if m == 1:
             # cyclotomic relation: L_1^r = sum_j (-1)^{r-1-j} e_{r-j}(Q) L_1^j
             elem_sym = [one] + [self.field.zero] * self.r
             for Qt in self.Q:
                 for j in range(self.r, 0, -1):
                     elem_sym[j] = elem_sym[j] + elem_sym[j - 1] * Qt
-            out = {}
-            sign = one
-            for j in range(self.r - 1, -1, -1):
-                exp = list(zero_exp)
-                exp[0] = j
-                out[(tuple(exp), identity(self.n))] = sign * elem_sym[self.r - j]
-                sign = -sign
-            lr = self.element(out)
+            lr = self.element({((j,) + (0,) * (self.n - 1), identity(self.n)): (-one) ** (self.r - 1 - j)
+                               * elem_sym[self.r - j] for j in range(self.r)})
         else:
-            prev = Element(self, *self._L_pow_r(m - 1)).terms
-            lr = self.element(self._left_mul_gen_terms(prev, m - 1)) * self.gen_T(m - 1)
-            for k in range(1, self.r):
-                exp = list(zero_exp)
-                exp[m - 2] = self.r - k
-                exp[m - 1] = k
-                single = {(tuple(exp), identity(self.n)): one}
-                lr = lr + self.element(self._left_mul_gen_terms(single, m - 1)).scale(self._qm1)
-            lr = lr.scale(one / self.q)
+            # L_m^r = q^{-1} T_{m-1} (L_{m-1}^r T_{m-1} + (q-1) sum_{k=1}^{r-1} L_{m-1}^{r-k} L_m^k);
+            # T_{m-1} times a term with exponents below r leaves them below r
+            exps = [[0] * (m - 2) + [self.r - k, k] + [0] * (self.n - m) for k in range(1, self.r)]
+            tail = Element(self, 1, {self._dindex[tuple(e)] * self._nperm: 1 for e in exps})
+            T = self.gen_T(m - 1)
+            lr = (T * (Element(self, *self._L_pow_r(m - 1)) * T + tail.scale(self.q - one))).scale(one / self.q)
         out = self._Lr_cache[m] = lr.form
         return out
 
@@ -768,11 +729,10 @@ class TransitionMatrix:
 
 
 def random_element(alg: ArikiKoikeAlgebra, rng, nterms: int = 4, coeff_range: int = 9) -> Element:
-    """A reproducible sparse random element (for property tests)."""
-    basis = alg.basis()
-    terms: dict = {}
+    """A reproducible sparse random element (for property tests): nterms
+    random codes, each with coefficient randint(1, c) - randint(0, c // 2)."""
+    ints: dict = {}
     for _ in range(nterms):
-        mono = basis[rng.randrange(len(basis))]
-        c = alg.field(rng.randint(1, coeff_range)) - alg.field(rng.randint(0, coeff_range // 2))
-        _accumulate(terms, mono, c)
-    return alg.element(terms)
+        k = rng.randrange(alg.dim)
+        ints[k] = ints.get(k, 0) + rng.randint(1, coeff_range) - rng.randint(0, coeff_range // 2)
+    return Element(alg, *alg.field.canonical(1, ints))

@@ -19,7 +19,7 @@ exit code 2).  The two unconditional identity families (the intertwining and
 annihilation laws) are callable without the gate.
 
 V^b and rAnn(v_b) are read off the int-form products v_b L^d T_w
-(`alg.left_mult_matrix`); a rank of elements is one `Echelon` of their forms.
+(`alg.products`); a rank of elements is one `Echelon` of their forms.
 
 `MoritaSuite.run_all()` is the one entry point to the battery: the rank count,
 the per-level checks at every level b, then the checks across levels.
@@ -195,8 +195,7 @@ class MoritaSuite:
 
     def _vb_products(self, b: int) -> list[tuple[int, dict]]:
         """The products v_b L^d T_w, in int form at the code of L^d T_w: they span V^b."""
-        alg = self.alg
-        return alg.derived(("v_b_products", b), lambda: alg.left_mult_matrix(alg.v_b_elem(b)))
+        return self.alg.products(self.alg.v_b_elem(b))
 
     def _vb_kernel(self, b: int) -> list[tuple[int, dict]]:
         """rAnn(v_b) = {h : v_b h = 0} in int form, solved once per level."""
@@ -368,7 +367,7 @@ class MoritaSuite:
         # M^{omega_b} = m_{omega_b} H, as the echelon of its products m_{omega_b} L^d T_w:
         # compare the module with its claimed cell basis.
         omega = omega_b(self.n, self.params.r, self.s, b)
-        module_rows = list(Echelon(field, alg.left_mult_matrix(alg.m_lambda(omega))).rows.values())
+        module_rows = list(Echelon(field, alg.products(alg.m_lambda(omega))).rows.values())
         claimed = lv.one_sided
         claimed_rows = [alg.m_st(u, v).form for (_, u, v) in claimed]
         r_module = len(module_rows)

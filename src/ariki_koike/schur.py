@@ -9,8 +9,9 @@ splitting of the index poset, and the compatibility of theta_b with the
 tensor decomposition on the M-side.
 A Hom space is solved per pair of shapes: its conditions x k = 0, for k in
 the right annihilator of m_nu, are engine products streamed in int form into
-one echelon.  The algebra's memo keeps, per shape, the products m_mu L^d T_w
-and what is read off them: the row basis of M^mu and rAnn(m_mu).
+one echelon.  The algebra's memo keeps the products m_mu L^d T_w
+(`alg.products`, shared with the Morita battery) and, per shape, what is read
+off them: the row basis of M^mu and rAnn(m_mu).
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     """
     field = alg.field
     mu_basis = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
-    ann = alg.derived(("right_annihilator", nu), lambda: alg.right_annihilator(_products(nu, alg)))
+    ann = alg.derived(("right_annihilator", nu),
+                      lambda: alg.right_annihilator(alg.products(alg.m_lambda(nu))))
     # solve: x in span(mu_basis) with x k = 0 for all k in ann
     sols = kernel_basis(Echelon(field, alg.condition_rows(mu_basis, ann)), len(mu_basis))
     maps = Echelon(field, (alg.combination(v, mu_basis) for v in sols))
@@ -93,15 +95,10 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     }
 
 
-def _products(lam: MultiComposition, alg: ArikiKoikeAlgebra) -> list[tuple[int, dict]]:
-    """The products m_lam L^d T_w in int form, computed once per shape."""
-    return alg.derived(("m_lambda_products", lam), lambda: alg.left_mult_matrix(alg.m_lambda(lam)))
-
-
 def _hom_target(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> list[tuple[int, dict]]:
     """A row basis of M^mu = m_mu H in int form: one echelon of the products
     m_mu L^d T_w, in pivot order."""
-    ech = Echelon(alg.field, _products(mu, alg))
+    ech = Echelon(alg.field, alg.products(alg.m_lambda(mu)))
     return [ech.rows[pc] for pc in sorted(ech.rows)]
 
 

@@ -282,9 +282,21 @@ def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
         blocks = block_partition(params)
         covered = sum(len(b) for b in blocks)
         contents_distinct = len({content(b[0], params) for b in blocks}) == len(blocks)
+        # L_1 + ... + L_n is central, so on S^lam it is sum(content(lam)) times the
+        # identity; L_1 = T_0 and L_{k+1} = q^{-1} T_k L_k T_k
+        failures = []
+        for lam, sm in modules.items():
+            A, d = sm.action, sm.dim
+            total = [[field.zero] * d for _ in range(d)]
+            for k in range(alg.n):
+                L = A[0] if k == 0 else [[c / q for c in row] for row in mat_product([A[k], L, A[k]], d, field)]
+                total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, L)]
+            c = sum(content(lam, params), field.zero)
+            if total != [[c if i == j else field.zero for j in range(d)] for i in range(d)]:
+                failures.append(f"L_1+...+L_n is not {c} on {lam.serialize()}")
         out.append(result("specht.blocks_by_content", REF_BLOCKS, pd,
-                          covered == len(lams) and contents_distinct,
-                          f"{len(blocks)} content classes over {len(lams)} shapes"))
+                          covered == len(lams) and contents_distinct and not failures,
+                          "; ".join(failures[:3]) or f"{len(blocks)} content classes over {len(lams)} shapes"))
 
     if params.field.characteristic > 0:
         try:

@@ -177,6 +177,9 @@ def test_associativity_random():
     # running denominator to their lcm
     pytest.param(2, 3, Rationals(), Fraction(2, 3), (Fraction(1, 3), Fraction(5, 2), -4),
                  id="2-3-Q-fractional"),
+    # q = 1: q - 1 = 0, so every local move and Hecke step loses its second term
+    pytest.param(2, 3, Rationals(), 1, (1, 5, 7), id="2-3-Q-q1"),
+    pytest.param(3, 2, PrimeField(5), 1, (1, 3), id="3-2-GF5-q1"),
 ])
 def test_two_step_fold_matches_generator_fold(n, r, field, q, Q):
     # m1 * m2 by the engine against m1 * T_{g_1} * ... * T_{g_k} * q^{-e}, with
@@ -220,6 +223,23 @@ def test_engine_hands_back_canonical_field_values(field, q, Q):
                 assert den == 1 and all(0 < v < field.p for v in ints.values())
             assert all(ints.values())
         assert len(forms) == alg.dim and any(ints for _, ints in forms)
+
+
+@pytest.mark.parametrize("field,Q", [(Rationals(), (1, 5)), (PrimeField(5), (1, 2))], ids=["Q", "GF5"])
+def test_random_element_matches_field_value_construction(field, Q):
+    # the reference draws a monomial from basis() and a coefficient
+    # field(randint) - field(randint) per term, sums them in field values and
+    # builds the element with alg.element; dim 8, so terms repeat and cancel
+    alg = make(n=2, r=2, Q=Q, field=field)
+    basis = alg.basis()
+    for seed in range(6):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for nterms in (4, 6, 6):
+            terms: dict = {}
+            for _ in range(nterms):
+                mono = basis[ref.randrange(len(basis))]
+                terms[mono] = terms.get(mono, field.zero) + field(ref.randint(1, 9)) - field(ref.randint(0, 4))
+            assert random_element(alg, rng, nterms=nterms) == alg.element(terms)
 
 
 @pytest.mark.parametrize("field,Q", [

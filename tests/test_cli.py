@@ -234,6 +234,28 @@ def test_failed_decomposition_validation_is_a_failed_row(monkeypatch, capsys):
     assert code == 4 and out == "" and "diagonal entry" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["--n", "3", "--r", "2", "--q", "2", "--Q", "1,5"],
+    ["--n", "3", "--r", "2", "--field", "GF(5)", "--q", "2", "--Q", "1,2"],  # q-connected
+], ids=["Q", "GF5"])
+def test_blocks_by_content_fails_on_a_wrong_content(args, monkeypatch, capsys):
+    from ariki_koike import suites
+
+    content = suites.content
+
+    def short(lam, params):
+        # one residue dropped: the central L_1 + ... + L_n acts by another scalar
+        return content(lam, params)[1:]
+
+    monkeypatch.setattr(suites, "content", short)
+    code, out, _ = run_cli(["verify", "--suite", "specht", *args], capsys)
+    assert code == 1
+    rows = {e["check"]: e for e in json.loads(out)}
+    row = rows.pop("specht.blocks_by_content")
+    assert row["status"] == "fail" and row["detail"].startswith("L_1+...+L_n is not")
+    assert rows and all(e["status"] == "pass" for e in rows.values())
+
+
 def test_chop_giving_up_exits_4(monkeypatch, capsys):
     from ariki_koike import specht
 
@@ -332,17 +354,49 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
 
     monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "derived", counting_derived)
     monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "u_minus", counting_u_minus)
-    code, out, _ = run_cli(
-        ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
-         "--q", "2", "--Q", "1,5,7"], capsys
-    )
+    left_mult = count_left_mult_matrix(monkeypatch)
+    args = ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1", "--q", "2", "--Q", "1,5,7"]
+    code, out, _ = run_cli(args, capsys)
     assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
     for b in range(3):
-        for name in ("theta_head", "v_b", "v_b_products", "v_b_kernel"):
+        for name in ("theta_head", "v_b", "v_b_kernel"):
             assert builds[(2, 3, (name, b))] == 1, (name, b)
     assert all(count == 1 for count in builds.values()), builds
     # u_{n-b}^- enters only through the memoized head of theta_b
     assert u_minus_calls == Counter({(2, 3, m): 1 for m in range(3)})
+    # the products v_b L^d T_w are taken once per level, through the one products memo
+    alg = build_algebra(make_parser().parse_args(args))
+    for b in range(3):
+        v_b = alg.v_b_elem(b)
+        assert left_mult[v_b.den, frozenset(v_b.ints.items())] == 1, b
+
+
+def count_left_mult_matrix(monkeypatch):
+    """Count `left_mult_matrix` calls per element, keyed on the element's form."""
+    from collections import Counter
+
+    from ariki_koike import algebra
+
+    calls = Counter()
+    left_mult_matrix = algebra.ArikiKoikeAlgebra.left_mult_matrix
+
+    def counting(self, elem):
+        calls[elem.den, frozenset(elem.ints.items())] += 1
+        return left_mult_matrix(self, elem)
+
+    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "left_mult_matrix", counting)
+    return calls
+
+
+def test_products_taken_once_per_element(monkeypatch, capsys):
+    # Morita's v_b and m_{omega_b} and Schur's m_mu share one products memo, so
+    # an element that two suites (or two roles) need is multiplied out once
+    calls = count_left_mult_matrix(monkeypatch)
+    code, _, _ = run_cli(["verify", "--suite", "all", "--n", "2", "--r", "3", "--s", "1",
+                          "--q", "2", "--Q", "1,5,7"], capsys)
+    assert code == 0
+    assert all(count == 1 for count in calls.values()), calls
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("r, n, admitted", [

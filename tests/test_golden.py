@@ -80,6 +80,15 @@ GOLDEN = {
          "--Q", "1,2,3"],
         "858482a7c13e444f7b7733297664ed24511bcbe3d2c28c9bdc6514614c5fd8f2",
     ),
+    # q = 1: q - 1 = 0 drops a term from every local move and Hecke step
+    "verify-all-q1-Q": (
+        ["verify", "--suite", "all", *SPLIT, "--q", "1", "--Q", "1,2"],
+        "226d731ad8b254204cf99bc7033038b47a9381f8040ca8e66633e5bcb66c1165",
+    ),
+    "verify-all-q1-GF5": (
+        ["verify", "--suite", "all", *SPLIT, "--field", "GF(5)", "--q", "1", "--Q", "1,2"],
+        "3291fdd40efec5d9cd6e60122cf824fd0fe3c2a7a23bf3725c3858232ccf7c30",
+    ),
 }
 
 
