@@ -7,7 +7,7 @@ degenerate and the deterministic chop finds the composition multiplicities.
 """
 
 from ariki_koike import ArikiKoikeAlgebra, Params, PrimeField, Rationals, multipartitions
-from ariki_koike.linalg import rank
+from ariki_koike.linalg import Echelon
 from ariki_koike.specht import (
     block_partition,
     decomposition_matrix,
@@ -24,7 +24,7 @@ total = 0
 for lam in multipartitions(2, 2):
     sm = specht_module(alg, lam)
     g = gram_matrix(alg, lam)
-    d = rank(g, alg.field)
+    d = len(Echelon(alg.field, g))
     total += d * d
     print(f"  {lam.serialize():12} dim S = {sm.dim}, dim D = rank(Gram) = {d}")
 print(f"  sum of squared simple dimensions: {total} = rank of the algebra: {alg.dim}")

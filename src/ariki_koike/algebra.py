@@ -54,13 +54,14 @@ A monomial L^d T_w is one int, its code dindex(d) * n! + rank(w): its
 position in `basis()`, where rank(w) is w's position in
 `sorted_permutations(n)` (the identity is 0).  Field values on (d, Permutation)
 keys appear only where something outside the engine reads or writes them:
-`element` and `from_vec` take them in, and `Element.terms`, `serialize`, repr
-and `TransitionMatrix.express` give them out.  `left_mult_matrix(x)` lists
-the products x L^d T_w in int form, and `coordinates`, `right_annihilator` and
-`condition_rows` solve and take kernels from such products.  The rewriting
-rules themselves are derived in the same int form, once per key: a Hecke
-product and T_x L^d are folds along a reduced word, whose steps read q and
-q-1 from one int form of the pair, and L_m^r (m >= 2) is Element arithmetic.
+`element` and `scale` take them in, and `Element.terms`, `serialize` and repr
+give them out.  `left_mult_matrix(x)` lists the products x L^d T_w in int
+form, `coordinates`, `right_annihilator` and `condition_rows` solve and take
+kernels from such products, and `TransitionMatrix.express` gives cellular
+coordinates in int form too.  The rewriting rules themselves are derived in
+the same int form, once per key: a Hecke product and T_x L^d are folds along
+a reduced word, whose steps read q and q-1 from one int form of the pair,
+and L_m^r (m >= 2) is Element arithmetic.
 Field values enter the rules only as the parameters q and Q.
 """
 
@@ -73,7 +74,7 @@ from math import factorial, gcd, lcm
 from operator import add
 
 from .fields import Params, SizeGuardError
-from .linalg import Echelon, dense, kernel_basis, solve
+from .linalg import Echelon, combination, dense, kernel_basis, solve, sparse
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
     MultiComposition,
@@ -132,15 +133,10 @@ class Element:
         cden, cnum = field.to_ints({0: field(c)})
         return Element(self.alg, *field.canonical(self.den * cden, {k: v * cnum[0] for k, v in self.ints.items()}))
 
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            self._check(other)
-            alg = self.alg
-            return Element(alg, *alg.field.canonical(*alg._product_into([1, {}], *self.form, *other.form)))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def __mul__(self, other: "Element") -> "Element":
+        self._check(other)
+        alg = self.alg
+        return Element(alg, *alg.field.canonical(*alg._product_into([1, {}], *self.form, *other.form)))
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.alg is other.alg
@@ -314,9 +310,6 @@ class ArikiKoikeAlgebra:
         """The code of L^d T_w: its position in basis()."""
         return self._dindex[d] * self._nperm + self._rank[w]
 
-    def from_vec(self, v) -> Element:
-        return Element(self, *self.field.to_ints({k: c for k, c in enumerate(v) if c}))
-
     def left_mult_matrix(self, elem: Element) -> list[tuple[int, dict]]:
         """The products elem * L^d T_w over the canonical basis, as int forms:
         entry k is (elem * basis()[k]).form.  elem L^d is folded once per d
@@ -335,21 +328,18 @@ class ArikiKoikeAlgebra:
         return self.derived(("products", elem.den, frozenset(elem.ints.items())),
                             lambda: self.left_mult_matrix(elem))
 
-    def coordinates(self, forms: list, targets: list) -> list[list | None]:
-        """For each target t, a dense solution z of sum_i z_i forms[i] = t (free
-        variables 0) or None: one `solve` on the coordinate rows of all forms."""
-        rows = coordinate_rows(self.field, forms + targets)
-        return solve(*solve_rows(self.field, rows, len(forms), len(targets)), self.field)
+    def coordinates(self, forms: list, targets: list) -> list[tuple[int, dict] | None]:
+        """For each target t, a solution z of sum_i z_i forms[i] = t (free
+        variables 0) in int form, or None: one `solve` on the coordinate rows
+        of all forms."""
+        field, rows = self.field, coordinate_rows(self.field, forms + targets)
+        return [None if z is None else field.to_ints(sparse(z))
+                for z in solve(*solve_rows(field, rows, len(forms), len(targets)), field)]
 
     def right_annihilator(self, products: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
         """{h : x h = 0}, a basis in int form, for the products x L^d T_w of an
         element x (`left_mult_matrix(x)`): the kernel of their coordinate rows."""
         return kernel_basis(Echelon(self.field, coordinate_rows(self.field, products)), self.dim)
-
-    def combination(self, coeffs: tuple[int, dict], forms: list) -> tuple[int, dict]:
-        """sum_k c_k forms[k] in canonical int form, for coeffs = (den, {k: int})
-        standing for c_k = int / den: one fold with forms[k] as the step of k."""
-        return self.field.canonical(*self._fold(*coeffs, lambda k, _: forms[k], None))
 
     def condition_rows(self, forms: list[tuple[int, dict]], kernel: list[tuple[int, dict]]):
         """The rows of the conditions (sum_i z_i x_i) k = 0, x_i = forms[i], for each
@@ -715,17 +705,14 @@ class TransitionMatrix:
                              for den, ints in (ech.rows[k] for k in range(dim))]
         return self._inverse
 
-    def express(self, elem: Element) -> dict:
-        """Exact coordinates of elem in the cellular basis: {(lam, s, t): coeff}."""
-        coords = self.field.from_ints(*self._alg().combination(elem.form, self.inverse()))
-        return {self.cells[i]: coords[i] for i in sorted(coords)}
+    def express(self, elem: Element) -> tuple[int, dict]:
+        """Exact coordinates of elem in the cellular basis, in int form: entry
+        i is the coefficient of m_st of cells[i]."""
+        return combination(self.field, elem.form, self.inverse())
 
-    def combine(self, coords: dict) -> Element:
-        alg = self._alg()
-        out = alg.zero()
-        for (lam, s, t), c in coords.items():
-            out = out + alg.m_st(s, t).scale(c)
-        return out
+    def combine(self, coords: tuple[int, dict]) -> Element:
+        """The element with cellular coordinates `coords` (as `express` gives them)."""
+        return Element(self._alg(), *combination(self.field, coords, self.forms))
 
 
 def random_element(alg: ArikiKoikeAlgebra, rng, nterms: int = 4, coeff_range: int = 9) -> Element:

@@ -27,7 +27,7 @@ import json
 import sys
 
 from .algebra import ArikiKoikeAlgebra, DEFAULT_MAX_DIM
-from .linalg import determinant
+from .linalg import dense, determinant
 from .fields import (
     ComputationError,
     GateError,
@@ -208,7 +208,8 @@ def cmd_gram(args) -> int:
     alg = build_algebra(args)
     blocks = []
     for lam in multipartitions(alg.n, alg.r):
-        g = gram_matrix(alg, lam)
+        rows = gram_matrix(alg, lam)
+        g = [dense(alg.field, row, len(rows)) for row in rows]
         blocks.append(gram_to_tsv(lam, g))
         blocks.append(f"# det = {determinant(g, alg.field)}")
     _emit("\n".join(blocks), args.out)

@@ -1,23 +1,28 @@
 """Exact linear algebra over a field: the package's only matrix arithmetic.
 
-Matrices are plain lists of lists of field elements (Fraction or FpElement).
-Products skip zero factors and start each sum from its first nonzero term.
+A matrix is a list of rows, each in the product engine's canonical int form
+(den, {column: int}) standing for {column: int / den}: over Q den is the
+least common denominator, over GF(p) den is 1 and the ints are residues.
+`combination` (a row vector times a matrix) is the one product; `mat_mul`
+and `transpose` are built on the same rows.
 
 All elimination goes through one kernel, `Echelon`: a row space kept in
-reduced row echelon form, grown one row at a time.  Its rows are sparse and
-in the product engine's canonical int form (den, {column: int}), so a
-reduction adds plain ints over one common denominator (always 1 over
-GF(p)) and normalizes once.  Rows come in as field values (`add`) or in
-int form (`add_form`, or `Echelon(field, forms)`: engine products stream in),
-and field values exist only where results go out.  A new row is reduced
-against the stored rows and dropped if it vanishes, so a tall, mostly
-dependent system never stores more than rank-many rows; `contains` tests
-an int-form row for membership.  `rank`, `nullspace`, `solve`, `inverse`,
-`row_space_basis`, `determinant`, `in_row_space` and the in-place
-`row_echelon` take dense rows and are thin calls into it; `kernel_basis`
-reads a kernel off an echelon built elsewhere.  The reduced echelon form
-of a row space is unique, so results do not depend on row order.  `solve`
-and `in_row_space` take every right-hand side (or vector) at once.
+reduced row echelon form, grown one row at a time, so a reduction adds
+plain ints over one common denominator and normalizes once.  Rows come in
+int form (`add_form`, or `Echelon(field, forms)`: engine products stream
+in); `reduce` clears the pivot columns of a row, `contains` tests it for
+membership, and `kernel_basis` reads the kernel off an echelon.  A new row
+is reduced against the stored rows and dropped if it vanishes, so a tall,
+mostly dependent system never stores more than rank-many rows.  The reduced
+echelon form of a row space is unique, so results do not depend on row
+order.
+
+Field values (Fraction or FpElement) appear only at the edges: `add` takes
+a row of them, `dense` renders an int form as one, and `rank`, `nullspace`,
+`solve`, `inverse`, `row_space_basis`, `determinant`, `in_row_space` and
+the in-place `row_echelon` take dense rows of field values and are thin
+calls into the kernel.  `solve` and `in_row_space` take every right-hand
+side (or vector) at once.
 """
 
 from __future__ import annotations
@@ -34,35 +39,37 @@ def zero_vector(n: int, field) -> list:
     return [field.zero for _ in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], field) -> list[list]:
-    """The product a b, skipping zero entries of a and of b."""
-    return [vec_mat(row, b, field) for row in a]
+def combination(field, coeffs: tuple[int, dict], rows: Sequence[tuple[int, dict]]) -> tuple[int, dict]:
+    """sum_k c_k rows[k] in canonical int form, for coeffs = (den, {k: int})
+    standing for c_k = int / den: the rows are scaled to the lcm of their
+    dens, and the sum normalized once."""
+    den, ints = coeffs
+    big = lcm(*(rows[k][0] for k in ints))
+    out: dict = {}
+    get = out.get
+    for k, a in ints.items():
+        d, row = rows[k]
+        f = a * (big // d)
+        for j, v in row.items():
+            out[j] = get(j, 0) + f * v
+    return field.canonical(den * big, out)
 
 
-def mat_product(factors: Sequence[Sequence[Sequence]], n: int, field) -> list[list]:
-    """The product of a sequence of n x n matrices, in order (the identity if empty)."""
-    out = identity_matrix(n, field)
-    for m in factors:
-        out = mat_mul(out, m, field)
-    return out
+def mat_mul(field, a: Sequence[tuple[int, dict]], b: Sequence[tuple[int, dict]]) -> list[tuple[int, dict]]:
+    """The product a b of two matrices of int-form rows: row i is row i of a
+    as the coefficients of a combination of the rows of b."""
+    return [combination(field, row, b) for row in a]
 
 
-def vec_mat(v: Sequence, m: Sequence[Sequence], field) -> list:
-    """The row vector v m, skipping the zero entries of v and of m."""
-    out = None
-    for x, row in zip(v, m):
-        if x:
-            if out is None:
-                out = [x * y for y in row]
-            else:
-                out = [acc + x * y if y else acc for acc, y in zip(out, row)]
-    if out is None:
-        return zero_vector(len(m[0]) if m else 0, field)
-    return out
-
-
-def transpose(m: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*m)]
+def transpose(field, rows: Sequence[tuple[int, dict]], n: int) -> list[tuple[int, dict]]:
+    """The n columns of a matrix of int-form rows, as int-form rows."""
+    big = lcm(*(d for d, _ in rows))
+    cols: list[dict] = [{} for _ in range(n)]
+    for i, (d, ints) in enumerate(rows):
+        m = big // d
+        for j, a in ints.items():
+            cols[j][i] = a * m
+    return [field.canonical(big, col) for col in cols]
 
 
 class Echelon:
@@ -83,13 +90,10 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def row(self, pc: int) -> dict:
-        """The stored row with pivot pc, as {column: field value}."""
-        return self.field.from_ints(*self.rows[pc])
-
-    def reduce(self, row: dict) -> dict:
-        """A new dict: row with every pivot column cleared by the stored rows."""
-        return self.field.from_ints(*_clear(self.field, *self.field.to_ints(row), self.rows))
+    def reduce(self, den: int, ints: dict) -> tuple[int, dict]:
+        """A new canonical int form: ints / den with every pivot column
+        cleared by the stored rows."""
+        return self.field.canonical(*_clear(self.field, den, ints, self.rows))
 
     def contains(self, den: int, ints: dict) -> bool:
         """Whether the canonical int form ints / den lies in the row space."""
@@ -143,17 +147,6 @@ def _clear(field, den: int, ints: dict, rows: dict) -> tuple[int, dict]:
 def sparse(row: Sequence) -> dict:
     """A dense row as a sparse dict row {column: nonzero value}."""
     return {j: x for j, x in enumerate(row) if x}
-
-
-def sparse_vec_mat(row: dict, m: Sequence[dict]) -> dict:
-    """The row vector row m, for a sparse row and a matrix of sparse rows."""
-    out: dict = {}
-    get = out.get
-    for k, x in row.items():
-        for j, v in m[k].items():
-            cur = get(j)
-            out[j] = x * v if cur is None else cur + x * v
-    return {j: v for j, v in out.items() if v}
 
 
 def echelon(m: Sequence[Sequence], field) -> Echelon:
@@ -238,7 +231,7 @@ def solve(m: Sequence[Sequence], rhs: Sequence[Sequence], field) -> list[list | 
           for j in range(len(rhs))]
     for pc in ech.rows:
         if pc < n_cols:
-            for col, c in ech.row(pc).items():
+            for col, c in field.from_ints(*ech.rows[pc]).items():
                 if col >= n_cols and (x := xs[col - n_cols]) is not None:
                     x[pc] = c
     return xs
@@ -250,7 +243,7 @@ def inverse(m: Sequence[Sequence], field) -> list[list]:
     cols = solve(m, identity_matrix(len(m), field), field)
     if any(x is None for x in cols):
         raise ValueError("matrix is singular")
-    return transpose(cols)
+    return [list(row) for row in zip(*cols)]
 
 
 def determinant(m: Sequence[Sequence], field):
@@ -282,4 +275,4 @@ def row_space_basis(m: Sequence[Sequence], field) -> list[list]:
 def in_row_space(basis: Sequence[Sequence], vectors: Sequence[Sequence], field) -> list[bool]:
     """For each vector, whether it lies in the row space of `basis`."""
     ech = echelon(basis, field)
-    return [not ech.reduce(sparse(v)) for v in vectors]
+    return [ech.contains(*field.to_ints(sparse(v))) for v in vectors]

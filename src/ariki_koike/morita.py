@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .algebra import ArikiKoikeAlgebra, Element, coordinate_rows, solve_rows
 from .fields import ComputationError, GateError, Params, f_s_value
-from .linalg import Echelon, mat_mul, rank, solve
+from .linalg import Echelon, combination, mat_mul, solve, sparse, transpose
 from .perms import coset_reps, shift_perm, sorted_permutations, w_ab
 from .report import CheckResult, result
 from .specht import decomposition_matrix, gram_matrix, specht_module
@@ -205,16 +205,16 @@ class MoritaSuite:
         """rank V^b = dim H - dim rAnn(v_b), independent of any listing."""
         return self.alg.dim - len(self._vb_kernel(b))
 
-    def _preimages(self, b: int) -> list[list | None]:
-        """For each v-basis element v, the solution h of v_b h = v (None if there is none)."""
+    def _preimages(self, b: int) -> list[tuple | None]:
+        """For each v-basis element v, the solution h of v_b h = v in int form (None if there is none)."""
         return self.alg.derived(("v_preimages", b), lambda: self.alg.coordinates(
             self._vb_products(b), [e.form for e in self.v_basis(b).elements]))
 
-    def v_action(self, b: int) -> list[list[list]]:
-        """Right action matrices of the generators on the v-basis of V^b."""
+    def v_action(self, b: int) -> list[list[tuple]]:
+        """Right action matrices of the generators on the v-basis of V^b, as int-form rows."""
         return self.alg.derived(("v_action", b), lambda: self._build_v_action(b))
 
-    def _build_v_action(self, b: int) -> list[list[list]]:
+    def _build_v_action(self, b: int) -> list[list[tuple]]:
         alg, elements = self.alg, self.v_basis(b).elements
         coords = alg.coordinates([e.form for e in elements], [
             (e * alg.gen_T(g)).form for g in range(self.n) for e in elements])
@@ -328,25 +328,28 @@ class MoritaSuite:
             if alg.t_elem(wnb) * mst != alg.m_st(sprime, tt):
                 failures.append(f"T_w m_st != m_s't at {lam.serialize()}")
                 continue
-            coords = trans.express(alg.theta_b(b, mst))
+            coords = self.field.from_ints(*trans.express(alg.theta_b(b, mst)))
             alpha = self.field.one
             for t in range(1, self.s + 1):
                 for k in range(1, n - b + 1):
                     alpha = alpha * (tableau_residue(sprime, k, self.params) - alg.Q[t - 1])
-            for (mu, u, v), c in coords.items():
+            leading = self.field.zero
+            for i, c in coords.items():
+                mu, u, v = trans.cells[i]
                 if mu != lam:
                     if not strictly_dominates(mu, lam):
                         failures.append("coefficient at a non-dominating shape")
                 elif v != tt:
                     failures.append("second tableau moved")
                 elif u == sprime:
+                    leading = c
                     if c != alpha:
                         failures.append("leading coefficient differs from the residue product")
                 elif not (tableau_dominates(u, sprime) and u != sprime):
                     failures.append("same-shape term not strictly above the leading tableau")
             if not alpha:
                 failures.append("leading coefficient not invertible")
-            if coords.get((lam, sprime, tt), self.field.zero) != alpha:
+            if leading != alpha:
                 failures.append("leading term missing")
         return [result("morita.leading_terms", REF_LEADING, self._pdict(b=b), not failures,
                        "; ".join(sorted(set(failures))[:4]))]
@@ -424,11 +427,9 @@ class MoritaSuite:
             tabs = sp.basis
             for g in range(self.n):
                 for a, tt in enumerate(tabs):
-                    coords = action[g][index_of[(st, tt)]]
-                    got = [self.field.zero] * len(tabs)
-                    for i, c in enumerate(coords):
-                        if not c:
-                            continue
+                    den, coords = action[g][index_of[(st, tt)]]
+                    got = {}
+                    for i, c in coords.items():
                         jj = layer_of[i]
                         if jj < j:
                             failures.append(
@@ -436,7 +437,7 @@ class MoritaSuite:
                             )
                         elif jj == j:
                             got[tabs.index(vb.entries[i][2])] = c
-                    if got != sp.action[g][a]:
+                    if self.field.canonical(den, got) != sp.action[g][a]:
                         failures.append(
                             f"subquotient action differs from the cell module at {lam.serialize()}"
                         )
@@ -459,20 +460,21 @@ class MoritaSuite:
         out.append(result("morita.content_disjoint", REF_HOM_VANISH, self._pdict(b=b, c=c), disjoint,
                           f"{len(contents_b)} vs {len(contents_c)} content multisets"))
         if self.n <= DIRECT_HOM_MAX_N:
+            # row (g, i, j): entry (i, j) of A^b_g X - X A^c_g, unknown X[k][l] at column k * rc + l
             act_b = self.v_action(b)
             act_c = self.v_action(c)
             rb, rc = len(act_b[0]) if self.n else 0, len(act_c[0]) if self.n else 0
-            rows = []
+            ech = Echelon(self.field)
             for g in range(self.n):
-                for i in range(rb):
-                    for j in range(rc):
-                        row = [self.field.zero] * (rb * rc)
-                        for k in range(rb):
-                            row[k * rc + j] = row[k * rc + j] + act_b[g][i][k]
-                        for k in range(rc):
-                            row[i * rc + k] = row[i * rc + k] - act_c[g][k][j]
-                        rows.append(row)
-            dim_hom = rb * rc - rank(rows, self.field) if rows else rb * rc
+                cols_c = transpose(self.field, act_c[g], rc)
+                for i, (db, row_b) in enumerate(act_b[g]):
+                    for j, (dc, col_c) in enumerate(cols_c):
+                        big = lcm(db, dc)
+                        row = {k * rc + j: a * (big // db) for k, a in row_b.items()}
+                        for k, a in col_c.items():
+                            row[i * rc + k] = row.get(i * rc + k, 0) - a * (big // dc)
+                        ech.add_form(*self.field.canonical(big, row))
+            dim_hom = rb * rc - len(ech)
             out.append(result("morita.hom_vanishing", REF_HOM_VANISH, self._pdict(b=b, c=c),
                               dim_hom == 0, f"dim Hom = {dim_hom}"))
         return out
@@ -487,7 +489,7 @@ class MoritaSuite:
         failures = []
         if None in self._preimages(b):
             failures.append("v-basis element outside v_b H")
-        preimages = [alg.from_vec(x or []) for x in self._preimages(b)]
+        preimages = [Element(alg, *(x or (1, {}))) for x in self._preimages(b)]
         maps = []
         for (lam, st, tt) in pairs:
             vst = alg.theta_b(b, alg.m_st(st, tt))
@@ -499,19 +501,20 @@ class MoritaSuite:
         # the images v_st h of every preimage h, for every well-defined pair, in one solve
         coords = alg.coordinates([e.form for e in vb.elements],
                                  [(vst * h).form for vst in maps for h in preimages])
-        zero_row = [self.field.zero] * len(vb.entries)
-        mats = []
+        size = len(vb.entries)
+        flat = []
         for i in range(len(maps)):
             mat = coords[i * len(preimages):(i + 1) * len(preimages)]
             if None in mat:
                 failures.append("endomorphism image left V^b")
-                mat = [x or zero_row for x in mat]
-            mats.append(mat)
+                mat = [x or (1, {}) for x in mat]
             for act in self.v_action(b):
-                if mat_mul(act, mat, self.field) != mat_mul(mat, act, self.field):
+                if mat_mul(self.field, act, mat) != mat_mul(self.field, mat, act):
                     failures.append("endomorphism does not commute with the action")
-        flat = [[x for row in m for x in row] for m in mats]
-        indep = rank(flat, self.field) == len(mats) if mats else True
+            big = lcm(*(den for den, _ in mat))
+            flat.append((big, {a * size + j: x * (big // den) for a, (den, ints) in enumerate(mat)
+                               for j, x in ints.items()}))
+        indep = len(Echelon(self.field, flat)) == len(maps)
         tensor_dim = TensorAlgebra(alg, b).dim
         count_ok = len(pairs) == tensor_dim
         if not indep:
@@ -550,16 +553,13 @@ class MoritaSuite:
         z, = solve(*solve_rows(field, rows, len(m_elems), 1), field)
         if z is None:
             raise ComputationError("no right inverse of theta_b exists (split failed)")
-        y0 = alg.zero()
-        for coeff, m in zip(z, m_elems):
-            if coeff:
-                y0 = y0 + m.scale(coeff)
+        y0 = Element(alg, *combination(field, field.to_ints(sparse(z)), [m.form for m in m_elems]))
         # transport the v-basis through the right inverse
         basis = []
         for h in self._preimages(b):
             if h is None:
                 raise ComputationError("v-basis element is not in v_b H")
-            basis.append(y0 * alg.from_vec(h))
+            basis.append(y0 * Element(alg, *h))
         return basis
 
     def verify_regular_decomposition(self) -> list[CheckResult]:
@@ -843,9 +843,9 @@ class MoritaSuite:
         for c in range(n + 1):
             for mu in self.level(c).shapes:
                 alpha, beta = split_multipartition(mu, s)
-                d_mu = rank(gram_matrix(self.alg, mu), self.field)
-                d_alpha = rank(gram_matrix(left_algs[c], alpha), self.field)
-                d_beta = rank(gram_matrix(right_algs[n - c], beta), self.field)
+                d_mu = len(Echelon(self.field, gram_matrix(self.alg, mu)))
+                d_alpha = len(Echelon(self.field, gram_matrix(left_algs[c], alpha)))
+                d_beta = len(Echelon(self.field, gram_matrix(right_algs[n - c], beta)))
                 simple_dims[mu] = d_mu
                 if d_mu != comb(n, c) * d_alpha * d_beta:
                     fail_b.append(

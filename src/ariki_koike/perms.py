@@ -85,12 +85,6 @@ class Permutation(tuple):
                 im[idx] = i
         return Permutation(im)
 
-    def s_times(self, i: int) -> "Permutation":
-        """s_i * w (swap the entries in positions i and i+1)."""
-        im = list(self)
-        im[i - 1], im[i] = im[i], im[i - 1]
-        return Permutation(im)
-
     def reduced_word(self) -> tuple[int, ...]:
         """A reduced word for w, built by stripping the smallest right descent.
 

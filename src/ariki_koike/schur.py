@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .algebra import ArikiKoikeAlgebra
 from .fields import Params
-from .linalg import Echelon, kernel_basis
+from .linalg import Echelon, combination, kernel_basis
 from .morita import MoritaSuite, TensorAlgebra
 from .report import CheckResult, result
 from .tableaux import (
@@ -75,7 +75,7 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
                       lambda: alg.right_annihilator(alg.products(alg.m_lambda(nu))))
     # solve: x in span(mu_basis) with x k = 0 for all k in ann
     sols = kernel_basis(Echelon(field, alg.condition_rows(mu_basis, ann)), len(mu_basis))
-    maps = Echelon(field, (alg.combination(v, mu_basis) for v in sols))
+    maps = Echelon(field, (combination(field, v, mu_basis) for v in sols))
 
     expected = 0
     members = []

@@ -9,9 +9,10 @@ radical gives the simple quotients, and composition multiplicities over a
 prime field are computed by a seeded, deterministic MeatAxe chop: spin null
 vectors of random algebra elements to split a module, and certify the
 factors irreducible by Norton's test.  The simple factors are labelled by
-their characters (`module_fingerprint`).  The chop eliminates through the
-shared kernel `linalg.Echelon`: `spin` grows one echelon per spun
-submodule, and the sub- and quotient actions reduce against it.
+their characters (`module_fingerprint`).  Action and Gram matrices are
+lists of int-form rows (den, {column: int}), the rows `linalg.Echelon`
+keeps: `spin` grows one echelon per spun submodule, and the sub- and
+quotient actions restrict its rows.
 Specht modules, Gram matrices and decomposition data are kept in the memo
 of the `ArikiKoikeAlgebra` they are computed from, so each is built once.
 """
@@ -20,21 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import ArikiKoikeAlgebra
 from .fields import ComputationError, GateError, Params
-from .linalg import (
-    Echelon,
-    dense_rows,
-    echelon,
-    identity_matrix,
-    mat_mul,
-    nullspace,
-    rank,
-    sparse,
-    sparse_vec_mat,
-    transpose,
-)
+from .linalg import Echelon, combination, kernel_basis, mat_mul, transpose
 from .perms import Permutation, sorted_permutations
 from .tableaux import (
     MultiPartition,
@@ -48,14 +39,17 @@ from .tableaux import (
     t_row,
 )
 
+Rows = list[tuple[int, dict]]  # a matrix of int-form rows
+
+
 @dataclass
 class SpechtModule:
-    """Right module on the standard-tableau basis; action[g][i][j] is the
-    coefficient of basis[j] in basis[i] * T_g."""
+    """Right module on the standard-tableau basis; action[g][i] is basis[i] * T_g
+    as an int-form row, entry j its coefficient of basis[j]."""
 
     lam: MultiPartition
     basis: list[StandardTableau]
-    action: list[list[list]]  # one matrix per generator T_0..T_{n-1}
+    action: list[Rows]  # one matrix per generator T_0..T_{n-1}
 
     @property
     def dim(self) -> int:
@@ -72,48 +66,48 @@ def _specht_module(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> SpechtModule:
     index = {t: i for i, t in enumerate(tabs)}
     top = t_row(lam)
     trans = alg.transition()
-    gens = max(alg.n, 1)
-    matrices = [[[alg.field.zero] * len(tabs) for _ in tabs] for _ in range(gens)]
-    for i, t in enumerate(tabs):
+    matrices = [[] for _ in range(alg.n)]
+    for t in tabs:
         rep = alg.m_st(top, t)
         for g in range(alg.n):
-            coords = trans.express(rep * alg.gen_T(g))
-            for (mu, u, v), c in coords.items():
+            den, coords = trans.express(rep * alg.gen_T(g))
+            row = {}
+            for i, c in coords.items():
+                mu, u, v = trans.cells[i]
                 if mu == lam:
                     if u != top:
                         raise ComputationError(
                             "cellular expansion moved the frozen first tableau"
                         )
-                    matrices[g][i][index[v]] = c
+                    row[index[v]] = c
                 elif not strictly_dominates(mu, lam):
                     raise ComputationError(
                         "cellular expansion escaped to a non-dominating shape"
                     )
-    return SpechtModule(lam, tabs, matrices[: alg.n])
+            matrices[g].append(alg.field.canonical(den, row))
+    return SpechtModule(lam, tabs, matrices)
 
 
-def gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> list[list]:
-    """Gram matrix of the cellular form: entry (s,t) is the coefficient of
-    m_{t^lam t^lam} in m_{t^lam s} * m_{t t^lam}."""
+def gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> Rows:
+    """Gram matrix of the cellular form, as int-form rows: entry (s,t) is the
+    coefficient of m_{t^lam t^lam} in m_{t^lam s} * m_{t t^lam}."""
     return alg.derived(("gram_matrix", lam), lambda: _gram_matrix(alg, lam))
 
 
-def _gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> list[list]:
+def _gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> Rows:
     tabs = std_tableaux(lam)
     top = t_row(lam)
     if alg.n == 0:
-        return [[alg.field.one]]
+        return [(1, {0: 1})]
     trans = alg.transition()
-    top_cell = (lam, top, top)
+    top_cell = trans.cells.index((lam, top, top))
     g = []
     for s in tabs:
         left = alg.m_st(top, s)
-        row = []
-        for t in tabs:
-            prod = left * alg.m_st(t, top)
-            coords = trans.express(prod)
-            row.append(coords.get(top_cell, alg.field.zero))
-        g.append(row)
+        entries = [trans.express(left * alg.m_st(t, top)) for t in tabs]
+        big = lcm(*(den for den, _ in entries))
+        g.append(alg.field.canonical(big, {
+            j: ints[top_cell] * (big // den) for j, (den, ints) in enumerate(entries) if top_cell in ints}))
     return g
 
 
@@ -135,55 +129,54 @@ def block_partition(params: Params) -> list[list[MultiPartition]]:
 # -- composition factors over a prime field ----------------------------------
 
 
-def spin(vectors: list[list], action: list[list[list]], field) -> Echelon:
+def spin(vectors: Rows, action: list[Rows], field) -> Echelon:
     """Row-space closure of `vectors` under right multiplication by the action,
     as the reduced echelon of the submodule they generate."""
-    mats = _sparse_action(action)
     ech = Echelon(field)
-    queue = [sparse(v) for v in vectors]
+    queue = list(vectors)
     while queue:
-        added = ech.add(queue.pop())
+        added = ech.add_form(*queue.pop())
         if added is not None:
-            row = ech.row(added[0])
-            queue.extend(sparse_vec_mat(row, mat) for mat in mats)
+            row = ech.rows[added[0]]
+            queue.extend(combination(field, row, mat) for mat in action)
     return ech
 
 
-def _sparse_action(action: list[list[list]]) -> list[list[dict]]:
-    return [[sparse(row) for row in mat] for mat in action]
+def _restrict(field, form: tuple[int, dict], index: dict) -> tuple[int, dict]:
+    """The entries of form at the columns in index, renumbered by it."""
+    den, ints = form
+    return field.canonical(den, {index[k]: a for k, a in ints.items() if k in index})
 
 
-def submodule_action(ech: Echelon, action: list[list[list]], field) -> list[list[list]]:
+def submodule_action(ech: Echelon, action: list[Rows], field) -> list[Rows]:
     """Restrict the action to the invariant row space of the echelon `ech`,
     on the basis of its rows in pivot order."""
     pivots = sorted(ech.rows)
+    index = {pc: k for k, pc in enumerate(pivots)}
     mats = []
-    for mat in _sparse_action(action):
+    for mat in action:
         sub = []
         for pc in pivots:
-            img = sparse_vec_mat(ech.row(pc), mat)
-            if ech.reduce(img):
+            img = combination(field, ech.rows[pc], mat)
+            if not ech.contains(*img):
                 raise ComputationError("subspace is not invariant")
-            sub.append([img.get(c, field.zero) for c in pivots])
+            sub.append(_restrict(field, img, index))
         mats.append(sub)
     return mats
 
 
-def quotient_action(ech: Echelon, action: list[list[list]], field) -> list[list[list]]:
+def quotient_action(ech: Echelon, action: list[Rows], field) -> list[Rows]:
     """Action on the quotient by the invariant row space of the echelon `ech`,
     on the basis of the non-pivot coordinate vectors."""
     mats = []
     for mat in action:
         free = [j for j in range(len(mat)) if j not in ech.rows]
-        q = []
-        for j in free:
-            img = ech.reduce(sparse(mat[j]))
-            q.append([img.get(k, field.zero) for k in free])
-        mats.append(q)
+        index = {j: k for k, j in enumerate(free)}
+        mats.append([_restrict(field, ech.reduce(*mat[j]), index) for j in free])
     return mats
 
 
-def composition_factors(action: list[list[list]], dim: int, field) -> list[tuple[int, list[list[list]]]]:
+def composition_factors(action: list[Rows], dim: int, field) -> list[tuple[int, list[Rows]]]:
     """Composition series factors as (dim, action matrices), by a MeatAxe chop.
 
     Each step either splits off a proper invariant subspace or certifies
@@ -204,7 +197,7 @@ def composition_factors(action: list[list[list]], dim: int, field) -> list[tuple
 MAX_TRIES = 100  # random algebra elements the chop draws before it gives up on a module
 
 
-def _split(action: list[list[list]], dim: int, field) -> Echelon:
+def _split(action: list[Rows], dim: int, field) -> Echelon:
     """A proper invariant subspace, or the whole space if the module is irreducible.
 
     Draws random algebra elements theta, random combinations of the
@@ -216,23 +209,20 @@ def _split(action: list[list[list]], dim: int, field) -> Echelon:
     if p == 0:
         raise ComputationError("the chop works over prime fields only")
     if dim == 1:  # simple; spun so that every factor counts at least one spin
-        return spin([[field.one]], action, field)
+        return spin([(1, {0: 1})], action, field)
     rng = random.Random(dim)
     words = list(action)
     for _ in range(MAX_TRIES):
-        words.append(mat_mul(rng.choice(words), rng.choice(words), field))
-        theta = [[field.zero] * dim for _ in range(dim)]
-        for word in words:
-            c = field(rng.randrange(p))
-            if c:
-                theta = [[a + c * x for a, x in zip(row, wrow)] for row, wrow in zip(theta, word)]
+        words.append(mat_mul(field, rng.choice(words), rng.choice(words)))
+        coeffs = (1, {k: c for k in range(len(words)) if (c := rng.randrange(p))})
+        theta = [combination(field, coeffs, rows) for rows in zip(*words)]
         found = _norton(action, theta, field)
         if found is not None:
             return found
     raise ComputationError(f"the chop found no split and no irreducibility proof in {MAX_TRIES} tries")
 
 
-def _norton(action: list[list[list]], theta: list[list], field) -> Echelon | None:
+def _norton(action: list[Rows], theta: Rows, field) -> Echelon | None:
     """Split or certify with one algebra element theta (Norton's test).
 
     For each eigenvalue lam of theta in the field, spin a vector of
@@ -246,11 +236,11 @@ def _norton(action: list[list[list]], theta: list[list], field) -> Echelon | Non
     None means theta decides nothing.
     """
     dim = len(theta)
-    for c in range(field.characteristic):
-        lam = field(c)
-        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(theta)]
-        kernel = nullspace(transpose(shifted), field)  # row vectors v with v shifted = 0
+    for lam in range(field.characteristic):
+        shifted = [field.canonical(den, {**ints, i: ints.get(i, 0) - lam * den})
+                   for i, (den, ints) in enumerate(theta)]
+        # row vectors v with v shifted = 0
+        kernel = kernel_basis(Echelon(field, transpose(field, shifted, dim)), dim)
         if not kernel:
             continue
         sub = spin(kernel[:1], action, field)
@@ -258,14 +248,15 @@ def _norton(action: list[list[list]], theta: list[list], field) -> Echelon | Non
             return sub
         if len(kernel) > 1:
             continue
-        dual = spin(nullspace(shifted, field)[:1], [transpose(m) for m in action], field)
+        dual = spin(kernel_basis(Echelon(field, shifted), dim)[:1],
+                    [transpose(field, m, dim) for m in action], field)
         if len(dual) < dim:
-            return echelon(nullspace(dense_rows(dual, dim), field), field)
+            return Echelon(field, kernel_basis(dual, dim))
         return sub
     return None
 
 
-def module_fingerprint(alg: ArikiKoikeAlgebra, action: list[list[list]], dim: int) -> tuple:
+def module_fingerprint(alg: ArikiKoikeAlgebra, action: list[Rows], dim: int) -> tuple:
     """Trace of the action of every normal-form basis monomial L^d T_w.
 
     Characters of pairwise non-isomorphic absolutely irreducible modules are
@@ -273,32 +264,32 @@ def module_fingerprint(alg: ArikiKoikeAlgebra, action: list[list[list]], dim: in
     Each matrix is one product from a shorter one: L_{k+1} = q^{-1} T_k L_k T_k,
     L^d = L^{d'} L_k with k the last nonzero exponent of d and d' = d - e_k,
     and T_w = T_{w s_i} T_i for the first right descent i of w.  The trace
-    of L^d T_w is summed entrywise, without forming the product.
+    of L^d T_w is summed entrywise in ints, without forming the product.
     """
     field = alg.field
-    ident = identity_matrix(dim, field)
-    q_inv = alg.params.q_power(-1)
+    ident = [(1, {i: 1}) for i in range(dim)]
+    q_inv = field.to_ints({0: alg.params.q_power(-1)})
     l_gens = action[:1]
     for t in action[1:]:
-        l_gens.append([[q_inv * x for x in row] for row in mat_mul(mat_mul(t, l_gens[-1], field), t, field)])
+        l_gens.append([combination(field, q_inv, [row])
+                       for row in mat_mul(field, mat_mul(field, t, l_gens[-1]), t)])
     t_mats = {}
     for w in sorted(sorted_permutations(alg.n), key=Permutation.length):
         descents = w.right_descents()
-        t_mats[w] = mat_mul(t_mats[w.times_s(descents[0])], action[descents[0]], field) if descents else ident
-    t_cols = {w: transpose(m) for w, m in t_mats.items()}
-    l_mats: dict[tuple, list[list]] = {}
+        t_mats[w] = mat_mul(field, t_mats[w.times_s(descents[0])], action[descents[0]]) if descents else ident
+    t_cols = {w: transpose(field, m, dim) for w, m in t_mats.items()}
+    l_mats: dict[tuple, Rows] = {}
     traces = []
     for d, w in alg.basis():  # exponents-lex, so L^{d'} is built before L^d
         if d not in l_mats:
             k = max((k for k, e in enumerate(d) if e), default=-1)
-            l_mats[d] = ident if k < 0 else mat_mul(
-                l_mats[d[:k] + (d[k] - 1,) + d[k + 1:]], l_gens[k], field)
-        tr = field.zero
-        for row, col in zip(l_mats[d], t_cols[w]):
-            for x, y in zip(row, col):
-                if x and y:
-                    tr = tr + x * y
-        traces.append(tr)
+            l_mats[d] = ident if k < 0 else mat_mul(field, l_mats[d[:k] + (d[k] - 1,) + d[k + 1:]], l_gens[k])
+        den, num = 1, 0
+        for (a, row), (b, col) in zip(l_mats[d], t_cols[w]):
+            if dot := sum(x * col[j] for j, x in row.items() if j in col):
+                big = lcm(den, a * b)
+                den, num = big, num * (big // den) + dot * (big // (a * b))
+        traces.append(field.from_ints(den, {0: num}).get(0, field.zero))
     return tuple(traces)
 
 
@@ -326,15 +317,15 @@ def _decomposition_matrix(alg: ArikiKoikeAlgebra) -> DecompositionData:
     lams = multipartitions(alg.n, alg.r)
     modules = {lam: specht_module(alg, lam) for lam in lams}
     grams = {lam: gram_matrix(alg, lam) for lam in lams}
-    simple_dims = {lam: rank(grams[lam], field) for lam in lams}
+    simple_dims = {lam: len(Echelon(field, grams[lam])) for lam in lams}
     cols = [lam for lam in lams if simple_dims[lam] > 0]
 
     # Reference fingerprints of the simple quotients D^mu = S^mu / rad.
     ref: dict[tuple, MultiPartition] = {}
     for mu in cols:
-        rad_rows = nullspace(grams[mu], field)
-        if rad_rows:
-            act = quotient_action(echelon(rad_rows, field), modules[mu].action, field)
+        rad = kernel_basis(Echelon(field, grams[mu]), modules[mu].dim)
+        if rad:
+            act = quotient_action(Echelon(field, rad), modules[mu].action, field)
             d = simple_dims[mu]
         else:
             act = modules[mu].action

@@ -11,10 +11,11 @@ of the run, so all suites share its transition, modules and forms.
 from __future__ import annotations
 
 import random
+from functools import partial, reduce
 
 from .algebra import ArikiKoikeAlgebra, random_element
 from .fields import ComputationError, poincare
-from .linalg import Echelon, mat_mul, mat_product, rank, transpose
+from .linalg import Echelon, combination, mat_mul, transpose
 from .report import CheckResult, result
 from .specht import (
     block_partition,
@@ -159,26 +160,27 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
                       f"{roundtrip_trials} random elements, seed {seed}"))
 
     failures = []
-    for lam in multipartitions(alg.n, alg.r):
-        for s in std_tableaux(lam):
-            for t in std_tableaux(lam):
-                mst = alg.m_st(s, t)
-                for k in range(1, alg.n + 1):
-                    coords = trans.express(alg.gen_L(k) * mst)
-                    res = tableau_residue(s, k, params)
-                    for (mu, u, v), c in coords.items():
-                        if mu != lam:
-                            if not strictly_dominates(mu, lam):
-                                failures.append("escaped to a non-dominating shape")
-                        elif v != t:
-                            failures.append("second tableau moved")
-                        elif u == s:
-                            if c != res:
-                                failures.append("diagonal coefficient is not the residue")
-                        elif not (tableau_dominates(u, s) and u != s):
-                            failures.append("off-diagonal tableau not strictly dominating")
-                    if coords.get((lam, s, t), alg.field.zero) != res:
-                        failures.append("missing residue term")
+    for lam, s, t in trans.cells:
+        mst = alg.m_st(s, t)
+        for k in range(1, alg.n + 1):
+            coords = alg.field.from_ints(*trans.express(alg.gen_L(k) * mst))
+            res = tableau_residue(s, k, params)
+            diagonal = alg.field.zero
+            for i, c in coords.items():
+                mu, u, v = trans.cells[i]
+                if mu != lam:
+                    if not strictly_dominates(mu, lam):
+                        failures.append("escaped to a non-dominating shape")
+                elif v != t:
+                    failures.append("second tableau moved")
+                elif u == s:
+                    diagonal = c
+                    if c != res:
+                        failures.append("diagonal coefficient is not the residue")
+                elif not (tableau_dominates(u, s) and u != s):
+                    failures.append("off-diagonal tableau not strictly dominating")
+            if diagonal != res:
+                failures.append("missing residue term")
     out.append(result("cellular.residue_triangularity", REF_TRIANGULAR, pd, not failures,
                       "; ".join(sorted(set(failures))[:4])))
 
@@ -215,12 +217,20 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
     return out
 
 
+def _linear(field, terms) -> list[tuple[int, dict]]:
+    """sum c * m over the pairs (field value c, matrix m of int-form rows) of
+    terms, all of one size: one combination per row."""
+    coeffs = field.to_ints(dict(enumerate(c for c, _ in terms)))
+    return [combination(field, coeffs, rows) for rows in zip(*(m for _, m in terms))]
+
+
 def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
     params = alg.params
     pd = params.describe()
     out = []
     field = alg.field
     q, one = alg.q, field.one
+    product = partial(reduce, partial(mat_mul, field))
     lams = multipartitions(alg.n, alg.r)
     modules = {lam: specht_module(alg, lam) for lam in lams}
     grams = {lam: gram_matrix(alg, lam) for lam in lams}
@@ -228,28 +238,23 @@ def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
     failures = []
     for lam, sm in modules.items():
         A = sm.action
-        d = sm.dim
+        ident = [(1, {i: 1}) for i in range(sm.dim)]
         if alg.n >= 1:
-            shifted = [[[A[0][i][j] - (Qt if i == j else field.zero) for j in range(d)]
-                        for i in range(d)] for Qt in alg.Q]
-            if any(any(row) for row in mat_product(shifted, d, field)):
+            cyclotomic = product([_linear(field, [(one, A[0]), (-Qt, ident)]) for Qt in alg.Q])
+            if any(ints for _, ints in cyclotomic):
                 failures.append(f"cyclotomic fails on {lam.serialize()}")
         if alg.n >= 2:
-            if (mat_product([A[0], A[1], A[0], A[1]], d, field)
-                    != mat_product([A[1], A[0], A[1], A[0]], d, field)):
+            if product([A[0], A[1], A[0], A[1]]) != product([A[1], A[0], A[1], A[0]]):
                 failures.append(f"mixed braid fails on {lam.serialize()}")
         for i in range(1, alg.n):
-            expect = [[(q - one) * A[i][a][b2] + (q if a == b2 else field.zero)
-                       for b2 in range(d)] for a in range(d)]
-            if mat_mul(A[i], A[i], field) != expect:
+            if mat_mul(field, A[i], A[i]) != _linear(field, [(q - one, A[i]), (q, ident)]):
                 failures.append(f"quadratic fails on {lam.serialize()}")
         for i in range(1, alg.n - 1):
-            if (mat_product([A[i + 1], A[i], A[i + 1]], d, field)
-                    != mat_product([A[i], A[i + 1], A[i]], d, field)):
+            if product([A[i + 1], A[i], A[i + 1]]) != product([A[i], A[i + 1], A[i]]):
                 failures.append(f"braid fails on {lam.serialize()}")
         for i in range(alg.n):
             for j in range(i + 2, alg.n):
-                if mat_mul(A[i], A[j], field) != mat_mul(A[j], A[i], field):
+                if mat_mul(field, A[i], A[j]) != mat_mul(field, A[j], A[i]):
                     failures.append(f"far commutation fails on {lam.serialize()}")
     out.append(result("specht.action_relations", REF_MODULE_REL, pd, not failures,
                       "; ".join(failures[:3])))
@@ -257,10 +262,10 @@ def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
     failures = []
     for lam, sm in modules.items():
         g = grams[lam]
-        if g != transpose(g):
+        if g != transpose(field, g, sm.dim):
             failures.append(f"asymmetric on {lam.serialize()}")
         for Ag in sm.action:
-            if mat_mul(Ag, g, field) != mat_mul(g, transpose(Ag), field):
+            if mat_mul(field, Ag, g) != mat_mul(field, g, transpose(field, Ag, sm.dim)):
                 failures.append(f"not invariant on {lam.serialize()}")
     out.append(result("specht.gram_invariance", REF_GRAM, pd, not failures,
                       "; ".join(sorted(set(failures))[:3])))
@@ -269,7 +274,7 @@ def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
         failures = []
         total = 0
         for lam in lams:
-            d = rank(grams[lam], alg.field)
+            d = len(Echelon(field, grams[lam]))
             if d != modules[lam].dim:
                 failures.append(f"singular form on {lam.serialize()}")
             total += d * d
@@ -286,13 +291,13 @@ def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
         # identity; L_1 = T_0 and L_{k+1} = q^{-1} T_k L_k T_k
         failures = []
         for lam, sm in modules.items():
-            A, d = sm.action, sm.dim
-            total = [[field.zero] * d for _ in range(d)]
-            for k in range(alg.n):
-                L = A[0] if k == 0 else [[c / q for c in row] for row in mat_product([A[k], L, A[k]], d, field)]
-                total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, L)]
+            A = sm.action
+            Ls = A[:1]
+            for k in range(1, alg.n):
+                Ls.append(_linear(field, [(one / q, product([A[k], Ls[-1], A[k]]))]))
             c = sum(content(lam, params), field.zero)
-            if total != [[c if i == j else field.zero for j in range(d)] for i in range(d)]:
+            ident = [(1, {i: 1}) for i in range(sm.dim)]
+            if any(ints for _, ints in _linear(field, [(one, L) for L in Ls] + [(-c, ident)])):
                 failures.append(f"L_1+...+L_n is not {c} on {lam.serialize()}")
         out.append(result("specht.blocks_by_content", REF_BLOCKS, pd,
                           covered == len(lams) and contents_distinct and not failures,

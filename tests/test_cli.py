@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -254,6 +255,85 @@ def test_blocks_by_content_fails_on_a_wrong_content(args, monkeypatch, capsys):
     row = rows.pop("specht.blocks_by_content")
     assert row["status"] == "fail" and row["detail"].startswith("L_1+...+L_n is not")
     assert rows and all(e["status"] == "pass" for e in rows.values())
+
+
+def _failed_rows(out) -> dict:
+    return {e["check"]: e["detail"] for e in json.loads(out) if e["status"] == "fail"}
+
+
+@pytest.mark.parametrize("g, detail", [(1, "quadratic fails on"), (0, "cyclotomic fails on")], ids=["T1", "T0"])
+def test_action_relations_fail_on_a_doubled_generator(g, detail, monkeypatch, capsys):
+    from ariki_koike import suites
+
+    specht_module = suites.specht_module
+
+    def doubled(alg, lam):
+        sm = specht_module(alg, lam)
+        action = list(sm.action)
+        action[g] = [alg.field.canonical(den, {j: 2 * a for j, a in ints.items()}) for den, ints in action[g]]
+        return replace(sm, action=action)
+
+    monkeypatch.setattr(suites, "specht_module", doubled)
+    code, out, _ = run_cli(["verify", "--suite", "specht", "--n", "2", "--r", "2", "--q", "2", "--Q", "1,5"],
+                           capsys)
+    assert code == 1
+    assert _failed_rows(out)["specht.action_relations"].startswith(detail)
+
+
+@pytest.mark.parametrize("entries, detail", [
+    ([(0, 1)], "asymmetric on [[1],[1]]; not invariant on [[1],[1]]"),
+    ([(0, 1), (1, 0)], "not invariant on [[1],[1]]"),
+], ids=["one-entry", "symmetric-pair"])
+def test_gram_invariance_fails_on_a_changed_entry(entries, detail, monkeypatch, capsys):
+    from ariki_koike import suites
+
+    gram_matrix = suites.gram_matrix
+
+    def changed(alg, lam):
+        g = list(gram_matrix(alg, lam))
+        if len(g) > 1:
+            for i, j in entries:  # entry (i, j) gains 1
+                den, ints = g[i]
+                g[i] = alg.field.canonical(den, {**ints, j: ints.get(j, 0) + den})
+        return g
+
+    monkeypatch.setattr(suites, "gram_matrix", changed)
+    code, out, _ = run_cli(["verify", "--suite", "specht", "--n", "2", "--r", "2", "--q", "2", "--Q", "1,5"],
+                           capsys)
+    assert code == 1
+    assert _failed_rows(out)["specht.gram_invariance"] == detail
+
+
+MORITA_N2 = ["verify", "--suite", "morita", "--n", "2", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,5"]
+
+
+def test_end_basis_and_filtration_fail_on_a_transposed_v_action(monkeypatch, capsys):
+    from ariki_koike.linalg import transpose
+    from ariki_koike.morita import MoritaSuite
+
+    v_action = MoritaSuite.v_action
+
+    def transposed(suite, b):
+        act = v_action(suite, b)
+        return [act[0], transpose(suite.field, act[1], len(act[1])), *act[2:]]
+
+    monkeypatch.setattr(MoritaSuite, "v_action", transposed)
+    code, out, _ = run_cli(MORITA_N2, capsys)
+    failed = _failed_rows(out)
+    assert code == 1
+    assert failed["morita.end_basis"] == "endomorphism does not commute with the action"
+    assert failed["morita.filtration"].startswith("filtration not triangular")
+
+
+def test_hom_vanishing_fails_when_every_level_acts_as_level_0(monkeypatch, capsys):
+    from ariki_koike.morita import MoritaSuite
+
+    v_action = MoritaSuite.v_action
+    monkeypatch.setattr(MoritaSuite, "v_action", lambda suite, b: v_action(suite, 0))
+    code, out, _ = run_cli(MORITA_N2, capsys)
+    rows = [e for e in json.loads(out) if e["check"] == "morita.hom_vanishing"]
+    assert code == 1 and len(rows) == 6
+    assert all(e["status"] == "fail" and e["detail"] != "dim Hom = 0" for e in rows)
 
 
 def test_chop_giving_up_exits_4(monkeypatch, capsys):

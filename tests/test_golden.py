@@ -64,6 +64,15 @@ GOLDEN = {
          "--Q", "1,2"],
         "88a4d9fb9e6e28a9a980fd9471a036276e2ef2ff499feb8113f9f63625bba54f",
     ),
+    # Specht actions and Gram matrices whose int-form rows carry denominators
+    "verify-specht-n3-Q-fractional": (
+        ["verify", "--suite", "specht", "--n", "3", "--r", "2", "--q", "3/2", "--Q", "1/3,5/2"],
+        "6e84f3f0dcafebd7bfbf7bc27f8f90867fdadcd923047158c68beeda30ee0d59",
+    ),
+    "gram-n3-Q-fractional": (
+        ["gram", "--n", "3", "--r", "2", "--q", "3/2", "--Q", "1/3,5/2"],
+        "0a2c4e324a38926c1926f9734b1bdd4e2d4c44b48b560519774b8796cbc52cca",
+    ),
     # the Schur battery beyond n=2 r=2, and the Morita battery over GF(p)
     "verify-schur-r3": (
         ["verify", "--suite", "schur", "--n", "2", "--r", "3", "--s", "1", "--q", "2", "--Q", "1,5,7"],

@@ -9,6 +9,7 @@ from ariki_koike import linalg
 from ariki_koike.fields import PrimeField, Rationals
 from ariki_koike.linalg import (
     Echelon,
+    combination,
     dense,
     determinant,
     echelon,
@@ -17,7 +18,6 @@ from ariki_koike.linalg import (
     in_row_space,
     kernel_basis,
     mat_mul,
-    mat_product,
     nullspace,
     rank,
     row_echelon,
@@ -25,7 +25,6 @@ from ariki_koike.linalg import (
     solve,
     sparse,
     transpose,
-    vec_mat,
 )
 
 FIELDS = [Rationals(), PrimeField(5)]
@@ -33,6 +32,11 @@ FIELDS = [Rationals(), PrimeField(5)]
 
 def lift(field, rows):
     return [[field(x) for x in row] for row in rows]
+
+
+def forms(field, rows):
+    """Rows of field values (or of ints) as int-form rows."""
+    return [field.canonical(*field.to_ints(sparse([field(x) for x in row]))) for row in rows]
 
 
 def mat_vec(m, v, field):
@@ -46,42 +50,47 @@ def mat_vec(m, v, field):
     return out
 
 
+def vec_mat(v, m, field):
+    """The row vector v m of field values, entry by entry: the reference for `combination`."""
+    return mat_vec([list(col) for col in zip(*m)], v, field)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_mat_mul_hand_computed(field):
-    a = lift(field, [[1, 2, 0], [0, 0, 0], [3, 0, 4]])
-    b = lift(field, [[2, 1], [0, 3], [1, 0]])
+    a = forms(field, [[1, 2, 0], [0, 0, 0], [3, 0, 4]])
+    b = forms(field, [[2, 1], [0, 3], [1, 0]])
     # rows: (1*2 + 2*0 + 0*1, 1*1 + 2*3 + 0), the zero row, (3*2 + 4*1, 3*1)
-    assert mat_mul(a, b, field) == lift(field, [[2, 7], [0, 0], [10, 3]])
+    assert mat_mul(field, a, b) == forms(field, [[2, 7], [0, 0], [10, 3]])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_mat_mul_zero_row_is_field_zero(field):
-    a = lift(field, [[0, 0]])
-    b = lift(field, [[1, 2], [3, 4]])
-    row = mat_mul(a, b, field)[0]
-    assert row == [field.zero, field.zero]
-    assert all(type(x) is type(field.zero) for x in row)
+    a = forms(field, [[0, 0]])
+    b = forms(field, [[1, 2], [3, 4]])
+    assert mat_mul(field, a, b) == [(1, {})]
+    assert dense(field, mat_mul(field, a, b)[0], 2) == [field.zero, field.zero]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_mat_mul_identity_and_product(field):
-    a = lift(field, [[1, 2], [3, 4]])
-    assert mat_mul(identity_matrix(2, field), a, field) == a
-    assert mat_mul(a, identity_matrix(2, field), field) == a
-    assert mat_product([], 2, field) == identity_matrix(2, field)
-    assert mat_product([a, a, a], 2, field) == mat_mul(mat_mul(a, a, field), a, field)
+    a = forms(field, [[1, 2], [3, 4]])
+    ident = forms(field, [[1, 0], [0, 1]])
+    assert mat_mul(field, ident, a) == a
+    assert mat_mul(field, a, ident) == a
+    assert mat_mul(field, mat_mul(field, a, a), a) == mat_mul(field, a, mat_mul(field, a, a))
+    assert mat_mul(field, a, a) == forms(field, [[7, 10], [15, 22]])
 
 
 def test_mat_mul_over_gf5_reduces():
     field = PrimeField(5)
-    a = lift(field, [[3, 4]])
-    b = lift(field, [[2], [3]])
-    assert mat_mul(a, b, field) == [[field(3 * 2 + 4 * 3)]]
-    assert mat_mul(a, b, field) == [[field(3)]]
+    a = forms(field, [[3, 4]])
+    b = forms(field, [[2], [3]])
+    assert mat_mul(field, a, b) == [(1, {0: (3 * 2 + 4 * 3) % 5})]
+    assert mat_mul(field, a, b) == forms(field, [[3]])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_mat_vec_and_vec_mat(field):
+def test_mat_vec_and_combination(field):
     m = lift(field, [[1, 0, 2], [0, 0, 0], [0, 3, 1]])
     v = lift(field, [[2, 0, 1]])[0]
     assert mat_vec(m, v, field) == lift(field, [[4, 0, 1]])[0]
@@ -89,12 +98,35 @@ def test_mat_vec_and_vec_mat(field):
     zero = [field.zero] * 3
     assert mat_vec(m, zero, field) == zero
     assert vec_mat(zero, m, field) == zero
-    assert vec_mat(v, transpose(m), field) == mat_vec(m, v, field)
+    rows, = forms(field, [v])
+    assert combination(field, rows, forms(field, m)) == forms(field, [vec_mat(v, m, field)])[0]
+    assert combination(field, (1, {}), forms(field, m)) == (1, {})
+    by_columns = transpose(field, forms(field, m), 3)
+    assert combination(field, rows, by_columns) == forms(field, [mat_vec(m, v, field)])[0]
+
+
+def test_combination_brings_rows_to_one_least_denominator():
+    field = Rationals()
+    rows = forms(field, [[Fraction(1, 2), 0], [0, Fraction(1, 3)], [Fraction(1, 6), Fraction(1, 6)]])
+    assert rows == [(2, {0: 1}), (3, {1: 1}), (6, {0: 1, 1: 1})]
+    # 3 * (1/2, 0) - 6 * (1/6, 1/6) + (0, 1/3) = (1/2, -2/3)
+    assert combination(field, (1, {0: 3, 1: 1, 2: -6}), rows) == (6, {0: 3, 1: -4})
+    # the same sum over den 2: halves of every coefficient
+    assert combination(field, (2, {0: 6, 1: 2, 2: -12}), rows) == (6, {0: 3, 1: -4})
+    # (1/2, 0) - 3 * (1/6, 1/6) = (0, -1/2): the zero entry is dropped
+    assert combination(field, (1, {0: 1, 2: -3}), rows) == (2, {1: -1})
 
 
 def test_transpose():
-    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
-    assert transpose([]) == []
+    for field in FIELDS:
+        m = forms(field, [[1, 2, 3], [4, 5, 6]])
+        assert transpose(field, m, 3) == forms(field, [[1, 4], [2, 5], [3, 6]])
+        assert transpose(field, transpose(field, m, 3), 2) == m
+        assert transpose(field, [], 2) == [(1, {}), (1, {})]
+        assert transpose(field, [], 0) == []
+    field = Rationals()
+    m = forms(field, [[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
+    assert transpose(field, m, 2) == [(2, {0: 1}), (3, {0: 3, 1: 2})]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -111,17 +143,19 @@ def test_reduce_by_echelon_and_membership(field):
         assert in_row_space(spanning, [near], field) == [False]
     ech = echelon(rows, field)
     assert sorted(ech.rows) == [0, 2]
-    assert ech.reduce(sparse(member)) == {}
-    assert ech.reduce(sparse(outsider)) == sparse(outsider)
-    assert ech.reduce(sparse(near)) == sparse(lift(field, [[0, 1, 0, -1]])[0])
+    member_form, outsider_form, near_form = forms(field, [member, outsider, near])
+    assert ech.reduce(*member_form) == (1, {})
+    assert ech.reduce(*outsider_form) == outsider_form
+    assert ech.reduce(*near_form) == forms(field, [[0, 1, 0, -1]])[0]
+    assert [ech.contains(*v) for v in (member_form, outsider_form, near_form)] == [True, False, False]
 
 
 def test_reduce_by_echelon_copies_its_input():
-    v = {1: Fraction(1)}
-    assert Echelon(Rationals()).reduce(v) == v and Echelon(Rationals()).reduce(v) is not v
+    v = (1, {1: 1})
+    assert Echelon(Rationals()).reduce(*v) == v and Echelon(Rationals()).reduce(*v)[1] is not v[1]
     ech = echelon([[Fraction(1), Fraction(0)]], Rationals())
-    out = ech.reduce(v)
-    assert out == v and out is not v
+    out = ech.reduce(*v)
+    assert out == v and out[1] is not v[1]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -334,7 +368,9 @@ def test_kernel_inverse_and_determinant(field):
         assert determinant(m, field) == det
         if det:
             inv = inverse(m, field)
-            assert mat_mul(m, inv, field) == identity_matrix(size, field)
+            assert [vec_mat(row, inv, field) for row in m] == identity_matrix(size, field)
+            ident = forms(field, identity_matrix(size, field))
+            assert mat_mul(field, forms(field, m), forms(field, inv)) == ident
             rows, _ = reference_rref([list(row) + list(e) for row, e in
                                       zip(m, identity_matrix(size, field))])
             assert inv == [row[size:] for row in rows]
@@ -374,7 +410,7 @@ def test_echelon_holds_at_most_rank_rows_in_reduced_form():
     for col, (den, ints) in ech.rows.items():
         assert min(ints) == col and ints[col] == den > 0
         assert all(other == col or other not in ints for other in ech.rows)
-        row = ech.row(col)
+        row = field.from_ints(den, ints)
         assert min(row) == col and row[col] == 1
         assert all(other == col or other not in row for other in ech.rows)
 
@@ -401,9 +437,12 @@ def test_echelon_stores_canonical_int_rows_and_reads_out_field_values(field):
                     assert den == 1 and all(0 < a < p for a in ints.values())
                 else:
                     assert gcd(den, *ints.values()) == 1
-                assert all(type(v) is value_type for v in ech.row(col).values())
+                assert all(type(v) is value_type for v in field.from_ints(den, ints).values())
         for v in random_sparse(rng, field, 3, len(m[0])):
-            assert all(type(x) is value_type for x in ech.reduce(sparse(v)).values())
+            den, ints = ech.reduce(*field.to_ints(sparse(v)))
+            assert type(den) is int and all(type(x) is int for x in ints.values())
+            assert (den, ints) == field.canonical(den, ints)
+            assert not any(pc in ints for pc in ech.rows)
     if p == 0:  # the fractional cases reach both
         assert max(dens) > 1 and pivot_signs == {True, False}
 

@@ -307,6 +307,19 @@ def test_end_basis_ill_defined_against_a_smaller_row_space(monkeypatch):
     assert row.status == "fail" and "ill-defined" in row.detail
 
 
+def test_end_basis_fails_when_a_pair_repeats(monkeypatch):
+    # a repeated pair gives the same map twice: the flattened maps lose rank
+    import copy
+
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
+    level = copy.copy(suite.level(1))
+    level.pairs = level.pairs + level.pairs[:1]
+    monkeypatch.setattr(suite, "level", lambda b: level)
+    (row,) = suite.verify_end_basis(1)
+    assert row.status == "fail"
+    assert row.detail == "count 2 != tensor algebra dimension 1; endomorphisms dependent"
+
+
 @pytest.mark.parametrize("params", [
     qparams(n=2, r=3, Q=(1, 5, 7)),
     qparams(n=3, r=2, q=4, Q=(1, 2), field=PrimeField(5)),
@@ -316,14 +329,14 @@ def test_end_basis_kernel_verdict_matches_the_row_space_reduction(params):
     # kernel products, iff every row of left multiplication by x lies in the
     # row space of left multiplication by v_b, the dense reduction built here
     from ariki_koike.algebra import Element
-    from ariki_koike.linalg import dense, in_row_space, transpose
+    from ariki_koike.linalg import dense, in_row_space
 
     alg = ArikiKoikeAlgebra(params)
     suite = MoritaSuite(alg)
     monos = [alg.element({m: alg.field.one}) for m in alg.basis()]
 
     def left_mult_rows(x):
-        return transpose([dense(alg.field, (x * m).form, alg.dim) for m in monos])
+        return [list(col) for col in zip(*(dense(alg.field, (x * m).form, alg.dim) for m in monos))]
 
     pairs = 0
     for b in range(alg.n + 1):

@@ -9,15 +9,14 @@ from ariki_koike import specht
 from ariki_koike.algebra import ArikiKoikeAlgebra
 from ariki_koike.fields import ComputationError, GateError, Params, PrimeField, Rationals
 from ariki_koike.linalg import (
-    echelon,
+    Echelon,
+    dense,
     identity_matrix,
     inverse,
+    kernel_basis,
     mat_mul,
-    mat_product,
-    nullspace,
-    rank,
+    sparse,
     transpose,
-    vec_mat,
 )
 from ariki_koike.specht import (
     block_partition,
@@ -41,8 +40,8 @@ def test_trivial_type_module():
     alg = ArikiKoikeAlgebra(qparams())
     sm = specht_module(alg, MultiPartition([[2], []]))
     assert sm.dim == 1
-    assert sm.action[1] == [[Fraction(2)]]  # T_1 acts as q
-    assert sm.action[0] == [[Fraction(1)]]  # L_1 acts as Q_1
+    assert sm.action[1] == [(1, {0: 2})]  # T_1 acts as q
+    assert sm.action[0] == [(1, {0: 1})]  # L_1 acts as Q_1
 
 
 def test_two_dimensional_module_residues():
@@ -52,7 +51,7 @@ def test_two_dimensional_module_residues():
     sm = specht_module(alg, lam)
     assert sm.dim == 2
     # L_1 acts triangularly with the residues of the two tableaux on the diagonal
-    diag = [sm.action[0][i][i] for i in range(2)]
+    diag = [dense(alg.field, sm.action[0][i], 2)[i] for i in range(2)]
     expected = [content(lam, params)[0], content(lam, params)[1]]
     assert sorted(diag) == sorted(expected) == [Fraction(1), Fraction(5)]
 
@@ -66,7 +65,7 @@ def test_specht_dims_are_tableau_counts():
 def test_gram_one_dimensional_nonzero():
     alg = ArikiKoikeAlgebra(qparams())
     g = gram_matrix(alg, MultiPartition([[2], []]))
-    assert len(g) == 1 and g[0][0] != 0
+    assert len(g) == 1 and dense(alg.field, g[0], 1)[0] != 0
 
 
 def test_semisimple_square_sum():
@@ -75,7 +74,7 @@ def test_semisimple_square_sum():
         alg = ArikiKoikeAlgebra(params)
         total = 0
         for lam in multipartitions(n, 2):
-            d = rank(gram_matrix(alg, lam), alg.field)
+            d = len(Echelon(alg.field, gram_matrix(alg, lam)))
             assert d == len(std_tableaux(lam))  # nonsingular form everywhere
             total += d * d
         assert total == alg.dim
@@ -152,7 +151,7 @@ def test_decomposition_bookkeeping_n3():
         assert total == len(std_tableaux(lam))
     # simple dimensions are chop-independent: recompute via Gram ranks
     for mu in data.cols:
-        assert data.simple_dims[mu] == rank(gram_matrix(alg, mu), alg.field)
+        assert data.simple_dims[mu] == len(Echelon(alg.field, gram_matrix(alg, mu)))
 
 
 def test_decomposition_rejects_rationals():
@@ -165,6 +164,20 @@ def test_decomposition_rejects_rationals():
 
 def lift(field, rows):
     return [[field(x) for x in row] for row in rows]
+
+
+def forms(field, rows):
+    """Rows of field values (or of ints) as int-form rows."""
+    return [field.canonical(*field.to_ints(sparse([field(x) for x in row]))) for row in rows]
+
+
+def vec_mat(v, m, field):
+    """The row vector v m of field values, entry by entry."""
+    return [sum((x * row[j] for x, row in zip(v, m)), field.zero) for j in range(len(m[0]))]
+
+
+def trace(field, m):
+    return sum((dense(field, row, len(m))[i] for i, row in enumerate(m)), field.zero)
 
 
 def brute_closure(vectors, action, field):
@@ -207,9 +220,10 @@ def test_spin_is_the_reduced_echelon_of_the_closure_in_any_input_order():
         vectors = [[field(rng.randrange(3)) if j >= low else field.zero for j in range(dim)]
                    for _ in range(rng.randint(1, 3))]
         closure = brute_closure(vectors, action, field)
-        spun = [spin(list(order), action, field) for order in itertools.permutations(vectors)]
+        int_action = [forms(field, m) for m in action]
+        spun = [spin(forms(field, order), int_action, field) for order in itertools.permutations(vectors)]
         assert all(ech.rows == spun[0].rows for ech in spun)
-        rows = {pc: spun[0].row(pc) for pc in spun[0].rows}
+        rows = {pc: field.from_ints(*row) for pc, row in spun[0].rows.items()}
         for col, row in rows.items():
             assert min(row) == col and row[col] == field.one
             assert all(other == col or other not in row for other in rows)
@@ -217,28 +231,28 @@ def test_spin_is_the_reduced_echelon_of_the_closure_in_any_input_order():
         assert span_of(dense, field, dim) == closure
         sizes.add(len(rows))
     assert len(sizes) > 2
-    assert len(spin([[field.zero] * dim], action, field)) == 0
+    assert len(spin([(1, {})], int_action, field)) == 0
 
 
 def test_submodule_action_refuses_a_non_invariant_space():
     field = PrimeField(5)
-    swap = lift(field, [[0, 1], [1, 0]])
+    swap = forms(field, [[0, 1], [1, 0]])
     with pytest.raises(ComputationError):
-        submodule_action(echelon(lift(field, [[1, 0]]), field), [swap], field)
+        submodule_action(Echelon(field, forms(field, [[1, 0]])), [swap], field)
 
 
 def test_sub_and_quotient_action_of_an_invariant_line():
     field = PrimeField(5)
     # (1,1,0) A = 2 (1,1,0) and (1,1,0) B = (1,1,0)
-    a = lift(field, [[1, 0, 0], [1, 2, 0], [1, 0, 3]])
-    b = lift(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    line = echelon(lift(field, [[1, 1, 0]]), field)
-    assert submodule_action(line, [a, b], field) == [lift(field, [[2]]), lift(field, [[1]])]
+    a = forms(field, [[1, 0, 0], [1, 2, 0], [1, 0, 3]])
+    b = forms(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    line = Echelon(field, forms(field, [[1, 1, 0]]))
+    assert submodule_action(line, [a, b], field) == [forms(field, [[2]]), forms(field, [[1]])]
     # on the classes of the unit vectors e_1, e_2 (0-based): e_i A minus its
     # first entry times (1,1,0), read at columns 1 and 2
     assert quotient_action(line, [a, b], field) == [
-        lift(field, [[1, 0], [4, 3]]),
-        lift(field, [[4, 0], [0, 1]]),
+        forms(field, [[1, 0], [4, 3]]),
+        forms(field, [[4, 0], [0, 1]]),
     ]
 
 
@@ -255,7 +269,7 @@ def line_scan_factors(action, dim, field):
     best = None
     for lead in range(dim):
         for tail in itertools.product(values, repeat=dim - 1 - lead):
-            w = spin([[field.zero] * lead + [field.one] + list(tail)], action, field)
+            w = spin(forms(field, [[field.zero] * lead + [field.one] + list(tail)]), action, field)
             if best is None or len(w) < len(best):
                 best = w
     if len(best) == dim:
@@ -277,9 +291,9 @@ def test_meataxe_factors_match_the_line_scan(q, Q, p):
     for lam in multipartitions(3, 2):
         sm = specht_module(alg, lam)
         modules = [(sm.action, sm.dim)]
-        rad = nullspace(gram_matrix(alg, lam), field)
+        rad = kernel_basis(Echelon(field, gram_matrix(alg, lam)), sm.dim)
         if 0 < len(rad) < sm.dim:  # the simple quotient D^lam = S^lam / rad
-            modules.append((quotient_action(echelon(rad, field), sm.action, field), sm.dim - len(rad)))
+            modules.append((quotient_action(Echelon(field, rad), sm.action, field), sm.dim - len(rad)))
         for action, dim in modules:
             expected = factor_labels(alg, line_scan_factors(action, dim, field))
             assert factor_labels(alg, composition_factors(action, dim, field)) == expected
@@ -289,40 +303,46 @@ def test_meataxe_factors_match_the_line_scan(q, Q, p):
 
 def test_fingerprint_matches_the_generator_word_traces():
     """tr(L^d T_w) against the trace of the whole generator word times q^{-e},
-    on two cell modules and on random matrices, which satisfy no relation,
+    on three cell modules and on random matrices, which satisfy no relation,
     so every product must be taken in the order of the word."""
     gf7 = Params(field=PrimeField(7), q=2, Q=(1, 5), n=3, r=2)
     gf5 = Params(field=PrimeField(5), q=4, Q=(1, 2), n=3, r=2)
+    # over Q with fractional parameters the rows carry denominators
+    fractional = Params(field=Rationals(), q=Fraction(3, 2), Q=(Fraction(1, 3), Fraction(5, 2)), n=3, r=2)
     rng = random.Random("fingerprint")
     noise = [[[rng.randrange(7) for _ in range(3)] for _ in range(3)] for _ in range(3)]
     for params, lam, action in [
         (gf7, MultiPartition([[2], [1]]), None),
         (gf5, MultiPartition([[1], [1, 1]]), None),
-        (gf7, None, [lift(gf7.field, m) for m in noise]),
+        (fractional, MultiPartition([[2], [1]]), None),
+        (gf7, None, [forms(gf7.field, m) for m in noise]),
     ]:
         alg = ArikiKoikeAlgebra(params)
         field = alg.field
         if action is None:
             action = specht_module(alg, lam).action
         dim = len(action[0])
+        dense_action = [[dense(field, row, dim) for row in m] for m in action]
         expected = []
         for mono in alg.basis():
             word, e = alg._gen_word(mono)
-            mat = mat_product([action[g] for g in word], dim, field)
+            mat = identity_matrix(dim, field)
+            for g in word:
+                mat = [vec_mat(row, dense_action[g], field) for row in mat]
             expected.append(sum((mat[i][i] for i in range(dim)), field.zero) * params.q_power(-e))
         assert module_fingerprint(alg, action, dim) == tuple(expected)
 
 
 def conjugate(action, change, field):
-    """The same module on the basis of the rows of `change`."""
+    """The same module on the basis of the rows of `change`, in int form."""
     back = inverse(change, field)
-    return [mat_mul(mat_mul(change, m, field), back, field) for m in action]
+    return [forms(field, [vec_mat(vec_mat(row, m, field), back, field) for row in change]) for m in action]
 
 
 def uniserial_extension(field):
     """A non-split extension on e_1, e_2: e_1 A = 0, e_1 X = e_2, e_2 A = e_2,
     e_2 X = 0.  Its only proper submodule is the line of e_2."""
-    return [lift(field, [[0, 0], [0, 1]]), lift(field, [[0, 1], [0, 0]])]
+    return [forms(field, [[0, 0], [0, 1]]), forms(field, [[0, 1], [0, 0]])]
 
 
 def doubled_simple(field):
@@ -342,10 +362,10 @@ def test_norton_splits_an_extension_through_the_dual():
     # transposed spin finds the submodule, as the annihilator of e_1
     field = PrimeField(5)
     ext = uniserial_extension(field)
-    e1 = [field.one, field.zero]
+    e1 = (1, {0: 1})
     assert len(spin([e1], ext, field)) == 2
     found = specht._norton(ext, ext[0], field)
-    assert list(found.rows) == [1] and found.row(1) == {1: field.one}
+    assert found.rows == {1: (1, {1: 1})}
 
 
 def test_norton_certifies_nothing_without_a_one_dimensional_kernel():
@@ -353,20 +373,19 @@ def test_norton_certifies_nothing_without_a_one_dimensional_kernel():
     # the whole space, yet the module is reducible
     field = PrimeField(5)
     double = doubled_simple(field)
-    e1 = [field.one] + [field.zero] * 3
+    e1 = (1, {0: 1})
     assert len(spin([e1], double, field)) == 4
-    assert len(spin([e1], [transpose(m) for m in double], field)) == 4
-    assert specht._norton(double, identity_matrix(4, field), field) is None
+    assert len(spin([e1], [transpose(field, m, 4) for m in double], field)) == 4
+    assert specht._norton(double, forms(field, identity_matrix(4, field)), field) is None
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_meataxe_chops_the_hand_built_modules(p):
     field = PrimeField(p)
-    one, zero = [[field.one]], [[field.zero]]
+    one, zero = [(1, {0: 1})], [(1, {})]
     assert composition_factors(uniserial_extension(field), 2, field) == [(1, [one, zero]), (1, [zero, zero])]
     factors = composition_factors(doubled_simple(field), 4, field)
     assert [d for d, _ in factors] == [2, 2]
     # both factors are S: the same traces of E_11, the swap and their product
-    traces = {tuple(sum((m[i][i] for i in range(2)), field.zero)
-                    for m in (a, b, mat_mul(a, b, field))) for _, (a, b) in factors}
+    traces = {tuple(trace(field, m) for m in (a, b, mat_mul(field, a, b))) for _, (a, b) in factors}
     assert traces == {(field.one, field.zero, field.zero)}
