@@ -5,9 +5,14 @@ Elements are sparse linear combinations of the rank-r^n.n! basis
     L^d T_w = L_1^{d_1} L_2^{d_2} ... L_n^{d_n} T_w,   0 <= d_m <= r-1,  w in S_n,
 
 where L_1 = T_0 and L_{i+1} = q^{-1} T_i L_i T_i.  Products are computed by
-rewriting: each monomial L^d T_w of the right factor is folded into the left
-factor in two steps, each cached per (left monomial, step) for the lifetime
-of the algebra.
+rewriting, in two steps: the terms c L^d T_w of the right factor are
+gathered into one head H_w per permutation w, the sum of c times the left
+factor times L^d (folded times L^d, or the left factor itself for d = 0),
+and then each head is folded times T_w once, so a product makes one T fold
+per distinct w of its right factor.  `_fold` applies a step to every
+monomial of its input and looks the step's result up in a table, one per
+(step, argument), kept for the lifetime of the algebra; it calls the step
+only on a miss, so each step runs once per (monomial, argument).
 
 Step 1, times L^d: (L^a T_x) L^d = L^a (T_x L^d).  T_x L^d is computed once
 per (x, d) by pushing L^d leftward through a reduced word of x, one T_i at a
@@ -48,7 +53,10 @@ result in this form).  A product adds every cached step into one accumulator
 (D, {code: int}) with int multiply-adds; only a step whose denominator does
 not divide D rescales the accumulator to their lcm, which is rare, as the
 denominators are mostly powers of the numerator of q.  Over GF(p) nothing is
-reduced mod p inside the fold.
+reduced mod p inside the fold, and an entry that cancels stays in the
+accumulator as a zero: zeros are dropped only by the field's `canonical`,
+which every exit of the engine calls (a step result cached straight from a
+fold, as `_Ti_times` is, may hold zeros and is read only as a step).
 
 A monomial L^d T_w is one int, its code dindex(d) * n! + rank(w): its
 position in `basis()`, where rank(w) is w's position in
@@ -61,7 +69,7 @@ kernels from such products, and `TransitionMatrix.express` gives cellular
 coordinates in int form too.  The rewriting rules themselves are derived in
 the same int form, once per key: a Hecke product and T_x L^d are folds along
 a reduced word, whose steps read q and q-1 from one int form of the pair,
-and L_m^r (m >= 2) is Element arithmetic.
+and L_m^r (m >= 2) is built from int forms by `_product_into`.
 Field values enter the rules only as the parameters q and Q.
 """
 
@@ -69,12 +77,13 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections import defaultdict
 from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import add
 
 from .fields import Params, SizeGuardError
-from .linalg import Echelon, combination, dense, kernel_basis, solve, sparse
+from .linalg import Echelon, combination, dense, kernel_basis, solve, sparse, transpose
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
     MultiComposition,
@@ -182,18 +191,6 @@ class Element:
             raise ValueError("elements belong to different algebras")
 
 
-def coordinate_rows(field, forms: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
-    """One row {i: coordinate c of forms[i]} per code c where some form is
-    nonzero, in canonical int form: every entry over the lcm of the dens."""
-    big = lcm(*(d for d, _ in forms))
-    cols: dict = {}
-    for i, (d, ints) in enumerate(forms):
-        m = big // d
-        for c, a in ints.items():
-            cols.setdefault(c, {})[i] = a * m
-    return [field.canonical(big, row) for row in cols.values()]
-
-
 def solve_rows(field, rows, n: int, k: int) -> tuple[list[list], list[list]]:
     """Int-form rows over n unknowns followed by k right-hand sides, as the
     dense matrix and the right-hand sides that `linalg.solve` takes."""
@@ -226,8 +223,8 @@ class ArikiKoikeAlgebra:
         self._Lr_cache: dict[int, dict] = {}
         self._normalL_cache: dict[tuple[tuple[int, ...], int], tuple[int, dict]] = {}
         self._TL_cache: dict[int, tuple[int, dict]] = {}
-        self._L_step_cache: dict[int, tuple[int, dict]] = {}
-        self._T_step_cache: dict[int, tuple[int, dict]] = {}
+        # the step tables of _fold: (step name, arg) -> {code: step(code, arg)}
+        self._steps: defaultdict[tuple, dict] = defaultdict(dict)
         self._derived: dict = {}
         # q and q - 1 as one int form (den, {0: q, 1: q - 1}); key 1 is absent at q = 1
         self._q_form = self.field.canonical(*self.field.to_ints({0: self.q, 1: self.q - self.field.one}))
@@ -317,9 +314,9 @@ class ArikiKoikeAlgebra:
         canonical = self.field.canonical
         out = []
         for d in range(self._nexp):
-            hden, head = self._fold(*elem.form, self._mono_times_L, d) if d else elem.form
+            head = self._fold(*elem.form, self._mono_times_L, d)
             for w in range(self._nperm):
-                out.append(canonical(*self._fold(hden, head, self._mono_times_T, w)))
+                out.append(canonical(*self._fold(*head, self._mono_times_T, w)))
         return out
 
     def products(self, elem: Element) -> list[tuple[int, dict]]:
@@ -332,23 +329,23 @@ class ArikiKoikeAlgebra:
         """For each target t, a solution z of sum_i z_i forms[i] = t (free
         variables 0) in int form, or None: one `solve` on the coordinate rows
         of all forms."""
-        field, rows = self.field, coordinate_rows(self.field, forms + targets)
+        field, rows = self.field, transpose(self.field, forms + targets, self.dim)
         return [None if z is None else field.to_ints(sparse(z))
                 for z in solve(*solve_rows(field, rows, len(forms), len(targets)), field)]
 
     def right_annihilator(self, products: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
         """{h : x h = 0}, a basis in int form, for the products x L^d T_w of an
         element x (`left_mult_matrix(x)`): the kernel of their coordinate rows."""
-        return kernel_basis(Echelon(self.field, coordinate_rows(self.field, products)), self.dim)
+        return kernel_basis(Echelon(self.field, transpose(self.field, products, self.dim)), self.dim)
 
     def condition_rows(self, forms: list[tuple[int, dict]], kernel: list[tuple[int, dict]]):
         """The rows of the conditions (sum_i z_i x_i) k = 0, x_i = forms[i], for each
         int form k of `kernel`, yielded k by k: one engine product x_i k per i,
-        then `coordinate_rows` of the products."""
+        then the coordinate rows of the products (`transpose`)."""
         canonical = self.field.canonical
         for kden, kints in kernel:
-            yield from coordinate_rows(self.field, [
-                canonical(*self._product_into([1, {}], den, ints, kden, kints)) for den, ints in forms])
+            yield from transpose(self.field, [
+                canonical(*self._product_into([1, {}], den, ints, kden, kints)) for den, ints in forms], self.dim)
 
     # -- multiplication engine -------------------------------------------------
 
@@ -367,31 +364,43 @@ class ArikiKoikeAlgebra:
         return word, e
 
     def _product_into(self, acc: list, aden: int, aints: dict, bden: int, bints: dict) -> list:
-        """acc += (aints / aden) * (bints / bden); each monomial c L^d T_w of the
-        right factor folds in two steps, times L^d and then times T_w."""
-        den = aden * bden
+        """acc += (aints / aden) * (bints / bden): the terms c L^d T_w of the
+        right factor are gathered per w into one head, the sum of c times the
+        left factor times L^d (for d = 0 the left factor itself, scaled; else
+        a fold times L^d), and each head folds times T_w once."""
+        den, parts = aden * bden, {}
         for code, c in bints.items():
             d, w = divmod(code, self._nperm)
-            if d:
-                hden, head = self._fold(den, aints, self._mono_times_L, d, scale=c)
-                self._fold(hden, head, self._mono_times_T, w, acc)
-            else:
-                self._fold(den, aints, self._mono_times_T, w, acc, scale=c)
+            parts.setdefault(w, {})[d] = c
+        for w, terms in parts.items():
+            c = terms.pop(0, 0)
+            head = [den, {k: c * v for k, v in aints.items()} if c else {}]
+            for d, c in terms.items():
+                self._fold(den, aints, self._mono_times_L, d, head, c)
+            self._fold(*head, self._mono_times_T, w, acc)
         return acc
 
     def _fold(self, den: int, terms: dict, step, arg, acc: list | None = None, scale: int = 1) -> list:
-        """acc += (scale / den) * sum c * step(mono, arg) over the terms, in plain ints.
+        """acc += (scale / den) * sum c * step(code, arg) over the terms, in plain ints.
 
         acc = [D, {code: int}] stands for {code: int / D} (a new one by default),
-        and a step returns (sden, {code: int}).  When den * sden does not divide
-        D, acc is first rescaled to the lcm; over GF(p) every denominator is 1
-        and nothing is reduced mod p here."""
+        and a step returns (sden, {code: int}).  The step's result for each code
+        is looked up in its table, one per (step, arg), and the step is called
+        only on a miss.  When den * sden does not divide D, acc is first
+        rescaled to the lcm; over GF(p) every denominator is 1 and nothing is
+        reduced mod p here.  Entries that cancel stay in acc as zeros, to be
+        dropped by the field's `canonical`."""
         if acc is None:
             acc = [1, {}]
         D, out = acc
         get = out.get
+        table = self._steps[step.__name__, arg]
+        cached = table.get
         for code, c in terms.items():
-            sden, sterms = step(code, arg)
+            found = cached(code)
+            if found is None:
+                found = table[code] = step(code, arg)
+            sden, sterms = found
             e = den * sden
             if D % e:
                 m = e // gcd(D, e)
@@ -400,13 +409,7 @@ class ArikiKoikeAlgebra:
                 D *= m
             c *= scale * (D // e)
             for k, v in sterms.items():
-                cur = get(k)
-                if cur is None:
-                    out[k] = c * v
-                elif cur := cur + c * v:
-                    out[k] = cur
-                else:
-                    del out[k]
+                out[k] = get(k, 0) + c * v
         acc[0] = D
         return acc
 
@@ -417,14 +420,8 @@ class ArikiKoikeAlgebra:
     def _mono_times_L(self, code: int, d: int) -> tuple[int, dict]:
         """(L^a T_x) L^d in normal form, for the codes of L^a T_x and of L^d:
         T_x L^d = sum c L^f T_y, then L^{a+f} T_y by _normal_L."""
-        key = code * self._nexp + d
-        cached = self._L_step_cache.get(key)
-        if cached is not None:
-            return cached
         a, x = divmod(code, self._nperm)
-        out = self.field.canonical(*self._fold(*self._T_times_L(x, d), self._L_times_normal, self._exps[a]))
-        self._L_step_cache[key] = out
-        return out
+        return self.field.canonical(*self._fold(*self._T_times_L(x, d), self._L_times_normal, self._exps[a]))
 
     def _L_times_normal(self, code: int, a: tuple[int, ...]) -> tuple[int, dict]:
         """L^a (L^f T_y) in normal form, for the code of L^f T_y."""
@@ -434,16 +431,10 @@ class ArikiKoikeAlgebra:
     def _mono_times_T(self, code: int, w: int) -> tuple[int, dict]:
         """(L^d T_x) T_w in normal form, for the code of L^d T_x and the rank
         of w: L^d (T_x T_w), whose codes are those of T_x T_w plus L^d's base."""
-        key = code * self._nperm + w
-        cached = self._T_step_cache.get(key)
-        if cached is not None:
-            return cached
         x = code % self._nperm
         base = code - x
         den, prod = self._hecke_prod(x, w)
-        out = den, {base + y: c for y, c in prod.items()}
-        self._T_step_cache[key] = out
-        return out
+        return den, {base + y: c for y, c in prod.items()}
 
     def _T_times_L(self, x: int, d: int) -> tuple[int, dict]:
         """T_x L^d in int form on codes, for the rank of x and the code of L^d:
@@ -508,28 +499,34 @@ class ArikiKoikeAlgebra:
         cached = self._Lr_cache.get(m)
         if cached is not None:
             return cached
-        one = self.field.one
+        field = self.field
         if m == 1:
             # cyclotomic relation: L_1^r = sum_j (-1)^{r-1-j} e_{r-j}(Q) L_1^j
-            elem_sym = [one] + [self.field.zero] * self.r
+            elem_sym = [field.one] + [field.zero] * self.r
             for Qt in self.Q:
                 for j in range(self.r, 0, -1):
                     elem_sym[j] = elem_sym[j] + elem_sym[j - 1] * Qt
-            lr = self.element({((j,) + (0,) * (self.n - 1), identity(self.n)): (-one) ** (self.r - 1 - j)
-                               * elem_sym[self.r - j] for j in range(self.r)})
+            out = field.canonical(*field.to_ints({
+                self.code((j,) + (0,) * (self.n - 1), identity(self.n)): (-field.one) ** (self.r - 1 - j)
+                * elem_sym[self.r - j] for j in range(self.r)}))
         else:
             # L_m^r = q^{-1} T_{m-1} (L_{m-1}^r T_{m-1} + (q-1) sum_{k=1}^{r-1} L_{m-1}^{r-k} L_m^k);
             # T_{m-1} times a term with exponents below r leaves them below r
-            exps = [[0] * (m - 2) + [self.r - k, k] + [0] * (self.n - m) for k in range(1, self.r)]
-            tail = Element(self, 1, {self._dindex[tuple(e)] * self._nperm: 1 for e in exps})
-            T = self.gen_T(m - 1)
-            lr = (T * (Element(self, *self._L_pow_r(m - 1)) * T + tail.scale(self.q - one))).scale(one / self.q)
-        out = self._Lr_cache[m] = lr.form
+            t = self._rank[simple_transposition(m - 1, self.n)]
+            qden, qints = self._q_form
+            t_over_q = field.to_ints({t: field.one / self.q})
+            tail = {self.code((0,) * (m - 2) + (self.r - k, k) + (0,) * (self.n - m), identity(self.n)):
+                    qints.get(1, 0) for k in range(1, self.r)}
+            acc = self._product_into([1, {}], *t_over_q, *field.canonical(
+                *self._product_into([1, {}], *self._L_pow_r(m - 1), 1, {t: 1})))
+            out = field.canonical(*self._product_into(acc, *t_over_q, qden, tail))
+        self._Lr_cache[m] = out
         return out
 
     def _normal_L(self, exp: tuple[int, ...], w: int) -> tuple[int, dict]:
         """Normal form of L^exp T_w in int form on codes, for the rank of w,
-        where the exponents may reach or pass r."""
+        where the exponents may reach or pass r: for the first m with
+        exp_m >= r, L^{exp - r e_m} times the normal form of L_m^r, times T_w."""
         key = (exp, w)
         cached = self._normalL_cache.get(key)
         if cached is not None:
@@ -538,15 +535,9 @@ class ArikiKoikeAlgebra:
         if m is None:
             out = 1, {self._dindex[exp] * self._nperm + w: 1}
         else:
-            base = list(exp)
-            base[m - 1] -= self.r
-            lden, lterms = self._L_pow_r(m)
-            acc = [1, {}]
-            for code, c in lterms.items():
-                f, v = divmod(code, self._nperm)
-                nden, nterms = self._normal_L(tuple(map(add, base, self._exps[f])), v)
-                self._fold(lden * nden, nterms, self._mono_times_T, w, acc, scale=c)
-            out = self.field.canonical(*acc)
+            base = exp[:m - 1] + (exp[m - 1] - self.r,) + exp[m:]
+            head = self._fold(*self._L_pow_r(m), self._L_times_normal, base)
+            out = self.field.canonical(*self._fold(*head, self._mono_times_T, w))
         self._normalL_cache[key] = out
         return out
 

@@ -69,7 +69,7 @@ def transpose(field, rows: Sequence[tuple[int, dict]], n: int) -> list[tuple[int
         m = big // d
         for j, a in ints.items():
             cols[j][i] = a * m
-    return [field.canonical(big, col) for col in cols]
+    return [field.canonical(big, col) if col else (1, {}) for col in cols]
 
 
 class Echelon:

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial, lcm
 
-from .algebra import ArikiKoikeAlgebra, Element, coordinate_rows, solve_rows
+from .algebra import ArikiKoikeAlgebra, Element, solve_rows
 from .fields import ComputationError, GateError, Params, f_s_value
 from .linalg import Echelon, combination, mat_mul, solve, sparse, transpose
 from .perms import coset_reps, shift_perm, sorted_permutations, w_ab
@@ -548,7 +548,7 @@ class MoritaSuite:
             # homogeneous rows: coordinates of (sum z_i m_i) * k over all k in rAnn(v_b)
             alg.condition_rows([e.form for e in m_elems], self._vb_kernel(b)),
             # affine rows: theta_b(sum z_i m_i) = v_b
-            coordinate_rows(field, [alg.theta_b(b, e).form for e in m_elems] + [alg.v_b_elem(b).form]),
+            transpose(field, [alg.theta_b(b, e).form for e in m_elems] + [alg.v_b_elem(b).form], alg.dim),
         )
         z, = solve(*solve_rows(field, rows, len(m_elems), 1), field)
         if z is None:

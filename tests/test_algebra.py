@@ -1,4 +1,6 @@
+import functools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -170,7 +172,7 @@ def test_associativity_random():
         assert (a * b) * c == a * (b * c)
 
 
-@pytest.mark.parametrize("n,r,field,q,Q", [
+FOLD_CASES = [
     pytest.param(2, 3, Rationals(), 2, (1, 5, 7), id="2-3-field0-Q0"),
     pytest.param(3, 2, PrimeField(5), 2, (1, 3), id="3-2-field1-Q1"),
     # denominators 2, 3 and 6 meet in one product, so the fold rescales its
@@ -180,7 +182,10 @@ def test_associativity_random():
     # q = 1: q - 1 = 0, so every local move and Hecke step loses its second term
     pytest.param(2, 3, Rationals(), 1, (1, 5, 7), id="2-3-Q-q1"),
     pytest.param(3, 2, PrimeField(5), 1, (1, 3), id="3-2-GF5-q1"),
-])
+]
+
+
+@pytest.mark.parametrize("n,r,field,q,Q", FOLD_CASES)
 def test_two_step_fold_matches_generator_fold(n, r, field, q, Q):
     # m1 * m2 by the engine against m1 * T_{g_1} * ... * T_{g_k} * q^{-e}, with
     # q^{-e} T_{g_1} ... T_{g_k} = m2 the generator word of m2 (T_0 = L_1)
@@ -194,6 +199,76 @@ def test_two_step_fold_matches_generator_fold(n, r, field, q, Q):
             for g in word:
                 expected = expected * gens[g]
             assert left * alg.element({m2: field.one}) == expected.scale(alg.params.q_power(-e))
+
+
+@pytest.mark.parametrize("n,r,field,q,Q", FOLD_CASES)
+def test_products_are_bilinear_across_merged_heads(n, r, field, q, Q):
+    # the engine folds the right factor's terms of one permutation w through
+    # T_w together; a product must still be the sum of its one-term products
+    alg = make(n=n, r=r, q=q, Q=Q, field=field)
+    rng = random.Random(f"heads:{n}:{r}:{field}:{q}")
+    perms = rng.sample(range(alg._nperm), 2)
+    for _ in range(6):
+        a = random_element(alg, rng, nterms=5)
+        # b: two permutations, three L-parts each, the first of them d = 0
+        ds = [0] + rng.sample(range(1, alg._nexp), 2)
+        b = sum((alg.element({alg.basis()[d * alg._nperm + w]: field(rng.randint(1, 4))}) for w in perms for d in ds),
+                alg.zero())
+        assert len(b.ints) == 6
+        expected = sum(((a * alg.element({mono: field.one})).scale(c) for mono, c in b.terms.items()), alg.zero())
+        assert a * b == expected
+        zero = a * (b - b)
+        assert zero == alg.zero() and zero.form == (1, {})
+    # a product whose terms cancel inside the fold: (T_1 - q)(T_1 + 1) = 0
+    T1 = alg.gen_T(1)
+    zero = (T1 - alg.from_scalar(q)) * (T1 + alg.one())
+    assert zero.form == (1, {})
+
+
+def _counting_steps(monkeypatch):
+    calls = Counter()
+    for name in ("_mono_times_L", "_mono_times_T", "_L_times_normal", "_Ti_times", "_hecke_step"):
+        def counted(self, code, arg, _step=getattr(ArikiKoikeAlgebra, name)):
+            calls[_step.__name__, code, arg] += 1
+            return _step(self, code, arg)
+        monkeypatch.setattr(ArikiKoikeAlgebra, name, functools.wraps(getattr(ArikiKoikeAlgebra, name))(counted))
+    return calls
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(5)], ids=["Q", "GF5"])
+def test_each_step_runs_once_per_code_and_argument(field, monkeypatch):
+    # the fold reads a step's result from its table and calls the step only
+    # the first time, across products, stars and left multiplication
+    calls = _counting_steps(monkeypatch)
+    alg = make(n=3, r=2, q=2, Q=(1, 3), field=field)
+    rng = random.Random(17)
+    for _ in range(10):
+        a, b = random_element(alg, rng, nterms=6), random_element(alg, rng, nterms=6)
+        a * b
+        (a * b).star()
+    alg.left_mult_matrix(random_element(alg, rng))
+    assert {name for name, _, _ in calls} == {"_mono_times_L", "_mono_times_T", "_L_times_normal", "_Ti_times",
+                                              "_hecke_step"}
+    assert max(calls.values()) == 1
+
+
+def test_L_pow_r_is_derived_without_element_products(monkeypatch):
+    # the rule L_m^r is built from int forms, so no Element product (which the
+    # benchmark's tracer counts as a product asked for) runs while deriving it
+    def refuse(self, other):
+        raise AssertionError("Element.__mul__ called")
+
+    for n, r, field in ((4, 2, Rationals()), (3, 3, PrimeField(5))):
+        alg = make(n=n, r=r, q=2, Q=(1, 3, 4)[:r], field=field)
+        with monkeypatch.context() as m:
+            m.setattr(Element, "__mul__", refuse)
+            forms = [alg._L_pow_r(k) for k in range(1, n + 1)]
+        for k, form in enumerate(forms, start=1):
+            L = alg.gen_L(k)
+            power = L
+            for _ in range(r - 1):
+                power = power * L
+            assert Element(alg, *form) == power and form == field.canonical(*form)
 
 
 @pytest.mark.parametrize("field,q,Q", [

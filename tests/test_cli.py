@@ -629,12 +629,12 @@ def _no_condition_rows(alg, forms, kernel):
 
 def _condition_rows_over_den_1(alg, forms, kernel):
     # the products as the helper computes them, but each entry put over den 1
-    from ariki_koike.algebra import coordinate_rows
+    from ariki_koike.linalg import transpose
 
     for kden, kints in kernel:
         prods = [alg.field.canonical(*alg._product_into([1, {}], den, ints, kden, kints))
                  for den, ints in forms]
-        yield from coordinate_rows(alg.field, [(1, ints) for _, ints in prods])
+        yield from transpose(alg.field, [(1, ints) for _, ints in prods], alg.dim)
 
 
 @pytest.mark.parametrize("fault", [_no_condition_rows, _condition_rows_over_den_1],
