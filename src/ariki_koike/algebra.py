@@ -65,7 +65,8 @@ keys appear only where something outside the engine reads or writes them:
 `element` and `scale` take them in, and `Element.terms`, `serialize` and repr
 give them out.  `left_mult_matrix(x)` lists the products x L^d T_w in int
 form, `coordinates`, `right_annihilator` and `condition_rows` solve and take
-kernels from such products, and `TransitionMatrix.express` gives cellular
+kernels from such products, `ideal_generators` finds right-ideal generators
+of such a kernel, and `TransitionMatrix.express` gives cellular
 coordinates in int form too.  The rewriting rules themselves are derived in
 the same int form, once per key: a Hecke product and T_x L^d are folds along
 a reduced word, whose steps read q and q-1 from one int form of the pair,
@@ -82,7 +83,7 @@ from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import add
 
-from .fields import Params, SizeGuardError
+from .fields import ComputationError, Params, SizeGuardError
 from .linalg import Echelon, combination, dense, kernel_basis, solve, sparse, transpose
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
@@ -164,12 +165,17 @@ class Element:
         return {basis[k]: c for k, c in self.alg.field.from_ints(self.den, self.ints).items()}
 
     def star(self) -> "Element":
-        """The anti-automorphism fixing every generator: T_w -> T_{w^{-1}}, L_k -> L_k."""
+        """The anti-automorphism fixing every generator: T_w -> T_{w^{-1}}, L_k -> L_k.
+        The terms c L^d T_w are gathered per w, and each sum of c L^d is
+        multiplied by T_{w^{-1}} in one product."""
         alg = self.alg
-        acc = [1, {}]
+        parts: dict[int, dict] = {}
         for code, c in self.ints.items():
             w = code % alg._nperm
-            alg._product_into(acc, 1, {alg._rank[alg._perms[w].inverse()]: 1}, self.den, {code - w: c})
+            parts.setdefault(w, {})[code - w] = c
+        acc = [1, {}]
+        for w, ls in parts.items():
+            alg._product_into(acc, 1, {alg._rank[alg._perms[w].inverse()]: 1}, self.den, ls)
         return Element(alg, *alg.field.canonical(*acc))
 
     def __repr__(self):
@@ -346,6 +352,25 @@ class ArikiKoikeAlgebra:
         for kden, kints in kernel:
             yield from transpose(self.field, [
                 canonical(*self._product_into([1, {}], den, ints, kden, kints)) for den, ints in forms], self.dim)
+
+    def ideal_generators(self, kernel: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
+        """Generators k_1..k_g of span(kernel) as a right ideal, in int form.
+
+        A kernel vector that the ideal built so far does not contain becomes a
+        generator, and its products k L^d T_w (`products`) join the ideal's
+        echelon.  Certified: unless each generator lies in the ideal (then
+        every kernel vector does) and the ideal has dimension len(kernel), so
+        that it is span(kernel), this raises ComputationError."""
+        ideal, gens = Echelon(self.field), []
+        for k in kernel:
+            if not ideal.contains(*k):
+                gens.append(k)
+                for form in self.products(Element(self, *k)):
+                    ideal.add_form(*form)
+        if len(ideal) != len(kernel) or not all(ideal.contains(*k) for k in gens):
+            raise ComputationError(f"the kernel (dim {len(kernel)}) is not a right ideal: "
+                                   f"{len(gens)} of its vectors generate a right ideal of dim {len(ideal)}")
+        return gens
 
     # -- multiplication engine -------------------------------------------------
 

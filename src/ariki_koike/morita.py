@@ -19,7 +19,9 @@ exit code 2).  The two unconditional identity families (the intertwining and
 annihilation laws) are callable without the gate.
 
 V^b and rAnn(v_b) are read off the int-form products v_b L^d T_w
-(`alg.products`); a rank of elements is one `Echelon` of their forms.
+(`alg.products`); a rank of elements is one `Echelon` of their forms.  The
+conditions "x kills rAnn(v_b)" are imposed at its right-ideal generators
+(`alg.ideal_generators`), a few per level, not at every kernel vector.
 
 `MoritaSuite.run_all()` is the one entry point to the battery: the rank count,
 the per-level checks at every level b, then the checks across levels.
@@ -200,6 +202,11 @@ class MoritaSuite:
     def _vb_kernel(self, b: int) -> list[tuple[int, dict]]:
         """rAnn(v_b) = {h : v_b h = 0} in int form, solved once per level."""
         return self.alg.derived(("v_b_kernel", b), lambda: self.alg.right_annihilator(self._vb_products(b)))
+
+    def _vb_generators(self, b: int) -> list[tuple[int, dict]]:
+        """Generators of rAnn(v_b) as a right ideal, in int form, found once per
+        level: x kills rAnn(v_b) iff it kills each of them."""
+        return self.alg.derived(("v_b_generators", b), lambda: self.alg.ideal_generators(self._vb_kernel(b)))
 
     def _vb_rank(self, b: int) -> int:
         """rank V^b = dim H - dim rAnn(v_b), independent of any listing."""
@@ -483,7 +490,7 @@ class MoritaSuite:
         """Well-definedness, equivariance and independence of the maps
         v_b h -> v_st h for pairs of two-sided filtered tableaux."""
         alg = self.alg
-        kernel = [Element(alg, *k) for k in self._vb_kernel(b)]
+        generators = [Element(alg, *k) for k in self._vb_generators(b)]
         vb = self.v_basis(b)
         pairs = self.level(b).pairs
         failures = []
@@ -493,8 +500,8 @@ class MoritaSuite:
         maps = []
         for (lam, st, tt) in pairs:
             vst = alg.theta_b(b, alg.m_st(st, tt))
-            # well defined iff v_st kills rAnn(v_b), i.e. ker L_vb lies in ker L_vst
-            if any(not (vst * k).is_zero() for k in kernel):
+            # well defined iff v_st kills rAnn(v_b), i.e. each of its right-ideal generators
+            if any(not (vst * k).is_zero() for k in generators):
                 failures.append(f"map for a pair at {lam.serialize()} is ill-defined")
             else:
                 maps.append(vst)
@@ -545,8 +552,9 @@ class MoritaSuite:
         # one `solve` on rows of len(m_elems) unknowns and v_b's column, so the
         # tall system is a single call into the linalg layer
         rows = itertools.chain(
-            # homogeneous rows: coordinates of (sum z_i m_i) * k over all k in rAnn(v_b)
-            alg.condition_rows([e.form for e in m_elems], self._vb_kernel(b)),
+            # homogeneous rows: coordinates of (sum z_i m_i) * k over the right-ideal
+            # generators k of rAnn(v_b), which give the conditions of all of it
+            alg.condition_rows([e.form for e in m_elems], self._vb_generators(b)),
             # affine rows: theta_b(sum z_i m_i) = v_b
             transpose(field, [alg.theta_b(b, e).form for e in m_elems] + [alg.v_b_elem(b).form], alg.dim),
         )

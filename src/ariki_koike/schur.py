@@ -7,11 +7,12 @@ verifies the facts the Morita transfer rests on: the semistandard dimension
 formula, the explicit Hom-space bases computed by exact linear algebra, the
 splitting of the index poset, and the compatibility of theta_b with the
 tensor decomposition on the M-side.
-A Hom space is solved per pair of shapes: its conditions x k = 0, for k in
-the right annihilator of m_nu, are engine products streamed in int form into
-one echelon.  The algebra's memo keeps the products m_mu L^d T_w
-(`alg.products`, shared with the Morita battery) and, per shape, what is read
-off them: the row basis of M^mu and rAnn(m_mu).
+A Hom space is solved per pair of shapes: its conditions x k = 0, for k
+among the right-ideal generators of rAnn(m_nu) (`alg.ideal_generators`; x k_j
+= 0 for each j gives x k = 0 on the whole ideal), are engine products
+streamed in int form into one echelon.  The algebra's memo keeps the products
+m_mu L^d T_w (`alg.products`, shared with the Morita battery) and, per shape,
+what is read off them: the row basis of M^mu and the generators of rAnn(m_mu).
 """
 
 from __future__ import annotations
@@ -66,15 +67,16 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
 
     Direct computation: a map is determined by the image x of the cyclic
     generator m_nu; x must lie in M^mu and kill the right annihilator of
-    m_nu.  The returned dict carries the solved dimension, the semistandard
-    pair count, and whether every basis map lands in the solved space.
+    m_nu, that is, each of its right-ideal generators.  The returned dict
+    carries the solved dimension, the semistandard pair count, and whether
+    every basis map lands in the solved space.
     """
     field = alg.field
     mu_basis = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
-    ann = alg.derived(("right_annihilator", nu),
-                      lambda: alg.right_annihilator(alg.products(alg.m_lambda(nu))))
-    # solve: x in span(mu_basis) with x k = 0 for all k in ann
-    sols = kernel_basis(Echelon(field, alg.condition_rows(mu_basis, ann)), len(mu_basis))
+    gens = alg.derived(("ann_generators", nu), lambda: alg.ideal_generators(
+        alg.right_annihilator(alg.products(alg.m_lambda(nu)))))
+    # solve: x in span(mu_basis) with x k = 0 for each right-ideal generator k of rAnn(m_nu)
+    sols = kernel_basis(Echelon(field, alg.condition_rows(mu_basis, gens)), len(mu_basis))
     maps = Echelon(field, (combination(field, v, mu_basis) for v in sols))
 
     expected = 0

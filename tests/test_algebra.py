@@ -7,11 +7,12 @@ from math import gcd
 import pytest
 
 from ariki_koike.algebra import ArikiKoikeAlgebra, Element, random_element
-from ariki_koike.fields import FpElement, Params, PrimeField, Rationals, SizeGuardError
-from ariki_koike.linalg import dense, inverse, rank, solve
+from ariki_koike.fields import ComputationError, FpElement, Params, PrimeField, Rationals, SizeGuardError
+from ariki_koike.linalg import Echelon, dense, inverse, kernel_basis, rank, solve, transpose
 from ariki_koike.perms import all_permutations, identity, s_interval
 from ariki_koike.tableaux import (
     MultiPartition,
+    multicompositions,
     multipartitions,
     omega_b,
     std_tableaux,
@@ -225,6 +226,21 @@ def test_products_are_bilinear_across_merged_heads(n, r, field, q, Q):
     assert zero.form == (1, {})
 
 
+@pytest.mark.parametrize("n,r,field,q,Q", FOLD_CASES)
+def test_star_is_the_sum_of_its_one_term_images(n, r, field, q, Q):
+    # star multiplies T_{w^{-1}} by the gathered sum of c L^d over the terms
+    # c L^d T_w of one permutation w; it must equal the sum of the one-term
+    # images c T_{w^{-1}} L^d
+    alg = make(n=n, r=r, q=q, Q=Q, field=field)
+    rng = random.Random(f"star:{n}:{r}:{field}:{q}")
+    full = alg.element({m: field(i % 7 - 3) for i, m in enumerate(alg.basis())})
+    for a in [full] + [random_element(alg, rng, nterms=8) for _ in range(6)]:
+        expected = sum((alg.t_elem(w.inverse()) * alg.element({(d, identity(n)): c})
+                        for (d, w), c in a.terms.items()), alg.zero())
+        assert a.star() == expected
+    assert alg.zero().star() == alg.zero()
+
+
 def _counting_steps(monkeypatch):
     calls = Counter()
     for name in ("_mono_times_L", "_mono_times_T", "_L_times_normal", "_Ti_times", "_hecke_step"):
@@ -428,6 +444,65 @@ def test_condition_rows_span_the_dense_conditions(field, q, Q):
     if isinstance(field, Rationals):  # the products reach dens > 1
         assert max(dens) > 1
     assert list(alg.condition_rows([x.form for x in xs], [])) == []
+
+
+def _annihilators(alg):
+    """rAnn(m_lambda) for every multicomposition lambda and rAnn(v_b) for every
+    level b, each as the kernel basis `right_annihilator` gives."""
+    elems = [alg.m_lambda(lam) for lam in multicompositions(alg.n, alg.r)]
+    elems += [alg.v_b_elem(b) for b in range(alg.n + 1)]
+    return [alg.right_annihilator(alg.products(x)) for x in elems]
+
+
+def _one_row_kernel(alg, products):
+    """The kernel of the first nonzero coordinate row of the products x L^d T_w:
+    a hyperplane that holds rAnn(x) and more."""
+    first = next(row for row in transpose(alg.field, products, alg.dim) if row[1])
+    return kernel_basis(Echelon(alg.field, [first]), alg.dim)
+
+
+ANNIHILATOR_CASES = [(Rationals(), 2, (1, 5)), (PrimeField(5), 2, (1, 4))]
+
+
+@pytest.mark.parametrize("field,q,Q", ANNIHILATOR_CASES, ids=["Q", "GF5"])
+def test_ideal_generators_span_each_annihilator(field, q, Q):
+    # the products k L^d T_w of the generators span exactly span(rAnn(y)), for
+    # y = each m_lambda and each v_b; the generators are kernel vectors, at most
+    # as many as the kernel has, and none for an empty kernel
+    alg = make(n=2, r=2, q=q, Q=Q, field=field)
+    sizes = []
+    for kernel in _annihilators(alg):
+        gens = alg.ideal_generators(kernel)
+        assert all(k in kernel for k in gens) and len(gens) <= len(kernel)
+        assert bool(gens) == bool(kernel)
+        ideal = Echelon(field, (form for k in gens for form in alg.left_mult_matrix(Element(alg, *k))))
+        assert ideal.rows == Echelon(field, kernel).rows
+        sizes.append((len(kernel), len(gens)))
+    assert min(sizes) == (0, 0) and any(g < k for k, g in sizes)
+    assert alg.ideal_generators([]) == []
+
+
+@pytest.mark.parametrize("field,q,Q", ANNIHILATOR_CASES, ids=["Q", "GF5"])
+def test_ideal_generators_refuse_a_subspace_that_is_not_a_right_ideal(field, q, Q):
+    alg = make(n=2, r=2, q=q, Q=Q, field=field)
+    for b in range(alg.n + 1):
+        kernel = _one_row_kernel(alg, alg.products(alg.v_b_elem(b)))
+        assert len(kernel) == alg.dim - 1
+        with pytest.raises(ComputationError, match="not a right ideal"):
+            alg.ideal_generators(kernel)
+
+
+@pytest.mark.parametrize("suite", ["morita", "schur"])
+def test_a_kernel_that_is_not_a_right_ideal_exits_4(suite, monkeypatch, capsys):
+    # every annihilator read off the products becomes a one-row kernel: the
+    # generator search refuses it, and the CLI reports one line, exit 4
+    from ariki_koike.cli import main
+
+    monkeypatch.setattr(ArikiKoikeAlgebra, "right_annihilator", _one_row_kernel)
+    code = main(["verify", "--suite", suite, "--n", "2", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,5"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.count("\n") == 1 and err.startswith("computation failed: ") and "not a right ideal" in err
 
 
 def test_u_elements():

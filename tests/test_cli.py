@@ -439,7 +439,7 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
     for b in range(3):
-        for name in ("theta_head", "v_b", "v_b_kernel"):
+        for name in ("theta_head", "v_b", "v_b_kernel", "v_b_generators"):
             assert builds[(2, 3, (name, b))] == 1, (name, b)
     assert all(count == 1 for count in builds.values()), builds
     # u_{n-b}^- enters only through the memoized head of theta_b
@@ -470,13 +470,37 @@ def count_left_mult_matrix(monkeypatch):
 
 def test_products_taken_once_per_element(monkeypatch, capsys):
     # Morita's v_b and m_{omega_b} and Schur's m_mu share one products memo, so
-    # an element that two suites (or two roles) need is multiplied out once
+    # an element that two suites (or two roles) need is multiplied out once;
+    # so is each right-ideal generator of rAnn(v_b) and rAnn(m_mu), whose
+    # products the generator search reads and which are counted apart
+    from ariki_koike import algebra
+
     calls = count_left_mult_matrix(monkeypatch)
+    battery, generators, searching = set(), set(), []
+    products, ideal_generators = algebra.ArikiKoikeAlgebra.products, algebra.ArikiKoikeAlgebra.ideal_generators
+
+    def reading(self, elem):
+        if not searching:
+            battery.add((elem.den, frozenset(elem.ints.items())))
+        return products(self, elem)
+
+    def search(self, kernel):
+        searching.append(kernel)
+        try:
+            gens = ideal_generators(self, kernel)
+        finally:
+            searching.pop()
+        generators.update((den, frozenset(ints.items())) for den, ints in gens)
+        return gens
+
+    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "products", reading)
+    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "ideal_generators", search)
     code, _, _ = run_cli(["verify", "--suite", "all", "--n", "2", "--r", "3", "--s", "1",
                           "--q", "2", "--Q", "1,5,7"], capsys)
     assert code == 0
     assert all(count == 1 for count in calls.values()), calls
-    assert len(calls) == 11
+    assert calls.keys() == battery | generators
+    assert len(battery) == 11 and len(generators) == 13 and len(calls) == 23
 
 
 @pytest.mark.parametrize("r, n, admitted", [
@@ -579,31 +603,36 @@ def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
 def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, capsys):
     from ariki_koike import algebra, morita
 
-    calls, inverting, inverted = [], [], []
+    calls, inside, inverted = [], [], []
 
     def counting(owner, name):
         fn = getattr(owner, name)
 
         def counted(*args):
-            calls.append("transition" if inverting else name)
+            calls.append(inside[-1] if inside else name)
             return fn(*args)
         monkeypatch.setattr(owner, name, counted)
 
-    inverse = algebra.TransitionMatrix.inverse
+    def apart(owner, name, label, seen):
+        fn = getattr(owner, name)
 
-    def inverse_apart(trans):
-        inverted.append(trans)
-        inverting.append(trans)
-        try:
-            return inverse(trans)
-        finally:
-            inverting.pop()
-    monkeypatch.setattr(algebra.TransitionMatrix, "inverse", inverse_apart)
+        def wrapped(self, *args):
+            seen.append(self)
+            inside.append(label)
+            try:
+                return fn(self, *args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, wrapped)
 
     # every elimination the battery reads solutions or a kernel off: the one
     # solve of each `alg.coordinates`, the complement's solve, and the echelon
-    # whose free columns give rAnn(v_b) (the transition's own echelon, once per
-    # algebra, also sits in `algebra` and is counted apart)
+    # whose free columns give rAnn(v_b); the transition's own echelon, once per
+    # algebra, and the generator search's, once per level, also sit in
+    # `algebra` and are counted apart
+    searched = []
+    apart(algebra.TransitionMatrix, "inverse", "transition", inverted)
+    apart(algebra.ArikiKoikeAlgebra, "ideal_generators", "generators", searched)
     counting(algebra.ArikiKoikeAlgebra, "coordinates")
     counting(algebra, "Echelon")
     counting(morita, "solve")
@@ -618,9 +647,11 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
     assert calls.count("Echelon") == 3
     assert calls.count("solve") == 3
     assert calls.count("coordinates") == 3 * 3
-    assert len(calls) - calls.count("transition") == 5 * 3
+    assert len(calls) - calls.count("transition") - calls.count("generators") == 5 * 3
     # one echelon per transition, however often its inverse is read
     assert calls.count("transition") == len({id(trans) for trans in inverted}) > 1
+    # one generator search, and so one echelon, per level
+    assert calls.count("generators") == len(searched) == 3
 
 
 def _no_condition_rows(alg, forms, kernel):
@@ -650,6 +681,22 @@ def test_wrong_condition_rows_fail_schur_and_morita(fault, monkeypatch, capsys):
     code, _, _ = run_cli(["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
                           "--q", "3", "--Q", "8,2,3"], capsys)
     assert code != 0
+
+
+@pytest.mark.parametrize("suite, check", [("morita", "morita.regular_decomposition"),
+                                          ("schur", "schur.hom_space")])
+def test_too_few_ideal_generators_fail_the_annihilator_systems(suite, check, monkeypatch, capsys):
+    # with the generators cut to the first, "x kills rAnn(y)" is imposed on a
+    # smaller ideal: the complement's solution or a Hom space comes out wrong
+    from ariki_koike.algebra import ArikiKoikeAlgebra
+
+    ideal_generators = ArikiKoikeAlgebra.ideal_generators
+    monkeypatch.setattr(ArikiKoikeAlgebra, "ideal_generators",
+                        lambda self, kernel: ideal_generators(self, kernel)[:1])
+    code, out, _ = run_cli(["verify", "--suite", suite, "--n", "2", "--r", "2", "--s", "1",
+                            "--q", "2", "--Q", "1,5"], capsys)
+    failed = {row["check"] for row in json.loads(out) if row["status"] == "fail"}
+    assert code == 1 and check in failed
 
 
 def test_saturated_row_fails_when_every_set_passes_as_saturated(monkeypatch, capsys):

@@ -295,13 +295,19 @@ def test_filtration_fails_without_raising_when_v_action_leaves_v_b(monkeypatch):
 def test_end_basis_ill_defined_against_a_smaller_row_space(monkeypatch):
     from ariki_koike.linalg import Echelon, kernel_basis, transpose
 
+    from ariki_koike.algebra import Element
+
     suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
     assert all_ok(suite.verify_end_basis(1))
-    # the kernel of one row of left multiplication by v_b is larger than rAnn(v_b)
+    # the kernel of one row of left multiplication by v_b is larger than rAnn(v_b):
+    # one of its vectors that v_b does not kill joins the true generators
     first = next(row for row in transpose(suite.field, suite._vb_products(1), suite.alg.dim) if row[1])
     kernel = kernel_basis(Echelon(suite.field, [first]), suite.alg.dim)
     assert len(kernel) > len(suite._vb_kernel(1))
-    monkeypatch.setattr(suite, "_vb_kernel", lambda b: kernel)
+    vb = suite.alg.v_b_elem(1)
+    outside = next(k for k in kernel if not (vb * Element(suite.alg, *k)).is_zero())
+    generators = suite._vb_generators(1) + [outside]
+    monkeypatch.setattr(suite, "_vb_generators", lambda b: generators)
     (row,) = suite.verify_end_basis(1)
     assert row.status == "fail" and "ill-defined" in row.detail
 
