@@ -35,7 +35,7 @@ for lam in multipartitions(2, 2):
         for t in std_tableaux(lam):
             for k in (1, 2):
                 coords = alg.field.from_ints(*trans.express(alg.gen_L(k) * alg.m_st(s, t)))
-                diag = coords.get(trans.cells.index((lam, s, t)), alg.field.zero)
+                diag = coords.get(trans.index[s, t], alg.field.zero)
                 res = tableau_residue(s, k, params)
                 assert diag == res
     print(f"  shape {lam.serialize()}: diagonal coefficients match the residues")

@@ -67,10 +67,12 @@ give them out.  `left_mult_matrix(x)` lists the products x L^d T_w in int
 form, `coordinates`, `right_annihilator` and `condition_rows` solve and take
 kernels from such products, `ideal_generators` finds right-ideal generators
 of such a kernel, and `TransitionMatrix.express` gives cellular
-coordinates in int form too.  The rewriting rules themselves are derived in
-the same int form, once per key: a Hecke product and T_x L^d are folds along
-a reduced word, whose steps read q and q-1 from one int form of the pair,
-and L_m^r (m >= 2) is built from int forms by `_product_into`.
+coordinates in int form too.  The transition is the one place a cell element
+m_st is computed; `m_st` and `m_semi` read its forms.  The rewriting rules
+themselves are derived in the same int form, once per key: a Hecke product
+and T_x L^d are folds along a reduced word, whose steps read q and q-1 from
+one int form of the pair, and L_m^r (m >= 2) is built from int forms by
+`_product_into`.
 Field values enter the rules only as the parameters q and Q.
 """
 
@@ -627,35 +629,25 @@ class ArikiKoikeAlgebra:
         return Element(self, *self.derived(("m_lambda", lam), lambda: (self.u_plus(lam) * self.x_lambda(lam)).form))
 
     def m_st(self, s: StandardTableau, t: StandardTableau) -> Element:
+        """The cell element m_st, read from the transition's forms."""
         if s.shape != t.shape:
             raise ValueError("tableaux have different shapes")
-        mlam = self.m_lambda(s.shape)
-        return self.t_elem(d_of(s).inverse()) * mlam * self.t_elem(d_of(t))
+        trans = self.transition()
+        return Element(self, *trans.forms[trans.index[s, t]])
 
-    def m_semi(self, S: SemistandardTableau, t: StandardTableau) -> Element:
-        """m_{St} = sum of m_{st} over standard s with mu(s) = S."""
-        lam = S.shape
-        if lam != t.shape:
-            raise ValueError("shape mismatch")
-        out = self.zero()
-        for s in std_tableaux(lam):
-            if mu_map(s, S.mu) == S:
-                out = out + self.m_st(s, t)
-        return out
-
-    def m_semi2(self, S: SemistandardTableau, T: SemistandardTableau) -> Element:
-        """m_{ST} = sum of m_{st} over mu(s) = S and nu(t) = T."""
+    def m_semi(self, S: SemistandardTableau, T: SemistandardTableau) -> Element:
+        """m_{ST} = sum of m_{st} over standard s, t with mu(s) = S and nu(t) = T:
+        one combination of the transition's forms.  A standard t enters as
+        mu_map(t, omega(n, r))."""
         lam = S.shape
         if lam != T.shape:
             raise ValueError("shape mismatch")
-        out = self.zero()
-        for s in std_tableaux(lam):
-            if mu_map(s, S.mu) != S:
-                continue
-            for t in std_tableaux(lam):
-                if mu_map(t, T.mu) == T:
-                    out = out + self.m_st(s, t)
-        return out
+        trans = self.transition()
+        tabs = std_tableaux(lam)
+        left = [s for s in tabs if mu_map(s, S.mu) == S]
+        right = [t for t in tabs if mu_map(t, T.mu) == T]
+        picked = {trans.index[s, t]: 1 for s in left for t in right}
+        return Element(self, *combination(self.field, (1, picked), trans.forms))
 
     # -- the splitting elements ---------------------------------------------------
 
@@ -695,7 +687,8 @@ class ArikiKoikeAlgebra:
 
 class TransitionMatrix:
     """Change of basis between normal-form monomials and the cellular basis,
-    forms[i] being m_st of cells[i] in int form.
+    forms[i] being m_st = T_{d(s)}^* m_lam T_{d(t)} of cells[i] in int form
+    and index[s, t] = i: the one place a cell element is computed.
 
     Kept in its algebra's memo, so it holds the algebra only weakly."""
 
@@ -705,7 +698,9 @@ class TransitionMatrix:
         self.cells = alg.cell_data()
         if len(self.cells) != alg.dim:
             raise ValueError(f"cellular data count {len(self.cells)} != rank {alg.dim}")
-        self.forms = [alg.m_st(s, t).form for (_, s, t) in self.cells]
+        self.index = {(s, t): i for i, (_, s, t) in enumerate(self.cells)}
+        self.forms = [(alg.t_elem(d_of(s).inverse()) * alg.m_lambda(lam) * alg.t_elem(d_of(t))).form
+                      for lam, s, t in self.cells]
         self._inverse: list[tuple[int, dict]] | None = None
 
     def inverse(self) -> list[tuple[int, dict]]:

@@ -87,7 +87,7 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
         expected += len(s_count) * len(t_count)
         for S in s_count:
             for T in t_count:
-                members.append(alg.m_semi2(S, T))
+                members.append(alg.m_semi(S, T))
 
     return {
         "dim": len(sols),

@@ -100,7 +100,7 @@ def _gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> Rows:
     if alg.n == 0:
         return [(1, {0: 1})]
     trans = alg.transition()
-    top_cell = trans.cells.index((lam, top, top))
+    top_cell = trans.index[top, top]
     g = []
     for s in tabs:
         left = alg.m_st(top, s)

@@ -6,6 +6,10 @@ cellular change of basis with its triangularity, and the module-level facts
 (action relations, Gram symmetry and invariance, semisimple dimension
 counts, block partition, decomposition matrices).  Each takes the algebra
 of the run, so all suites share its transition, modules and forms.
+The cell elements are read from the transition, and the layer ideals are
+checked in cellular coordinates: each m_uv T_g and T_g m_uv must lie on shapes
+dominating the shape of (u, v), which by transitivity of dominance is the
+closure of every N^{>=lam} and N^{>lam} under the generators.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .specht import (
 )
 from .tableaux import (
     content,
+    dominates,
     multipartitions,
     std_tableaux,
     strictly_dominates,
@@ -186,22 +191,13 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
 
     failures = []
     gens = [alg.gen_T(g) for g in range(alg.n)]
-    for lam in multipartitions(alg.n, alg.r):
-        for strict in (False, True):
-            elems = []
-            for mu in multipartitions(alg.n, alg.r):
-                keep = strictly_dominates(mu, lam) if strict else (
-                    mu == lam or strictly_dominates(mu, lam))
-                if not keep:
-                    continue
-                for u in std_tableaux(mu):
-                    for v in std_tableaux(mu):
-                        elems.append(alg.m_st(u, v))
-            ideal = Echelon(alg.field, [e.form for e in elems])
-            if not all(ideal.contains(*(e * t).form) for e in elems for t in gens):
-                failures.append("right multiplication leaves the layer ideal")
-            if not all(ideal.contains(*(t * e).form) for e in elems for t in gens):
-                failures.append("left multiplication leaves the layer ideal")
+    lams = multipartitions(alg.n, alg.r)
+    above = {lam: {mu for mu in lams if dominates(mu, lam)} for lam in lams}
+    for lam, u, v in trans.cells:
+        m = alg.m_st(u, v)
+        for side, products in (("right", [m * t for t in gens]), ("left", [t * m for t in gens])):
+            if not all(trans.cells[i][0] in above[lam] for e in products for i in trans.express(e)[1]):
+                failures.append(f"{side} multiplication leaves the layer ideal")
     out.append(result("cellular.layer_ideals", REF_IDEALS, pd, not failures,
                       "; ".join(sorted(set(failures))[:2])))
 

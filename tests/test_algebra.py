@@ -12,6 +12,7 @@ from ariki_koike.linalg import Echelon, dense, inverse, kernel_basis, rank, solv
 from ariki_koike.perms import all_permutations, identity, s_interval
 from ariki_koike.tableaux import (
     MultiPartition,
+    d_of,
     multicompositions,
     multipartitions,
     omega_b,
@@ -565,11 +566,11 @@ def test_m_semi_column_type_recovers_cell_elements():
     for lam in multipartitions(2, 2):
         for s in std_tableaux(lam):
             for t in std_tableaux(lam):
-                assert alg.m_semi(mu_map(s, w), t) == alg.m_st(s, t)
+                assert alg.m_semi(mu_map(s, w), mu_map(t, w)) == alg.m_st(s, t)
 
 
 def test_m_semi_single_entry():
-    from ariki_koike.tableaux import mu_map, multicompositions
+    from ariki_koike.tableaux import mu_map, multicompositions, omega
 
     alg = make(n=1)
     for lam in multipartitions(1, 2):
@@ -577,10 +578,10 @@ def test_m_semi_single_entry():
         for mu in multicompositions(1, 2):
             S = mu_map(t, mu)
             if S.is_semistandard():
-                assert alg.m_semi(S, t) == alg.m_st(t, t)
+                assert alg.m_semi(S, mu_map(t, omega(1, 2))) == alg.m_st(t, t)
 
 
-def test_m_semi2_star():
+def test_m_semi_star():
     from ariki_koike.tableaux import multicompositions, semistandard
 
     alg = make(n=2)
@@ -589,7 +590,35 @@ def test_m_semi2_star():
             for nu in multicompositions(2, 2):
                 for S in semistandard(lam, mu):
                     for T in semistandard(lam, nu):
-                        assert alg.m_semi2(S, T).star() == alg.m_semi2(T, S)
+                        assert alg.m_semi(S, T).star() == alg.m_semi(T, S)
+
+
+def direct_cell(alg, s, t):
+    """m_st = T_{d(s)}^* m_lam T_{d(t)} by its defining product, without the transition."""
+    return alg.t_elem(d_of(s).inverse()) * alg.m_lambda(s.shape) * alg.t_elem(d_of(t))
+
+
+@pytest.mark.parametrize("field,Q", [(Rationals(), (1, 5)), (PrimeField(5), (1, 3))], ids=["Q", "GF5"])
+def test_transition_forms_are_the_defining_products(field, Q):
+    from ariki_koike.tableaux import mu_map, semistandard
+
+    alg = make(n=3, Q=Q, field=field)
+    trans = alg.transition()
+    for i, (lam, s, t) in enumerate(trans.cells):
+        assert trans.index[s, t] == i
+        assert trans.forms[i] == direct_cell(alg, s, t).form
+    for lam in multipartitions(3, 2):
+        tabs = std_tableaux(lam)
+        for mu in multicompositions(3, 2):
+            for nu in multicompositions(3, 2):
+                for S in semistandard(lam, mu):
+                    for T in semistandard(lam, nu):
+                        expected = alg.zero()
+                        for s in tabs:
+                            for t in tabs:
+                                if mu_map(s, mu) == S and mu_map(t, nu) == T:
+                                    expected = expected + direct_cell(alg, s, t)
+                        assert alg.m_semi(S, T) == expected
 
 
 def test_transition_n1_r2():
@@ -610,10 +639,11 @@ def test_transition_n1_r2():
 ], ids=["n0", "n2-r2-Q", "n2-r2-GF5", "n1-r3"])
 def test_transition_inverse_matches_the_dense_inverse(n, r, field, Q):
     # row k of the inverse (the cellular coordinates of the monomial with code
-    # k) against linalg.inverse of the dense cell matrix, row i = m_st of cell i
+    # k) against linalg.inverse of the dense cell matrix, row i = the defining
+    # product of m_st of cell i
     alg = make(n=n, r=r, Q=Q, field=field)
     trans = alg.transition()
-    cells = [dense(field, alg.m_st(s, t).form, alg.dim) for (_, s, t) in alg.cell_data()]
+    cells = [dense(field, direct_cell(alg, s, t).form, alg.dim) for (_, s, t) in alg.cell_data()]
     got = [dense(field, row, alg.dim) for row in trans.inverse()]
     assert got == inverse(cells, field) and len(got) == alg.dim
 
@@ -650,6 +680,9 @@ def test_transition_size_guard():
     )
     with pytest.raises(SizeGuardError):
         alg.transition()
+    top = t_row(MultiPartition([[3], []]))
+    with pytest.raises(SizeGuardError):
+        alg.m_st(top, top)
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2)])

@@ -304,6 +304,55 @@ def test_gram_invariance_fails_on_a_changed_entry(entries, detail, monkeypatch, 
     assert _failed_rows(out)["specht.gram_invariance"] == detail
 
 
+CELLULAR_N2 = ["verify", "--suite", "cellular", "--n", "2", "--r", "2", "--q", "2", "--Q", "1,5"]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_layer_ideals_fail_on_a_product_below_its_shape(side, monkeypatch, capsys):
+    # once the transition is built, m T_i (right) or T_i m (left), i >= 1, gains
+    # the cell element of the least shape, which dominates no other shape
+    from ariki_koike.algebra import Element
+    from ariki_koike.tableaux import dominates, multipartitions, t_row
+
+    mul = Element.__mul__
+
+    def faulty(a, b):
+        out = mul(a, b)
+        alg = a.alg
+        if "transition" not in alg._derived:
+            return out
+        gens = {alg.gen_T(i) for i in range(1, alg.n)}
+        if (b in gens and a not in gens) if side == "right" else (a in gens and b not in gens):
+            lams = multipartitions(alg.n, alg.r)
+            least = t_row(next(mu for mu in lams if all(dominates(lam, mu) for lam in lams)))
+            out = out + alg.m_st(least, least)
+        return out
+
+    monkeypatch.setattr(Element, "__mul__", faulty)
+    code, out, _ = run_cli(CELLULAR_N2, capsys)
+    assert code == 1
+    assert _failed_rows(out) == {"cellular.layer_ideals": f"{side} multiplication leaves the layer ideal"}
+
+
+def test_layer_ideals_fail_when_dominance_is_narrowed_to_equality(monkeypatch, capsys):
+    from ariki_koike import suites
+
+    monkeypatch.setattr(suites, "dominates", lambda lam, mu: lam == mu)
+    code, out, _ = run_cli(CELLULAR_N2, capsys)
+    assert code == 1
+    assert _failed_rows(out) == {"cellular.layer_ideals": "left multiplication leaves the layer ideal; "
+                                                          "right multiplication leaves the layer ideal"}
+
+
+def test_star_swap_fails_when_star_is_the_identity(monkeypatch, capsys):
+    from ariki_koike.algebra import Element
+
+    monkeypatch.setattr(Element, "star", lambda self: self)
+    code, out, _ = run_cli(CELLULAR_N2, capsys)
+    assert code == 1
+    assert _failed_rows(out) == {"cellular.star_swap": "[[1],[1]]; [[1],[1]]"}
+
+
 MORITA_N2 = ["verify", "--suite", "morita", "--n", "2", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,5"]
 
 
