@@ -12,7 +12,9 @@ and then each head is folded times T_w once, so a product makes one T fold
 per distinct w of its right factor.  `_fold` applies a step to every
 monomial of its input and looks the step's result up in a table, one per
 (step, argument), kept for the lifetime of the algebra; it calls the step
-only on a miss, so each step runs once per (monomial, argument).
+only on a miss, so each step runs once per (monomial, argument).  These
+tables, `_steps`, are the engine's one memo: `_rule` reads the rules used
+outside a fold (T_x L^d, the normal form of L^exp T_w, L_m^r) from them too.
 
 Step 1, times L^d: (L^a T_x) L^d = L^a (T_x L^d).  T_x L^d is computed once
 per (x, d) by pushing L^d leftward through a reduced word of x, one T_i at a
@@ -28,8 +30,12 @@ which never raise an exponent above the largest of d, and then step 2 for
 the T_y.  Each term L^f T_y of T_x L^d then becomes L^{a+f} T_y, brought to
 normal form below.
 
-Step 2, times T_w: L^h T_y T_w = L^h (T_y T_w), with T_y T_w expanded by the
-Hecke rule T_y T_s = T_{ys} if l(ys) > l(y), else q T_{ys} + (q-1) T_y.
+Step 2, times T_w: L^h T_y T_w = L^h (T_y T_w), so an entry at h > 0 is the
+entry at h = 0 shifted, and the table at h = 0 is the Hecke table: T_y T_1 is
+T_y, T_y T_s = T_{ys} if l(ys) > l(y), else q T_{ys} + (q-1) T_y (the Hecke
+rule), and any other T_y T_w is one fold (T_y T_v) T_s, for w = v s with
+l(w) = l(v) + 1 and s = s_i for the first right descent i of w, so no
+reduced word is walked.
 
 An exponent that overflows to d_m >= r is eliminated through the normal form
 of L_m^r, computed once per m by induction on m: the cyclotomic relation
@@ -69,10 +75,10 @@ kernels from such products, `ideal_generators` finds right-ideal generators
 of such a kernel, and `TransitionMatrix.express` gives cellular
 coordinates in int form too.  The transition is the one place a cell element
 m_st is computed; `m_st` and `m_semi` read its forms.  The rewriting rules
-themselves are derived in the same int form, once per key: a Hecke product
-and T_x L^d are folds along a reduced word, whose steps read q and q-1 from
-one int form of the pair, and L_m^r (m >= 2) is built from int forms by
-`_product_into`.
+themselves are derived in the same int form, once per key: T_x T_w is one
+fold step from T_x T_v, T_x L^d is a fold along a reduced word of x, whose
+steps read q and q-1 from one int form of the pair, and L_m^r (m >= 2) is
+built from int forms by `_product_into`.
 Field values enter the rules only as the parameters q and Q.
 """
 
@@ -226,12 +232,7 @@ class ArikiKoikeAlgebra:
         # monomial codes: L^d T_w is dindex(d) * n! + rank(w), its position in basis();
         # the tables behind them are built on first use, so a refused size builds none
         self._nperm, self._nexp = factorial(self.n), self.r ** self.n
-        # engine caches, keyed on codes and ranks: see the methods that fill them
-        self._hecke_cache: dict[int, tuple[int, dict]] = {}
-        self._Lr_cache: dict[int, dict] = {}
-        self._normalL_cache: dict[tuple[tuple[int, ...], int], tuple[int, dict]] = {}
-        self._TL_cache: dict[int, tuple[int, dict]] = {}
-        # the step tables of _fold: (step name, arg) -> {code: step(code, arg)}
+        # the engine's one memo, the step tables of _fold and _rule: (step name, arg) -> {key: step(key, arg)}
         self._steps: defaultdict[tuple, dict] = defaultdict(dict)
         self._derived: dict = {}
         # q and q - 1 as one int form (den, {0: q, 1: q - 1}); key 1 is absent at q = 1
@@ -244,6 +245,13 @@ class ArikiKoikeAlgebra:
     @cached_property
     def _rank(self) -> dict[Permutation, int]:
         return {w: i for i, w in enumerate(self._perms)}
+
+    @cached_property
+    def _descent(self) -> list[tuple[int, int] | None]:
+        """Per rank of w, None for the identity, else the ranks of v and s = s_i
+        with w = v s and l(w) = l(v) + 1, for the first right descent i of w."""
+        return [None] + [(self._rank[w.times_s(i)], self._rank[simple_transposition(i, self.n)])
+                         for w in self._perms[1:] for i in w.right_descents()[:1]]
 
     @cached_property
     def _exps(self) -> list[tuple[int, ...]]:
@@ -293,7 +301,7 @@ class ArikiKoikeAlgebra:
         if not (1 <= k <= self.n):
             raise ValueError(f"L_{k} does not exist for n={self.n}")
         exp = tuple(1 if m == k else 0 for m in range(1, self.n + 1))
-        return Element(self, *self._normal_L(exp, 0))
+        return Element(self, *self._rule(self._normal_L, exp, 0))
 
     def t_elem(self, w: Permutation) -> Element:
         if w.n != self.n:
@@ -349,11 +357,11 @@ class ArikiKoikeAlgebra:
     def condition_rows(self, forms: list[tuple[int, dict]], kernel: list[tuple[int, dict]]):
         """The rows of the conditions (sum_i z_i x_i) k = 0, x_i = forms[i], for each
         int form k of `kernel`, yielded k by k: one engine product x_i k per i,
-        then the coordinate rows of the products (`transpose`)."""
+        then the nonzero coordinate rows of the products (`transpose`)."""
         canonical = self.field.canonical
         for kden, kints in kernel:
-            yield from transpose(self.field, [
-                canonical(*self._product_into([1, {}], den, ints, kden, kints)) for den, ints in forms], self.dim)
+            prods = [canonical(*self._product_into([1, {}], den, ints, kden, kints)) for den, ints in forms]
+            yield from (row for row in transpose(self.field, prods, self.dim) if row[1])
 
     def ideal_generators(self, kernel: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
         """Generators k_1..k_g of span(kernel) as a right ideal, in int form.
@@ -440,6 +448,13 @@ class ArikiKoikeAlgebra:
         acc[0] = D
         return acc
 
+    def _rule(self, step, key, arg=None) -> tuple[int, dict]:
+        """step(key, arg), read from the table `_fold` reads it from; the step is called only on a miss."""
+        table = self._steps[step.__name__, arg]
+        if key not in table:
+            table[key] = step(key, arg)
+        return table[key]
+
     def _mono_times_gen(self, mono: Monomial, g: int) -> dict:
         """mono * T_g in normal form, where T_0 = L_1, as {code: int}."""
         return (self.element({mono: self.field.one}) * self.gen_T(g)).ints
@@ -448,34 +463,43 @@ class ArikiKoikeAlgebra:
         """(L^a T_x) L^d in normal form, for the codes of L^a T_x and of L^d:
         T_x L^d = sum c L^f T_y, then L^{a+f} T_y by _normal_L."""
         a, x = divmod(code, self._nperm)
-        return self.field.canonical(*self._fold(*self._T_times_L(x, d), self._L_times_normal, self._exps[a]))
+        return self.field.canonical(*self._fold(*self._rule(self._T_times_L, x, d), self._L_times_normal,
+                                                self._exps[a]))
 
     def _L_times_normal(self, code: int, a: tuple[int, ...]) -> tuple[int, dict]:
         """L^a (L^f T_y) in normal form, for the code of L^f T_y."""
         f, y = divmod(code, self._nperm)
-        return self._normal_L(tuple(map(add, a, self._exps[f])), y)
+        return self._rule(self._normal_L, tuple(map(add, a, self._exps[f])), y)
 
     def _mono_times_T(self, code: int, w: int) -> tuple[int, dict]:
         """(L^d T_x) T_w in normal form, for the code of L^d T_x and the rank
-        of w: L^d (T_x T_w), whose codes are those of T_x T_w plus L^d's base."""
+        of w: at d = 0 the Hecke table (step 2 of the module docstring), and
+        at d > 0 the entry at d = 0 with L^d's base added to its codes."""
         x = code % self._nperm
         base = code - x
-        den, prod = self._hecke_prod(x, w)
-        return den, {base + y: c for y, c in prod.items()}
+        if base:
+            den, prod = self._rule(self._mono_times_T, x, w)
+            return den, {base + y: c for y, c in prod.items()}
+        if not w:  # rank 0 is the identity
+            return 1, {x: 1}
+        v, s = self._descent[w]
+        if v:
+            return self.field.canonical(*self._fold(*self._rule(self._mono_times_T, x, v), self._mono_times_T, s))
+        y = self._perms[x]
+        ys = y * self._perms[s]
+        if ys.length() > y.length():
+            return 1, {self._rank[ys]: 1}
+        qden, qints = self._q_form
+        return qden, {(self._rank[ys], x)[k]: c for k, c in qints.items()}
 
     def _T_times_L(self, x: int, d: int) -> tuple[int, dict]:
         """T_x L^d in int form on codes, for the rank of x and the code of L^d:
         L^d folded leftward through a reduced word of x, one T_i at a time; no
         exponent of a term exceeds the largest of d."""
-        key = x * self._nexp + d
-        cached = self._TL_cache.get(key)
-        if cached is not None:
-            return cached
         acc = 1, {d * self._nperm: 1}
         for i in reversed(self._perms[x].reduced_word()):
             acc = self._fold(*acc, self._Ti_times, i)
-        out = self._TL_cache[key] = self.field.canonical(*acc)
-        return out
+        return self.field.canonical(*acc)
 
     def _Ti_times(self, code: int, i: int) -> tuple[int, dict]:
         """T_i (L^f T_y) = (T_i L^f) T_y in normal form, for the code of L^f T_y:
@@ -496,36 +520,8 @@ class ArikiKoikeAlgebra:
                 move[self._dindex[tuple(e)] * self._nperm] = sign
         return self._fold(qden, move, self._mono_times_T, y)
 
-    def _hecke_prod(self, x: int, v: int) -> tuple[int, dict]:
-        """T_x T_v expanded over the T-basis, for ranks x and v, in int form:
-        (den, {rank of y: int}), T_x folded along a reduced word of v."""
-        if not v:  # rank 0 is the identity
-            return 1, {x: 1}
-        key = x * self._nperm + v
-        cached = self._hecke_cache.get(key)
-        if cached is not None:
-            return cached
-        acc = 1, {x: 1}
-        for g in self._perms[v].reduced_word():
-            acc = self._fold(*acc, self._hecke_step, g)
-        out = self._hecke_cache[key] = self.field.canonical(*acc)
-        return out
-
-    def _hecke_step(self, y: int, g: int) -> tuple[int, dict]:
-        """T_y T_{s_g} for the rank of y: T_{ys} if l(ys) > l(y), else
-        q T_{ys} + (q-1) T_y."""
-        w = self._perms[y]
-        ws = w.times_s(g)
-        if ws.length() > w.length():
-            return 1, {self._rank[ws]: 1}
-        qden, qints = self._q_form
-        return qden, {(self._rank[ws], y)[k]: c for k, c in qints.items()}
-
-    def _L_pow_r(self, m: int) -> tuple[int, dict]:
+    def _L_pow_r(self, m: int, _=None) -> tuple[int, dict]:
         """The normal form of L_m^r in int form on codes, supported on positions <= m."""
-        cached = self._Lr_cache.get(m)
-        if cached is not None:
-            return cached
         field = self.field
         if m == 1:
             # cyclotomic relation: L_1^r = sum_j (-1)^{r-1-j} e_{r-j}(Q) L_1^j
@@ -533,40 +529,30 @@ class ArikiKoikeAlgebra:
             for Qt in self.Q:
                 for j in range(self.r, 0, -1):
                     elem_sym[j] = elem_sym[j] + elem_sym[j - 1] * Qt
-            out = field.canonical(*field.to_ints({
+            return field.canonical(*field.to_ints({
                 self.code((j,) + (0,) * (self.n - 1), identity(self.n)): (-field.one) ** (self.r - 1 - j)
                 * elem_sym[self.r - j] for j in range(self.r)}))
-        else:
-            # L_m^r = q^{-1} T_{m-1} (L_{m-1}^r T_{m-1} + (q-1) sum_{k=1}^{r-1} L_{m-1}^{r-k} L_m^k);
-            # T_{m-1} times a term with exponents below r leaves them below r
-            t = self._rank[simple_transposition(m - 1, self.n)]
-            qden, qints = self._q_form
-            t_over_q = field.to_ints({t: field.one / self.q})
-            tail = {self.code((0,) * (m - 2) + (self.r - k, k) + (0,) * (self.n - m), identity(self.n)):
-                    qints.get(1, 0) for k in range(1, self.r)}
-            acc = self._product_into([1, {}], *t_over_q, *field.canonical(
-                *self._product_into([1, {}], *self._L_pow_r(m - 1), 1, {t: 1})))
-            out = field.canonical(*self._product_into(acc, *t_over_q, qden, tail))
-        self._Lr_cache[m] = out
-        return out
+        # L_m^r = q^{-1} T_{m-1} (L_{m-1}^r T_{m-1} + (q-1) sum_{k=1}^{r-1} L_{m-1}^{r-k} L_m^k);
+        # T_{m-1} times a term with exponents below r leaves them below r
+        t = self._rank[simple_transposition(m - 1, self.n)]
+        qden, qints = self._q_form
+        t_over_q = field.to_ints({t: field.one / self.q})
+        tail = {self.code((0,) * (m - 2) + (self.r - k, k) + (0,) * (self.n - m), identity(self.n)):
+                qints.get(1, 0) for k in range(1, self.r)}
+        acc = self._product_into([1, {}], *t_over_q, *field.canonical(
+            *self._product_into([1, {}], *self._rule(self._L_pow_r, m - 1), 1, {t: 1})))
+        return field.canonical(*self._product_into(acc, *t_over_q, qden, tail))
 
     def _normal_L(self, exp: tuple[int, ...], w: int) -> tuple[int, dict]:
         """Normal form of L^exp T_w in int form on codes, for the rank of w,
         where the exponents may reach or pass r: for the first m with
         exp_m >= r, L^{exp - r e_m} times the normal form of L_m^r, times T_w."""
-        key = (exp, w)
-        cached = self._normalL_cache.get(key)
-        if cached is not None:
-            return cached
         m = next((i + 1 for i, x in enumerate(exp) if x >= self.r), None)
         if m is None:
-            out = 1, {self._dindex[exp] * self._nperm + w: 1}
-        else:
-            base = exp[:m - 1] + (exp[m - 1] - self.r,) + exp[m:]
-            head = self._fold(*self._L_pow_r(m), self._L_times_normal, base)
-            out = self.field.canonical(*self._fold(*head, self._mono_times_T, w))
-        self._normalL_cache[key] = out
-        return out
+            return 1, {self._dindex[exp] * self._nperm + w: 1}
+        base = exp[:m - 1] + (exp[m - 1] - self.r,) + exp[m:]
+        head = self._fold(*self._rule(self._L_pow_r, m), self._L_times_normal, base)
+        return self.field.canonical(*self._fold(*head, self._mono_times_T, w))
 
     # -- structural elements ----------------------------------------------------
 
@@ -639,15 +625,22 @@ class ArikiKoikeAlgebra:
         """m_{ST} = sum of m_{st} over standard s, t with mu(s) = S and nu(t) = T:
         one combination of the transition's forms.  A standard t enters as
         mu_map(t, omega(n, r))."""
-        lam = S.shape
-        if lam != T.shape:
+        if S.shape != T.shape:
             raise ValueError("shape mismatch")
         trans = self.transition()
-        tabs = std_tableaux(lam)
-        left = [s for s in tabs if mu_map(s, S.mu) == S]
-        right = [t for t in tabs if mu_map(t, T.mu) == T]
-        picked = {trans.index[s, t]: 1 for s in left for t in right}
+        picked = {trans.index[s, t]: 1 for s in self._mu_fibre(S) for t in self._mu_fibre(T)}
         return Element(self, *combination(self.field, (1, picked), trans.forms))
+
+    def _mu_fibre(self, S: SemistandardTableau) -> list[StandardTableau]:
+        """The standard tableaux s of S's shape with mu_map(s, S.mu) = S, in
+        `std_tableaux` order; the shape's tableaux are grouped by their image
+        once per (shape, type)."""
+        def group():
+            out: dict = {}
+            for s in std_tableaux(S.shape):
+                out.setdefault(mu_map(s, S.mu), []).append(s)
+            return out
+        return self.derived(("mu_map", S.shape, S.mu), group).get(S, [])
 
     # -- the splitting elements ---------------------------------------------------
 

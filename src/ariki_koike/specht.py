@@ -101,13 +101,14 @@ def _gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> Rows:
         return [(1, {0: 1})]
     trans = alg.transition()
     top_cell = trans.index[top, top]
+    # the one coordinate an entry reads: column top_cell of the inverse, as one-column rows
+    column = [(den, {0: ints[top_cell]}) if top_cell in ints else (1, {}) for den, ints in trans.inverse()]
     g = []
     for s in tabs:
         left = alg.m_st(top, s)
-        entries = [trans.express(left * alg.m_st(t, top)) for t in tabs]
+        entries = [combination(alg.field, (left * alg.m_st(t, top)).form, column) for t in tabs]
         big = lcm(*(den for den, _ in entries))
-        g.append(alg.field.canonical(big, {
-            j: ints[top_cell] * (big // den) for j, (den, ints) in enumerate(entries) if top_cell in ints}))
+        g.append(alg.field.canonical(big, {j: ints[0] * (big // den) for j, (den, ints) in enumerate(entries) if ints}))
     return g
 
 

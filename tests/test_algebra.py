@@ -203,6 +203,32 @@ def test_two_step_fold_matches_generator_fold(n, r, field, q, Q):
             assert left * alg.element({m2: field.one}) == expected.scale(alg.params.q_power(-e))
 
 
+@pytest.mark.parametrize("field,q", [(Rationals(), Fraction(2, 3)), (PrimeField(5), 2), (Rationals(), 1)],
+                         ids=["Q", "GF5", "q1"])
+def test_hecke_products_match_the_word_by_word_rule(field, q):
+    # L^d T_x T_w for every x, w in S_4 against T_x folded by hand along a
+    # reduced word of w, one simple reflection at a time:
+    # T_y T_s = T_{ys} if l(ys) > l(y), else q T_{ys} + (q-1) T_y
+    alg = make(n=4, r=2, q=q, Q=(1, 3), field=field)
+    q = field(q)
+    for x in all_permutations(4):
+        for w in all_permutations(4):
+            expected = {x: field.one}
+            for i in w.reduced_word():
+                step: dict = {}
+                for y, c in expected.items():
+                    ys = y.times_s(i)
+                    if ys.length() > y.length():
+                        step[ys] = step.get(ys, field.zero) + c
+                    else:
+                        step[ys] = step.get(ys, field.zero) + q * c
+                        step[y] = step.get(y, field.zero) + (q - field.one) * c
+                expected = {y: c for y, c in step.items() if c}
+            for d in ((0,) * 4, (1,) * 4):
+                got = alg.element({(d, x): field.one}) * alg.t_elem(w)
+                assert got.terms == {(d, y): c for y, c in expected.items()}
+
+
 @pytest.mark.parametrize("n,r,field,q,Q", FOLD_CASES)
 def test_products_are_bilinear_across_merged_heads(n, r, field, q, Q):
     # the engine folds the right factor's terms of one permutation w through
@@ -242,9 +268,13 @@ def test_star_is_the_sum_of_its_one_term_images(n, r, field, q, Q):
     assert alg.zero().star() == alg.zero()
 
 
+# the steps _fold reads from its tables, and the rules read through _rule
+STEPS = ("_mono_times_L", "_mono_times_T", "_L_times_normal", "_Ti_times", "_T_times_L", "_normal_L", "_L_pow_r")
+
+
 def _counting_steps(monkeypatch):
     calls = Counter()
-    for name in ("_mono_times_L", "_mono_times_T", "_L_times_normal", "_Ti_times", "_hecke_step"):
+    for name in STEPS:
         def counted(self, code, arg, _step=getattr(ArikiKoikeAlgebra, name)):
             calls[_step.__name__, code, arg] += 1
             return _step(self, code, arg)
@@ -254,8 +284,8 @@ def _counting_steps(monkeypatch):
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(5)], ids=["Q", "GF5"])
 def test_each_step_runs_once_per_code_and_argument(field, monkeypatch):
-    # the fold reads a step's result from its table and calls the step only
-    # the first time, across products, stars and left multiplication
+    # the fold and _rule read a step's result from its table and call the
+    # step only the first time, across products, stars and left multiplication
     calls = _counting_steps(monkeypatch)
     alg = make(n=3, r=2, q=2, Q=(1, 3), field=field)
     rng = random.Random(17)
@@ -264,8 +294,7 @@ def test_each_step_runs_once_per_code_and_argument(field, monkeypatch):
         a * b
         (a * b).star()
     alg.left_mult_matrix(random_element(alg, rng))
-    assert {name for name, _, _ in calls} == {"_mono_times_L", "_mono_times_T", "_L_times_normal", "_Ti_times",
-                                              "_hecke_step"}
+    assert {name for name, _, _ in calls} == set(STEPS)
     assert max(calls.values()) == 1
 
 

@@ -29,7 +29,7 @@ from ariki_koike.specht import (
     spin,
     submodule_action,
 )
-from ariki_koike.tableaux import MultiPartition, content, multipartitions, std_tableaux
+from ariki_koike.tableaux import MultiPartition, content, multipartitions, std_tableaux, t_row
 
 
 def qparams(n=2, r=2, q=2, Q=(1, 5), s=1):
@@ -66,6 +66,31 @@ def test_gram_one_dimensional_nonzero():
     alg = ArikiKoikeAlgebra(qparams())
     g = gram_matrix(alg, MultiPartition([[2], []]))
     assert len(g) == 1 and dense(alg.field, g[0], 1)[0] != 0
+
+
+@pytest.mark.parametrize("field,Q", [(Rationals(), (1, 5)), (PrimeField(5), (1, 3))], ids=["Q", "GF5"])
+def test_gram_matrix_matches_the_defining_expansion(field, Q):
+    # entry (s, t) is the coefficient of m_{t^lam t^lam} in m_{t^lam s} m_{t t^lam},
+    # read here from the full cellular expansion of each product
+    alg = ArikiKoikeAlgebra(Params(field=field, q=2, Q=Q, n=3, r=2, s=1))
+    trans = alg.transition()
+    nonzero = 0
+    for lam in multipartitions(3, 2):
+        tabs = std_tableaux(lam)
+        top = t_row(lam)
+        top_cell = trans.index[top, top]
+        expected = []
+        for s in tabs:
+            row = []
+            for t in tabs:
+                den, ints = trans.express(alg.m_st(top, s) * alg.m_st(t, top))
+                row.append(field.from_ints(den, {0: ints.get(top_cell, 0)}).get(0, field.zero))
+            expected.append(row)
+        g = gram_matrix(alg, lam)
+        assert [dense(field, row, len(tabs)) for row in g] == expected
+        assert all(field.canonical(*row) == row for row in g)
+        nonzero += sum(x != field.zero for row in expected for x in row)
+    assert nonzero > len(multipartitions(3, 2))
 
 
 def test_semisimple_square_sum():
