@@ -273,6 +273,13 @@ class ArikiKoikeAlgebra:
             self._derived[key] = build()
         return self._derived[key]
 
+    def shape_table(self, enum, *args) -> tuple:
+        """`enum(*args)` as a tuple, for an enumerator of `tableaux`
+        (multipartitions, multicompositions, standard or semistandard
+        tableaux), enumerated once per algebra: the shape tables live in the
+        memo under (enum's name, *args) and die with it."""
+        return self.derived((enum.__name__, *args), lambda: tuple(enum(*args)))
+
     # -- basic elements ------------------------------------------------------
 
     def zero(self) -> Element:
@@ -637,7 +644,7 @@ class ArikiKoikeAlgebra:
         once per (shape, type)."""
         def group():
             out: dict = {}
-            for s in std_tableaux(S.shape):
+            for s in self.shape_table(std_tableaux, S.shape):
                 out.setdefault(mu_map(s, S.mu), []).append(s)
             return out
         return self.derived(("mu_map", S.shape, S.mu), group).get(S, [])
@@ -663,8 +670,8 @@ class ArikiKoikeAlgebra:
 
     def cell_data(self) -> list[tuple[MultiPartition, StandardTableau, StandardTableau]]:
         out = []
-        for lam in multipartitions(self.n, self.r):
-            tabs = std_tableaux(lam)
+        for lam in self.shape_table(multipartitions, self.n, self.r):
+            tabs = self.shape_table(std_tableaux, lam)
             for s in tabs:
                 for t in tabs:
                     out.append((lam, s, t))

@@ -207,10 +207,10 @@ def cmd_verify(args) -> int:
 def cmd_gram(args) -> int:
     alg = build_algebra(args)
     blocks = []
-    for lam in multipartitions(alg.n, alg.r):
+    for lam in alg.shape_table(multipartitions, alg.n, alg.r):
         rows = gram_matrix(alg, lam)
         g = [dense(alg.field, row, len(rows)) for row in rows]
-        blocks.append(gram_to_tsv(lam, g))
+        blocks.append(gram_to_tsv(alg, lam, g))
         blocks.append(f"# det = {determinant(g, alg.field)}")
     _emit("\n".join(blocks), args.out)
     return EXIT_PASS

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial, lcm
 
 from .algebra import ArikiKoikeAlgebra, Element, solve_rows
 from .fields import ComputationError, GateError, Params, f_s_value
 from .linalg import Echelon, combination, mat_mul, solve, sparse, transpose
-from .perms import coset_reps, shift_perm, sorted_permutations, w_ab
+from .perms import coset_reps, shift_perm, w_ab
 from .report import CheckResult, result
 from .specht import decomposition_matrix, gram_matrix, specht_module
 from .tableaux import (
@@ -106,19 +107,20 @@ class Level:
     Each cell list holds (shape, first tableau, second tableau) triples.
     """
 
-    def __init__(self, n: int, r: int, s: int, b: int):
+    def __init__(self, alg: ArikiKoikeAlgebra, s: int, b: int):
+        tabs = partial(alg.shape_table, std_tableaux)
         # Lambda_b: exactly b boxes in the first s components; Lambda_bar_b: more than b
-        self.shapes, self.above = lambda_sets(n, r, s, b)
+        self.shapes, self.above = lambda_sets(alg.n, alg.r, s, b)
         self.filtered = {lam: std_filtered(lam, b, s, two_sided=True) for lam in self.shapes}
         # first tableau two-sided filtered: the index set of the v-basis of V^b
         self.triples = [(lam, st, tt) for lam, filt in self.filtered.items()
-                        for st in filt for tt in std_tableaux(lam)]
+                        for st in filt for tt in tabs(lam)]
         # both tableaux two-sided filtered: the split pairs, which index End(V^b)
         self.pairs = [(lam, st, tt) for lam, filt in self.filtered.items() for st in filt for tt in filt]
         # first tableau one-sided filtered: the cell basis of M^{omega_b}, whose
         # part on the higher shapes is the cell basis of ker theta_b
         self.one_sided = [(lam, u, v) for lam in self.shapes + self.above
-                          for u in std_filtered(lam, b, s, two_sided=False) for v in std_tableaux(lam)]
+                          for u in std_filtered(lam, b, s, two_sided=False) for v in tabs(lam)]
         self.kernel = [cell for cell in self.one_sided if cell[0] not in self.filtered]
 
 
@@ -184,7 +186,7 @@ class MoritaSuite:
 
     def level(self, b: int) -> Level:
         """The shapes and tableaux of level b, listed once per algebra."""
-        return self.alg.derived(("level", b), lambda: Level(self.n, self.params.r, self.s, b))
+        return self.alg.derived(("level", b), lambda: Level(self.alg, self.s, b))
 
     def v_basis(self, b: int) -> VBasis:
         """The cell-indexed basis of V^b; requires the gate (independence may fail without it)."""
@@ -400,7 +402,7 @@ class MoritaSuite:
 
         # ker theta_b = M^{omega_b} cap N-bar^b (the span of higher-level cells).
         ideal_rows = [alg.m_st(u, v).form for mu in lv.above
-                      for u in std_tableaux(mu) for v in std_tableaux(mu)]
+                      for u in alg.shape_table(std_tableaux, mu) for v in alg.shape_table(std_tableaux, mu)]
         r_ideal = len(Echelon(field, ideal_rows))
         r_stack = len(Echelon(field, module_rows + ideal_rows))
         inter = r_module + r_ideal - r_stack
@@ -420,7 +422,7 @@ class MoritaSuite:
         index_of = {(st, tt): i for i, (_, st, tt) in enumerate(vb.entries)}
         layer_of = {}
         for j, (lam, st) in enumerate(layers):
-            for tt in std_tableaux(lam):
+            for tt in self.alg.shape_table(std_tableaux, lam):
                 layer_of[index_of[(st, tt)]] = j
         failures = []
         try:
@@ -772,7 +774,7 @@ class MoritaSuite:
         s, r = self.s, self.params.r
         products = self._vb_products(b)
         bounds = [range(s) if i < b else range(r - s) for i in range(n)]
-        bounded_rows = [products[alg.code(d, w)] for d in itertools.product(*bounds) for w in sorted_permutations(n)]
+        bounded_rows = [products[alg.code(d, w)] for d in itertools.product(*bounds) for w in alg._perms]
         if len(Echelon(field, bounded_rows)) != expected or len(bounded_rows) != expected:
             failures.append("bounded-exponent family is not a basis")
         return [result("morita.free_decomposition", REF_FREE, self._pdict(b=b), not failures,
@@ -787,8 +789,8 @@ class MoritaSuite:
         for lam, filt in self.level(b).filtered.items():
             sigma, tau = split_multipartition(lam, self.s)
             joined = set()
-            for s1 in std_tableaux(sigma):
-                for s2 in std_tableaux(tau):
+            for s1 in self.alg.shape_table(std_tableaux, sigma):
+                for s2 in self.alg.shape_table(std_tableaux, tau):
                     st = pair_join(s1, s2, n)
                     joined.add(st)
                     back1, back2 = pair_split(st, self.s)
@@ -835,11 +837,11 @@ class MoritaSuite:
             raise GateError(GATE_MESSAGE)
         out = []
         n, s = self.n, self.s
-        fail_a = []
+        fail_a, tabs = [], partial(self.alg.shape_table, std_tableaux)
         for b in range(n + 1):
             for lam in self.level(b).shapes:
                 sigma, tau = split_multipartition(lam, s)
-                if len(std_tableaux(lam)) != comb(n, b) * len(std_tableaux(sigma)) * len(std_tableaux(tau)):
+                if len(tabs(lam)) != comb(n, b) * len(tabs(sigma)) * len(tabs(tau)):
                     fail_a.append(lam.serialize())
         out.append(result("morita.dim_cell_factorization", REF_FACTOR_S, self._pdict(), not fail_a,
                           "; ".join(fail_a[:3])))

@@ -12,7 +12,6 @@ interval cycles s_{i,j} and the block-rotation permutations w_{a,b}.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -219,7 +218,7 @@ def shift_perm(x: Permutation, offset: int, n: int) -> Permutation:
     return Permutation(im)
 
 
-@lru_cache(maxsize=None)
 def sorted_permutations(n: int) -> tuple[Permutation, ...]:
-    """All of S_n sorted by one-line notation (the canonical listing)."""
+    """All of S_n sorted by one-line notation (the canonical listing), built
+    on each call: an algebra keeps its own (`ArikiKoikeAlgebra._perms`)."""
     return tuple(sorted(all_permutations(n)))

@@ -13,6 +13,11 @@ among the right-ideal generators of rAnn(m_nu) (`alg.ideal_generators`; x k_j
 streamed in int form into one echelon.  The algebra's memo keeps the products
 m_mu L^d T_w (`alg.products`, shared with the Morita battery) and, per shape,
 what is read off them: the row basis of M^mu and the generators of rAnn(m_mu).
+It also keeps the shape tables (`alg.shape_table`): the multipartitions and
+multicompositions of (n, r) and the semistandard tableaux of each pair of
+shapes are enumerated once per run, not once per Hom space.  The functions
+without an algebra (`saturated_check`, `schur_dimension`) enumerate once per
+call, and every shape computes its dominance key once.
 """
 
 from __future__ import annotations
@@ -22,14 +27,7 @@ from .fields import Params
 from .linalg import Echelon, combination, kernel_basis
 from .morita import MoritaSuite, TensorAlgebra
 from .report import CheckResult, result
-from .tableaux import (
-    MultiComposition,
-    dominates,
-    multicompositions,
-    multipartitions,
-    semistandard,
-    sort_key,
-)
+from .tableaux import MultiComposition, dominates, multicompositions, multipartitions, semistandard, sort_key
 
 REF_SATURATED = "saturation of the index set under dominance"
 REF_DIMENSION = "semistandard basis dimension of the Schur algebra"
@@ -41,22 +39,19 @@ REF_THETA_M = "theta_b carries the split row-permutation module to the M-side im
 
 def saturated_check(gamma: list[MultiComposition], n: int, r: int) -> bool:
     """True iff every multipartition dominating a member is itself a member."""
+    if any(lam.n != n or lam.r != r for lam in gamma):
+        raise ValueError("dominance needs equal size and number of components")
     have = set(gamma)
-    for lam in gamma:
-        for mu in multipartitions(n, r):
-            if dominates(mu, lam) and mu not in have:
-                return False
-    return True
+    outside = [mu for mu in multipartitions(n, r) if mu not in have]
+    return not any(dominates(mu, lam) for lam in gamma for mu in outside)
 
 
 def schur_dimension(gamma: list[MultiComposition], params: Params) -> int:
     """Sum over multipartitions in Gamma of the squared semistandard counts."""
     if not saturated_check(gamma, params.n, params.r):
         raise ValueError("the index set is not saturated")
-    total = 0
-    for lam in multipartitions(params.n, params.r):
-        if lam not in set(gamma):
-            continue
+    total, members = 0, set(gamma)
+    for lam in (lam for lam in multipartitions(params.n, params.r) if lam in members):
         row = sum(len(semistandard(lam, mu)) for mu in gamma)
         total += row * row
     return total
@@ -81,9 +76,9 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
 
     expected = 0
     members = []
-    for lam in multipartitions(alg.n, alg.r):
-        s_count = semistandard(lam, mu)
-        t_count = semistandard(lam, nu)
+    for lam in alg.shape_table(multipartitions, alg.n, alg.r):
+        s_count = alg.shape_table(semistandard, lam, mu)
+        t_count = alg.shape_table(semistandard, lam, nu)
         expected += len(s_count) * len(t_count)
         for S in s_count:
             for T in t_count:
@@ -117,11 +112,11 @@ def gamma_split(gamma: list[MultiComposition], n: int, r: int, s: int, b: int) -
     right = sorted({MultiComposition(lam.components[s:]) for lam in level}, key=sort_key)
     failures = []
     pairs = [(x, y) for x in left for y in right]
-    images = {}
+    images, members = {}, set(level)
     for (x, y) in pairs:
         joined = MultiComposition(x.components + y.components)
         images[(x, y)] = joined
-        if joined not in set(level):
+        if joined not in members:
             failures.append("concatenation leaves the level slice")
     if len(set(images.values())) != len(pairs) or len(pairs) != len(level):
         failures.append(f"not bijective: {len(pairs)} pairs vs {len(level)} members")
@@ -153,7 +148,8 @@ def morita_count_check(gamma: list[MultiComposition], alg: ArikiKoikeAlgebra) ->
     if not saturated_check(gamma, n, r):
         raise ValueError("the index set is not saturated")
     out = []
-    gamma_plus = [lam for lam in multipartitions(n, r) if lam in set(gamma)]
+    members = set(gamma)
+    gamma_plus = [lam for lam in alg.shape_table(multipartitions, n, r) if lam in members]
     total = 0
     for b in range(n + 1):
         left, right, res = gamma_split(gamma, n, r, s, b)
@@ -194,7 +190,7 @@ def schur_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
     check sums the solved dimensions over the multipartition pairs.
     """
     params = alg.params
-    shapes = multicompositions(params.n, params.r)
+    shapes = alg.shape_table(multicompositions, params.n, params.r)
     homs = {(mu, nu): hom_space(mu, nu, alg) for mu in shapes for nu in shapes}
     out = []
     for (mu, nu), data in homs.items():
@@ -209,7 +205,7 @@ def schur_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
             ok,
             f"solved {data['dim']}, semistandard {data['expected']}",
         ))
-    gamma = list(multipartitions(params.n, params.r))
+    gamma = list(alg.shape_table(multipartitions, params.n, params.r))
     rest = gamma[1:]  # without its most dominant member, listed first, Gamma is not saturated
     out.append(result(
         "schur.saturated", REF_SATURATED, params.describe(),
@@ -224,6 +220,6 @@ def schur_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
     ))
     if params.s is not None and params.s < params.r:
         out += morita_count_check(gamma, alg)
-        gamma_all = list(multicompositions(params.n, params.r))
+        gamma_all = list(shapes)
         out += morita_count_check(gamma_all, alg)
     return out

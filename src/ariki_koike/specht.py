@@ -26,7 +26,7 @@ from math import lcm
 from .algebra import ArikiKoikeAlgebra
 from .fields import ComputationError, GateError, Params
 from .linalg import Echelon, combination, kernel_basis, mat_mul, transpose
-from .perms import Permutation, sorted_permutations
+from .perms import Permutation
 from .tableaux import (
     MultiPartition,
     StandardTableau,
@@ -62,7 +62,7 @@ def specht_module(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> SpechtModule:
 
 
 def _specht_module(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> SpechtModule:
-    tabs = std_tableaux(lam)
+    tabs = list(alg.shape_table(std_tableaux, lam))
     index = {t: i for i, t in enumerate(tabs)}
     top = t_row(lam)
     trans = alg.transition()
@@ -95,7 +95,7 @@ def gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> Rows:
 
 
 def _gram_matrix(alg: ArikiKoikeAlgebra, lam: MultiPartition) -> Rows:
-    tabs = std_tableaux(lam)
+    tabs = alg.shape_table(std_tableaux, lam)
     top = t_row(lam)
     if alg.n == 0:
         return [(1, {0: 1})]
@@ -275,7 +275,7 @@ def module_fingerprint(alg: ArikiKoikeAlgebra, action: list[Rows], dim: int) -> 
         l_gens.append([combination(field, q_inv, [row])
                        for row in mat_mul(field, mat_mul(field, t, l_gens[-1]), t)])
     t_mats = {}
-    for w in sorted(sorted_permutations(alg.n), key=Permutation.length):
+    for w in sorted(alg._perms, key=Permutation.length):
         descents = w.right_descents()
         t_mats[w] = mat_mul(field, t_mats[w.times_s(descents[0])], action[descents[0]]) if descents else ident
     t_cols = {w: transpose(field, m, dim) for w, m in t_mats.items()}
@@ -315,7 +315,7 @@ def decomposition_matrix(alg: ArikiKoikeAlgebra) -> DecompositionData:
 
 def _decomposition_matrix(alg: ArikiKoikeAlgebra) -> DecompositionData:
     field = alg.field
-    lams = multipartitions(alg.n, alg.r)
+    lams = list(alg.shape_table(multipartitions, alg.n, alg.r))
     modules = {lam: specht_module(alg, lam) for lam in lams}
     grams = {lam: gram_matrix(alg, lam) for lam in lams}
     simple_dims = {lam: len(Echelon(field, grams[lam])) for lam in lams}
@@ -379,8 +379,8 @@ def decomposition_to_tsv(data: DecompositionData) -> str:
     return "\n".join(lines)
 
 
-def gram_to_tsv(lam: MultiPartition, g: list[list]) -> str:
-    tabs = std_tableaux(lam)
+def gram_to_tsv(alg: ArikiKoikeAlgebra, lam: MultiPartition, g: list[list]) -> str:
+    tabs = alg.shape_table(std_tableaux, lam)
     header = lam.serialize() + "\t" + "\t".join(t.serialize() for t in tabs)
     lines = [header]
     for t, row in zip(tabs, g):

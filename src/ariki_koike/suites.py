@@ -191,7 +191,7 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
 
     failures = []
     gens = [alg.gen_T(g) for g in range(alg.n)]
-    lams = multipartitions(alg.n, alg.r)
+    lams = alg.shape_table(multipartitions, alg.n, alg.r)
     above = {lam: {mu for mu in lams if dominates(mu, lam)} for lam in lams}
     for lam, u, v in trans.cells:
         m = alg.m_st(u, v)
@@ -202,8 +202,8 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
                       "; ".join(sorted(set(failures))[:2])))
 
     failures = []
-    for lam in multipartitions(alg.n, alg.r):
-        tabs = std_tableaux(lam)
+    for lam in alg.shape_table(multipartitions, alg.n, alg.r):
+        tabs = alg.shape_table(std_tableaux, lam)
         for s in tabs:
             for t in tabs:
                 if alg.m_st(s, t).star() != alg.m_st(t, s):
@@ -227,7 +227,7 @@ def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
     field = alg.field
     q, one = alg.q, field.one
     product = partial(reduce, partial(mat_mul, field))
-    lams = multipartitions(alg.n, alg.r)
+    lams = alg.shape_table(multipartitions, alg.n, alg.r)
     modules = {lam: specht_module(alg, lam) for lam in lams}
     grams = {lam: gram_matrix(alg, lam) for lam in lams}
 

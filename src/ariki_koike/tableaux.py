@@ -33,7 +33,7 @@ def _strip(parts: Sequence[int]) -> tuple[int, ...]:
 class MultiComposition:
     """An r-tuple of compositions; total size n."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_dominance")
 
     def __init__(self, components: Sequence[Sequence[int]]):
         comps = tuple(_strip(c) for c in components)
@@ -43,6 +43,7 @@ class MultiComposition:
         if len(comps) < 1:
             raise ValueError("need at least one component")
         self.components = comps
+        self._dominance = None  # dominance_key(self), computed on first use
 
     @property
     def r(self) -> int:
@@ -140,28 +141,30 @@ def dominance_key(mu: MultiComposition) -> tuple:
     """The vector of cumulative sums that defines the dominance order.
 
     Entry (c, i) is |mu^(1)| + ... + |mu^(c-1)| + mu^(c)_1 + ... + mu^(c)_i,
-    for i = 1..n.  lam dominates mu iff its vector is >= pointwise.
+    for i = 1..n.  lam dominates mu iff its vector is >= pointwise.  It is
+    computed once per shape and kept on it.
     """
-    key = []
-    before = 0
-    for comp in mu.components:
-        acc = before
-        row = 0
-        for i in range(1, mu.n + 1):
-            if row < len(comp):
-                acc += comp[row]
-                row += 1
-            key.append(acc)
-        before += sum(comp)
-    return tuple(key)
+    if mu._dominance is None:
+        key = []
+        before = 0
+        for comp in mu.components:
+            acc = before
+            row = 0
+            for i in range(1, mu.n + 1):
+                if row < len(comp):
+                    acc += comp[row]
+                    row += 1
+                key.append(acc)
+            before += sum(comp)
+        mu._dominance = tuple(key)
+    return mu._dominance
 
 
 def dominates(lam: MultiComposition, mu: MultiComposition) -> bool:
     """True iff lam dominates mu (all cumulative-sum inequalities hold)."""
-    if lam.n != mu.n or lam.r != mu.r:
+    a, b = dominance_key(lam), dominance_key(mu)
+    if lam.r != mu.r or len(a) != len(b):  # with r equal, the keys' lengths r n are equal iff n is
         raise ValueError("dominance needs equal size and number of components")
-    a = dominance_key(lam)
-    b = dominance_key(mu)
     return all(x >= y for x, y in zip(a, b))
 
 

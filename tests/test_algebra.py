@@ -268,6 +268,37 @@ def test_star_is_the_sum_of_its_one_term_images(n, r, field, q, Q):
     assert alg.zero().star() == alg.zero()
 
 
+@pytest.mark.parametrize("field,q,Q", [
+    # fractional q and Q: the heads' denominators differ, so folding each
+    # head into the product rescales its running denominator to their lcm
+    pytest.param(Rationals(), Fraction(2, 3), (Fraction(1, 3), Fraction(5, 2)), id="Q-fractional"),
+    pytest.param(PrimeField(5), 2, (1, 3), id="GF5"),
+])
+def test_identity_heads_match_the_generator_fold_in_either_order(field, q, Q):
+    # a right factor mixing terms with w = 1 (as in `Element.star`) and with
+    # w != 1, its w = 1 terms gathered first or last, against m1 times each
+    # term's generator word
+    alg = make(n=3, r=2, q=q, Q=Q, field=field)
+    gens = [alg.gen_T(g) for g in range(alg.n)]
+    rng = random.Random(f"identity:{field}")
+    third = field.one / field(3)
+    for _ in range(4):
+        a = random_element(alg, rng, nterms=5).scale(field.one / field(2))
+        codes = [d * alg._nperm for d in rng.sample(range(alg._nexp), 2)]
+        codes += [d * alg._nperm + w for d, w in zip(rng.sample(range(alg._nexp), 2), rng.sample(range(1, alg._nperm), 2))]
+        bden, bints = field.to_ints({k: field(rng.randint(1, 4)) * third for k in codes})
+        expected = alg.zero()
+        for k, c in field.from_ints(bden, bints).items():
+            word, e = alg._gen_word(alg.basis()[k])
+            term = a
+            for g in word:
+                term = term * gens[g]
+            expected = expected + term.scale(c * alg.params.q_power(-e))
+        for order in (codes, codes[::-1]):
+            got = alg._product_into([1, {}], *a.form, bden, {k: bints[k] for k in order})
+            assert Element(alg, *field.canonical(*got)) == expected
+
+
 # the steps _fold reads from its tables, and the rules read through _rule
 STEPS = ("_mono_times_L", "_mono_times_T", "_L_times_normal", "_Ti_times", "_T_times_L", "_normal_L", "_L_pow_r")
 

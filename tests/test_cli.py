@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
+from functools import wraps
 
 import pytest
 
@@ -757,6 +759,79 @@ def test_saturated_row_fails_when_every_set_passes_as_saturated(monkeypatch, cap
     rows = [row for row in json.loads(out) if row["check"] == "schur.saturated"]
     assert code == 1 and len(rows) == 1
     assert rows[0]["status"] == "fail" and rows[0]["detail"] == "Gamma = all multipartitions"
+
+
+SCHUR_RUN = ["verify", "--suite", "schur", "--n", "2", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,5"]
+ENUMERATORS = ("multipartitions", "multicompositions", "std_tableaux", "semistandard")
+
+
+def test_schur_run_enumerates_each_shape_table_once(monkeypatch, capsys):
+    # `alg.shape_table` calls an enumerator of tableaux once per argument
+    # tuple and algebra; schur's own imports serve the algebra-free
+    # saturated_check and schur_dimension, which enumerate once per call
+    from ariki_koike import schur, tableaux
+    from ariki_koike.algebra import ArikiKoikeAlgebra
+
+    calls, tables, checks = Counter(), {}, []
+
+    def counting(owner, enum):
+        @wraps(enum)
+        def counted(*args):
+            calls[owner, enum.__name__, args] += 1
+            return enum(*args)
+        return counted
+    for name in ENUMERATORS:
+        if hasattr(schur, name):
+            monkeypatch.setattr(schur, name, counting("schur", getattr(tableaux, name)))
+    shape_table = ArikiKoikeAlgebra.shape_table
+
+    def recorded(self, enum, *args):
+        enum = getattr(enum, "__wrapped__", enum)  # schur reads its tables with its own (counted) names
+        out = shape_table(self, counting("table", enum), *args)
+        assert tables.setdefault((id(self), enum.__name__, args), out) is out
+        return out
+    monkeypatch.setattr(ArikiKoikeAlgebra, "shape_table", recorded)
+    saturated_check = schur.saturated_check
+
+    def counted_check(gamma, n, r):
+        checks.append((n, r))
+        return saturated_check(gamma, n, r)
+    monkeypatch.setattr(schur, "saturated_check", counted_check)
+
+    assert run_cli(SCHUR_RUN, capsys)[0] == 0
+    from_tables = {key: k for key, k in calls.items() if key[0] == "table"}
+    assert {name for _, name, _ in from_tables} == set(ENUMERATORS)
+    assert len({args for _, name, args in from_tables if name == "semistandard"}) == 5 * 5
+    assert set(from_tables.values()) == {1}
+    # once per saturated_check call and once in schur_dimension, not once per member
+    assert calls["schur", "multipartitions", (2, 2)] == len(checks) + 1 > 2
+    assert all(k == 1 for (owner, name, _), k in calls.items() if name == "semistandard")
+    for (_, name, args), out in tables.items():
+        assert isinstance(out, tuple) and out == tuple(getattr(tableaux, name)(*args))
+    # a second run builds a fresh algebra, which enumerates its tables again
+    assert run_cli(SCHUR_RUN, capsys)[0] == 0
+    assert {k for key, k in calls.items() if key[0] == "table"} == {2}
+
+
+@pytest.mark.parametrize("components, key, check", [
+    (((1, 1),), (2, 2), "schur.gamma_split"),
+    (((2,), ()), (3, 0, 0, 0), "schur.saturated"),
+], ids=["split-factor", "most-dominant"])
+def test_schur_rows_fail_on_a_corrupted_dominance_key(components, key, check, monkeypatch, capsys):
+    # every instance of one shape is built with a wrong cached dominance key:
+    # the check that reads it must fail, as the key is never recomputed
+    from ariki_koike.tableaux import MultiComposition
+
+    init = MultiComposition.__init__
+
+    def corrupted(self, comps):
+        init(self, comps)
+        if self.components == components:
+            self._dominance = key
+    monkeypatch.setattr(MultiComposition, "__init__", corrupted)
+    code, out, _ = run_cli(SCHUR_RUN, capsys)
+    failed = {row["check"] for row in json.loads(out) if row["status"] == "fail"}
+    assert code == 1 and check in failed
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -51,6 +51,20 @@ def test_schur_dimension_requires_saturation():
         schur_dimension([omega(2, 2)], qparams())
 
 
+@pytest.mark.parametrize("stray", [
+    MultiComposition([(2,), (1,)]),   # size 3, not 2
+    MultiComposition([(2,), (), ()]),  # three components, not 2
+], ids=["wrong-size", "wrong-components"])
+def test_saturation_and_dimension_reject_a_member_of_the_wrong_type(stray):
+    # Gamma holds every multipartition of (2, 2), so no member is outside;
+    # a stray member must still be refused, not pass or be counted
+    gamma = list(multipartitions(2, 2)) + [stray]
+    with pytest.raises(ValueError):
+        saturated_check(gamma, 2, 2)
+    with pytest.raises(ValueError):
+        schur_dimension(gamma, qparams())
+
+
 def test_hom_space_all_pairs_small():
     for (n, r) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         params = Params(field=Rationals(), q=2, Q=(1, 5)[:r], n=n, r=r)
