@@ -6,15 +6,18 @@ Elements are sparse linear combinations of the rank-r^n.n! basis
 
 where L_1 = T_0 and L_{i+1} = q^{-1} T_i L_i T_i.  Products are computed by
 rewriting, in two steps: the terms c L^d T_w of the right factor are
-gathered into one head H_w per permutation w, the sum of c times the left
-factor times L^d (folded times L^d, or the left factor itself for d = 0),
-and then each head is folded times T_w once, so a product makes one T fold
-per distinct w of its right factor.  `_fold` applies a step to every
-monomial of its input and looks the step's result up in a table, one per
-(step, argument), kept for the lifetime of the algebra; it calls the step
-only on a miss, so each step runs once per (monomial, argument).  These
-tables, `_steps`, are the engine's one memo: `_rule` reads the rules used
-outside a fold (T_x L^d, the normal form of L^exp T_w, L_m^r) from them too.
+gathered per permutation w.  As T_1 is the identity, the terms at w = 1 fold
+times L^d straight into the product (for d = 0 through the identity entry of
+the exponent-0 table).  The terms at each other w make one head H_w, the sum
+of c times the left factor times L^d (folded times L^d, or the left factor
+itself for d = 0), and then each head is folded times T_w once, so a product
+makes one T fold per distinct w != 1 of its right factor.  `_fold` applies
+a step to every monomial of its input and looks the step's result up in a
+table, one per (step, argument), kept for the lifetime of the algebra; it
+calls the step only on a miss, so each step runs once per (monomial,
+argument).  These tables, `_steps`, are the engine's one memo: `_rule`
+reads the rules used outside a fold (T_x L^d, the normal form of L^exp T_w,
+L_m^r) from them too.
 
 Step 1, times L^d: (L^a T_x) L^d = L^a (T_x L^d).  T_x L^d is computed once
 per (x, d) by pushing L^d leftward through a reduced word of x, one T_i at a
@@ -332,13 +335,14 @@ class ArikiKoikeAlgebra:
 
     def left_mult_matrix(self, elem: Element) -> list[tuple[int, dict]]:
         """The products elem * L^d T_w over the canonical basis, as int forms:
-        entry k is (elem * basis()[k]).form.  elem L^d is folded once per d
-        and then times each T_w."""
+        entry k is (elem * basis()[k]).form.  elem L^d is folded once per d,
+        which is the entry at w = 1, and then times each T_w, w != 1."""
         canonical = self.field.canonical
         out = []
         for d in range(self._nexp):
             head = self._fold(*elem.form, self._mono_times_L, d)
-            for w in range(self._nperm):
+            out.append(canonical(*head))
+            for w in range(1, self._nperm):
                 out.append(canonical(*self._fold(*head, self._mono_times_T, w)))
         return out
 
@@ -407,13 +411,17 @@ class ArikiKoikeAlgebra:
 
     def _product_into(self, acc: list, aden: int, aints: dict, bden: int, bints: dict) -> list:
         """acc += (aints / aden) * (bints / bden): the terms c L^d T_w of the
-        right factor are gathered per w into one head, the sum of c times the
+        right factor are gathered per w.  The terms at w = 1 fold times L^d
+        straight into acc (d = 0 through the identity entry of the exponent-0
+        table).  Every other group becomes one head, the sum of c times the
         left factor times L^d (for d = 0 the left factor itself, scaled; else
         a fold times L^d), and each head folds times T_w once."""
         den, parts = aden * bden, {}
         for code, c in bints.items():
             d, w = divmod(code, self._nperm)
             parts.setdefault(w, {})[d] = c
+        for d, c in parts.pop(0, {}).items():  # rank 0 is the identity
+            self._fold(den, aints, self._mono_times_L, d, acc, c)
         for w, terms in parts.items():
             c = terms.pop(0, 0)
             head = [den, {k: c * v for k, v in aints.items()} if c else {}]
@@ -699,8 +707,11 @@ class TransitionMatrix:
         if len(self.cells) != alg.dim:
             raise ValueError(f"cellular data count {len(self.cells)} != rank {alg.dim}")
         self.index = {(s, t): i for i, (_, s, t) in enumerate(self.cells)}
-        self.forms = [(alg.t_elem(d_of(s).inverse()) * alg.m_lambda(lam) * alg.t_elem(d_of(t))).form
-                      for lam, s, t in self.cells]
+        # the cells of one first tableau s are consecutive: T_{d(s)}^* m_lam is formed once per s
+        self.forms = []
+        for (lam, s), cells in itertools.groupby(self.cells, key=lambda cell: cell[:2]):
+            left = alg.t_elem(d_of(s).inverse()) * alg.m_lambda(lam)
+            self.forms.extend((left * alg.t_elem(d_of(t))).form for _, _, t in cells)
         self._inverse: list[tuple[int, dict]] | None = None
 
     def inverse(self) -> list[tuple[int, dict]]:

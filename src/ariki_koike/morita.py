@@ -46,14 +46,15 @@ from .tableaux import (
     StandardTableau,
     content,
     d_of,
+    filtered_tableaux,
     hook_dimension,
-    lambda_sets,
+    multipartitions,
     omega_b,
     pair_join,
     pair_split,
     sort_key,
+    split_levels,
     split_multipartition,
-    std_filtered,
     std_tableaux,
     strictly_dominates,
     tableau_dominates,
@@ -102,7 +103,8 @@ def _dump(elem: Element, limit: int = 4) -> str:
 
 
 class Level:
-    """The shapes and tableaux of one level b, enumerated once per algebra.
+    """The shapes and tableaux of one level b, listed once per algebra from
+    its shape tables.
 
     Each cell list holds (shape, first tableau, second tableau) triples.
     """
@@ -110,8 +112,8 @@ class Level:
     def __init__(self, alg: ArikiKoikeAlgebra, s: int, b: int):
         tabs = partial(alg.shape_table, std_tableaux)
         # Lambda_b: exactly b boxes in the first s components; Lambda_bar_b: more than b
-        self.shapes, self.above = lambda_sets(alg.n, alg.r, s, b)
-        self.filtered = {lam: std_filtered(lam, b, s, two_sided=True) for lam in self.shapes}
+        self.shapes, self.above = split_levels(alg.shape_table(multipartitions, alg.n, alg.r), s, b)
+        self.filtered = {lam: filtered_tableaux(tabs(lam), b, s, two_sided=True) for lam in self.shapes}
         # first tableau two-sided filtered: the index set of the v-basis of V^b
         self.triples = [(lam, st, tt) for lam, filt in self.filtered.items()
                         for st in filt for tt in tabs(lam)]
@@ -120,7 +122,7 @@ class Level:
         # first tableau one-sided filtered: the cell basis of M^{omega_b}, whose
         # part on the higher shapes is the cell basis of ker theta_b
         self.one_sided = [(lam, u, v) for lam in self.shapes + self.above
-                          for u in std_filtered(lam, b, s, two_sided=False) for v in tabs(lam)]
+                          for u in filtered_tableaux(tabs(lam), b, s, two_sided=False) for v in tabs(lam)]
         self.kernel = [cell for cell in self.one_sided if cell[0] not in self.filtered]
 
 
@@ -192,10 +194,16 @@ class MoritaSuite:
         """The cell-indexed basis of V^b; requires the gate (independence may fail without it)."""
         if not self.fs:
             raise GateError(GATE_MESSAGE)
-        alg, triples = self.alg, self.level(b).triples
-        forms = alg.derived(("v_basis", b), lambda: [
-            alg.theta_b(b, alg.m_st(st, tt)).form for (_, st, tt) in triples])
-        return VBasis(b, triples, [Element(alg, *f) for f in forms])
+        alg, triples, images = self.alg, self.level(b).triples, self.theta_images(b)
+        return VBasis(b, triples, [Element(alg, *images[st, tt]) for (_, st, tt) in triples])
+
+    def theta_images(self, b: int) -> dict:
+        """theta_b(m_uv) in int form, keyed on (u, v), for every cell of the
+        level's `one_sided` list (which holds the v-basis, kernel and split
+        pairs): formed once per level."""
+        alg = self.alg
+        return alg.derived(("theta_images", b), lambda: {
+            (u, v): alg.theta_b(b, alg.m_st(u, v)).form for (_, u, v) in self.level(b).one_sided})
 
     def _vb_products(self, b: int) -> list[tuple[int, dict]]:
         """The products v_b L^d T_w, in int form at the code of L^d T_w: they span V^b."""
@@ -310,9 +318,9 @@ class MoritaSuite:
     # -- kernel and basis statements --------------------------------------------
 
     def verify_kernel_vanishing(self, b: int) -> list[CheckResult]:
-        failures = []
+        failures, images = [], self.theta_images(b)
         for (mu, u, v) in self.level(b).kernel:
-            if not self.alg.theta_b(b, self.alg.m_st(u, v)).is_zero():
+            if images[u, v][1]:
                 failures.append(f"theta_{b}(m) != 0 at shape {mu.serialize()}")
         return [result("morita.kernel_vanishing", REF_KERNEL, self._pdict(b=b), not failures,
                        "; ".join(failures[:3]))]
@@ -323,7 +331,7 @@ class MoritaSuite:
         with all other same-shape terms at strictly more dominant first
         tableaux (everything else on strictly more dominant shapes)."""
         alg, n = self.alg, self.n
-        trans = alg.transition()
+        trans, images = alg.transition(), self.theta_images(b)
         failures = []
         wnb = w_ab(n - b, b, n)
         wbn = w_ab(b, n - b, n)
@@ -337,7 +345,7 @@ class MoritaSuite:
             if alg.t_elem(wnb) * mst != alg.m_st(sprime, tt):
                 failures.append(f"T_w m_st != m_s't at {lam.serialize()}")
                 continue
-            coords = self.field.from_ints(*trans.express(alg.theta_b(b, mst)))
+            coords = self.field.from_ints(*trans.express(Element(alg, *images[st, tt])))
             alpha = self.field.one
             for t in range(1, self.s + 1):
                 for k in range(1, n - b + 1):
@@ -494,14 +502,14 @@ class MoritaSuite:
         alg = self.alg
         generators = [Element(alg, *k) for k in self._vb_generators(b)]
         vb = self.v_basis(b)
-        pairs = self.level(b).pairs
+        pairs, images = self.level(b).pairs, self.theta_images(b)
         failures = []
         if None in self._preimages(b):
             failures.append("v-basis element outside v_b H")
         preimages = [Element(alg, *(x or (1, {}))) for x in self._preimages(b)]
         maps = []
         for (lam, st, tt) in pairs:
-            vst = alg.theta_b(b, alg.m_st(st, tt))
+            vst = Element(alg, *images[st, tt])
             # well defined iff v_st kills rAnn(v_b), i.e. each of its right-ideal generators
             if any(not (vst * k).is_zero() for k in generators):
                 failures.append(f"map for a pair at {lam.serialize()} is ill-defined")
@@ -549,8 +557,8 @@ class MoritaSuite:
         ker theta_b makes that map the (unique) right inverse of theta_b.
         The returned basis is y_0 * h for preimages h of the v-basis.
         """
-        alg, field = self.alg, self.field
-        m_elems = [alg.m_st(u, v) for (_, u, v) in self.level(b).one_sided]
+        alg, field, one_sided, images = self.alg, self.field, self.level(b).one_sided, self.theta_images(b)
+        m_elems = [alg.m_st(u, v) for (_, u, v) in one_sided]
         # one `solve` on rows of len(m_elems) unknowns and v_b's column, so the
         # tall system is a single call into the linalg layer
         rows = itertools.chain(
@@ -558,7 +566,7 @@ class MoritaSuite:
             # generators k of rAnn(v_b), which give the conditions of all of it
             alg.condition_rows([e.form for e in m_elems], self._vb_generators(b)),
             # affine rows: theta_b(sum z_i m_i) = v_b
-            transpose(field, [alg.theta_b(b, e).form for e in m_elems] + [alg.v_b_elem(b).form], alg.dim),
+            transpose(field, [images[u, v] for (_, u, v) in one_sided] + [alg.v_b_elem(b).form], alg.dim),
         )
         z, = solve(*solve_rows(field, rows, len(m_elems), 1), field)
         if z is None:
@@ -711,11 +719,11 @@ class MoritaSuite:
         out.append(result("morita.u_compatibility", REF_BIMODULE, self._pdict(b=b), not fail44,
                           "; ".join(fail44[:3])))
 
-        fail46 = []
+        fail46, images = [], self.theta_images(b)
         for (lam, st, tt) in lv.pairs:
             s1, s2 = pair_split(st, self.s)
             t1, t2 = pair_split(tt, self.s)
-            lhs = alg.theta_b(b, alg.m_st(st, tt))
+            lhs = Element(alg, *images[st, tt])
             rhs = self.theta_map(b, ta.left.m_st(s1, t1), ta.right.m_st(s2, t2)) * vb
             if lhs != rhs:
                 fail46.append(f"{lam.serialize()}")

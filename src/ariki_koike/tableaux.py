@@ -208,8 +208,14 @@ def lambda_sets(n: int, r: int, s: int, b: int) -> tuple[list[MultiPartition], l
         raise ValueError(f"b={b} out of range 0..{n}")
     if not (1 <= s <= r):
         raise ValueError(f"s={s} out of range 1..{r}")
+    return split_levels(multipartitions(n, r), s, b)
+
+
+def split_levels(shapes: Sequence[MultiPartition], s: int, b: int) -> tuple[list[MultiPartition], list[MultiPartition]]:
+    """(Lambda_b, Lambda_bar_b) among the given shapes, in their order: those
+    whose first s components hold exactly b boxes, and those holding more."""
     level, above = [], []
-    for lam in multipartitions(n, r):
+    for lam in shapes:
         size = sum(lam.component_sizes()[:s])
         if size == b:
             level.append(lam)
@@ -419,19 +425,18 @@ def hook_dimension(lam: MultiPartition) -> int:
     return factorial(lam.n) // hooks
 
 
-def std_filtered(lam: MultiPartition, b: int, s: int, two_sided: bool) -> list[StandardTableau]:
-    """Standard tableaux with 1..b confined to the first s components.
+def filtered_tableaux(tabs: Sequence[StandardTableau], b: int, s: int, two_sided: bool) -> list[StandardTableau]:
+    """The given tableaux with 1..b confined to the first s components.
 
     With ``two_sided`` also require b+1..n to sit in the last r-s components.
     """
-    out = []
-    for t in std_tableaux(lam):
-        ok = all(t.component_of(k) <= s for k in range(1, b + 1))
-        if ok and two_sided:
-            ok = all(t.component_of(k) > s for k in range(b + 1, lam.n + 1))
-        if ok:
-            out.append(t)
-    return out
+    return [t for t in tabs
+            if all((t.component_of(k) <= s) == (k <= b) for k in range(1, (t.shape.n if two_sided else b) + 1))]
+
+
+def std_filtered(lam: MultiPartition, b: int, s: int, two_sided: bool) -> list[StandardTableau]:
+    """The standard tableaux of lam that `filtered_tableaux` keeps."""
+    return filtered_tableaux(std_tableaux(lam), b, s, two_sided)
 
 
 # --- semistandard tableaux -------------------------------------------------

@@ -299,6 +299,36 @@ def test_identity_heads_match_the_generator_fold_in_either_order(field, q, Q):
             assert Element(alg, *field.canonical(*got)) == expected
 
 
+@pytest.mark.parametrize("field,q", [(Rationals(), Fraction(2, 3)), (PrimeField(5), 2)], ids=["Q", "GF5"])
+def test_products_fold_nothing_times_T_1(field, q, monkeypatch):
+    # T_1 is the identity: a product folds its right factor's w = 1 terms
+    # times L^d straight into the product, a star's right factors are all
+    # w = 1, and left multiplication takes elem L^d as its w = 1 entry; once
+    # the step tables are warm, no fold runs times T_1
+    alg = make(n=3, r=2, q=q, Q=(1, 3), field=field)
+    rng = random.Random(29)
+    # every right factor mixes w = 1 terms (d = 0 among them) with w != 1 terms
+    shift = alg.gen_L(2) + alg.from_scalar(3)
+    elems = [random_element(alg, rng, nterms=6) + shift for _ in range(6)]
+
+    def one_pass():
+        out = [a * b for a in elems for b in elems] + [a.star() for a in elems]
+        return out + [Element(alg, *form) for form in alg.left_mult_matrix(elems[0])]
+
+    first = one_pass()
+    folds = Counter()
+    fold = ArikiKoikeAlgebra._fold
+
+    def counted(self, den, terms, step, arg, *rest):
+        folds[step.__name__, arg] += 1
+        return fold(self, den, terms, step, arg, *rest)
+
+    monkeypatch.setattr(ArikiKoikeAlgebra, "_fold", counted)
+    assert one_pass() == first
+    assert folds["_mono_times_T", 0] == 0
+    assert folds["_mono_times_L", 0] > 0 and sum(k for (name, _), k in folds.items() if name == "_mono_times_T") > 0
+
+
 # the steps _fold reads from its tables, and the rules read through _rule
 STEPS = ("_mono_times_L", "_mono_times_T", "_L_times_normal", "_Ti_times", "_T_times_L", "_normal_L", "_L_pow_r")
 
@@ -679,6 +709,25 @@ def test_transition_forms_are_the_defining_products(field, Q):
                                 if mu_map(s, mu) == S and mu_map(t, nu) == T:
                                     expected = expected + direct_cell(alg, s, t)
                         assert alg.m_semi(S, T) == expected
+
+
+def test_transition_forms_one_left_factor_per_first_tableau(monkeypatch):
+    # T_{d(s)}^* m_lam is formed once per first tableau s, then times T_{d(t)}
+    # once per cell: with every m_lam built, the build makes #s + dim products
+    alg = make(n=3, Q=(1, 5))
+    lams = multipartitions(3, 2)
+    for lam in lams:
+        alg.m_lambda(lam)
+    products = []
+    mul = Element.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    alg.transition()
+    assert len(products) == sum(len(std_tableaux(lam)) for lam in lams) + alg.dim
 
 
 def test_transition_n1_r2():

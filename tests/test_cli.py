@@ -502,6 +502,36 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
         assert left_mult[v_b.den, frozenset(v_b.ints.items())] == 1, b
 
 
+def test_morita_run_forms_each_theta_image_once(monkeypatch, capsys):
+    # theta_b(m_uv) is formed once per level and cell, into the memo that the
+    # v-basis, kernel, leading-term, end-basis, cell-law and complement checks
+    # read; a cell element is recognised as one that m_st handed out
+    from ariki_koike.algebra import ArikiKoikeAlgebra
+    from ariki_koike.morita import MoritaSuite
+
+    cells, calls = {}, Counter()
+    m_st, theta_b = ArikiKoikeAlgebra.m_st, ArikiKoikeAlgebra.theta_b
+
+    def tagged(self, s, t):
+        out = m_st(self, s, t)
+        cells[id(out)] = (out, s, t)  # kept alive, so no other element takes its id
+        return out
+
+    def counted(self, b, h):
+        if id(h) in cells:
+            calls[(b, *cells[id(h)][1:])] += 1
+        return theta_b(self, b, h)
+
+    monkeypatch.setattr(ArikiKoikeAlgebra, "m_st", tagged)
+    monkeypatch.setattr(ArikiKoikeAlgebra, "theta_b", counted)
+    args = ["verify", "--suite", "morita", "--n", "3", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,5"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
+    assert set(calls.values()) == {1}
+    suite = MoritaSuite(build_algebra(make_parser().parse_args(args)))
+    assert set(calls) == {(b, u, v) for b in range(4) for _, u, v in suite.level(b).one_sided}
+
+
 def count_left_mult_matrix(monkeypatch):
     """Count `left_mult_matrix` calls per element, keyed on the element's form."""
     from collections import Counter

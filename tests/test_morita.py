@@ -6,7 +6,7 @@ from ariki_koike.algebra import ArikiKoikeAlgebra
 from ariki_koike.fields import GateError, Params, PrimeField, Rationals
 from ariki_koike.morita import MoritaSuite, TensorAlgebra
 from ariki_koike.report import all_ok
-from ariki_koike.tableaux import MultiPartition, lambda_sets, std_filtered, std_tableaux
+from ariki_koike.tableaux import MultiPartition, filtered_tableaux, lambda_sets, std_filtered, std_tableaux
 
 
 def qparams(n=2, r=2, q=2, Q=(1, 5), s=1, field=None):
@@ -267,16 +267,50 @@ def test_filtration_count_fails_when_a_filtered_tableau_is_dropped(monkeypatch):
     low = max(lambda_sets(2, 2, 1, 0)[0], key=sort_key)
     assert len(std_filtered(low, 0, 1, two_sided=True)) == 1
 
-    def dropping(lam, b, s, two_sided):
-        out = std_filtered(lam, b, s, two_sided)
-        return out[1:] if two_sided and (lam, b) == (low, 0) else out
+    dropped = std_filtered(low, 0, 1, two_sided=True)[0]
 
-    monkeypatch.setattr(morita, "std_filtered", dropping)
+    def dropping(tabs, b, s, two_sided):
+        out = filtered_tableaux(tabs, b, s, two_sided)
+        return [t for t in out if t != dropped] if two_sided and b == 0 else out
+
+    monkeypatch.setattr(morita, "filtered_tableaux", dropping)
     suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
     (row,) = suite.verify_filtration(0)
     assert row.status == "fail"
     assert row.detail == "layer sizes add up to 1, not to rank V^0 = 2"
     assert all_ok(suite.verify_filtration(1))
+
+
+def test_levels_enumerate_each_shape_once(monkeypatch):
+    # a level lists its shapes and its one- and two-sided filtered tableaux
+    # from the algebra's shape tables: across all levels, multipartitions(n, r)
+    # and each shape's standard tableaux are enumerated once
+    from collections import Counter
+    from functools import wraps
+
+    from ariki_koike import morita, tableaux
+
+    calls = Counter()
+
+    def counting(enum):
+        @wraps(enum)
+        def counted(*args):
+            calls[enum.__name__, args] += 1
+            return enum(*args)
+        return counted
+    for module in (morita, tableaux):
+        for name in ("multipartitions", "std_tableaux"):
+            monkeypatch.setattr(module, name, counting(getattr(tableaux, name)))
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=3)))
+    levels = [suite.level(b) for b in range(4)]
+    assert calls and set(calls.values()) == {1}
+    monkeypatch.undo()
+    assert len(calls) == 1 + len(tableaux.multipartitions(3, 2))
+    for b, lv in enumerate(levels):
+        assert (lv.shapes, lv.above) == lambda_sets(3, 2, 1, b)
+        assert lv.filtered == {lam: std_filtered(lam, b, 1, two_sided=True) for lam in lv.shapes}
+        assert lv.one_sided == [(lam, u, v) for lam in lv.shapes + lv.above
+                                for u in std_filtered(lam, b, 1, two_sided=False) for v in std_tableaux(lam)]
 
 
 def test_filtration_fails_without_raising_when_v_action_leaves_v_b(monkeypatch):
