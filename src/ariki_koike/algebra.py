@@ -11,7 +11,8 @@ times L^d straight into the product (for d = 0 through the identity entry of
 the exponent-0 table).  The terms at each other w make one head H_w, the sum
 of c times the left factor times L^d (folded times L^d, or the left factor
 itself for d = 0), and then each head is folded times T_w once, so a product
-makes one T fold per distinct w != 1 of its right factor.  `_fold` applies
+makes one T fold per distinct w != 1 of its right factor; the steps'
+own derivations fold times T_1 nowhere either.  `_fold` applies
 a step to every monomial of its input and looks the step's result up in a
 table, one per (step, argument), kept for the lifetime of the algebra; it
 calls the step only on a miss, so each step runs once per (monomial,
@@ -520,7 +521,8 @@ class ArikiKoikeAlgebra:
         """T_i (L^f T_y) = (T_i L^f) T_y in normal form, for the code of L^f T_y:
         the local move T_i L_i^a L_{i+1}^b = L_i^b L_{i+1}^a T_i
         -+ (q-1) sum_{k=1}^{c} L_i^{m+c-k} L_{i+1}^{m+k}, with m = min(a, b),
-        c = |a-b| and the minus for a > b, then each term times T_y."""
+        c = |a-b| and the minus for a > b, then each term times T_y (the move
+        itself at y = 1)."""
         f, y = divmod(code, self._nperm)
         e = list(self._exps[f])
         a, b = e[i - 1], e[i]
@@ -533,7 +535,7 @@ class ArikiKoikeAlgebra:
             for k in range(1, c + 1):
                 e[i - 1], e[i] = m + c - k, m + k
                 move[self._dindex[tuple(e)] * self._nperm] = sign
-        return self._fold(qden, move, self._mono_times_T, y)
+        return self._fold(qden, move, self._mono_times_T, y) if y else (qden, move)
 
     def _L_pow_r(self, m: int, _=None) -> tuple[int, dict]:
         """The normal form of L_m^r in int form on codes, supported on positions <= m."""
@@ -561,13 +563,14 @@ class ArikiKoikeAlgebra:
     def _normal_L(self, exp: tuple[int, ...], w: int) -> tuple[int, dict]:
         """Normal form of L^exp T_w in int form on codes, for the rank of w,
         where the exponents may reach or pass r: for the first m with
-        exp_m >= r, L^{exp - r e_m} times the normal form of L_m^r, times T_w."""
+        exp_m >= r, L^{exp - r e_m} times the normal form of L_m^r, times T_w
+        (folded for w != 1 only)."""
         m = next((i + 1 for i, x in enumerate(exp) if x >= self.r), None)
         if m is None:
             return 1, {self._dindex[exp] * self._nperm + w: 1}
         base = exp[:m - 1] + (exp[m - 1] - self.r,) + exp[m:]
         head = self._fold(*self._rule(self._L_pow_r, m), self._L_times_normal, base)
-        return self.field.canonical(*self._fold(*head, self._mono_times_T, w))
+        return self.field.canonical(*(self._fold(*head, self._mono_times_T, w) if w else head))
 
     # -- structural elements ----------------------------------------------------
 

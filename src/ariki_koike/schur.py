@@ -7,24 +7,25 @@ verifies the facts the Morita transfer rests on: the semistandard dimension
 formula, the explicit Hom-space bases computed by exact linear algebra, the
 splitting of the index poset, and the compatibility of theta_b with the
 tensor decomposition on the M-side.
-A Hom space is solved per pair of shapes: its conditions x k = 0, for k
-among the right-ideal generators of rAnn(m_nu) (`alg.ideal_generators`; x k_j
-= 0 for each j gives x k = 0 on the whole ideal), are engine products
-streamed in int form into one echelon.  The algebra's memo keeps the products
-m_mu L^d T_w (`alg.products`, shared with the Morita battery) and, per shape,
-what is read off them: the row basis of M^mu and the generators of rAnn(m_mu).
-It also keeps the shape tables (`alg.shape_table`): the multipartitions and
-multicompositions of (n, r) and the semistandard tableaux of each pair of
-shapes are enumerated once per run, not once per Hom space.  The functions
-without an algebra (`saturated_check`, `schur_dimension`) enumerate once per
-call, and every shape computes its dominance key once.
+Hom(M^nu, M^mu) is M^mu & W_nu, for M^mu = m_mu H and W_nu = {x in H : x k =
+0 for each right-ideal generator k of rAnn(m_nu)} (`alg.ideal_generators`).
+Both belong to one shape and are kept in the algebra's memo as echelons:
+M^mu (`("hom_target", mu)`) is read off the products m_mu L^d T_w
+(`alg.products`, shared with the Morita battery), and W_nu (`("hom_images",
+nu)`) is the kernel of the conditions x k = 0, engine products streamed in
+int form into one echelon.  A pair of shapes takes no engine product: one
+rank gives its dimension.  The memo also keeps the shape tables
+(`alg.shape_table`), enumerated once per run, and the theta_b identity's
+verdict per shape.  The functions without an algebra (`saturated_check`,
+`schur_dimension`) enumerate once per call, and every shape computes its
+dominance key once.
 """
 
 from __future__ import annotations
 
 from .algebra import ArikiKoikeAlgebra
 from .fields import Params
-from .linalg import Echelon, combination, kernel_basis
+from .linalg import Echelon, kernel_basis
 from .morita import MoritaSuite, TensorAlgebra
 from .report import CheckResult, result
 from .tableaux import MultiComposition, dominates, multicompositions, multipartitions, semistandard, sort_key
@@ -62,17 +63,18 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
 
     Direct computation: a map is determined by the image x of the cyclic
     generator m_nu; x must lie in M^mu and kill the right annihilator of
-    m_nu, that is, each of its right-ideal generators.  The returned dict
-    carries the solved dimension, the semistandard pair count, and whether
-    every basis map lands in the solved space.
+    m_nu, that is, lie in W_nu, so the maps are M^mu & W_nu, of dimension
+    |M^mu| + |W_nu| - rank(M^mu + W_nu): one echelon, of the rows of the
+    smaller of the two reduced by the larger.  The returned dict carries that
+    dimension, the semistandard pair count, and whether every semistandard
+    basis map m_ST lies in both M^mu and W_nu.
     """
     field = alg.field
-    mu_basis = alg.derived(("hom_target", mu), lambda: _hom_target(mu, alg))
-    gens = alg.derived(("ann_generators", nu), lambda: alg.ideal_generators(
-        alg.right_annihilator(alg.products(alg.m_lambda(nu)))))
-    # solve: x in span(mu_basis) with x k = 0 for each right-ideal generator k of rAnn(m_nu)
-    sols = kernel_basis(Echelon(field, alg.condition_rows(mu_basis, gens)), len(mu_basis))
-    maps = Echelon(field, (combination(field, v, mu_basis) for v in sols))
+    target = alg.derived(("hom_target", mu), lambda: Echelon(field, alg.products(alg.m_lambda(mu))))
+    images = alg.derived(("hom_images", nu), lambda: _hom_images(nu, alg))
+    # the smaller space's rows, reduced by the larger's echelon, span (M^mu + W_nu) / larger
+    small, large = sorted((target, images), key=len)
+    beyond = Echelon(field, (large.reduce(*form) for form in small.rows.values()))
 
     expected = 0
     members = []
@@ -85,18 +87,20 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
                 members.append(alg.m_semi(S, T))
 
     return {
-        "dim": len(sols),
+        "dim": len(small) - len(beyond),
         "expected": expected,
-        "members_inside": all(maps.contains(*m.form) for m in members),
+        "members_inside": all(target.contains(*m.form) and images.contains(*m.form) for m in members),
         "members_independent": len(Echelon(field, [m.form for m in members])) == expected,
     }
 
 
-def _hom_target(mu: MultiComposition, alg: ArikiKoikeAlgebra) -> list[tuple[int, dict]]:
-    """A row basis of M^mu = m_mu H in int form: one echelon of the products
-    m_mu L^d T_w, in pivot order."""
-    ech = Echelon(alg.field, alg.products(alg.m_lambda(mu)))
-    return [ech.rows[pc] for pc in sorted(ech.rows)]
+def _hom_images(nu: MultiComposition, alg: ArikiKoikeAlgebra) -> Echelon:
+    """W_nu = {x in H : x k = 0 for each right-ideal generator k of rAnn(m_nu)},
+    the possible images of m_nu: the kernel of the conditions on x's
+    coordinates over the basis, as an echelon."""
+    gens = alg.ideal_generators(alg.right_annihilator(alg.products(alg.m_lambda(nu))))
+    units = [(1, {i: 1}) for i in range(alg.dim)]
+    return Echelon(alg.field, kernel_basis(Echelon(alg.field, alg.condition_rows(units, gens)), alg.dim))
 
 
 def gamma_split(gamma: list[MultiComposition], n: int, r: int, s: int, b: int) -> tuple:
@@ -140,7 +144,8 @@ def morita_count_check(gamma: list[MultiComposition], alg: ArikiKoikeAlgebra) ->
     Counts: the multipartition members of Gamma are in bijection with the
     disjoint union over b of products of the split multipartition sets.
     Identity: theta_b(m_lam) agrees with the embedded tensor product
-    m_sigma (x) m_tau acting on v_b, for every split member of the slice.
+    m_sigma (x) m_tau acting on v_b, for every split member of the slice;
+    each shape's verdict is kept in the memo, so it is formed once per run.
     """
     suite = MoritaSuite(alg)
     params, s = alg.params, suite.s
@@ -172,9 +177,9 @@ def morita_count_check(gamma: list[MultiComposition], alg: ArikiKoikeAlgebra) ->
                 continue
             sigma = MultiComposition(lam.components[:s])
             tau = MultiComposition(lam.components[s:])
-            lhs = alg.theta_b(b, alg.m_lambda(lam))
-            rhs = suite.theta_map(b, ta.left.m_lambda(sigma), ta.right.m_lambda(tau)) * vb
-            if lhs != rhs:
+            # kept per shape: both of schur_suite's index sets hold the multipartitions
+            if not alg.derived(("theta_module_image", lam), lambda: alg.theta_b(b, alg.m_lambda(lam)) == (
+                    suite.theta_map(b, ta.left.m_lambda(sigma), ta.right.m_lambda(tau)) * vb)):
                 failures.append(lam.serialize())
     out.append(result(
         "schur.theta_module_image", REF_THETA_M, params.describe(),

@@ -780,6 +780,35 @@ def test_too_few_ideal_generators_fail_the_annihilator_systems(suite, check, mon
     assert code == 1 and check in failed
 
 
+def test_a_member_in_M_mu_but_outside_W_nu_fails_its_hom_row(monkeypatch, capsys):
+    # one semistandard map of one pair is shifted by 1: m_mu = 1 for
+    # mu = ((), (1, 1)), so M^mu = H holds it, but 1 does not kill the
+    # nonzero rAnn(m_nu), so W_nu does not; the shifted set stays
+    # independent, so only the membership in W_nu can fail the row
+    from ariki_koike import schur
+    from ariki_koike.algebra import ArikiKoikeAlgebra
+    from ariki_koike.linalg import Echelon
+    from ariki_koike.tableaux import MultiComposition, multipartitions, semistandard
+
+    mu, nu = MultiComposition([(), (1, 1)]), MultiComposition([(2,), ()])
+    alg = build_algebra(make_parser().parse_args(SCHUR_RUN))
+    S, T = next((S, T) for lam in multipartitions(2, 2)
+                for S in semistandard(lam, mu) for T in semistandard(lam, nu))
+    assert Echelon(alg.field, alg.products(alg.m_lambda(mu))).contains(*alg.one().form)
+    assert not schur._hom_images(nu, alg).contains(*alg.one().form)
+    m_semi = ArikiKoikeAlgebra.m_semi
+
+    def shifted(self, s, t):
+        return m_semi(self, s, t) + self.one() if (s, t) == (S, T) else m_semi(self, s, t)
+    monkeypatch.setattr(ArikiKoikeAlgebra, "m_semi", shifted)
+    data = schur.hom_space(mu, nu, alg)
+    assert data["dim"] == data["expected"] and data["members_independent"]
+    assert not data["members_inside"]
+    code, out, _ = run_cli(SCHUR_RUN, capsys)
+    failed = [row for row in json.loads(out) if row["status"] == "fail"]
+    assert code == 1 and [row["check"] for row in failed] == ["schur.hom_space"]
+    assert (failed[0]["params"]["mu"], failed[0]["params"]["nu"]) == (mu.serialize(), nu.serialize())
+
 def test_saturated_row_fails_when_every_set_passes_as_saturated(monkeypatch, capsys):
     from ariki_koike import schur
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb as binomial, factorial
 
 import pytest
@@ -153,6 +154,33 @@ def test_bimodule_checks(suite2):
     for b in range(3):
         assert all_ok(suite2.verify_bimodule(b))
 
+
+def test_u_compatibility_is_formed_once_per_size_vector(monkeypatch):
+    # u_plus reads only the component sizes, so the law is formed once per
+    # size vector, and a size vector that fails lists each of its shapes
+    alg = ArikiKoikeAlgebra(qparams(n=3))
+    suite, b = MoritaSuite(alg), 1
+    shapes = suite.level(b).shapes
+    sizes = Counter(lam.component_sizes() for lam in shapes)
+    repeated = next(k for k, count in sizes.items() if count > 1)
+    assert all_ok(suite.verify_bimodule(b))  # the level's cells are formed, and kept
+    u_plus, calls = ArikiKoikeAlgebra.u_plus, []
+
+    def counted(self, lam):
+        if self is alg:
+            calls.append(lam.component_sizes())
+        return u_plus(self, lam)
+    monkeypatch.setattr(ArikiKoikeAlgebra, "u_plus", counted)
+    row = next(r for r in suite.verify_bimodule(b) if r.check == "morita.u_compatibility")
+    assert row.ok and sorted(calls) == sorted(sizes)
+
+    def wrong(self, lam):
+        out = u_plus(self, lam)
+        return out.scale(2) if self is alg and lam.component_sizes() == repeated else out
+    monkeypatch.setattr(ArikiKoikeAlgebra, "u_plus", wrong)
+    row = next(r for r in suite.verify_bimodule(b) if r.check == "morita.u_compatibility")
+    assert not row.ok
+    assert row.detail == "; ".join([lam.serialize() for lam in shapes if lam.component_sizes() == repeated][:3])
 
 def test_faithfulness_and_freeness(suite2):
     for b in range(3):

@@ -1,7 +1,11 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from ariki_koike.algebra import ArikiKoikeAlgebra
-from ariki_koike.fields import Params, Rationals
+from ariki_koike.fields import Params, PrimeField, Rationals
+from ariki_koike.linalg import Echelon, combination, kernel_basis
 from ariki_koike.report import all_ok
 from ariki_koike.schur import (
     gamma_split,
@@ -9,6 +13,7 @@ from ariki_koike.schur import (
     morita_count_check,
     saturated_check,
     schur_dimension,
+    schur_suite,
 )
 from ariki_koike.tableaux import (
     MultiComposition,
@@ -17,6 +22,7 @@ from ariki_koike.tableaux import (
     multicompositions,
     multipartitions,
     omega,
+    semistandard,
     std_tableaux,
 )
 
@@ -84,6 +90,87 @@ def test_hom_space_column_type_is_the_regular_count():
     assert data["dim"] == 8  # sum over shapes of |Std|^2 = the full rank
     assert data["dim"] == sum(len(std_tableaux(l)) ** 2 for l in multipartitions(2, 2))
 
+
+def _per_pair_solve(mu, nu, alg):
+    """Hom(M^nu, M^mu) as one condition system of its own: x = sum z_i m_i over
+    a row basis m_i of M^mu, with x k = 0 for each right-ideal generator k of
+    rAnn(m_nu).  Returns the kernel dimension and the span of the solutions."""
+    field = alg.field
+    target = Echelon(field, alg.products(alg.m_lambda(mu)))
+    rows = [target.rows[pc] for pc in sorted(target.rows)]
+    gens = alg.ideal_generators(alg.right_annihilator(alg.products(alg.m_lambda(nu))))
+    sols = kernel_basis(Echelon(field, alg.condition_rows(rows, gens)), len(rows))
+    return len(sols), Echelon(field, (combination(field, v, rows) for v in sols))
+
+
+@pytest.mark.parametrize("params", [
+    Params(field=Rationals(), q=Fraction(3, 2), Q=(1, 5), n=3, r=2),
+    Params(field=PrimeField(5), q=2, Q=(1, 4), n=2, r=2),
+], ids=["Q-n3r2", "GF5-n2r2"])
+def test_hom_space_matches_the_per_pair_solve(params):
+    # the intersection M^mu & W_nu of two per-shape echelons against the
+    # conditions solved over M^mu for each pair
+    alg = ArikiKoikeAlgebra(params)
+    shapes = multicompositions(params.n, params.r)
+    for mu in shapes:
+        for nu in shapes:
+            data = hom_space(mu, nu, alg)
+            dim, maps = _per_pair_solve(mu, nu, alg)
+            members = [alg.m_semi(S, T) for lam in multipartitions(params.n, params.r)
+                       for S in semistandard(lam, mu) for T in semistandard(lam, nu)]
+            assert data["dim"] == dim
+            assert data["members_inside"] == all(maps.contains(*m.form) for m in members)
+
+
+def test_schur_suite_builds_each_shape_memo_once(monkeypatch):
+    # M^mu, W_nu and the theta_b identity belong to one shape, not to a pair
+    # or to one of the two index sets morita_count_check is called on
+    alg = ArikiKoikeAlgebra(qparams(n=3))
+    builds, conditions = Counter(), []
+    derived, condition_rows = ArikiKoikeAlgebra.derived, ArikiKoikeAlgebra.condition_rows
+
+    def counting(self, key, build):
+        def counted():
+            builds[key] += 1
+            return build()
+        return derived(self, key, counted) if self is alg else derived(self, key, build)
+
+    def counted_rows(self, forms, kernel):
+        conditions.append(len(forms))
+        return condition_rows(self, forms, kernel)
+
+    monkeypatch.setattr(ArikiKoikeAlgebra, "derived", counting)
+    monkeypatch.setattr(ArikiKoikeAlgebra, "condition_rows", counted_rows)
+    assert all_ok(schur_suite(alg))
+    shapes = set(multicompositions(3, 2))
+    assert len(shapes) > len(multipartitions(3, 2))
+    for kind in ("hom_target", "hom_images", "theta_module_image"):
+        assert {key[1] for key in builds if key[0] == kind} == shapes, kind
+    # one condition system per W_nu, over the whole basis; none per pair
+    assert conditions == [alg.dim] * len(shapes)
+
+
+def test_warm_hom_space_takes_no_product_and_two_echelons(monkeypatch):
+    alg = ArikiKoikeAlgebra(qparams(n=3))
+    shapes = multicompositions(3, 2)
+    mu, nu = shapes[0], shapes[-1]
+    cold = hom_space(mu, nu, alg)
+    products, echelons = [], []
+    product_into, init = ArikiKoikeAlgebra._product_into, Echelon.__init__
+
+    def counted_product(self, *args):
+        products.append(args)
+        return product_into(self, *args)
+
+    def counted_init(self, *args):
+        echelons.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ArikiKoikeAlgebra, "_product_into", counted_product)
+    monkeypatch.setattr(Echelon, "__init__", counted_init)
+    assert hom_space(mu, nu, alg) == cold
+    assert cold["dim"] == cold["expected"] > 0
+    assert products == [] and 0 < len(echelons) <= 2
 
 def test_gamma_split_levels():
     gam = multipartitions(3, 2)
