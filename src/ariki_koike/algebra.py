@@ -76,14 +76,14 @@ keys appear only where something outside the engine reads or writes them:
 give them out.  `left_mult_matrix(x)` lists the products x L^d T_w in int
 form, `coordinates`, `right_annihilator` and `condition_rows` solve and take
 kernels from such products, `ideal_generators` finds right-ideal generators
-of such a kernel, and `TransitionMatrix.express` gives cellular
-coordinates in int form too.  The transition is the one place a cell element
-m_st is computed; `m_st` and `m_semi` read its forms.  The rewriting rules
-themselves are derived in the same int form, once per key: T_x T_w is one
-fold step from T_x T_v, T_x L^d is a fold along a reduced word of x, whose
-steps read q and q-1 from one int form of the pair, and L_m^r (m >= 2) is
-built from int forms by `_product_into`.
-Field values enter the rules only as the parameters q and Q.
+of such a kernel, `right_ideal(y)` is the one record of y H that reads
+them, and `TransitionMatrix.express` gives cellular coordinates in int form
+too.  The transition is the one place a cell element m_st is computed;
+`m_st` and `m_semi` read its forms.  The rewriting rules themselves are
+derived in the same int form, once per key: T_x T_w is one fold step from
+T_x T_v, T_x L^d is a fold along a reduced word of x, whose steps read q
+and q-1 from one int form of the pair, and L_m^r (m >= 2) is built from int
+forms by `_product_into`.  Field values enter the rules only as q and Q.
 """
 
 from __future__ import annotations
@@ -270,9 +270,9 @@ class ArikiKoikeAlgebra:
         algebra: the one memo of everything derived from it (basis, transition,
         Specht modules, Gram matrices, decomposition data, factor algebras).
 
-        Nothing kept here refers back to the algebra (elements are kept as
-        their int forms `Element.form`), so a finished run's algebra is freed
-        by reference counting, without waiting for the cycle collector."""
+        Nothing kept here refers back to the algebra strongly (elements are
+        kept as their int forms, records such as the transition hold it weakly),
+        so a finished run's algebra is freed by reference counting alone."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
@@ -347,11 +347,9 @@ class ArikiKoikeAlgebra:
                 out.append(canonical(*self._fold(*head, self._mono_times_T, w)))
         return out
 
-    def products(self, elem: Element) -> list[tuple[int, dict]]:
-        """`left_mult_matrix(elem)`, built once per element: the one memo of
-        products elem L^d T_w, keyed on elem's form."""
-        return self.derived(("products", elem.den, frozenset(elem.ints.items())),
-                            lambda: self.left_mult_matrix(elem))
+    def right_ideal(self, y: Element) -> "RightIdeal":
+        """The one record of y H, kept under y's int form: y is multiplied out once."""
+        return self.derived(("right_ideal", y.den, frozenset(y.ints.items())), lambda: RightIdeal(self, y))
 
     def coordinates(self, forms: list, targets: list) -> list[tuple[int, dict] | None]:
         """For each target t, a solution z of sum_i z_i forms[i] = t (free
@@ -379,15 +377,15 @@ class ArikiKoikeAlgebra:
         """Generators k_1..k_g of span(kernel) as a right ideal, in int form.
 
         A kernel vector that the ideal built so far does not contain becomes a
-        generator, and its products k L^d T_w (`products`) join the ideal's
-        echelon.  Certified: unless each generator lies in the ideal (then
-        every kernel vector does) and the ideal has dimension len(kernel), so
-        that it is span(kernel), this raises ComputationError."""
+        generator, and its products k L^d T_w (from its own `right_ideal`
+        record) join the ideal's echelon.  Certified: unless each generator
+        lies in the ideal (then every kernel vector does) and the ideal has
+        dimension len(kernel), so that it is span(kernel), this raises ComputationError."""
         ideal, gens = Echelon(self.field), []
         for k in kernel:
             if not ideal.contains(*k):
                 gens.append(k)
-                for form in self.products(Element(self, *k)):
+                for form in self.right_ideal(Element(self, *k)).products:
                     ideal.add_form(*form)
         if len(ideal) != len(kernel) or not all(ideal.contains(*k) for k in gens):
             raise ComputationError(f"the kernel (dim {len(kernel)}) is not a right ideal: "
@@ -738,6 +736,28 @@ class TransitionMatrix:
     def combine(self, coords: tuple[int, dict]) -> Element:
         """The element with cellular coordinates `coords` (as `express` gives them)."""
         return Element(self._alg(), *combination(self.field, coords, self.forms))
+
+
+class RightIdeal:
+    """The principal right ideal y H of an element y, each part built on its
+    first read: the products y L^d T_w (int forms at the codes of L^d T_w),
+    their echelon, rAnn(y), its right-ideal generators and W_y = {x : x k = 0
+    for each generator k}, the images of y under the maps y H -> H, as an
+    echelon.  Kept in the memo, so it holds the algebra only weakly."""
+
+    def __init__(self, alg: ArikiKoikeAlgebra, y: Element):
+        self._alg, self.form = weakref.ref(alg), y.form
+
+    products = cached_property(lambda self: self._alg().left_mult_matrix(Element(self._alg(), *self.form)))
+    span = cached_property(lambda self: Echelon(self._alg().field, self.products))
+    annihilator = cached_property(lambda self: self._alg().right_annihilator(self.products))
+    generators = cached_property(lambda self: self._alg().ideal_generators(self.annihilator))
+
+    @cached_property
+    def hom_images(self) -> Echelon:
+        alg = self._alg()
+        conditions = Echelon(alg.field, alg.condition_rows([(1, {i: 1}) for i in range(alg.dim)], self.generators))
+        return Echelon(alg.field, kernel_basis(conditions, alg.dim))
 
 
 def random_element(alg: ArikiKoikeAlgebra, rng, nterms: int = 4, coeff_range: int = 9) -> Element:

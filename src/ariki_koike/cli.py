@@ -15,9 +15,9 @@ checked once, before any suite runs.
 Exit codes: 0 all checks pass, 1 a check failed, 2 a usage error or a
 hypothesis gate that refused the run (the two share this code; usage
 errors are malformed or unknown flags, unparsable values such as ``--q x``
-or ``--q 1/0``, and ``--b`` out of range), 3 the instance exceeds the size
-guards, 4 an internal error (a failed computation or any other exception,
-reported in one line).
+or ``--q 1/0``, ``--b`` out of range and ``--max-dim`` below 1), 3 the
+instance exceeds the size guards, 4 an internal error (a failed computation
+or any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ def build_params(args) -> Params:
 def build_algebra(args) -> ArikiKoikeAlgebra:
     """The one algebra of a run, behind the default desk-scale guards;
     an explicitly raised --max-dim lifts them."""
+    if args.max_dim < 1:
+        raise ValueError(f"--max-dim must be at least 1, got {args.max_dim}")
     alg = ArikiKoikeAlgebra(build_params(args), max_dim=args.max_dim)
     dim, max_dim, r, n = alg.dim, alg.max_dim, alg.r, alg.n
     if dim > max_dim:

@@ -18,11 +18,11 @@ echelon form of a row space is unique, so results do not depend on row
 order.
 
 Field values (Fraction or FpElement) appear only at the edges: `add` takes
-a row of them, `dense` renders an int form as one, and `rank`, `nullspace`,
-`solve`, `inverse`, `row_space_basis`, `determinant`, `in_row_space` and
-the in-place `row_echelon` take dense rows of field values and are thin
-calls into the kernel.  `solve` and `in_row_space` take every right-hand
-side (or vector) at once.
+a row of them, `dense` renders an int form as one, and `solve` (every
+right-hand side at once) and `determinant` take dense rows of them.  `rank`,
+`nullspace`, `inverse`, `row_echelon`, `row_space_basis`, `in_row_space` and
+their helpers `identity_matrix`, `echelon` and `dense_rows` have no caller in
+the package: they stay only while `bench/tracer.py` looks the six up by name.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ f_s(q, Q): the statements are simply false without it, so when it vanishes
 exit code 2).  The two unconditional identity families (the intertwining and
 annihilation laws) are callable without the gate.
 
-V^b and rAnn(v_b) are read off the int-form products v_b L^d T_w
-(`alg.products`); a rank of elements is one `Echelon` of their forms.  The
-conditions "x kills rAnn(v_b)" are imposed at its right-ideal generators
-(`alg.ideal_generators`), a few per level, not at every kernel vector.
+V^b = v_b H and M^{omega_b} are read through their records `alg.right_ideal(y)`
+(the products y L^d T_w, their echelon, rAnn(y) and its right-ideal generators,
+shared with the Schur battery); a rank of elements is one `Echelon` of their
+forms.  "x kills rAnn(v_b)" is imposed at the generators, a few per level.
 
 `MoritaSuite.run_all()` is the one entry point to the battery: the rank count,
 the per-level checks at every level b, then the checks across levels.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial, lcm
 
-from .algebra import ArikiKoikeAlgebra, Element, solve_rows
+from .algebra import ArikiKoikeAlgebra, Element, RightIdeal, solve_rows
 from .fields import ComputationError, GateError, Params, f_s_value
 from .linalg import Echelon, combination, mat_mul, solve, sparse, transpose
 from .perms import coset_reps, shift_perm, w_ab
@@ -85,6 +85,7 @@ REF_FACTOR_DEC = "decomposition numbers factor as products across the split"
 # Up to this n, Hom(V^b, V^c) = 0 is also solved directly, beside the content
 # separation; the direct system has n * rank V^b * rank V^c rows.
 DIRECT_HOM_MAX_N = 3
+DUMP_TERMS = 4  # terms of an element that a failure row shows
 
 GATE_MESSAGE = (
     "Morita hypothesis violated: the separation product f_s(q,Q) = "
@@ -93,12 +94,12 @@ GATE_MESSAGE = (
 )
 
 
-def _dump(elem: Element, limit: int = 4) -> str:
-    """Compact element dump for failure reports."""
+def _dump(elem: Element) -> str:
+    """Compact element dump for failure reports: at most DUMP_TERMS terms."""
     lines = elem.serialize().splitlines()
-    shown = "; ".join(lines[:limit])
-    if len(lines) > limit:
-        shown += f"; ... ({len(lines) - limit} more terms)"
+    shown = "; ".join(lines[:DUMP_TERMS])
+    if len(lines) > DUMP_TERMS:
+        shown += f"; ... ({len(lines) - DUMP_TERMS} more terms)"
     return shown or "0"
 
 
@@ -205,27 +206,14 @@ class MoritaSuite:
         return alg.derived(("theta_images", b), lambda: {
             (u, v): alg.theta_b(b, alg.m_st(u, v)).form for (_, u, v) in self.level(b).one_sided})
 
-    def _vb_products(self, b: int) -> list[tuple[int, dict]]:
-        """The products v_b L^d T_w, in int form at the code of L^d T_w: they span V^b."""
-        return self.alg.products(self.alg.v_b_elem(b))
-
-    def _vb_kernel(self, b: int) -> list[tuple[int, dict]]:
-        """rAnn(v_b) = {h : v_b h = 0} in int form, solved once per level."""
-        return self.alg.derived(("v_b_kernel", b), lambda: self.alg.right_annihilator(self._vb_products(b)))
-
-    def _vb_generators(self, b: int) -> list[tuple[int, dict]]:
-        """Generators of rAnn(v_b) as a right ideal, in int form, found once per
-        level: x kills rAnn(v_b) iff it kills each of them."""
-        return self.alg.derived(("v_b_generators", b), lambda: self.alg.ideal_generators(self._vb_kernel(b)))
-
-    def _vb_rank(self, b: int) -> int:
-        """rank V^b = dim H - dim rAnn(v_b), independent of any listing."""
-        return self.alg.dim - len(self._vb_kernel(b))
+    def _vb_ideal(self, b: int) -> RightIdeal:
+        """The record of V^b = v_b H: products, rAnn(v_b) and its right-ideal generators."""
+        return self.alg.right_ideal(self.alg.v_b_elem(b))
 
     def _preimages(self, b: int) -> list[tuple | None]:
         """For each v-basis element v, the solution h of v_b h = v in int form (None if there is none)."""
         return self.alg.derived(("v_preimages", b), lambda: self.alg.coordinates(
-            self._vb_products(b), [e.form for e in self.v_basis(b).elements]))
+            self._vb_ideal(b).products, [e.form for e in self.v_basis(b).elements]))
 
     def v_action(self, b: int) -> list[list[tuple]]:
         """Right action matrices of the generators on the v-basis of V^b, as int-form rows."""
@@ -384,13 +372,12 @@ class MoritaSuite:
             f"rank {r_v}, entries {len(vb.entries)}, expected {expected}",
         ))
 
-        # M^{omega_b} = m_{omega_b} H, as the echelon of its products m_{omega_b} L^d T_w:
-        # compare the module with its claimed cell basis.
-        omega = omega_b(self.n, self.params.r, self.s, b)
-        module_rows = list(Echelon(field, alg.products(alg.m_lambda(omega))).rows.values())
+        # M^{omega_b} = m_{omega_b} H, as its record's echelon: compare it with its claimed cell basis.
+        module = alg.right_ideal(alg.m_lambda(omega_b(self.n, self.params.r, self.s, b))).span
+        module_rows = list(module.rows.values())
         claimed = lv.one_sided
         claimed_rows = [alg.m_st(u, v).form for (_, u, v) in claimed]
-        r_module = len(module_rows)
+        r_module = len(module)
         r_claimed = len(Echelon(field, claimed_rows))
         r_joint = len(Echelon(field, module_rows + claimed_rows))
         basis_ok = r_module == r_claimed == r_joint == len(claimed)
@@ -461,8 +448,9 @@ class MoritaSuite:
         # an independent count: the layers, sized by the hook-length formula,
         # must fill V^b as measured by the rank of left multiplication by v_b
         total = sum(len(filt) * hook_dimension(lam) for lam, filt in lv.filtered.items())
-        if total != self._vb_rank(b):
-            failures.append(f"layer sizes add up to {total}, not to rank V^{b} = {self._vb_rank(b)}")
+        rank = self.alg.dim - len(self._vb_ideal(b).annihilator)  # dim H - dim rAnn(v_b)
+        if total != rank:
+            failures.append(f"layer sizes add up to {total}, not to rank V^{b} = {rank}")
         return [result("morita.filtration", REF_FILTRATION, self._pdict(b=b), not failures,
                        "; ".join(sorted(set(failures))[:4]) if failures else
                        f"{len(layers)} layers over {len(lv.shapes)} shapes")]
@@ -500,7 +488,7 @@ class MoritaSuite:
         """Well-definedness, equivariance and independence of the maps
         v_b h -> v_st h for pairs of two-sided filtered tableaux."""
         alg = self.alg
-        generators = [Element(alg, *k) for k in self._vb_generators(b)]
+        generators = [Element(alg, *k) for k in self._vb_ideal(b).generators]
         vb = self.v_basis(b)
         pairs, images = self.level(b).pairs, self.theta_images(b)
         failures = []
@@ -564,7 +552,7 @@ class MoritaSuite:
         rows = itertools.chain(
             # homogeneous rows: coordinates of (sum z_i m_i) * k over the right-ideal
             # generators k of rAnn(v_b), which give the conditions of all of it
-            alg.condition_rows([e.form for e in m_elems], self._vb_generators(b)),
+            alg.condition_rows([e.form for e in m_elems], self._vb_ideal(b).generators),
             # affine rows: theta_b(sum z_i m_i) = v_b
             transpose(field, [images[u, v] for (_, u, v) in one_sided] + [alg.v_b_elem(b).form], alg.dim),
         )
@@ -783,7 +771,7 @@ class MoritaSuite:
         # bounded-exponent spanning family: v_b L^d T_w with d_i < s (i <= b),
         # d_i < r-s (i > b), read off the products v_b L^d T_w
         s, r = self.s, self.params.r
-        products = self._vb_products(b)
+        products = self._vb_ideal(b).products
         bounds = [range(s) if i < b else range(r - s) for i in range(n)]
         bounded_rows = [products[alg.code(d, w)] for d in itertools.product(*bounds) for w in alg._perms]
         if len(Echelon(field, bounded_rows)) != expected or len(bounded_rows) != expected:

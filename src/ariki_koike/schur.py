@@ -8,15 +8,12 @@ formula, the explicit Hom-space bases computed by exact linear algebra, the
 splitting of the index poset, and the compatibility of theta_b with the
 tensor decomposition on the M-side.
 Hom(M^nu, M^mu) is M^mu & W_nu, for M^mu = m_mu H and W_nu = {x in H : x k =
-0 for each right-ideal generator k of rAnn(m_nu)} (`alg.ideal_generators`).
-Both belong to one shape and are kept in the algebra's memo as echelons:
-M^mu (`("hom_target", mu)`) is read off the products m_mu L^d T_w
-(`alg.products`, shared with the Morita battery), and W_nu (`("hom_images",
-nu)`) is the kernel of the conditions x k = 0, engine products streamed in
-int form into one echelon.  A pair of shapes takes no engine product: one
-rank gives its dimension.  The memo also keeps the shape tables
-(`alg.shape_table`), enumerated once per run, and the theta_b identity's
-verdict per shape.  The functions without an algebra (`saturated_check`,
+0 for each right-ideal generator k of rAnn(m_nu)}: the echelons `span` and
+`hom_images` of the records `alg.right_ideal(m_mu)` and `alg.right_ideal(m_nu)`,
+built once per shape and shared with the Morita battery.  A pair of shapes
+takes no engine product: one rank gives its dimension.  The memo also keeps
+the shape tables (`alg.shape_table`), enumerated once per run, and the
+theta_b identity's verdict per shape.  The functions without an algebra (`saturated_check`,
 `schur_dimension`) enumerate once per call, and every shape computes its
 dominance key once.
 """
@@ -25,7 +22,7 @@ from __future__ import annotations
 
 from .algebra import ArikiKoikeAlgebra
 from .fields import Params
-from .linalg import Echelon, kernel_basis
+from .linalg import Echelon
 from .morita import MoritaSuite, TensorAlgebra
 from .report import CheckResult, result
 from .tableaux import MultiComposition, dominates, multicompositions, multipartitions, semistandard, sort_key
@@ -70,8 +67,8 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
     basis map m_ST lies in both M^mu and W_nu.
     """
     field = alg.field
-    target = alg.derived(("hom_target", mu), lambda: Echelon(field, alg.products(alg.m_lambda(mu))))
-    images = alg.derived(("hom_images", nu), lambda: _hom_images(nu, alg))
+    target = alg.right_ideal(alg.m_lambda(mu)).span
+    images = alg.right_ideal(alg.m_lambda(nu)).hom_images
     # the smaller space's rows, reduced by the larger's echelon, span (M^mu + W_nu) / larger
     small, large = sorted((target, images), key=len)
     beyond = Echelon(field, (large.reduce(*form) for form in small.rows.values()))
@@ -92,15 +89,6 @@ def hom_space(mu: MultiComposition, nu: MultiComposition, alg: ArikiKoikeAlgebra
         "members_inside": all(target.contains(*m.form) and images.contains(*m.form) for m in members),
         "members_independent": len(Echelon(field, [m.form for m in members])) == expected,
     }
-
-
-def _hom_images(nu: MultiComposition, alg: ArikiKoikeAlgebra) -> Echelon:
-    """W_nu = {x in H : x k = 0 for each right-ideal generator k of rAnn(m_nu)},
-    the possible images of m_nu: the kernel of the conditions on x's
-    coordinates over the basis, as an echelon."""
-    gens = alg.ideal_generators(alg.right_annihilator(alg.products(alg.m_lambda(nu))))
-    units = [(1, {i: 1}) for i in range(alg.dim)]
-    return Echelon(alg.field, kernel_basis(Echelon(alg.field, alg.condition_rows(units, gens)), alg.dim))
 
 
 def gamma_split(gamma: list[MultiComposition], n: int, r: int, s: int, b: int) -> tuple:

@@ -257,6 +257,14 @@ def _norton(action: list[Rows], theta: Rows, field) -> Echelon | None:
     return None
 
 
+def l_matrices(alg: ArikiKoikeAlgebra, action: list[Rows]) -> list[Rows]:
+    """L_1 = T_0 and L_{k+1} = q^{-1} T_k L_k T_k from the action matrices of T_0..T_{n-1}."""
+    field, out, q_inv = alg.field, action[:1], alg.field.to_ints({0: alg.params.q_power(-1)})
+    for t in action[1:]:
+        out.append([combination(field, q_inv, [row]) for row in mat_mul(field, mat_mul(field, t, out[-1]), t)])
+    return out
+
+
 def module_fingerprint(alg: ArikiKoikeAlgebra, action: list[Rows], dim: int) -> tuple:
     """Trace of the action of every normal-form basis monomial L^d T_w.
 
@@ -269,11 +277,7 @@ def module_fingerprint(alg: ArikiKoikeAlgebra, action: list[Rows], dim: int) -> 
     """
     field = alg.field
     ident = [(1, {i: 1}) for i in range(dim)]
-    q_inv = field.to_ints({0: alg.params.q_power(-1)})
-    l_gens = action[:1]
-    for t in action[1:]:
-        l_gens.append([combination(field, q_inv, [row])
-                       for row in mat_mul(field, mat_mul(field, t, l_gens[-1]), t)])
+    l_gens = l_matrices(alg, action)
     t_mats = {}
     for w in sorted(alg._perms, key=Permutation.length):
         descents = w.right_descents()

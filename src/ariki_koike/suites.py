@@ -25,6 +25,7 @@ from .specht import (
     block_partition,
     decomposition_matrix,
     gram_matrix,
+    l_matrices,
     specht_module,
 )
 from .tableaux import (
@@ -51,6 +52,7 @@ REF_GRAM = "symmetry and invariance of the cell-module bilinear form"
 REF_SEMISIMPLE = "semisimple regime: nonsingular forms and the square-sum count"
 REF_BLOCKS = "content as a block invariant"
 REF_DECOMP = "triangular decomposition matrix over a prime field"
+ROUNDTRIP_TRIALS = 100  # random elements the cellular battery expresses and recombines
 
 
 def relations_suite(alg: ArikiKoikeAlgebra, seed: int = 2024) -> list[CheckResult]:
@@ -141,8 +143,7 @@ def relations_suite(alg: ArikiKoikeAlgebra, seed: int = 2024) -> list[CheckResul
     return out
 
 
-def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
-                   roundtrip_trials: int = 100) -> list[CheckResult]:
+def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024) -> list[CheckResult]:
     params = alg.params
     pd = params.describe()
     out = []
@@ -157,12 +158,12 @@ def cellular_suite(alg: ArikiKoikeAlgebra, seed: int = 2024,
 
     rng = random.Random(seed)
     failures = 0
-    for _ in range(roundtrip_trials):
+    for _ in range(ROUNDTRIP_TRIALS):
         e = random_element(alg, rng)
         if trans.combine(trans.express(e)) != e:
             failures += 1
     out.append(result("cellular.roundtrip", REF_TRANSITION, pd, failures == 0,
-                      f"{roundtrip_trials} random elements, seed {seed}"))
+                      f"{ROUNDTRIP_TRIALS} random elements, seed {seed}"))
 
     failures = []
     for lam, s, t in trans.cells:
@@ -283,16 +284,12 @@ def specht_suite(alg: ArikiKoikeAlgebra) -> list[CheckResult]:
         blocks = block_partition(params)
         covered = sum(len(b) for b in blocks)
         contents_distinct = len({content(b[0], params) for b in blocks}) == len(blocks)
-        # L_1 + ... + L_n is central, so on S^lam it is sum(content(lam)) times the
-        # identity; L_1 = T_0 and L_{k+1} = q^{-1} T_k L_k T_k
+        # L_1 + ... + L_n is central, so on S^lam it is sum(content(lam)) times the identity
         failures = []
         for lam, sm in modules.items():
-            A = sm.action
-            Ls = A[:1]
-            for k in range(1, alg.n):
-                Ls.append(_linear(field, [(one / q, product([A[k], Ls[-1], A[k]]))]))
             c = sum(content(lam, params), field.zero)
             ident = [(1, {i: 1}) for i in range(sm.dim)]
+            Ls = l_matrices(alg, sm.action)
             if any(ints for _, ints in _linear(field, [(one, L) for L in Ls] + [(-c, ident)])):
                 failures.append(f"L_1+...+L_n is not {c} on {lam.serialize()}")
         out.append(result("specht.blocks_by_content", REF_BLOCKS, pd,

@@ -490,16 +490,18 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
     for b in range(3):
-        for name in ("theta_head", "v_b", "v_b_kernel", "v_b_generators"):
+        for name in ("theta_head", "v_b"):
             assert builds[(2, 3, (name, b))] == 1, (name, b)
     assert all(count == 1 for count in builds.values()), builds
     # u_{n-b}^- enters only through the memoized head of theta_b
     assert u_minus_calls == Counter({(2, 3, m): 1 for m in range(3)})
-    # the products v_b L^d T_w are taken once per level, through the one products memo
+    # each v_b has one right-ideal record, so its products v_b L^d T_w are taken once per level
     alg = build_algebra(make_parser().parse_args(args))
     for b in range(3):
         v_b = alg.v_b_elem(b)
-        assert left_mult[v_b.den, frozenset(v_b.ints.items())] == 1, b
+        key = (v_b.den, frozenset(v_b.ints.items()))
+        assert builds[(2, 3, ("right_ideal", *key))] == 1, b
+        assert left_mult[key] == 1, b
 
 
 def test_morita_run_forms_each_theta_image_once(monkeypatch, capsys):
@@ -550,20 +552,20 @@ def count_left_mult_matrix(monkeypatch):
 
 
 def test_products_taken_once_per_element(monkeypatch, capsys):
-    # Morita's v_b and m_{omega_b} and Schur's m_mu share one products memo, so
-    # an element that two suites (or two roles) need is multiplied out once;
-    # so is each right-ideal generator of rAnn(v_b) and rAnn(m_mu), whose
-    # products the generator search reads and which are counted apart
+    # Morita's v_b and m_{omega_b} and Schur's m_mu each have one right-ideal
+    # record, so an element that two suites (or two roles) need is multiplied
+    # out once; so is each right-ideal generator of rAnn(v_b) and rAnn(m_mu),
+    # whose records the generator search reads and which are counted apart
     from ariki_koike import algebra
 
     calls = count_left_mult_matrix(monkeypatch)
     battery, generators, searching = set(), set(), []
-    products, ideal_generators = algebra.ArikiKoikeAlgebra.products, algebra.ArikiKoikeAlgebra.ideal_generators
+    right_ideal, ideal_generators = algebra.ArikiKoikeAlgebra.right_ideal, algebra.ArikiKoikeAlgebra.ideal_generators
 
     def reading(self, elem):
         if not searching:
             battery.add((elem.den, frozenset(elem.ints.items())))
-        return products(self, elem)
+        return right_ideal(self, elem)
 
     def search(self, kernel):
         searching.append(kernel)
@@ -574,7 +576,7 @@ def test_products_taken_once_per_element(monkeypatch, capsys):
         generators.update((den, frozenset(ints.items())) for den, ints in gens)
         return gens
 
-    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "products", reading)
+    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "right_ideal", reading)
     monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "ideal_generators", search)
     code, _, _ = run_cli(["verify", "--suite", "all", "--n", "2", "--r", "3", "--s", "1",
                           "--q", "2", "--Q", "1,5,7"], capsys)
@@ -582,6 +584,52 @@ def test_products_taken_once_per_element(monkeypatch, capsys):
     assert all(count == 1 for count in calls.values()), calls
     assert calls.keys() == battery | generators
     assert len(battery) == 11 and len(generators) == 13 and len(calls) == 23
+
+
+def test_suite_all_builds_each_part_of_a_right_ideal_once(monkeypatch, capsys):
+    # one record per element: each of its parts is built at most once over the
+    # Morita and Schur batteries, and `verify_bases` and `schur.hom_space` read
+    # the same echelon of M^{omega_b} = m_{omega_b} H
+    from ariki_koike import algebra, morita, schur
+
+    calls = count_left_mult_matrix(monkeypatch)
+    builds, reads, inside = Counter(), [], []
+    for name in ("span", "annihilator", "generators", "hom_images"):
+        cached = vars(algebra.RightIdeal)[name]
+
+        def read(self, name=name, cached=cached):
+            key = (self.form[0], frozenset(self.form[1].items()))
+            if name not in vars(self):
+                builds[name, key] += 1
+            value = cached.__get__(self, algebra.RightIdeal)
+            if name == "span" and inside:
+                reads.append((inside[-1], key, value))
+            return value
+        monkeypatch.setattr(algebra.RightIdeal, name, property(read))
+
+    def marking(owner, name):
+        fn = getattr(owner, name)
+
+        def marked(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, marked)
+    marking(morita.MoritaSuite, "verify_bases")
+    marking(schur, "hom_space")
+    code, _, _ = run_cli(["verify", "--suite", "all", "--n", "2", "--r", "3", "--s", "1",
+                          "--q", "2", "--Q", "1,5,7"], capsys)
+    assert code == 0
+    assert len(calls) == 23 and set(calls.values()) == {1}
+    assert {name for name, _ in builds} == {"span", "annihilator", "generators", "hom_images"}
+    assert set(builds.values()) == {1}
+    # one m_{omega_b} per level b = 0, 1, 2, each read by hom_space as the same object
+    by_bases = {key: span for owner, key, span in reads if owner == "verify_bases"}
+    by_hom = [(key, span) for owner, key, span in reads if owner == "hom_space" and key in by_bases]
+    assert len(by_bases) == 3 and {key for key, _ in by_hom} == by_bases.keys()
+    assert all(span is by_bases[key] for key, span in by_hom)
 
 
 @pytest.mark.parametrize("r, n, admitted", [
@@ -709,11 +757,21 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
     # every elimination the battery reads solutions or a kernel off: the one
     # solve of each `alg.coordinates`, the complement's solve, and the echelon
     # whose free columns give rAnn(v_b); the transition's own echelon, once per
-    # algebra, and the generator search's, once per level, also sit in
-    # `algebra` and are counted apart
+    # algebra, the generator search's, once per level, and the echelon of
+    # M^{omega_b} that `verify_bases` reads ranks off, once per level, also sit
+    # in `algebra` and are counted apart
     searched = []
     apart(algebra.TransitionMatrix, "inverse", "transition", inverted)
     apart(algebra.ArikiKoikeAlgebra, "ideal_generators", "generators", searched)
+    span = vars(algebra.RightIdeal)["span"]
+
+    def spanning(self):
+        inside.append("span")
+        try:
+            return span.__get__(self, algebra.RightIdeal)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(algebra.RightIdeal, "span", property(spanning))
     counting(algebra.ArikiKoikeAlgebra, "coordinates")
     counting(algebra, "Echelon")
     counting(morita, "solve")
@@ -728,7 +786,8 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
     assert calls.count("Echelon") == 3
     assert calls.count("solve") == 3
     assert calls.count("coordinates") == 3 * 3
-    assert len(calls) - calls.count("transition") - calls.count("generators") == 5 * 3
+    assert len(calls) - calls.count("transition") - calls.count("generators") - calls.count("span") == 5 * 3
+    assert calls.count("span") == 3
     # one echelon per transition, however often its inverse is read
     assert calls.count("transition") == len({id(trans) for trans in inverted}) > 1
     # one generator search, and so one echelon, per level
@@ -787,15 +846,14 @@ def test_a_member_in_M_mu_but_outside_W_nu_fails_its_hom_row(monkeypatch, capsys
     # independent, so only the membership in W_nu can fail the row
     from ariki_koike import schur
     from ariki_koike.algebra import ArikiKoikeAlgebra
-    from ariki_koike.linalg import Echelon
     from ariki_koike.tableaux import MultiComposition, multipartitions, semistandard
 
     mu, nu = MultiComposition([(), (1, 1)]), MultiComposition([(2,), ()])
     alg = build_algebra(make_parser().parse_args(SCHUR_RUN))
     S, T = next((S, T) for lam in multipartitions(2, 2)
                 for S in semistandard(lam, mu) for T in semistandard(lam, nu))
-    assert Echelon(alg.field, alg.products(alg.m_lambda(mu))).contains(*alg.one().form)
-    assert not schur._hom_images(nu, alg).contains(*alg.one().form)
+    assert alg.right_ideal(alg.m_lambda(mu)).span.contains(*alg.one().form)
+    assert not alg.right_ideal(alg.m_lambda(nu)).hom_images.contains(*alg.one().form)
     m_semi = ArikiKoikeAlgebra.m_semi
 
     def shifted(self, s, t):
@@ -904,11 +962,13 @@ def test_schur_rows_fail_on_a_corrupted_dominance_key(components, key, check, mo
     ("verify --suite relations --n 2 --r 2 --field GF(4) --Q 1,2", 2),
     ("verify --suite relations --n x", 2),
     ("verify --suite relations --n 5 --r 2", 3),
+    ("verify --suite relations --n 2 --r 2 --max-dim 0", 2),
+    ("verify --suite relations --n 2 --r 2 --max-dim -1", 2),
     ("verify --suite relations --n 1 --r 1 --Q 1 --params {tmp}/missing.txt", 2),
     ("verify --suite relations --n 1 --r 1 --Q 1 --out {tmp}/missing/report.json", 2),
     ("verify --suite relations --n 1 --r 1 --Q 1 --out {tmp}", 2),
 ], ids=["n=0", "Qi=Qj-relations", "Qi=Qj-morita", "q=1", "q=0", "b-out-of-range", "s=r",
-        "non-prime-field", "malformed-int", "size-guard", "unreadable-params", "out-in-missing-dir",
+        "non-prime-field", "malformed-int", "size-guard", "max-dim-0", "max-dim-negative", "unreadable-params", "out-in-missing-dir",
         "out-is-a-directory"])
 def test_exit_code_contract(argv, code, tmp_path, capsys):
     """0 pass / 1 check failed / 2 gate refused or usage error / 3 size guard;

@@ -362,14 +362,15 @@ def test_end_basis_ill_defined_against_a_smaller_row_space(monkeypatch):
     suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
     assert all_ok(suite.verify_end_basis(1))
     # the kernel of one row of left multiplication by v_b is larger than rAnn(v_b):
-    # one of its vectors that v_b does not kill joins the true generators
-    first = next(row for row in transpose(suite.field, suite._vb_products(1), suite.alg.dim) if row[1])
+    # one of its vectors that v_b does not kill joins the true generators, in
+    # the record the first call has already built
+    ideal = suite.alg.right_ideal(suite.alg.v_b_elem(1))
+    first = next(row for row in transpose(suite.field, ideal.products, suite.alg.dim) if row[1])
     kernel = kernel_basis(Echelon(suite.field, [first]), suite.alg.dim)
-    assert len(kernel) > len(suite._vb_kernel(1))
+    assert len(kernel) > len(ideal.annihilator)
     vb = suite.alg.v_b_elem(1)
     outside = next(k for k in kernel if not (vb * Element(suite.alg, *k)).is_zero())
-    generators = suite._vb_generators(1) + [outside]
-    monkeypatch.setattr(suite, "_vb_generators", lambda b: generators)
+    monkeypatch.setattr(ideal, "generators", ideal.generators + [outside])
     (row,) = suite.verify_end_basis(1)
     assert row.status == "fail" and "ill-defined" in row.detail
 
@@ -407,7 +408,7 @@ def test_end_basis_kernel_verdict_matches_the_row_space_reduction(params):
 
     pairs = 0
     for b in range(alg.n + 1):
-        kernel = [Element(alg, *k) for k in suite._vb_kernel(b)]
+        kernel = [Element(alg, *k) for k in alg.right_ideal(alg.v_b_elem(b)).annihilator]
         assert kernel
         vb_rows = left_mult_rows(alg.v_b_elem(b))
         vsts = [alg.theta_b(b, alg.m_st(st, tt)) for (_, st, tt) in suite.level(b).pairs]

@@ -96,9 +96,9 @@ def _per_pair_solve(mu, nu, alg):
     a row basis m_i of M^mu, with x k = 0 for each right-ideal generator k of
     rAnn(m_nu).  Returns the kernel dimension and the span of the solutions."""
     field = alg.field
-    target = Echelon(field, alg.products(alg.m_lambda(mu)))
+    target = Echelon(field, alg.left_mult_matrix(alg.m_lambda(mu)))
     rows = [target.rows[pc] for pc in sorted(target.rows)]
-    gens = alg.ideal_generators(alg.right_annihilator(alg.products(alg.m_lambda(nu))))
+    gens = alg.right_ideal(alg.m_lambda(nu)).generators
     sols = kernel_basis(Echelon(field, alg.condition_rows(rows, gens)), len(rows))
     return len(sols), Echelon(field, (combination(field, v, rows) for v in sols))
 
@@ -144,8 +144,12 @@ def test_schur_suite_builds_each_shape_memo_once(monkeypatch):
     assert all_ok(schur_suite(alg))
     shapes = set(multicompositions(3, 2))
     assert len(shapes) > len(multipartitions(3, 2))
-    for kind in ("hom_target", "hom_images", "theta_module_image"):
-        assert {key[1] for key in builds if key[0] == kind} == shapes, kind
+    assert {key[1] for key in builds if key[0] == "theta_module_image"} == shapes
+    # one right-ideal record per m_mu, built once, holding both of the shape's echelons
+    for mu in shapes:
+        m = alg.m_lambda(mu)
+        assert builds["right_ideal", m.den, frozenset(m.ints.items())] == 1, mu
+        assert {"span", "hom_images"} <= vars(alg.right_ideal(m)).keys(), mu
     # one condition system per W_nu, over the whole basis; none per pair
     assert conditions == [alg.dim] * len(shapes)
 
