@@ -27,8 +27,7 @@ print(f"  L_1 v_1 = v_1 L_2: {alg.gen_L(1) * v1 == v1 * alg.gen_L(2)}")
 
 print("\n== ranks of the projective ideals ==")
 for b in range(3):
-    vb = suite.v_basis(b)
-    print(f"  rank V^{b} = {len(vb.entries)} (expected {suite.expected_rank(b)})")
+    print(f"  rank V^{b} = {len(suite.level(b).v_basis)} (expected {suite.expected_rank(b)})")
 print("  regular module = sum over b of C(n,b) copies: 1*2 + 2*2 + 1*2 = 8")
 
 print("\n== the full verification battery ==")

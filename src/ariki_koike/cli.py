@@ -111,12 +111,12 @@ def build_params(args) -> Params:
     return Params(field=field, q=q, Q=Q, n=n, r=r, s=args.s)
 
 
-def build_algebra(args) -> ArikiKoikeAlgebra:
-    """The one algebra of a run, behind the default desk-scale guards;
-    an explicitly raised --max-dim lifts them."""
+def build_algebra(args, params: Params | None = None) -> ArikiKoikeAlgebra:
+    """The one algebra of a run, on `params` or else the flags, behind the default
+    desk-scale guards; an explicitly raised --max-dim lifts them."""
     if args.max_dim < 1:
         raise ValueError(f"--max-dim must be at least 1, got {args.max_dim}")
-    alg = ArikiKoikeAlgebra(build_params(args), max_dim=args.max_dim)
+    alg = ArikiKoikeAlgebra(params or build_params(args), max_dim=args.max_dim)
     dim, max_dim, r, n = alg.dim, alg.max_dim, alg.r, alg.n
     if dim > max_dim:
         raise SizeGuardError(f"instance dimension {dim} exceeds the cap {max_dim}")
@@ -188,9 +188,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_level(args.b, build_params(args).n)
-    alg = build_algebra(args)
-    params = alg.params
+    params = build_params(args)
+    _check_level(args.b, params.n)
+    alg = build_algebra(args, params)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if any(SUITES[name][0] for name in names):
         # fail fast on the hypothesis gate, before any check runs

@@ -18,6 +18,7 @@ f_s(q, Q): the statements are simply false without it, so when it vanishes
 exit code 2).  The two unconditional identity families (the intertwining and
 annihilation laws) are callable without the gate.
 
+What the checks read at level b is one record, `Level`, kept in the memo.
 V^b = v_b H and M^{omega_b} are read through their records `alg.right_ideal(y)`
 (the products y L^d T_w, their echelon, rAnn(y) and its right-ideal generators,
 shared with the Schur battery); a rank of elements is one `Echelon` of their
@@ -31,8 +32,8 @@ the per-level checks at every level b, then the checks across levels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import partial
+import weakref
+from functools import cached_property, partial
 from math import comb, factorial, lcm
 
 from .algebra import ArikiKoikeAlgebra, Element, RightIdeal, solve_rows
@@ -42,8 +43,6 @@ from .perms import coset_reps, shift_perm, w_ab
 from .report import CheckResult, result
 from .specht import decomposition_matrix, gram_matrix, specht_module
 from .tableaux import (
-    MultiPartition,
-    StandardTableau,
     content,
     d_of,
     filtered_tableaux,
@@ -104,13 +103,13 @@ def _dump(elem: Element) -> str:
 
 
 class Level:
-    """The shapes and tableaux of one level b, listed once per algebra from
-    its shape tables.
-
-    Each cell list holds (shape, first tableau, second tableau) triples.
-    """
+    """The one record of level b: its shapes and tableaux, listed from the
+    algebra's shape tables (a cell list holds (shape, first tableau, second
+    tableau) triples), and each other part built on its first read.  Kept in
+    the memo under ("level", b), so it keeps int forms and the algebra weakly."""
 
     def __init__(self, alg: ArikiKoikeAlgebra, s: int, b: int):
+        self._alg, self.b = weakref.ref(alg), b
         tabs = partial(alg.shape_table, std_tableaux)
         # Lambda_b: exactly b boxes in the first s components; Lambda_bar_b: more than b
         self.shapes, self.above = split_levels(alg.shape_table(multipartitions, alg.n, alg.r), s, b)
@@ -126,12 +125,54 @@ class Level:
                           for u in filtered_tableaux(tabs(lam), b, s, two_sided=False) for v in tabs(lam)]
         self.kernel = [cell for cell in self.one_sided if cell[0] not in self.filtered]
 
+    @cached_property
+    def images(self) -> dict:
+        """theta_b(m_uv) keyed on (u, v), over `one_sided` (which holds the v-basis, kernel and split pairs)."""
+        alg = self._alg()
+        return {(u, v): alg.theta_b(self.b, alg.m_st(u, v)).form for (_, u, v) in self.one_sided}
 
-@dataclass
-class VBasis:
-    b: int
-    entries: list[tuple[MultiPartition, StandardTableau, StandardTableau]]
-    elements: list[Element]
+    @cached_property
+    def v_basis(self) -> list[tuple[int, dict]]:
+        """The basis theta_b(m_st) of V^b over `triples`; needs the gate (independence may fail without it)."""
+        if not f_s_value(self._alg().params):
+            raise GateError(GATE_MESSAGE)
+        images = self.images
+        return [images[st, tt] for (_, st, tt) in self.triples]
+
+    @cached_property
+    def ideal(self) -> RightIdeal:
+        """The record of V^b = v_b H: products, rAnn(v_b) and its right-ideal generators."""
+        alg = self._alg()
+        return alg.right_ideal(alg.v_b_elem(self.b))
+
+    @cached_property
+    def preimages(self) -> list[tuple | None]:
+        """For each v-basis element v, a solution h of v_b h = v (None if there is none)."""
+        return self._alg().coordinates(self.ideal.products, self.v_basis)
+
+    @cached_property
+    def action(self) -> list[list[tuple]]:
+        """Right action matrices of the generators on the v-basis, as int-form rows."""
+        alg, forms = self._alg(), self.v_basis
+        elements = [Element(alg, *f) for f in forms]
+        coords = alg.coordinates(forms, [(e * alg.gen_T(g)).form for g in range(alg.n) for e in elements])
+        if any(x is None for x in coords):
+            raise ComputationError("V^b is not stable under a generator")
+        k = len(forms)
+        return [coords[g * k:(g + 1) * k] for g in range(alg.n)]
+
+    @cached_property
+    def tensor_images(self) -> list[tuple[int, dict]]:
+        """Theta(a (x) c) over the tensor basis (`TensorAlgebra.basis`)."""
+        alg = self._alg()
+        return [theta_map(alg, self.b, a, c).form for a, c in TensorAlgebra(alg, self.b).basis()]
+
+    @cached_property
+    def tensor_vb(self) -> list[tuple[int, dict]]:
+        """Theta(a (x) c) v_b over the tensor basis."""
+        alg = self._alg()
+        vb = alg.v_b_elem(self.b)
+        return [(Element(alg, *f) * vb).form for f in self.tensor_images]
 
 
 def factor_algebra(alg: ArikiKoikeAlgebra, left: bool, m: int) -> ArikiKoikeAlgebra:
@@ -163,10 +204,29 @@ class TensorAlgebra:
                 for i in range(self.left.dim) for j in range(self.right.dim)]
 
 
+def theta_map(alg: ArikiKoikeAlgebra, b: int, a: Element, c: Element) -> Element:
+    """The coordinate embedding Theta of H_b (x) H_{n-b} into H, at a (x) c for
+    a in the left factor H_b and c in the right factor H_{n-b}.
+
+    A pure tensor L^d T_x (x) L^e T_y goes to
+    L_1^{e_1}..L_{n-b}^{e_{n-b}} L_{n-b+1}^{d_1}..L_n^{d_b} T_{x' y}
+    with x' the shift of x to the last b points; no two images coincide.
+    """
+    n, left, right = alg.n, a.alg.basis(), c.alg.basis()
+    ints = {}
+    for i, ai in a.ints.items():
+        d, x = left[i]
+        xprime = shift_perm(x, n - b, n)
+        for j, cj in c.ints.items():
+            e, y = right[j]
+            ints[alg.code(tuple(e) + tuple(d), xprime * shift_perm(y, 0, n))] = ai * cj
+    return Element(alg, *alg.field.canonical(a.den * c.den, ints))
+
+
 class MoritaSuite:
     """Exact verification of the splitting machinery for one algebra.
 
-    What the checks derive (V^b bases and actions, factor algebras) is kept
+    What the checks derive (the `Level` records, factor algebras) is kept
     in the algebra's memo, so suites built on the same algebra share it.
     """
 
@@ -188,45 +248,8 @@ class MoritaSuite:
         return d
 
     def level(self, b: int) -> Level:
-        """The shapes and tableaux of level b, listed once per algebra."""
+        """The record of level b, built once per algebra."""
         return self.alg.derived(("level", b), lambda: Level(self.alg, self.s, b))
-
-    def v_basis(self, b: int) -> VBasis:
-        """The cell-indexed basis of V^b; requires the gate (independence may fail without it)."""
-        if not self.fs:
-            raise GateError(GATE_MESSAGE)
-        alg, triples, images = self.alg, self.level(b).triples, self.theta_images(b)
-        return VBasis(b, triples, [Element(alg, *images[st, tt]) for (_, st, tt) in triples])
-
-    def theta_images(self, b: int) -> dict:
-        """theta_b(m_uv) in int form, keyed on (u, v), for every cell of the
-        level's `one_sided` list (which holds the v-basis, kernel and split
-        pairs): formed once per level."""
-        alg = self.alg
-        return alg.derived(("theta_images", b), lambda: {
-            (u, v): alg.theta_b(b, alg.m_st(u, v)).form for (_, u, v) in self.level(b).one_sided})
-
-    def _vb_ideal(self, b: int) -> RightIdeal:
-        """The record of V^b = v_b H: products, rAnn(v_b) and its right-ideal generators."""
-        return self.alg.right_ideal(self.alg.v_b_elem(b))
-
-    def _preimages(self, b: int) -> list[tuple | None]:
-        """For each v-basis element v, the solution h of v_b h = v in int form (None if there is none)."""
-        return self.alg.derived(("v_preimages", b), lambda: self.alg.coordinates(
-            self._vb_ideal(b).products, [e.form for e in self.v_basis(b).elements]))
-
-    def v_action(self, b: int) -> list[list[tuple]]:
-        """Right action matrices of the generators on the v-basis of V^b, as int-form rows."""
-        return self.alg.derived(("v_action", b), lambda: self._build_v_action(b))
-
-    def _build_v_action(self, b: int) -> list[list[tuple]]:
-        alg, elements = self.alg, self.v_basis(b).elements
-        coords = alg.coordinates([e.form for e in elements], [
-            (e * alg.gen_T(g)).form for g in range(self.n) for e in elements])
-        if any(x is None for x in coords):
-            raise ComputationError("V^b is not stable under a generator")
-        k = len(elements)
-        return [coords[g * k:(g + 1) * k] for g in range(self.n)]
 
     def expected_rank(self, b: int) -> int:
         s, r, n = self.s, self.params.r, self.n
@@ -306,8 +329,9 @@ class MoritaSuite:
     # -- kernel and basis statements --------------------------------------------
 
     def verify_kernel_vanishing(self, b: int) -> list[CheckResult]:
-        failures, images = [], self.theta_images(b)
-        for (mu, u, v) in self.level(b).kernel:
+        lv = self.level(b)
+        failures, images = [], lv.images
+        for (mu, u, v) in lv.kernel:
             if images[u, v][1]:
                 failures.append(f"theta_{b}(m) != 0 at shape {mu.serialize()}")
         return [result("morita.kernel_vanishing", REF_KERNEL, self._pdict(b=b), not failures,
@@ -318,12 +342,12 @@ class MoritaSuite:
         and theta_b(m_st) has the predicted invertible coefficient on m_{s't}
         with all other same-shape terms at strictly more dominant first
         tableaux (everything else on strictly more dominant shapes)."""
-        alg, n = self.alg, self.n
-        trans, images = alg.transition(), self.theta_images(b)
+        alg, n, lv = self.alg, self.n, self.level(b)
+        trans, images = alg.transition(), lv.images
         failures = []
         wnb = w_ab(n - b, b, n)
         wbn = w_ab(b, n - b, n)
-        for (lam, st, tt) in self.level(b).triples:
+        for (lam, st, tt) in lv.triples:
             try:
                 sprime = st.apply(wbn)
             except ValueError:
@@ -363,13 +387,13 @@ class MoritaSuite:
         """Independence and counting for the bases of V^b, ker theta_b, M^{omega_b}."""
         alg, lv, field = self.alg, self.level(b), self.field
         out = []
-        vb = self.v_basis(b)
-        r_v = len(Echelon(field, [e.form for e in vb.elements]))
+        size = len(lv.triples)
+        r_v = len(Echelon(field, lv.v_basis))
         expected = self.expected_rank(b)
         out.append(result(
             "morita.v_basis", REF_VBASIS, self._pdict(b=b),
-            r_v == len(vb.entries) == expected,
-            f"rank {r_v}, entries {len(vb.entries)}, expected {expected}",
+            r_v == size == expected,
+            f"rank {r_v}, entries {size}, expected {expected}",
         ))
 
         # M^{omega_b} = m_{omega_b} H, as its record's echelon: compare it with its claimed cell basis.
@@ -389,10 +413,10 @@ class MoritaSuite:
         # ker theta_b: claimed basis, complementarity of ranks, ideal intersection.
         kers = lv.kernel
         r_ker = len(Echelon(field, [alg.m_st(u, v).form for (_, u, v) in kers]))
-        complement_ok = r_ker == len(kers) and len(vb.entries) + r_ker == r_module
+        complement_ok = r_ker == len(kers) and size + r_ker == r_module
         out.append(result(
             "morita.kernel_basis", REF_VBASIS, self._pdict(b=b), complement_ok,
-            f"rank V^{b} = {len(vb.entries)}, rank ker = {r_ker}, rank module = {r_module}",
+            f"rank V^{b} = {size}, rank ker = {r_ker}, rank module = {r_module}",
         ))
 
         # ker theta_b = M^{omega_b} cap N-bar^b (the span of higher-level cells).
@@ -413,15 +437,14 @@ class MoritaSuite:
         lv = self.level(b)
         dominated_first = sorted(lv.shapes, key=sort_key, reverse=True)
         layers = [(lam, st) for lam in dominated_first for st in lv.filtered[lam]]
-        vb = self.v_basis(b)
-        index_of = {(st, tt): i for i, (_, st, tt) in enumerate(vb.entries)}
+        index_of = {(st, tt): i for i, (_, st, tt) in enumerate(lv.triples)}
         layer_of = {}
         for j, (lam, st) in enumerate(layers):
             for tt in self.alg.shape_table(std_tableaux, lam):
                 layer_of[index_of[(st, tt)]] = j
         failures = []
         try:
-            action = self.v_action(b)
+            action = lv.action
         except ComputationError:
             # V^b is not stable: there is no action to compare the layers with
             failures.append("product left V^b")
@@ -440,7 +463,7 @@ class MoritaSuite:
                                 f"filtration not triangular at layer {j} (shape {lam.serialize()})"
                             )
                         elif jj == j:
-                            got[tabs.index(vb.entries[i][2])] = c
+                            got[tabs.index(lv.triples[i][2])] = c
                     if self.field.canonical(den, got) != sp.action[g][a]:
                         failures.append(
                             f"subquotient action differs from the cell module at {lam.serialize()}"
@@ -448,7 +471,7 @@ class MoritaSuite:
         # an independent count: the layers, sized by the hook-length formula,
         # must fill V^b as measured by the rank of left multiplication by v_b
         total = sum(len(filt) * hook_dimension(lam) for lam, filt in lv.filtered.items())
-        rank = self.alg.dim - len(self._vb_ideal(b).annihilator)  # dim H - dim rAnn(v_b)
+        rank = self.alg.dim - len(lv.ideal.annihilator)  # dim H - dim rAnn(v_b)
         if total != rank:
             failures.append(f"layer sizes add up to {total}, not to rank V^{b} = {rank}")
         return [result("morita.filtration", REF_FILTRATION, self._pdict(b=b), not failures,
@@ -466,8 +489,7 @@ class MoritaSuite:
                           f"{len(contents_b)} vs {len(contents_c)} content multisets"))
         if self.n <= DIRECT_HOM_MAX_N:
             # row (g, i, j): entry (i, j) of A^b_g X - X A^c_g, unknown X[k][l] at column k * rc + l
-            act_b = self.v_action(b)
-            act_c = self.v_action(c)
+            act_b, act_c = self.level(b).action, self.level(c).action
             rb, rc = len(act_b[0]) if self.n else 0, len(act_c[0]) if self.n else 0
             ech = Echelon(self.field)
             for g in range(self.n):
@@ -487,14 +509,13 @@ class MoritaSuite:
     def verify_end_basis(self, b: int) -> list[CheckResult]:
         """Well-definedness, equivariance and independence of the maps
         v_b h -> v_st h for pairs of two-sided filtered tableaux."""
-        alg = self.alg
-        generators = [Element(alg, *k) for k in self._vb_ideal(b).generators]
-        vb = self.v_basis(b)
-        pairs, images = self.level(b).pairs, self.theta_images(b)
+        alg, lv = self.alg, self.level(b)
+        generators = [Element(alg, *k) for k in lv.ideal.generators]
+        v_basis, pairs, images = lv.v_basis, lv.pairs, lv.images
         failures = []
-        if None in self._preimages(b):
+        if None in lv.preimages:
             failures.append("v-basis element outside v_b H")
-        preimages = [Element(alg, *(x or (1, {}))) for x in self._preimages(b)]
+        preimages = [Element(alg, *(x or (1, {}))) for x in lv.preimages]
         maps = []
         for (lam, st, tt) in pairs:
             vst = Element(alg, *images[st, tt])
@@ -504,16 +525,15 @@ class MoritaSuite:
             else:
                 maps.append(vst)
         # the images v_st h of every preimage h, for every well-defined pair, in one solve
-        coords = alg.coordinates([e.form for e in vb.elements],
-                                 [(vst * h).form for vst in maps for h in preimages])
-        size = len(vb.entries)
+        coords = alg.coordinates(v_basis, [(vst * h).form for vst in maps for h in preimages])
+        size = len(v_basis)
         flat = []
         for i in range(len(maps)):
             mat = coords[i * len(preimages):(i + 1) * len(preimages)]
             if None in mat:
                 failures.append("endomorphism image left V^b")
                 mat = [x or (1, {}) for x in mat]
-            for act in self.v_action(b):
+            for act in lv.action:
                 if mat_mul(self.field, act, mat) != mat_mul(self.field, mat, act):
                     failures.append("endomorphism does not commute with the action")
             big = lcm(*(den for den, _ in mat))
@@ -545,14 +565,15 @@ class MoritaSuite:
         ker theta_b makes that map the (unique) right inverse of theta_b.
         The returned basis is y_0 * h for preimages h of the v-basis.
         """
-        alg, field, one_sided, images = self.alg, self.field, self.level(b).one_sided, self.theta_images(b)
+        alg, field, lv = self.alg, self.field, self.level(b)
+        one_sided, images = lv.one_sided, lv.images
         m_elems = [alg.m_st(u, v) for (_, u, v) in one_sided]
         # one `solve` on rows of len(m_elems) unknowns and v_b's column, so the
         # tall system is a single call into the linalg layer
         rows = itertools.chain(
             # homogeneous rows: coordinates of (sum z_i m_i) * k over the right-ideal
             # generators k of rAnn(v_b), which give the conditions of all of it
-            alg.condition_rows([e.form for e in m_elems], self._vb_ideal(b).generators),
+            alg.condition_rows([e.form for e in m_elems], lv.ideal.generators),
             # affine rows: theta_b(sum z_i m_i) = v_b
             transpose(field, [images[u, v] for (_, u, v) in one_sided] + [alg.v_b_elem(b).form], alg.dim),
         )
@@ -562,7 +583,7 @@ class MoritaSuite:
         y0 = Element(alg, *combination(field, field.to_ints(sparse(z)), [m.form for m in m_elems]))
         # transport the v-basis through the right inverse
         basis = []
-        for h in self._preimages(b):
+        for h in lv.preimages:
             if h is None:
                 raise ComputationError("v-basis element is not in v_b H")
             basis.append(y0 * Element(alg, *h))
@@ -581,7 +602,7 @@ class MoritaSuite:
             ok_dim = len(comp) == expected and len(Echelon(field, comp_rows)) == expected
             # theta_b restricted to the complement is a bijection onto V^b
             theta_rows = [alg.theta_b(b, e).form for e in comp]
-            vmat_rows = [e.form for e in self.v_basis(b).elements]
+            vmat_rows = self.level(b).v_basis
             ok_theta = (
                 len(Echelon(field, theta_rows)) == expected
                 and len(Echelon(field, theta_rows + vmat_rows)) == expected
@@ -615,25 +636,6 @@ class MoritaSuite:
 
     # -- the tensor-side statements ------------------------------------------------
 
-    def theta_map(self, b: int, a: Element, c: Element) -> Element:
-        """The coordinate embedding of H_b (x) H_{n-b} into H, at a (x) c for a
-        in the left factor H_b and c in the right factor H_{n-b}.
-
-        A pure tensor L^d T_x (x) L^e T_y goes to
-        L_1^{e_1}..L_{n-b}^{e_{n-b}} L_{n-b+1}^{d_1}..L_n^{d_b} T_{x' y}
-        with x' the shift of x to the last b points; no two images coincide.
-        """
-        alg, n = self.alg, self.n
-        left, right = a.alg.basis(), c.alg.basis()
-        ints = {}
-        for i, ai in a.ints.items():
-            d, x = left[i]
-            xprime = shift_perm(x, n - b, n)
-            for j, cj in c.ints.items():
-                e, y = right[j]
-                ints[alg.code(tuple(e) + tuple(d), xprime * shift_perm(y, 0, n))] = ai * cj
-        return Element(alg, *self.field.canonical(a.den * c.den, ints))
-
     def verify_theta_map(self, b: int) -> list[CheckResult]:
         """Spot identities for the embedding and agreement between its
         product form and its single-monomial form on the whole tensor basis."""
@@ -645,23 +647,23 @@ class MoritaSuite:
         # normal form, so the T_0 identities are asserted as actions on v_b
         # (which is how they are used); for i, j >= 1 they hold on the nose.
         if b >= 1:
-            img = self.theta_map(b, ta.left.gen_T(0), ta.right.one())
+            img = theta_map(alg, b, ta.left.gen_T(0), ta.right.one())
             if img * vb != alg.gen_L(n - b + 1) * vb:
                 failures.append("T_0 (x) 1 does not act as L_{n-b+1}")
             if self.s >= 2 and img != alg.gen_L(n - b + 1):
                 failures.append("T_0 (x) 1 does not map to L_{n-b+1}")
             for i in range(1, b):
-                img = self.theta_map(b, ta.left.gen_T(i), ta.right.one())
+                img = theta_map(alg, b, ta.left.gen_T(i), ta.right.one())
                 if img != alg.gen_T(n - b + i):
                     failures.append(f"T_{i} (x) 1 does not map to T_{n - b + i}")
         if n - b >= 1:
-            img = self.theta_map(b, ta.left.one(), ta.right.gen_T(0))
+            img = theta_map(alg, b, ta.left.one(), ta.right.gen_T(0))
             if img * vb != alg.gen_L(1) * vb:
                 failures.append("1 (x) T_0 does not act as L_1")
             if self.params.r - self.s >= 2 and img != alg.gen_L(1):
                 failures.append("1 (x) T_0 does not map to L_1")
             for j in range(1, n - b):
-                img = self.theta_map(b, ta.left.one(), ta.right.gen_T(j))
+                img = theta_map(alg, b, ta.left.one(), ta.right.gen_T(j))
                 if img != alg.gen_T(j):
                     failures.append(f"1 (x) T_{j} does not map to T_{j}")
         wb, one = w_ab(b, n - b, n), self.field.one
@@ -670,7 +672,7 @@ class MoritaSuite:
                 alg.element({(tuple(e) + (0,) * b, shift_perm(y, 0, n)): one})
                 * alg.element({((0,) * (n - b) + tuple(d), wb.inverse() * shift_perm(x, 0, n) * wb): one})
             )
-            if prod_form != self.theta_map(b, ta.left.element({(d, x): one}), ta.right.element({(e, y): one})):
+            if prod_form != theta_map(alg, b, ta.left.element({(d, x): one}), ta.right.element({(e, y): one})):
                 failures.append("product form differs from the monomial form")
                 break
         return [result("morita.theta_map", REF_THETA_MAP, self._pdict(b=b), not failures,
@@ -679,15 +681,15 @@ class MoritaSuite:
     def verify_bimodule(self, b: int) -> list[CheckResult]:
         """(a) Theta(h1 h2) v_b = Theta(h1) Theta(h2) v_b on all basis pairs;
         (b, c) the two compatibility laws tying theta_b to the embedding."""
-        alg = self.alg
+        alg, lv = self.alg, self.level(b)
         ta = TensorAlgebra(alg, b)
         vb = alg.v_b_elem(b)
         failures = []
         basis = ta.basis()
-        images = [self.theta_map(b, a, c) for a, c in basis]
+        images = [Element(alg, *f) for f in lv.tensor_images]
         for (a1, c1), img1 in zip(basis, images):
             for (a2, c2), img2 in zip(basis, images):
-                diff = self.theta_map(b, a1 * a2, c1 * c2) - img1 * img2
+                diff = theta_map(alg, b, a1 * a2, c1 * c2) - img1 * img2
                 if not diff.is_zero() and not (diff * vb).is_zero():
                     failures.append("module law fails on a basis pair")
                     break
@@ -696,7 +698,6 @@ class MoritaSuite:
         out = [result("morita.bimodule_law", REF_BIMODULE, self._pdict(b=b), not failures,
                       f"{len(basis)}^2 tensor basis pairs" if not failures else failures[0])]
 
-        lv = self.level(b)
         # u_plus reads only the component sizes, so both sides are formed once per size vector
         fail44, holds = [], {}
         for lam in lv.shapes:
@@ -704,18 +705,18 @@ class MoritaSuite:
             if sizes not in holds:
                 sigma, tau = split_multipartition(lam, self.s)
                 holds[sizes] = alg.theta_b(b, alg.u_plus(lam)) == (
-                    self.theta_map(b, ta.left.u_plus(sigma), ta.right.u_plus(tau)) * vb)
+                    theta_map(alg, b, ta.left.u_plus(sigma), ta.right.u_plus(tau)) * vb)
             if not holds[sizes]:
                 fail44.append(lam.serialize())
         out.append(result("morita.u_compatibility", REF_BIMODULE, self._pdict(b=b), not fail44,
                           "; ".join(fail44[:3])))
 
-        fail46, images = [], self.theta_images(b)
+        fail46, images = [], lv.images
         for (lam, st, tt) in lv.pairs:
             s1, s2 = pair_split(st, self.s)
             t1, t2 = pair_split(tt, self.s)
             lhs = Element(alg, *images[st, tt])
-            rhs = self.theta_map(b, ta.left.m_st(s1, t1), ta.right.m_st(s2, t2)) * vb
+            rhs = theta_map(alg, b, ta.left.m_st(s1, t1), ta.right.m_st(s2, t2)) * vb
             if lhs != rhs:
                 fail46.append(f"{lam.serialize()}")
         out.append(result("morita.cell_compatibility", REF_BIMODULE, self._pdict(b=b), not fail46,
@@ -723,10 +724,8 @@ class MoritaSuite:
         return out
 
     def verify_faithfulness(self, b: int) -> list[CheckResult]:
-        alg = self.alg
-        ta = TensorAlgebra(alg, b)
-        vb = alg.v_b_elem(b)
-        got = len(Echelon(self.field, [(self.theta_map(b, a, c) * vb).form for a, c in ta.basis()]))
+        ta = TensorAlgebra(self.alg, b)
+        got = len(Echelon(self.field, self.level(b).tensor_vb))
         return [result("morita.faithfulness", REF_FAITHFUL, self._pdict(b=b), got == ta.dim,
                        f"rank {got} of {ta.dim}")]
 
@@ -734,15 +733,14 @@ class MoritaSuite:
         """V^b = sum over distinguished reps w of Theta(tensor algebra) v_b T_w,
         each summand a copy of the regular tensor module; plus the bounded-
         exponent spanning family and the pairing-induced summand bases."""
-        alg, n, field = self.alg, self.n, self.field
+        alg, n, field, lv = self.alg, self.n, self.field, self.level(b)
         ta = TensorAlgebra(alg, b)
-        vb_elem = alg.v_b_elem(b)
-        images = [self.theta_map(b, a, c) * vb_elem for a, c in ta.basis()]
+        images = [Element(alg, *f) for f in lv.tensor_vb]
         reps = coset_reps([b, n - b], n)
         failures = []
         all_rows = []
-        vbasis = self.v_basis(b)
-        vindex = {(st, tt): i for i, (_, st, tt) in enumerate(vbasis.entries)}
+        v_basis = lv.v_basis
+        vindex = {(st, tt): i for i, (_, st, tt) in enumerate(lv.triples)}
         for w in reps:
             tw = alg.t_elem(w)
             rows = [(e * tw).form for e in images]
@@ -751,7 +749,7 @@ class MoritaSuite:
             all_rows.extend(rows)
             # Prop 4.8's basis of the same summand: v_(s, tw) over two-sided pairs
             summand2 = []
-            for (_, st, tt) in self.level(b).pairs:
+            for (_, st, tt) in lv.pairs:
                 try:
                     translated = tt.apply(w)
                 except ValueError:
@@ -761,7 +759,7 @@ class MoritaSuite:
                 if idx is None:
                     failures.append("translated tableau left the standard set")
                     continue
-                summand2.append(vbasis.elements[idx].form)
+                summand2.append(v_basis[idx])
             if len(Echelon(field, summand2)) != ta.dim or len(Echelon(field, rows + summand2)) != ta.dim:
                 failures.append("cell-indexed summand basis spans a different space")
         total = len(Echelon(field, all_rows))
@@ -771,7 +769,7 @@ class MoritaSuite:
         # bounded-exponent spanning family: v_b L^d T_w with d_i < s (i <= b),
         # d_i < r-s (i > b), read off the products v_b L^d T_w
         s, r = self.s, self.params.r
-        products = self._vb_ideal(b).products
+        products = lv.ideal.products
         bounds = [range(s) if i < b else range(r - s) for i in range(n)]
         bounded_rows = [products[alg.code(d, w)] for d in itertools.product(*bounds) for w in alg._perms]
         if len(Echelon(field, bounded_rows)) != expected or len(bounded_rows) != expected:
@@ -848,14 +846,12 @@ class MoritaSuite:
         left_algs = {m: factor_algebra(self.alg, True, m) for m in range(n + 1)}
         right_algs = {m: factor_algebra(self.alg, False, m) for m in range(n + 1)}
         fail_b = []
-        simple_dims: dict[MultiPartition, int] = {}
         for c in range(n + 1):
             for mu in self.level(c).shapes:
                 alpha, beta = split_multipartition(mu, s)
                 d_mu = len(Echelon(self.field, gram_matrix(self.alg, mu)))
                 d_alpha = len(Echelon(self.field, gram_matrix(left_algs[c], alpha)))
                 d_beta = len(Echelon(self.field, gram_matrix(right_algs[n - c], beta)))
-                simple_dims[mu] = d_mu
                 if d_mu != comb(n, c) * d_alpha * d_beta:
                     fail_b.append(
                         f"{mu.serialize()}: {d_mu} != C({n},{c})*{d_alpha}*{d_beta}"

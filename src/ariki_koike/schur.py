@@ -23,7 +23,7 @@ from __future__ import annotations
 from .algebra import ArikiKoikeAlgebra
 from .fields import Params
 from .linalg import Echelon
-from .morita import MoritaSuite, TensorAlgebra
+from .morita import MoritaSuite, TensorAlgebra, theta_map
 from .report import CheckResult, result
 from .tableaux import MultiComposition, dominates, multicompositions, multipartitions, semistandard, sort_key
 
@@ -167,7 +167,7 @@ def morita_count_check(gamma: list[MultiComposition], alg: ArikiKoikeAlgebra) ->
             tau = MultiComposition(lam.components[s:])
             # kept per shape: both of schur_suite's index sets hold the multipartitions
             if not alg.derived(("theta_module_image", lam), lambda: alg.theta_b(b, alg.m_lambda(lam)) == (
-                    suite.theta_map(b, ta.left.m_lambda(sigma), ta.right.m_lambda(tau)) * vb)):
+                    theta_map(alg, b, ta.left.m_lambda(sigma), ta.right.m_lambda(tau)) * vb)):
                 failures.append(lam.serialize())
     out.append(result(
         "schur.theta_module_image", REF_THETA_M, params.describe(),

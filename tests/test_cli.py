@@ -143,13 +143,18 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_params_file(tmp_path, capsys):
+def test_params_file(tmp_path, monkeypatch, capsys):
+    # the file is read and parsed once per run, also where --b is range-checked
+    from ariki_koike import cli
+
     pfile = tmp_path / "params.txt"
     pfile.write_text("field=Q\nq=2\nQ=1,5\nn=2\nr=2\ns=1\n")
+    parsed, parse = [], cli.parse_params_file
+    monkeypatch.setattr(cli, "parse_params_file", lambda *a, **k: parsed.append(a) or parse(*a, **k))
     code, out, _ = run_cli(
         ["verify", "--suite", "relations", "--params", str(pfile)], capsys
     )
-    assert code == 0
+    assert code == 0 and len(parsed) == 1
     entries = json.loads(out)
     assert entries and all(e["params"]["q"] == "2" for e in entries)
 
@@ -360,15 +365,15 @@ MORITA_N2 = ["verify", "--suite", "morita", "--n", "2", "--r", "2", "--s", "1", 
 
 def test_end_basis_and_filtration_fail_on_a_transposed_v_action(monkeypatch, capsys):
     from ariki_koike.linalg import transpose
-    from ariki_koike.morita import MoritaSuite
+    from ariki_koike.morita import Level
 
-    v_action = MoritaSuite.v_action
+    action = vars(Level)["action"]
 
-    def transposed(suite, b):
-        act = v_action(suite, b)
-        return [act[0], transpose(suite.field, act[1], len(act[1])), *act[2:]]
+    def transposed(level):
+        act = action.__get__(level, Level)
+        return [act[0], transpose(level._alg().field, act[1], len(act[1])), *act[2:]]
 
-    monkeypatch.setattr(MoritaSuite, "v_action", transposed)
+    monkeypatch.setattr(Level, "action", property(transposed))
     code, out, _ = run_cli(MORITA_N2, capsys)
     failed = _failed_rows(out)
     assert code == 1
@@ -377,10 +382,11 @@ def test_end_basis_and_filtration_fail_on_a_transposed_v_action(monkeypatch, cap
 
 
 def test_hom_vanishing_fails_when_every_level_acts_as_level_0(monkeypatch, capsys):
-    from ariki_koike.morita import MoritaSuite
+    from ariki_koike.morita import Level, MoritaSuite
 
-    v_action = MoritaSuite.v_action
-    monkeypatch.setattr(MoritaSuite, "v_action", lambda suite, b: v_action(suite, 0))
+    action = vars(Level)["action"]
+    monkeypatch.setattr(Level, "action", property(
+        lambda level: action.__get__(MoritaSuite(level._alg()).level(0), Level)))
     code, out, _ = run_cli(MORITA_N2, capsys)
     rows = [e for e in json.loads(out) if e["check"] == "morita.hom_vanishing"]
     assert code == 1 and len(rows) == 6
@@ -490,9 +496,11 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
     for b in range(3):
-        for name in ("theta_head", "v_b"):
+        for name in ("theta_head", "v_b", "level"):
             assert builds[(2, 3, (name, b))] == 1, (name, b)
     assert all(count == 1 for count in builds.values()), builds
+    # a level's derived data sit in its one record, under no key of their own
+    assert not {key[0] for (_, _, key) in builds} & {"theta_images", "v_preimages", "v_action"}
     # u_{n-b}^- enters only through the memoized head of theta_b
     assert u_minus_calls == Counter({(2, 3, m): 1 for m in range(3)})
     # each v_b has one right-ideal record, so its products v_b L^d T_w are taken once per level
@@ -504,10 +512,52 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
         assert left_mult[key] == 1, b
 
 
+LEVEL_PARTS = ("images", "v_basis", "ideal", "preimages", "action", "tensor_images", "tensor_vb")
+
+
+def test_morita_builds_each_part_of_a_level_once(monkeypatch, capsys):
+    # one record per level: each part of each Level is built at most once, and
+    # the tensor basis is embedded once per level, into the images that the
+    # bimodule, faithfulness and free-decomposition checks all read; a tensor
+    # basis pair is recognised as one that TensorAlgebra.basis handed out
+    from ariki_koike import morita
+
+    builds, pairs, calls = Counter(), {}, Counter()
+    for name in LEVEL_PARTS:
+        cached = vars(morita.Level)[name]
+
+        def read(self, name=name, cached=cached):
+            if name not in vars(self):
+                builds[name, self.b] += 1
+            return cached.__get__(self, morita.Level)
+        monkeypatch.setattr(morita.Level, name, property(read))
+    basis, theta_map = morita.TensorAlgebra.basis, morita.theta_map
+
+    def tagged(self):
+        out = basis(self)
+        pairs.update({(id(a), id(c)): (a, c) for a, c in out})  # kept alive, so no other pair takes the ids
+        return out
+
+    def counted(alg, b, a, c):
+        if (id(a), id(c)) in pairs:
+            calls[b, id(a), id(c)] += 1
+        return theta_map(alg, b, a, c)
+
+    monkeypatch.setattr(morita.TensorAlgebra, "basis", tagged)
+    monkeypatch.setattr(morita, "theta_map", counted)
+    args = ["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1", "--q", "2", "--Q", "1,5,7"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
+    assert builds == Counter({(name, b): 1 for name in LEVEL_PARTS for b in range(3)})
+    # dim H_0 (x) H_2 + dim H_1 (x) H_1 + dim H_2 (x) H_0 = 8 + 2 + 2 pairs, each embedded once
+    assert sum(calls.values()) == 12 and set(calls.values()) == {1}
+
+
 def test_morita_run_forms_each_theta_image_once(monkeypatch, capsys):
-    # theta_b(m_uv) is formed once per level and cell, into the memo that the
-    # v-basis, kernel, leading-term, end-basis, cell-law and complement checks
-    # read; a cell element is recognised as one that m_st handed out
+    # theta_b(m_uv) is formed once per level and cell, into the level record
+    # that the v-basis, kernel, leading-term, end-basis, cell-law and
+    # complement checks read; a cell element is recognised as one that m_st
+    # handed out
     from ariki_koike.algebra import ArikiKoikeAlgebra
     from ariki_koike.morita import MoritaSuite
 

@@ -5,7 +5,7 @@ import pytest
 
 from ariki_koike.algebra import ArikiKoikeAlgebra
 from ariki_koike.fields import GateError, Params, PrimeField, Rationals
-from ariki_koike.morita import MoritaSuite, TensorAlgebra
+from ariki_koike.morita import MoritaSuite, TensorAlgebra, theta_map
 from ariki_koike.report import all_ok
 from ariki_koike.tableaux import MultiPartition, filtered_tableaux, lambda_sets, std_filtered, std_tableaux
 
@@ -64,8 +64,8 @@ def test_annihilation_and_stagger(suite2, suite3):
 
 
 def test_vbasis_ranks(suite2):
-    assert len(suite2.v_basis(1).entries) == 2
-    ranks = [len(suite2.v_basis(b).entries) for b in range(3)]
+    assert len(suite2.level(1).v_basis) == 2
+    ranks = [len(suite2.level(b).v_basis) for b in range(3)]
     assert ranks == [2, 2, 2]
     assert sum(binomial(2, b) * rk for b, rk in enumerate(ranks)) == 8
 
@@ -131,10 +131,10 @@ def test_theta_map_spot_images(suite3):
     ta = TensorAlgebra(suite3.alg, 1)
     alg = suite3.alg
     # 1 (x) T_1 embeds as T_1, T_0-parts act as the commuting generators
-    img = suite3.theta_map(1, ta.left.one(), ta.right.gen_T(1))
+    img = theta_map(alg, 1, ta.left.one(), ta.right.gen_T(1))
     assert img == alg.gen_T(1)
     vb = alg.v_b_elem(1)
-    img0 = suite3.theta_map(1, ta.left.gen_T(0), ta.right.one())
+    img0 = theta_map(alg, 1, ta.left.gen_T(0), ta.right.one())
     assert img0 * vb == alg.gen_L(3) * vb
 
 
@@ -143,9 +143,9 @@ def test_theta_map_exact_for_two_parameters():
     p = Params(field=Rationals(), q=2, Q=(1, 5, 7, 11), n=2, r=4, s=2)
     suite = MoritaSuite(ArikiKoikeAlgebra(p))
     ta = TensorAlgebra(suite.alg, 1)
-    img = suite.theta_map(1, ta.left.gen_T(0), ta.right.one())
+    img = theta_map(suite.alg, 1, ta.left.gen_T(0), ta.right.one())
     assert img == suite.alg.gen_L(2)
-    img2 = suite.theta_map(1, ta.left.one(), ta.right.gen_T(0))
+    img2 = theta_map(suite.alg, 1, ta.left.one(), ta.right.gen_T(0))
     assert img2 == suite.alg.gen_L(1)
     assert all_ok(suite.verify_theta_map(1))
 
@@ -203,8 +203,8 @@ def test_splitting_complement_is_right_inverse(suite2):
     alg = suite2.alg
     for b in range(3):
         comp = suite2.splitting_complement(b)
-        for elem, v in zip(comp, suite2.v_basis(b).elements):
-            assert alg.theta_b(b, elem) == v
+        for elem, v in zip(comp, suite2.level(b).v_basis):
+            assert alg.theta_b(b, elem).form == v
 
 
 def test_full_suite_n2(suite2):
@@ -252,10 +252,9 @@ def test_tensor_algebra_trivial_factor():
     ta = TensorAlgebra(alg, 0)
     assert ta.left.dim == 1 and ta.dim == ta.right.dim == len(ta.basis())
     # theta(1 (x) 1) = 1, with the trivial factor on either side
-    suite = MoritaSuite(alg)
     for b in range(3):
         ta = TensorAlgebra(alg, b)
-        assert suite.theta_map(b, ta.left.one(), ta.right.one()) == alg.one()
+        assert theta_map(alg, b, ta.left.one(), ta.right.one()) == alg.one()
 
 
 def test_ungated_run_fails_honestly_where_the_theory_does():
@@ -271,6 +270,9 @@ def test_ungated_run_fails_honestly_where_the_theory_does():
     res = suite.verify_leading_terms(1)
     assert not all_ok(res)
     assert "invertible" in res[0].detail
+    # the v-basis of a level, whose independence needs the gate, is refused
+    with pytest.raises(GateError):
+        suite.level(1).v_basis
 
 
 def test_failure_reports_carry_element_dumps():
@@ -343,13 +345,14 @@ def test_levels_enumerate_each_shape_once(monkeypatch):
 
 def test_filtration_fails_without_raising_when_v_action_leaves_v_b(monkeypatch):
     from ariki_koike.fields import ComputationError
+    from ariki_koike.morita import Level
 
     suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
 
-    def unstable(b):
+    def unstable(level):
         raise ComputationError("V^b is not stable under a generator")
 
-    monkeypatch.setattr(suite, "v_action", unstable)
+    monkeypatch.setattr(Level, "action", property(unstable))
     (row,) = suite.verify_filtration(1)
     assert row.status == "fail" and row.detail == "product left V^b"
 
@@ -377,12 +380,9 @@ def test_end_basis_ill_defined_against_a_smaller_row_space(monkeypatch):
 
 def test_end_basis_fails_when_a_pair_repeats(monkeypatch):
     # a repeated pair gives the same map twice: the flattened maps lose rank
-    import copy
-
     suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
-    level = copy.copy(suite.level(1))
-    level.pairs = level.pairs + level.pairs[:1]
-    monkeypatch.setattr(suite, "level", lambda b: level)
+    level = suite.level(1)
+    monkeypatch.setattr(level, "pairs", level.pairs + level.pairs[:1])
     (row,) = suite.verify_end_basis(1)
     assert row.status == "fail"
     assert row.detail == "count 2 != tensor algebra dimension 1; endomorphisms dependent"
