@@ -6,14 +6,15 @@ Elements are sparse linear combinations of the rank-r^n.n! basis
 
 where L_1 = T_0 and L_{i+1} = q^{-1} T_i L_i T_i.  Products are computed by
 rewriting, in two steps: the terms c L^d T_w of the right factor are
-gathered per permutation w.  As T_1 is the identity, the terms at w = 1 fold
-times L^d straight into the product (for d = 0 through the identity entry of
-the exponent-0 table).  The terms at each other w make one head H_w, the sum
-of c times the left factor times L^d (folded times L^d, or the left factor
-itself for d = 0), and then each head is folded times T_w once, so a product
-makes one T fold per distinct w != 1 of its right factor; the steps'
-own derivations fold times T_1 nowhere either.  `_fold` applies
-a step to every monomial of its input and looks the step's result up in a
+gathered per permutation w into scales {d: c}, and `_fold` takes such a map
+of step arguments to scales in one call.  As T_1 is the identity, the group
+at w = 1 folds times its L^d straight into the product (d = 0 through the
+identity entry of the exponent-0 table).  The group at each other w makes
+one head H_w, c_0 times the left factor plus one fold times its other L^d,
+and each head is folded times T_w once, so a product makes one fold call
+for w = 1 and at most two per w != 1; the steps' own derivations fold times
+T_1 nowhere either.  `_fold` applies a step to every monomial of its input
+and looks the step's result up in a
 table, one per (step, argument), kept for the lifetime of the algebra; it
 calls the step only on a miss, so each step runs once per (monomial,
 argument).  These tables, `_steps`, are the engine's one memo: `_rule`
@@ -74,8 +75,9 @@ position in `basis()`, where rank(w) is w's position in
 keys appear only where something outside the engine reads or writes them:
 `element` and `scale` take them in, and `Element.terms`, `serialize` and repr
 give them out.  `left_mult_matrix(x)` lists the products x L^d T_w in int
-form, `coordinates`, `right_annihilator` and `condition_rows` solve and take
-kernels from such products, `ideal_generators` finds right-ideal generators
+form, `coordinates` (one `solve_forms`), `right_annihilator` and
+`condition_rows` solve and take kernels from such products,
+`ideal_generators` finds right-ideal generators
 of such a kernel, `right_ideal(y)` is the one record of y H that reads
 them, and `TransitionMatrix.express` gives cellular coordinates in int form
 too.  The transition is the one place a cell element m_st is computed;
@@ -96,7 +98,7 @@ from math import factorial, gcd, lcm
 from operator import add
 
 from .fields import ComputationError, Params, SizeGuardError
-from .linalg import Echelon, combination, dense, kernel_basis, solve, sparse, transpose
+from .linalg import Echelon, combination, kernel_basis, solve_forms, transpose
 from .perms import Permutation, identity, simple_transposition, sorted_permutations, w_ab, young_subgroup
 from .tableaux import (
     MultiComposition,
@@ -207,13 +209,6 @@ class Element:
     def _check(self, other: "Element"):
         if self.alg is not other.alg:
             raise ValueError("elements belong to different algebras")
-
-
-def solve_rows(field, rows, n: int, k: int) -> tuple[list[list], list[list]]:
-    """Int-form rows over n unknowns followed by k right-hand sides, as the
-    dense matrix and the right-hand sides that `linalg.solve` takes."""
-    full = [dense(field, row, n + k) for row in rows]
-    return [row[:n] for row in full], [[row[n + j] for row in full] for j in range(k)]
 
 
 def _mono_str(mono: Monomial) -> str:
@@ -341,10 +336,10 @@ class ArikiKoikeAlgebra:
         canonical = self.field.canonical
         out = []
         for d in range(self._nexp):
-            head = self._fold(*elem.form, self._mono_times_L, d)
+            head = self._fold(*elem.form, self._mono_times_L, {d: 1})
             out.append(canonical(*head))
             for w in range(1, self._nperm):
-                out.append(canonical(*self._fold(*head, self._mono_times_T, w)))
+                out.append(canonical(*self._fold(*head, self._mono_times_T, {w: 1})))
         return out
 
     def right_ideal(self, y: Element) -> "RightIdeal":
@@ -353,11 +348,9 @@ class ArikiKoikeAlgebra:
 
     def coordinates(self, forms: list, targets: list) -> list[tuple[int, dict] | None]:
         """For each target t, a solution z of sum_i z_i forms[i] = t (free
-        variables 0) in int form, or None: one `solve` on the coordinate rows
-        of all forms."""
-        field, rows = self.field, transpose(self.field, forms + targets, self.dim)
-        return [None if z is None else field.to_ints(sparse(z))
-                for z in solve(*solve_rows(field, rows, len(forms), len(targets)), field)]
+        variables 0) in int form, or None: one `solve_forms` on the coordinate
+        rows of all forms and targets, with no dense row on the way."""
+        return solve_forms(self.field, transpose(self.field, forms + targets, self.dim), len(forms), len(targets))
 
     def right_annihilator(self, products: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
         """{h : x h = 0}, a basis in int form, for the products x L^d T_w of an
@@ -410,27 +403,27 @@ class ArikiKoikeAlgebra:
 
     def _product_into(self, acc: list, aden: int, aints: dict, bden: int, bints: dict) -> list:
         """acc += (aints / aden) * (bints / bden): the terms c L^d T_w of the
-        right factor are gathered per w.  The terms at w = 1 fold times L^d
-        straight into acc (d = 0 through the identity entry of the exponent-0
-        table).  Every other group becomes one head, the sum of c times the
-        left factor times L^d (for d = 0 the left factor itself, scaled; else
-        a fold times L^d), and each head folds times T_w once."""
+        right factor are gathered per w into scales {d: c}.  The group at
+        w = 1 folds times its L^d straight into acc (d = 0 through the
+        identity entry of the exponent-0 table).  Every other group becomes
+        one head, c_0 times the left factor plus one fold times its other
+        L^d, and each head folds times T_w once."""
         den, parts = aden * bden, {}
         for code, c in bints.items():
             d, w = divmod(code, self._nperm)
             parts.setdefault(w, {})[d] = c
-        for d, c in parts.pop(0, {}).items():  # rank 0 is the identity
-            self._fold(den, aints, self._mono_times_L, d, acc, c)
-        for w, terms in parts.items():
-            c = terms.pop(0, 0)
+        if 0 in parts:  # rank 0 is the identity
+            self._fold(den, aints, self._mono_times_L, parts.pop(0), acc)
+        for w, scales in parts.items():
+            c = scales.pop(0, 0)
             head = [den, {k: c * v for k, v in aints.items()} if c else {}]
-            for d, c in terms.items():
-                self._fold(den, aints, self._mono_times_L, d, head, c)
-            self._fold(*head, self._mono_times_T, w, acc)
+            if scales:
+                self._fold(den, aints, self._mono_times_L, scales, head)
+            self._fold(*head, self._mono_times_T, {w: 1}, acc)
         return acc
 
-    def _fold(self, den: int, terms: dict, step, arg, acc: list | None = None, scale: int = 1) -> list:
-        """acc += (scale / den) * sum c * step(code, arg) over the terms, in plain ints.
+    def _fold(self, den: int, terms: dict, step, scales: dict, acc: list | None = None) -> list:
+        """acc += sum scale * (c / den) * step(code, arg) over the terms and scales = {arg: scale}, in plain ints.
 
         acc = [D, {code: int}] stands for {code: int / D} (a new one by default),
         and a step returns (sden, {code: int}).  The step's result for each code
@@ -443,22 +436,24 @@ class ArikiKoikeAlgebra:
             acc = [1, {}]
         D, out = acc
         get = out.get
-        table = self._steps[step.__name__, arg]
-        cached = table.get
-        for code, c in terms.items():
-            found = cached(code)
-            if found is None:
-                found = table[code] = step(code, arg)
-            sden, sterms = found
-            e = den * sden
-            if D % e:
-                m = e // gcd(D, e)
-                for k, v in out.items():
-                    out[k] = v * m
-                D *= m
-            c *= scale * (D // e)
-            for k, v in sterms.items():
-                out[k] = get(k, 0) + c * v
+        name = step.__name__
+        for arg, scale in scales.items():
+            table = self._steps[name, arg]
+            cached = table.get
+            for code, c in terms.items():
+                found = cached(code)
+                if found is None:
+                    found = table[code] = step(code, arg)
+                sden, sterms = found
+                e = den * sden
+                if D % e:
+                    m = e // gcd(D, e)
+                    for k, v in out.items():
+                        out[k] = v * m
+                    D *= m
+                c *= scale * (D // e)
+                for k, v in sterms.items():
+                    out[k] = get(k, 0) + c * v
         acc[0] = D
         return acc
 
@@ -478,7 +473,7 @@ class ArikiKoikeAlgebra:
         T_x L^d = sum c L^f T_y, then L^{a+f} T_y by _normal_L."""
         a, x = divmod(code, self._nperm)
         return self.field.canonical(*self._fold(*self._rule(self._T_times_L, x, d), self._L_times_normal,
-                                                self._exps[a]))
+                                                {self._exps[a]: 1}))
 
     def _L_times_normal(self, code: int, a: tuple[int, ...]) -> tuple[int, dict]:
         """L^a (L^f T_y) in normal form, for the code of L^f T_y."""
@@ -498,7 +493,7 @@ class ArikiKoikeAlgebra:
             return 1, {x: 1}
         v, s = self._descent[w]
         if v:
-            return self.field.canonical(*self._fold(*self._rule(self._mono_times_T, x, v), self._mono_times_T, s))
+            return self.field.canonical(*self._fold(*self._rule(self._mono_times_T, x, v), self._mono_times_T, {s: 1}))
         y = self._perms[x]
         ys = y * self._perms[s]
         if ys.length() > y.length():
@@ -512,7 +507,7 @@ class ArikiKoikeAlgebra:
         exponent of a term exceeds the largest of d."""
         acc = 1, {d * self._nperm: 1}
         for i in reversed(self._perms[x].reduced_word()):
-            acc = self._fold(*acc, self._Ti_times, i)
+            acc = self._fold(*acc, self._Ti_times, {i: 1})
         return self.field.canonical(*acc)
 
     def _Ti_times(self, code: int, i: int) -> tuple[int, dict]:
@@ -533,7 +528,7 @@ class ArikiKoikeAlgebra:
             for k in range(1, c + 1):
                 e[i - 1], e[i] = m + c - k, m + k
                 move[self._dindex[tuple(e)] * self._nperm] = sign
-        return self._fold(qden, move, self._mono_times_T, y) if y else (qden, move)
+        return self._fold(qden, move, self._mono_times_T, {y: 1}) if y else (qden, move)
 
     def _L_pow_r(self, m: int, _=None) -> tuple[int, dict]:
         """The normal form of L_m^r in int form on codes, supported on positions <= m."""
@@ -567,8 +562,8 @@ class ArikiKoikeAlgebra:
         if m is None:
             return 1, {self._dindex[exp] * self._nperm + w: 1}
         base = exp[:m - 1] + (exp[m - 1] - self.r,) + exp[m:]
-        head = self._fold(*self._rule(self._L_pow_r, m), self._L_times_normal, base)
-        return self.field.canonical(*(self._fold(*head, self._mono_times_T, w) if w else head))
+        head = self._fold(*self._rule(self._L_pow_r, m), self._L_times_normal, {base: 1})
+        return self.field.canonical(*(self._fold(*head, self._mono_times_T, {w: 1}) if w else head))
 
     # -- structural elements ----------------------------------------------------
 
@@ -762,9 +757,21 @@ class RightIdeal:
 
 def random_element(alg: ArikiKoikeAlgebra, rng, nterms: int = 4, coeff_range: int = 9) -> Element:
     """A reproducible sparse random element (for property tests): nterms
-    random codes, each with coefficient randint(1, c) - randint(0, c // 2)."""
-    ints: dict = {}
+    random codes, each with coefficient randint(1, c) - randint(0, c // 2),
+    drawn draw for draw as those calls draw in CPython 3.10 to 3.13: below m,
+    m.bit_length() bits from `rng.getrandbits` until the draw is below m."""
+    draw, ints = rng.getrandbits, {}
+    dim, plus, minus = alg.dim, coeff_range, coeff_range // 2 + 1
+    kd, kp, km = dim.bit_length(), plus.bit_length(), minus.bit_length()
     for _ in range(nterms):
-        k = rng.randrange(alg.dim)
-        ints[k] = ints.get(k, 0) + rng.randint(1, coeff_range) - rng.randint(0, coeff_range // 2)
+        k = draw(kd)
+        while k >= dim:
+            k = draw(kd)
+        a = draw(kp)
+        while a >= plus:
+            a = draw(kp)
+        b = draw(km)
+        while b >= minus:
+            b = draw(km)
+        ints[k] = ints.get(k, 0) + 1 + a - b
     return Element(alg, *alg.field.canonical(1, ints))

@@ -173,6 +173,8 @@ class Rationals:
         """The same values with den their least common denominator and no zero
         int: den and the ints divided by their gcd (a zero int leaves it alone)."""
         g = gcd(den, *ints.values())
+        if g == 1:
+            return den, {k: a for k, a in ints.items() if a}
         return den // g, {k: a // g for k, a in ints.items() if a}
 
     def from_ints(self, den: int, ints: dict) -> dict:
@@ -230,6 +232,8 @@ class PrimeField:
         """The same values as (1, residues in 1..p-1): den inverted mod p and
         every int reduced once."""
         p = self.p
+        if den == 1:
+            return 1, {k: r for k, a in ints.items() if (r := a % p)}
         scale = pow(den, -1, p)
         return 1, {k: r for k, a in ints.items() if (r := a * scale % p)}
 

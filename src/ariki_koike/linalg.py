@@ -15,11 +15,11 @@ membership, and `kernel_basis` reads the kernel off an echelon.  A new row
 is reduced against the stored rows and dropped if it vanishes, so a tall,
 mostly dependent system never stores more than rank-many rows.  The reduced
 echelon form of a row space is unique, so results do not depend on row
-order.
+order.  `solve_forms` is the one solver, int forms in and out.
 
 Field values (Fraction or FpElement) appear only at the edges: `add` takes
-a row of them, `dense` renders an int form as one, and `solve` (every
-right-hand side at once) and `determinant` take dense rows of them.  `rank`,
+a row of them, `dense` renders an int form as one, and `solve` (the dense
+wrapper of `solve_forms`) and `determinant` take dense rows of them.  `rank`,
 `nullspace`, `inverse`, `row_echelon`, `row_space_basis`, `in_row_space` and
 their helpers `identity_matrix`, `echelon` and `dense_rows` have no caller in
 the package: they stay only while `bench/tracer.py` looks the six up by name.
@@ -208,33 +208,36 @@ def nullspace(m: Sequence[Sequence], field) -> list[list]:
     return [dense(field, v, n_cols) for v in kernel_basis(echelon(m, field), n_cols)]
 
 
+def solve_forms(field, rows, n: int, k: int) -> list[tuple[int, dict] | None]:
+    """For int-form rows over n unknowns followed by k right-hand sides b_j,
+    one solution of each system (free variables 0) in int form, or None.
+
+    One elimination serves every b_j, the augmented column n + j: it is
+    inconsistent exactly when a stored row with its pivot at or after column
+    n is nonzero there, else x_pc is that column's entry in the row at pc."""
+    ech = Echelon(field, rows)
+    inconsistent = {col for pc, (_, ints) in ech.rows.items() if pc >= n for col in ints}
+    hits = [None if n + j in inconsistent else [] for j in range(k)]
+    for pc, (den, ints) in sorted(ech.rows.items()):
+        if pc < n:
+            for col, a in ints.items():
+                if col >= n and (hit := hits[col - n]) is not None:
+                    hit.append((pc, den, a))
+    return [None if hit is None else field.canonical(big := lcm(*(d for _, d, _ in hit)),
+                                                     {pc: a * (big // d) for pc, d, a in hit})
+            for hit in hits]
+
+
 def solve(m: Sequence[Sequence], rhs: Sequence[Sequence], field) -> list[list | None]:
     """For each right-hand side b of rhs, one solution x of m x = b (free
-    variables 0), or None if m x = b is inconsistent.
-
-    One elimination serves every right-hand side: b_j is augmented as column
-    n_cols + j, and b_j is inconsistent exactly when a stored row with its
-    pivot at or after column n_cols is nonzero in that column.
-    """
+    variables 0) as a dense row, or None if m x = b is inconsistent: the
+    dense rows of m with b_j at column n_cols + j, through `solve_forms`."""
     if not m:
         return [[] if not any(b) else None for b in rhs]
     n_cols = len(m[0])
-    ech = Echelon(field)
-    for row, *b in zip(m, *rhs):
-        row = sparse(row)
-        for j, x in enumerate(b):
-            if x:
-                row[n_cols + j] = x
-        ech.add(row)
-    inconsistent = {col for pc, (_, ints) in ech.rows.items() if pc >= n_cols for col in ints}
-    xs = [None if n_cols + j in inconsistent else zero_vector(n_cols, field)
-          for j in range(len(rhs))]
-    for pc in ech.rows:
-        if pc < n_cols:
-            for col, c in field.from_ints(*ech.rows[pc]).items():
-                if col >= n_cols and (x := xs[col - n_cols]) is not None:
-                    x[pc] = c
-    return xs
+    rows = (field.to_ints({**sparse(row), **{n_cols + j: x for j, x in enumerate(b) if x}})
+            for row, *b in zip(m, *rhs))
+    return [None if x is None else dense(field, x, n_cols) for x in solve_forms(field, rows, n_cols, len(rhs))]
 
 
 def inverse(m: Sequence[Sequence], field) -> list[list]:

@@ -36,9 +36,9 @@ import weakref
 from functools import cached_property, partial
 from math import comb, factorial, lcm
 
-from .algebra import ArikiKoikeAlgebra, Element, RightIdeal, solve_rows
+from .algebra import ArikiKoikeAlgebra, Element, RightIdeal
 from .fields import ComputationError, GateError, Params, f_s_value
-from .linalg import Echelon, combination, mat_mul, solve, sparse, transpose
+from .linalg import Echelon, combination, dense, mat_mul, solve, sparse, transpose
 from .perms import coset_reps, shift_perm, w_ab
 from .report import CheckResult, result
 from .specht import decomposition_matrix, gram_matrix, specht_module
@@ -568,7 +568,7 @@ class MoritaSuite:
         alg, field, lv = self.alg, self.field, self.level(b)
         one_sided, images = lv.one_sided, lv.images
         m_elems = [alg.m_st(u, v) for (_, u, v) in one_sided]
-        # one `solve` on rows of len(m_elems) unknowns and v_b's column, so the
+        # one dense `solve` on rows of len(m_elems) unknowns and v_b's column, so the
         # tall system is a single call into the linalg layer
         rows = itertools.chain(
             # homogeneous rows: coordinates of (sum z_i m_i) * k over the right-ideal
@@ -577,7 +577,8 @@ class MoritaSuite:
             # affine rows: theta_b(sum z_i m_i) = v_b
             transpose(field, [images[u, v] for (_, u, v) in one_sided] + [alg.v_b_elem(b).form], alg.dim),
         )
-        z, = solve(*solve_rows(field, rows, len(m_elems), 1), field)
+        full = [dense(field, row, len(m_elems) + 1) for row in rows]
+        z, = solve([row[:-1] for row in full], [[row[-1] for row in full]], field)
         if z is None:
             raise ComputationError("no right inverse of theta_b exists (split failed)")
         y0 = Element(alg, *combination(field, field.to_ints(sparse(z)), [m.form for m in m_elems]))

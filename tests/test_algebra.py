@@ -310,9 +310,10 @@ def test_products_fold_nothing_times_T_1(field, q, monkeypatch):
     folds = Counter()
     fold = ArikiKoikeAlgebra._fold
 
-    def counted(self, den, terms, step, arg, *rest):
-        folds[step.__name__, arg] += 1
-        return fold(self, den, terms, step, arg, *rest)
+    def counted(self, den, terms, step, scales, *rest):
+        for arg in scales:
+            folds[step.__name__, arg] += 1
+        return fold(self, den, terms, step, scales, *rest)
 
     monkeypatch.setattr(ArikiKoikeAlgebra, "_fold", counted)
     alg = make(n=3, r=2, q=q, Q=(1, 3), field=field)
@@ -331,6 +332,32 @@ def test_products_fold_nothing_times_T_1(field, q, monkeypatch):
     assert one_pass() == first
     assert folds["_mono_times_T", 0] == 0
     assert folds["_mono_times_L", 0] > 0 and sum(k for (name, _), k in folds.items() if name == "_mono_times_T") > 0
+
+
+@pytest.mark.parametrize("field,q", [(Rationals(), Fraction(2, 3)), (PrimeField(5), 2)], ids=["Q", "GF5"])
+def test_a_product_folds_once_per_step_group(field, q, monkeypatch):
+    # the right factor's terms L^d T_w of one w fold times their L^d in one
+    # call, all d at once: one L-fold for w = 1, and for each w != 1 one L-fold
+    # and one T-fold, however many d the group holds
+    alg = make(n=3, r=2, q=q, Q=(1, 3), field=field)
+    rng = random.Random(31)
+    a = random_element(alg, rng, nterms=6)
+    perms = [0] + rng.sample(range(1, alg._nperm), 3)
+    bints = {d * alg._nperm + w: rng.randint(1, 4) for w in perms for d in rng.sample(range(alg._nexp), 3)}
+    b = Element(alg, *field.canonical(1, bints))
+    assert all(sum(code % alg._nperm == w for code in b.ints) == 3 for w in perms)
+    expected = a * b
+    calls = []
+    fold = ArikiKoikeAlgebra._fold
+
+    def counted(self, *args):
+        calls.append(args[2].__name__)
+        return fold(self, *args)
+
+    monkeypatch.setattr(ArikiKoikeAlgebra, "_fold", counted)
+    assert a * b == expected
+    assert len(calls) <= 1 + 2 * (len(perms) - 1)
+    assert calls.count("_mono_times_T") == len(perms) - 1
 
 
 # the steps _fold reads from its tables, and the rules read through _rule
@@ -411,12 +438,18 @@ def test_engine_hands_back_canonical_field_values(field, q, Q):
         assert len(forms) == alg.dim and any(ints for _, ints in forms)
 
 
-@pytest.mark.parametrize("field,Q", [(Rationals(), (1, 5)), (PrimeField(5), (1, 2))], ids=["Q", "GF5"])
-def test_random_element_matches_field_value_construction(field, Q):
+@pytest.mark.parametrize("n,r,field,Q", [
+    (2, 2, Rationals(), (1, 5)),
+    (2, 2, PrimeField(5), (1, 2)),
+    (2, 3, Rationals(), (1, 5, 7)),
+    (3, 2, PrimeField(5), (1, 2)),
+], ids=["Q", "GF5", "dim18-Q", "dim48-GF5"])
+def test_random_element_matches_field_value_construction(n, r, field, Q):
     # the reference draws a monomial from basis() and a coefficient
     # field(randint) - field(randint) per term, sums them in field values and
-    # builds the element with alg.element; dim 8, so terms repeat and cancel
-    alg = make(n=2, r=2, Q=Q, field=field)
+    # builds the element with alg.element; at dim 8 terms repeat and cancel,
+    # and dims 18 and 48 draw codes at other bit lengths (5 and 6 bits)
+    alg = make(n=n, r=r, Q=Q, field=field)
     basis = alg.basis()
     for seed in range(6):
         rng, ref = random.Random(seed), random.Random(seed)

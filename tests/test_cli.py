@@ -805,7 +805,7 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
         monkeypatch.setattr(owner, name, wrapped)
 
     # every elimination the battery reads solutions or a kernel off: the one
-    # solve of each `alg.coordinates`, the complement's solve, and the echelon
+    # `solve_forms` of each `alg.coordinates`, the complement's solve, and the echelon
     # whose free columns give rAnn(v_b); the transition's own echelon, once per
     # algebra, the generator search's, once per level, and the echelon of
     # M^{omega_b} that `verify_bases` reads ranks off, once per level, also sit
@@ -823,6 +823,7 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
             inside.pop()
     monkeypatch.setattr(algebra.RightIdeal, "span", property(spanning))
     counting(algebra.ArikiKoikeAlgebra, "coordinates")
+    counting(algebra, "solve_forms")
     counting(algebra, "Echelon")
     counting(morita, "solve")
     code, _, _ = run_cli(
@@ -835,8 +836,8 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
     # (15 in all; 24 when the end basis solved once per split pair)
     assert calls.count("Echelon") == 3
     assert calls.count("solve") == 3
-    assert calls.count("coordinates") == 3 * 3
-    assert len(calls) - calls.count("transition") - calls.count("generators") - calls.count("span") == 5 * 3
+    assert calls.count("coordinates") == calls.count("solve_forms") == 3 * 3
+    assert len(calls) - sum(calls.count(label) for label in ("coordinates", "transition", "generators", "span")) == 5 * 3
     assert calls.count("span") == 3
     # one echelon per transition, however often its inverse is read
     assert calls.count("transition") == len({id(trans) for trans in inverted}) > 1

@@ -23,6 +23,7 @@ from ariki_koike.linalg import (
     row_echelon,
     row_space_basis,
     solve,
+    solve_forms,
     sparse,
     transpose,
 )
@@ -327,6 +328,34 @@ def test_multi_rhs_solve_separates_a_shared_dependent_row(field):
         assert [x is None for x in out] == [b is bad for b in rhs]
     x, = solve(m, [good], field)
     assert mat_vec(m, x, field) == good
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(5)], ids=str)
+def test_solve_forms_matches_solve(field):
+    # int-form rows (m | b_1 .. b_k) in, canonical int-form solutions out: the
+    # same solutions as the dense `solve` and the dense Gauss-Jordan reference,
+    # over matrices with dependent and zero columns, consistent and
+    # inconsistent right-hand sides
+    rng = random.Random(f"forms:{field}")
+    cases = kernel_cases(field) + [lift(field, [[1, 2, 0], [2, 4, 0], [0, 1, 1]])]
+    seen = set()
+    for m in cases:
+        n = len(m[0])
+        rhs = [mat_vec(m, [field(rng.randint(-3, 3)) for _ in range(n)], field),
+               [field(rng.randint(-3, 3)) for _ in m], [field.zero] * len(m)]
+        rows = forms(field, [list(row) + list(b) for row, *b in zip(m, *rhs)])
+        got = solve_forms(field, rows, n, len(rhs))
+        expected = solve(m, rhs, field)
+        assert expected == [reference_solve(m, b, field) for b in rhs]
+        assert [x is None for x in got] == [x is None for x in expected]
+        for x, want in zip(got, expected):
+            seen.add("none" if x is None else "zero" if not x[1] else "solution")
+            if x is not None:
+                assert x == field.canonical(*x) and dense(field, x, n) == want
+    assert seen == {"none", "zero", "solution"}
+    # an inconsistent system: b_1 = (1, 3) against rows (1, 2) and (2, 4)
+    m = lift(field, [[1, 2], [2, 4]])
+    assert solve_forms(field, forms(field, [[1, 2, 1], [2, 4, 3]]), 2, 1) == [None] == solve(m, [lift(field, [[1, 3]])[0]], field)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
