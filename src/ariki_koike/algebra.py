@@ -75,13 +75,12 @@ position in `basis()`, where rank(w) is w's position in
 keys appear only where something outside the engine reads or writes them:
 `element` and `scale` take them in, and `Element.terms`, `serialize` and repr
 give them out.  `left_mult_matrix(x)` lists the products x L^d T_w in int
-form, `coordinates` (one `solve_forms`), `right_annihilator` and
-`condition_rows` solve and take kernels from such products,
-`ideal_generators` finds right-ideal generators
-of such a kernel, `right_ideal(y)` is the one record of y H that reads
-them, and `TransitionMatrix.express` gives cellular coordinates in int form
-too.  The transition is the one place a cell element m_st is computed;
-`m_st` and `m_semi` read its forms.  The rewriting rules themselves are
+form, `coordinates` (one `solve_forms`) solves on such products,
+`right_ideal(y)` is the one record of y H, which takes rAnn(y), its
+right-ideal generators and W_y (the x that kill rAnn(y)) from them, and
+`TransitionMatrix.express` gives cellular coordinates in int form too.
+The transition is the one place a cell element m_st is computed; `m_st` and
+`m_semi` read its forms.  The rewriting rules themselves are
 derived in the same int form, once per key: T_x T_w is one fold step from
 T_x T_v, T_x L^d is a fold along a reduced word of x, whose steps read q
 and q-1 from one int form of the pair, and L_m^r (m >= 2) is built from int
@@ -352,39 +351,6 @@ class ArikiKoikeAlgebra:
         rows of all forms and targets, with no dense row on the way."""
         return solve_forms(self.field, transpose(self.field, forms + targets, self.dim), len(forms), len(targets))
 
-    def right_annihilator(self, products: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
-        """{h : x h = 0}, a basis in int form, for the products x L^d T_w of an
-        element x (`left_mult_matrix(x)`): the kernel of their coordinate rows."""
-        return kernel_basis(Echelon(self.field, transpose(self.field, products, self.dim)), self.dim)
-
-    def condition_rows(self, forms: list[tuple[int, dict]], kernel: list[tuple[int, dict]]):
-        """The rows of the conditions (sum_i z_i x_i) k = 0, x_i = forms[i], for each
-        int form k of `kernel`, yielded k by k: one engine product x_i k per i,
-        then the nonzero coordinate rows of the products (`transpose`)."""
-        canonical = self.field.canonical
-        for kden, kints in kernel:
-            prods = [canonical(*self._product_into([1, {}], den, ints, kden, kints)) for den, ints in forms]
-            yield from (row for row in transpose(self.field, prods, self.dim) if row[1])
-
-    def ideal_generators(self, kernel: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
-        """Generators k_1..k_g of span(kernel) as a right ideal, in int form.
-
-        A kernel vector that the ideal built so far does not contain becomes a
-        generator, and its products k L^d T_w (from its own `right_ideal`
-        record) join the ideal's echelon.  Certified: unless each generator
-        lies in the ideal (then every kernel vector does) and the ideal has
-        dimension len(kernel), so that it is span(kernel), this raises ComputationError."""
-        ideal, gens = Echelon(self.field), []
-        for k in kernel:
-            if not ideal.contains(*k):
-                gens.append(k)
-                for form in self.right_ideal(Element(self, *k)).products:
-                    ideal.add_form(*form)
-        if len(ideal) != len(kernel) or not all(ideal.contains(*k) for k in gens):
-            raise ComputationError(f"the kernel (dim {len(kernel)}) is not a right ideal: "
-                                   f"{len(gens)} of its vectors generate a right ideal of dim {len(ideal)}")
-        return gens
-
     # -- multiplication engine -------------------------------------------------
 
     def _gen_word(self, mono: Monomial) -> tuple[list[int], int]:
@@ -577,12 +543,13 @@ class ArikiKoikeAlgebra:
         return out
 
     def u_seq(self, a: tuple[int, ...]) -> Element:
-        """u_a = u_{a_1,1} u_{a_2,2} ... u_{a_r,r}."""
+        """u_a = u_{a_1,1} u_{a_2,2} ... u_{a_r,r}; the factors with a_t = 0 are one and are skipped."""
         if len(a) != self.r:
             raise ValueError("need one index per parameter")
         out = self.one()
         for t, at in enumerate(a, start=1):
-            out = out * self.u_at(at, t)
+            if at:
+                out = out * self.u_at(at, t)
         return out
 
     def u_plus(self, mu: MultiComposition) -> Element:
@@ -598,18 +565,12 @@ class ArikiKoikeAlgebra:
     def u_minus(self, m: int) -> Element:
         """prod_{t=1}^{s} (L_1 - Q_t)...(L_m - Q_t); needs the split point s."""
         s = self.params.require_split()
-        out = self.one()
-        for t in range(1, s + 1):
-            out = out * self.u_at(m, t)
-        return out
+        return self.u_seq((m,) * s + (0,) * (self.r - s))
 
     def u_b_plus(self, b: int) -> Element:
         """prod_{t=s+1}^{r} (L_1 - Q_t)...(L_b - Q_t); needs the split point s."""
         s = self.params.require_split()
-        out = self.one()
-        for t in range(s + 1, self.r + 1):
-            out = out * self.u_at(b, t)
-        return out
+        return self.u_seq((0,) * s + (b,) * (self.r - s))
 
     def x_lambda(self, lam: MultiComposition) -> Element:
         """The sum of T_w over the row stabilizer of t^lam."""
@@ -738,21 +699,54 @@ class RightIdeal:
     first read: the products y L^d T_w (int forms at the codes of L^d T_w),
     their echelon, rAnn(y), its right-ideal generators and W_y = {x : x k = 0
     for each generator k}, the images of y under the maps y H -> H, as an
-    echelon.  Kept in the memo, so it holds the algebra only weakly."""
+    echelon: the one place "x kills rAnn(y)" is built.  Kept in the memo, so
+    it holds the algebra only weakly."""
 
     def __init__(self, alg: ArikiKoikeAlgebra, y: Element):
         self._alg, self.form = weakref.ref(alg), y.form
 
     products = cached_property(lambda self: self._alg().left_mult_matrix(Element(self._alg(), *self.form)))
     span = cached_property(lambda self: Echelon(self._alg().field, self.products))
-    annihilator = cached_property(lambda self: self._alg().right_annihilator(self.products))
-    generators = cached_property(lambda self: self._alg().ideal_generators(self.annihilator))
+
+    @cached_property
+    def annihilator(self) -> list[tuple[int, dict]]:
+        """rAnn(y) = {h : y h = 0}, a basis in int form: the kernel of the
+        coordinate rows of the products."""
+        alg = self._alg()
+        return kernel_basis(Echelon(alg.field, transpose(alg.field, self.products, alg.dim)), alg.dim)
+
+    @cached_property
+    def generators(self) -> list[tuple[int, dict]]:
+        """Generators k_1..k_g of rAnn(y) as a right ideal, in int form.
+
+        A kernel vector that the ideal built so far does not contain becomes
+        a generator, and its products k L^d T_w (`left_mult_matrix`, with no
+        record of k's own) join the ideal's echelon.  Certified: unless each
+        generator lies in the ideal (then every kernel vector does) and the
+        ideal has dimension len(rAnn(y)), so that it is rAnn(y), this raises
+        ComputationError."""
+        alg = self._alg()
+        kernel, ideal, gens = self.annihilator, Echelon(alg.field), []
+        for k in kernel:
+            if not ideal.contains(*k):
+                gens.append(k)
+                for form in alg.left_mult_matrix(Element(alg, *k)):
+                    ideal.add_form(*form)
+        if len(ideal) != len(kernel) or not all(ideal.contains(*k) for k in gens):
+            raise ComputationError(f"the kernel (dim {len(kernel)}) is not a right ideal: "
+                                   f"{len(gens)} of its vectors generate a right ideal of dim {len(ideal)}")
+        return gens
 
     @cached_property
     def hom_images(self) -> Echelon:
+        """W_y, the kernel of the conditions x k = 0 on x = sum_i z_i L^d T_w
+        (i the code of L^d T_w): per generator k, one engine product L^d T_w k
+        per monomial, then the coordinate rows of the products (`transpose`)."""
         alg = self._alg()
-        conditions = Echelon(alg.field, alg.condition_rows([(1, {i: 1}) for i in range(alg.dim)], self.generators))
-        return Echelon(alg.field, kernel_basis(conditions, alg.dim))
+        field, dim = alg.field, alg.dim
+        conditions = Echelon(field, (row for kden, kints in self.generators for row in transpose(field, [
+            field.canonical(*alg._product_into([1, {}], 1, {i: 1}, kden, kints)) for i in range(dim)], dim)))
+        return Echelon(field, kernel_basis(conditions, dim))
 
 
 def random_element(alg: ArikiKoikeAlgebra, rng, nterms: int = 4, coeff_range: int = 9) -> Element:

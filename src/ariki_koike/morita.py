@@ -20,9 +20,10 @@ annihilation laws) are callable without the gate.
 
 What the checks read at level b is one record, `Level`, kept in the memo.
 V^b = v_b H and M^{omega_b} are read through their records `alg.right_ideal(y)`
-(the products y L^d T_w, their echelon, rAnn(y) and its right-ideal generators,
-shared with the Schur battery); a rank of elements is one `Echelon` of their
-forms.  "x kills rAnn(v_b)" is imposed at the generators, a few per level.
+(the products y L^d T_w, their echelon, rAnn(y), its right-ideal generators and
+W_y, shared with the Schur battery); a rank of elements is one `Echelon` of
+their forms.  "x kills rAnn(v_b)" is membership in W_{v_b}, the record's
+echelon: no product by a generator is formed here.
 
 `MoritaSuite.run_all()` is the one entry point to the battery: the rank count,
 the per-level checks at every level b, then the checks across levels.
@@ -126,10 +127,16 @@ class Level:
         self.kernel = [cell for cell in self.one_sided if cell[0] not in self.filtered]
 
     @cached_property
+    def cells(self) -> dict:
+        """m_uv keyed on (u, v), over `one_sided` and in its order, read from the transition once per level."""
+        alg = self._alg()
+        return {(u, v): alg.m_st(u, v).form for (_, u, v) in self.one_sided}
+
+    @cached_property
     def images(self) -> dict:
         """theta_b(m_uv) keyed on (u, v), over `one_sided` (which holds the v-basis, kernel and split pairs)."""
         alg = self._alg()
-        return {(u, v): alg.theta_b(self.b, alg.m_st(u, v)).form for (_, u, v) in self.one_sided}
+        return {uv: alg.theta_b(self.b, Element(alg, *m)).form for uv, m in self.cells.items()}
 
     @cached_property
     def v_basis(self) -> list[tuple[int, dict]]:
@@ -141,7 +148,7 @@ class Level:
 
     @cached_property
     def ideal(self) -> RightIdeal:
-        """The record of V^b = v_b H: products, rAnn(v_b) and its right-ideal generators."""
+        """The record of V^b = v_b H: products, rAnn(v_b), its right-ideal generators and W_{v_b}."""
         alg = self._alg()
         return alg.right_ideal(alg.v_b_elem(self.b))
 
@@ -353,8 +360,7 @@ class MoritaSuite:
             except ValueError:
                 failures.append("rotated tableau is not standard")
                 continue
-            mst = alg.m_st(st, tt)
-            if alg.t_elem(wnb) * mst != alg.m_st(sprime, tt):
+            if alg.t_elem(wnb) * Element(alg, *lv.cells[st, tt]) != alg.m_st(sprime, tt):
                 failures.append(f"T_w m_st != m_s't at {lam.serialize()}")
                 continue
             coords = self.field.from_ints(*trans.express(Element(alg, *images[st, tt])))
@@ -400,7 +406,7 @@ class MoritaSuite:
         module = alg.right_ideal(alg.m_lambda(omega_b(self.n, self.params.r, self.s, b))).span
         module_rows = list(module.rows.values())
         claimed = lv.one_sided
-        claimed_rows = [alg.m_st(u, v).form for (_, u, v) in claimed]
+        claimed_rows = list(lv.cells.values())
         r_module = len(module)
         r_claimed = len(Echelon(field, claimed_rows))
         r_joint = len(Echelon(field, module_rows + claimed_rows))
@@ -412,7 +418,7 @@ class MoritaSuite:
 
         # ker theta_b: claimed basis, complementarity of ranks, ideal intersection.
         kers = lv.kernel
-        r_ker = len(Echelon(field, [alg.m_st(u, v).form for (_, u, v) in kers]))
+        r_ker = len(Echelon(field, [lv.cells[u, v] for (_, u, v) in kers]))
         complement_ok = r_ker == len(kers) and size + r_ker == r_module
         out.append(result(
             "morita.kernel_basis", REF_VBASIS, self._pdict(b=b), complement_ok,
@@ -510,20 +516,18 @@ class MoritaSuite:
         """Well-definedness, equivariance and independence of the maps
         v_b h -> v_st h for pairs of two-sided filtered tableaux."""
         alg, lv = self.alg, self.level(b)
-        generators = [Element(alg, *k) for k in lv.ideal.generators]
-        v_basis, pairs, images = lv.v_basis, lv.pairs, lv.images
+        v_basis, pairs, images, allowed = lv.v_basis, lv.pairs, lv.images, lv.ideal.hom_images
         failures = []
         if None in lv.preimages:
             failures.append("v-basis element outside v_b H")
         preimages = [Element(alg, *(x or (1, {}))) for x in lv.preimages]
         maps = []
         for (lam, st, tt) in pairs:
-            vst = Element(alg, *images[st, tt])
-            # well defined iff v_st kills rAnn(v_b), i.e. each of its right-ideal generators
-            if any(not (vst * k).is_zero() for k in generators):
+            # well defined iff v_st kills rAnn(v_b), i.e. lies in W_{v_b}
+            if not allowed.contains(*images[st, tt]):
                 failures.append(f"map for a pair at {lam.serialize()} is ill-defined")
             else:
-                maps.append(vst)
+                maps.append(Element(alg, *images[st, tt]))
         # the images v_st h of every preimage h, for every well-defined pair, in one solve
         coords = alg.coordinates(v_basis, [(vst * h).form for vst in maps for h in preimages])
         size = len(v_basis)
@@ -560,28 +564,27 @@ class MoritaSuite:
             y_0 in M^{omega_b},  y_0 * k = 0 for all k with v_b k = 0,
             theta_b(y_0) = v_b;
 
-        the annihilator condition says exactly that v_b h -> y_0 h is a
-        well-defined module map, and the block separation of V^b from
+        the annihilator condition, y_0 in W_{v_b}, says exactly that
+        v_b h -> y_0 h is a well-defined module map, and the block separation of V^b from
         ker theta_b makes that map the (unique) right inverse of theta_b.
         The returned basis is y_0 * h for preimages h of the v-basis.
         """
         alg, field, lv = self.alg, self.field, self.level(b)
-        one_sided, images = lv.one_sided, lv.images
-        m_elems = [alg.m_st(u, v) for (_, u, v) in one_sided]
-        # one dense `solve` on rows of len(m_elems) unknowns and v_b's column, so the
+        m_forms, allowed = list(lv.cells.values()), lv.ideal.hom_images
+        # one dense `solve` on rows of len(m_forms) unknowns and v_b's column, so the
         # tall system is a single call into the linalg layer
         rows = itertools.chain(
-            # homogeneous rows: coordinates of (sum z_i m_i) * k over the right-ideal
-            # generators k of rAnn(v_b), which give the conditions of all of it
-            alg.condition_rows([e.form for e in m_elems], lv.ideal.generators),
+            # homogeneous rows: sum z_i m_i in W_{v_b}, i.e. sum z_i reduce(m_i) = 0
+            # for the reduction against W's echelon, which is linear
+            (row for row in transpose(field, [allowed.reduce(*m) for m in m_forms], alg.dim) if row[1]),
             # affine rows: theta_b(sum z_i m_i) = v_b
-            transpose(field, [images[u, v] for (_, u, v) in one_sided] + [alg.v_b_elem(b).form], alg.dim),
+            transpose(field, list(lv.images.values()) + [alg.v_b_elem(b).form], alg.dim),
         )
-        full = [dense(field, row, len(m_elems) + 1) for row in rows]
+        full = [dense(field, row, len(m_forms) + 1) for row in rows]
         z, = solve([row[:-1] for row in full], [[row[-1] for row in full]], field)
         if z is None:
             raise ComputationError("no right inverse of theta_b exists (split failed)")
-        y0 = Element(alg, *combination(field, field.to_ints(sparse(z)), [m.form for m in m_elems]))
+        y0 = Element(alg, *combination(field, field.to_ints(sparse(z)), m_forms))
         # transport the v-basis through the right inverse
         basis = []
         for h in lv.preimages:

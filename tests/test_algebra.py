@@ -6,9 +6,9 @@ from math import gcd
 
 import pytest
 
-from ariki_koike.algebra import ArikiKoikeAlgebra, Element, random_element
+from ariki_koike.algebra import ArikiKoikeAlgebra, Element, RightIdeal, random_element
 from ariki_koike.fields import ComputationError, FpElement, Params, PrimeField, Rationals, SizeGuardError
-from ariki_koike.linalg import Echelon, dense, inverse, kernel_basis, rank, solve, transpose
+from ariki_koike.linalg import Echelon, dense, inverse, kernel_basis, nullspace, rank, solve, sparse, transpose
 from ariki_koike.perms import all_permutations, identity, s_interval
 from ariki_koike.tableaux import (
     MultiPartition,
@@ -528,58 +528,42 @@ def test_coordinates_solve_against_the_dense_span(field, q, Q):
 
 
 @pytest.mark.parametrize("field,q,Q", [
-    (Rationals(), Fraction(2, 3), (1, 5)),
+    (Rationals(), Fraction(3, 2), (1, 5)),
     (PrimeField(7), 3, (1, 2)),
 ], ids=["Q", "GF(7)"])
 def test_condition_rows_span_the_dense_conditions(field, q, Q):
-    # rows of (sum_i z_i x_i) k = 0 over the right annihilator of m_lambda,
-    # against the dense route: coordinate c of L(x_i) k, where the column of
-    # L(x) at code j holds the coordinates of x * basis()[j]
+    # W_y = {x : x k = 0 for each right-ideal generator k of rAnn(y)} against
+    # the dense route, which imposes x k = 0 for every vector k of a basis of
+    # rAnn(y): coordinate c of L^d T_w k is the entry of unknown z_i, for i the
+    # code of L^d T_w, in the condition row (k, c); both spaces as echelons,
+    # for y = each m_lambda and each v_b
     alg = make(n=2, r=2, q=q, Q=Q, field=field)
 
     def vec(x):
         return dense(field, x.form, alg.dim)
 
-    rng = random.Random(f"conditions:{field}")
-    xs = [random_element(alg, rng) for _ in range(4)]
     monos = [alg.element({m: field.one}) for m in alg.basis()]
+    elems = [alg.m_lambda(lam) for lam in multipartitions(2, 2)] + [alg.v_b_elem(b) for b in range(3)]
     dens, sizes = {1}, []
-    for lam in multipartitions(2, 2):
-        m_lam = alg.m_lambda(lam)
-        kernel = alg.right_annihilator(alg.left_mult_matrix(m_lam))
-        # a basis of rAnn(m_lambda): independent vectors that m_lambda kills, as many as
-        # dim minus the rank of the products m_lambda * mono
-        assert all((m_lam * Element(alg, *k)).is_zero() for k in kernel)
+    for y in elems:
+        record = alg.right_ideal(y)
+        kernel = record.annihilator
+        # a basis of rAnn(y): independent vectors that y kills, as many as
+        # dim minus the rank of the products y * mono
+        assert all((y * Element(alg, *k)).is_zero() for k in kernel)
         assert rank([dense(field, k, alg.dim) for k in kernel], field) == len(kernel)
-        assert len(kernel) == alg.dim - rank([vec(m_lam * m) for m in monos], field)
-        got = list(alg.condition_rows([x.form for x in xs], kernel))
-        sizes.append(len(kernel))
-        if isinstance(field, Rationals):
-            assert all(gcd(den, *ints.values()) == 1 for den, ints in got)
-        else:
-            assert all(den == 1 and all(0 < a < field.p for a in ints.values()) for den, ints in got)
-        got = [dense(field, row, len(xs)) for row in got]
-        want = []
-        for k in kernel:
-            kv = dense(field, k, alg.dim)
-            images = [[sum((a * b for a, b in zip(row, kv)), field.zero)
-                       for row in zip(*(vec(x * m) for m in monos))] for x in xs]
-            want.extend(list(row) for row in zip(*images) if any(row))
-        assert bool(got) == bool(kernel)
-        assert rank(got, field) == rank(want, field) == rank(got + want, field)
-        dens.update((x * Element(alg, *k)).den for x in xs for k in kernel)
-    assert min(sizes) == 0 and max(sizes) > 1
-    if isinstance(field, Rationals):  # the products reach dens > 1
+        assert len(kernel) == alg.dim - rank([vec(y * m) for m in monos], field)
+        conditions = [list(row) for k in kernel for row in zip(*(vec(m * Element(alg, *k)) for m in monos))]
+        want = Echelon(field, (field.to_ints(sparse(v)) for v in nullspace(conditions, field)))
+        if not kernel:
+            want = Echelon(field, ((1, {i: 1}) for i in range(alg.dim)))
+        assert record.hom_images.rows == want.rows
+        assert record.hom_images.contains(*y.form)  # the identity map of y H
+        sizes.append((len(kernel), len(record.generators)))
+        dens.update(den for den, _ in record.hom_images.rows.values())
+    assert min(sizes) == (0, 0) and any(g < k for k, g in sizes)
+    if isinstance(field, Rationals):  # W reaches dens > 1
         assert max(dens) > 1
-    assert list(alg.condition_rows([x.form for x in xs], [])) == []
-
-
-def _annihilators(alg):
-    """rAnn(m_lambda) for every multicomposition lambda and rAnn(v_b) for every
-    level b, each as the kernel basis `right_annihilator` gives."""
-    elems = [alg.m_lambda(lam) for lam in multicompositions(alg.n, alg.r)]
-    elems += [alg.v_b_elem(b) for b in range(alg.n + 1)]
-    return [alg.right_annihilator(alg.right_ideal(x).products) for x in elems]
 
 
 def _one_row_kernel(alg, products):
@@ -598,26 +582,31 @@ def test_ideal_generators_span_each_annihilator(field, q, Q):
     # y = each m_lambda and each v_b; the generators are kernel vectors, at most
     # as many as the kernel has, and none for an empty kernel
     alg = make(n=2, r=2, q=q, Q=Q, field=field)
+    elems = [alg.m_lambda(lam) for lam in multicompositions(alg.n, alg.r)]
+    elems += [alg.v_b_elem(b) for b in range(alg.n + 1)]
     sizes = []
-    for kernel in _annihilators(alg):
-        gens = alg.ideal_generators(kernel)
+    for record in (alg.right_ideal(y) for y in elems):
+        kernel, gens = record.annihilator, record.generators
         assert all(k in kernel for k in gens) and len(gens) <= len(kernel)
         assert bool(gens) == bool(kernel)
         ideal = Echelon(field, (form for k in gens for form in alg.left_mult_matrix(Element(alg, *k))))
         assert ideal.rows == Echelon(field, kernel).rows
         sizes.append((len(kernel), len(gens)))
     assert min(sizes) == (0, 0) and any(g < k for k, g in sizes)
-    assert alg.ideal_generators([]) == []
+    assert alg.right_ideal(alg.one()).generators == []
 
 
 @pytest.mark.parametrize("field,q,Q", ANNIHILATOR_CASES, ids=["Q", "GF5"])
 def test_ideal_generators_refuse_a_subspace_that_is_not_a_right_ideal(field, q, Q):
+    # a record whose rAnn(v_b) is replaced, before its first read, by a
+    # hyperplane holding it: the generator search refuses the hyperplane
     alg = make(n=2, r=2, q=q, Q=Q, field=field)
     for b in range(alg.n + 1):
-        kernel = _one_row_kernel(alg, alg.right_ideal(alg.v_b_elem(b)).products)
-        assert len(kernel) == alg.dim - 1
+        record = RightIdeal(alg, alg.v_b_elem(b))
+        record.annihilator = _one_row_kernel(alg, record.products)
+        assert len(record.annihilator) == alg.dim - 1
         with pytest.raises(ComputationError, match="not a right ideal"):
-            alg.ideal_generators(kernel)
+            record.generators
 
 
 @pytest.mark.parametrize("suite", ["morita", "schur"])
@@ -626,7 +615,7 @@ def test_a_kernel_that_is_not_a_right_ideal_exits_4(suite, monkeypatch, capsys):
     # generator search refuses it, and the CLI reports one line, exit 4
     from ariki_koike.cli import main
 
-    monkeypatch.setattr(ArikiKoikeAlgebra, "right_annihilator", _one_row_kernel)
+    monkeypatch.setattr(RightIdeal, "annihilator", property(lambda self: _one_row_kernel(self._alg(), self.products)))
     code = main(["verify", "--suite", suite, "--n", "2", "--r", "2", "--s", "1", "--q", "2", "--Q", "1,5"])
     err = capsys.readouterr().err
     assert code == 4
@@ -642,6 +631,25 @@ def test_u_elements():
         prod = prod * (alg.gen_L(1) - alg.from_scalar(alg.Q[t - 1]))
     assert prod.is_zero()
     assert alg.u_b_plus(0) == alg.one()
+
+
+def test_u_minus_and_u_b_plus_are_u_seq_products(monkeypatch):
+    # both are the products of u_{m,t} over their parameter groups, in order
+    for s in (1, 2):
+        alg = make(n=3, r=3, Q=(1, 5, 7), s=s)
+        for m in range(4):
+            minus, plus = alg.one(), alg.one()
+            for t in range(1, s + 1):
+                minus = minus * alg.u_at(m, t)
+            for t in range(s + 1, 4):
+                plus = plus * alg.u_at(m, t)
+            assert alg.u_minus(m) == minus and alg.u_b_plus(m) == plus
+    # a factor with a_t = 0 is one, and u_seq takes no product by it
+    products, mul = [], Element.__mul__
+    monkeypatch.setattr(Element, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    assert alg.u_seq((0, 0, 0)) == alg.one() and not products
+    alg.u_seq((2, 0, 0))
+    assert len(products) == 3  # (L_1 - Q_1) (L_2 - Q_1), then 1 times it
 
 
 def test_u_plus_of_column_shape_is_cell_generator():

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
-from functools import wraps
+from functools import cached_property, wraps
 
 import pytest
 
@@ -512,7 +512,7 @@ def test_morita_builds_per_level_data_once(monkeypatch, capsys):
         assert left_mult[key] == 1, b
 
 
-LEVEL_PARTS = ("images", "v_basis", "ideal", "preimages", "action", "tensor_images", "tensor_vb")
+LEVEL_PARTS = ("cells", "images", "v_basis", "ideal", "preimages", "action", "tensor_images", "tensor_vb")
 
 
 def test_morita_builds_each_part_of_a_level_once(monkeypatch, capsys):
@@ -521,16 +521,27 @@ def test_morita_builds_each_part_of_a_level_once(monkeypatch, capsys):
     # bimodule, faithfulness and free-decomposition checks all read; a tensor
     # basis pair is recognised as one that TensorAlgebra.basis handed out
     from ariki_koike import morita
+    from ariki_koike.algebra import ArikiKoikeAlgebra
 
-    builds, pairs, calls = Counter(), {}, Counter()
+    builds, pairs, calls, building = Counter(), {}, Counter(), []
     for name in LEVEL_PARTS:
         cached = vars(morita.Level)[name]
 
         def read(self, name=name, cached=cached):
             if name not in vars(self):
                 builds[name, self.b] += 1
-            return cached.__get__(self, morita.Level)
+            building.append(name)
+            try:
+                return cached.__get__(self, morita.Level)
+            finally:
+                building.pop()
         monkeypatch.setattr(morita.Level, name, property(read))
+    cell_reads, m_st = Counter(), ArikiKoikeAlgebra.m_st
+
+    def reading(self, s, t):
+        cell_reads[self.n, self.r, bool(building) and building[-1] == "cells"] += 1
+        return m_st(self, s, t)
+    monkeypatch.setattr(ArikiKoikeAlgebra, "m_st", reading)
     basis, theta_map = morita.TensorAlgebra.basis, morita.theta_map
 
     def tagged(self):
@@ -549,6 +560,12 @@ def test_morita_builds_each_part_of_a_level_once(monkeypatch, capsys):
     code, out, _ = run_cli(args, capsys)
     assert code == 0 and all(e["status"] == "pass" for e in json.loads(out))
     assert builds == Counter({(name, b): 1 for name in LEVEL_PARTS for b in range(3)})
+    # the 18 + 6 + 2 one-sided cells of levels 0, 1, 2 are read into the level
+    # records once each; the other m_st of H are the leading terms' rotated
+    # cells (14 triples), the higher-level cells of the kernel complement
+    # (10 + 2) and the Specht and Gram constructions (42); 172 when the
+    # images, the claimed and kernel rows and the complement each read their own
+    assert cell_reads[2, 3, True] == 26 and cell_reads[2, 3, False] == 14 + 12 + 42
     # dim H_0 (x) H_2 + dim H_1 (x) H_1 + dim H_2 (x) H_0 = 8 + 2 + 2 pairs, each embedded once
     assert sum(calls.values()) == 12 and set(calls.values()) == {1}
 
@@ -556,8 +573,9 @@ def test_morita_builds_each_part_of_a_level_once(monkeypatch, capsys):
 def test_morita_run_forms_each_theta_image_once(monkeypatch, capsys):
     # theta_b(m_uv) is formed once per level and cell, into the level record
     # that the v-basis, kernel, leading-term, end-basis, cell-law and
-    # complement checks read; a cell element is recognised as one that m_st
-    # handed out
+    # complement checks read; a cell element is recognised by its terms, the
+    # transition's own dict for the cell, which m_st hands out and the level's
+    # cell forms keep
     from ariki_koike.algebra import ArikiKoikeAlgebra
     from ariki_koike.morita import MoritaSuite
 
@@ -566,12 +584,12 @@ def test_morita_run_forms_each_theta_image_once(monkeypatch, capsys):
 
     def tagged(self, s, t):
         out = m_st(self, s, t)
-        cells[id(out)] = (out, s, t)  # kept alive, so no other element takes its id
+        cells[id(out.ints)] = (out, s, t)  # kept alive, so no other dict takes its id
         return out
 
     def counted(self, b, h):
-        if id(h) in cells:
-            calls[(b, *cells[id(h)][1:])] += 1
+        if id(h.ints) in cells:
+            calls[(b, *cells[id(h.ints)][1:])] += 1
         return theta_b(self, b, h)
 
     monkeypatch.setattr(ArikiKoikeAlgebra, "m_st", tagged)
@@ -604,36 +622,33 @@ def count_left_mult_matrix(monkeypatch):
 def test_products_taken_once_per_element(monkeypatch, capsys):
     # Morita's v_b and m_{omega_b} and Schur's m_mu each have one right-ideal
     # record, so an element that two suites (or two roles) need is multiplied
-    # out once; so is each right-ideal generator of rAnn(v_b) and rAnn(m_mu),
-    # whose records the generator search reads and which are counted apart
+    # out once; a record's generator search multiplies out each generator k
+    # of rAnn(y) that it finds, with no record of k's own, so k is multiplied
+    # out once per record that finds it (and once more if it is also one of
+    # the elements whose records the batteries read)
     from ariki_koike import algebra
 
     calls = count_left_mult_matrix(monkeypatch)
-    battery, generators, searching = set(), set(), []
-    right_ideal, ideal_generators = algebra.ArikiKoikeAlgebra.right_ideal, algebra.ArikiKoikeAlgebra.ideal_generators
+    battery, found = set(), Counter()
+    right_ideal, generators = algebra.ArikiKoikeAlgebra.right_ideal, vars(algebra.RightIdeal)["generators"].func
 
     def reading(self, elem):
-        if not searching:
-            battery.add((elem.den, frozenset(elem.ints.items())))
+        battery.add((elem.den, frozenset(elem.ints.items())))
         return right_ideal(self, elem)
 
-    def search(self, kernel):
-        searching.append(kernel)
-        try:
-            gens = ideal_generators(self, kernel)
-        finally:
-            searching.pop()
-        generators.update((den, frozenset(ints.items())) for den, ints in gens)
+    def search(self):
+        gens = generators(self)
+        found.update((den, frozenset(ints.items())) for den, ints in gens)
         return gens
 
     monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "right_ideal", reading)
-    monkeypatch.setattr(algebra.ArikiKoikeAlgebra, "ideal_generators", search)
+    _record_part(monkeypatch, "generators", search)
     code, _, _ = run_cli(["verify", "--suite", "all", "--n", "2", "--r", "3", "--s", "1",
                           "--q", "2", "--Q", "1,5,7"], capsys)
     assert code == 0
-    assert all(count == 1 for count in calls.values()), calls
-    assert calls.keys() == battery | generators
-    assert len(battery) == 11 and len(generators) == 13 and len(calls) == 23
+    assert calls == Counter(battery) + found
+    # 13 generators found 18 times over the records of 11 elements, one of them a generator too
+    assert len(battery) == 11 and len(found) == 13 and sum(found.values()) == 18 and len(calls) == 23
 
 
 def test_suite_all_builds_each_part_of_a_right_ideal_once(monkeypatch, capsys):
@@ -672,7 +687,8 @@ def test_suite_all_builds_each_part_of_a_right_ideal_once(monkeypatch, capsys):
     code, _, _ = run_cli(["verify", "--suite", "all", "--n", "2", "--r", "3", "--s", "1",
                           "--q", "2", "--Q", "1,5,7"], capsys)
     assert code == 0
-    assert len(calls) == 23 and set(calls.values()) == {1}
+    # 11 records' products, and 18 generator finds of 13 generators (one of them a record's element)
+    assert len(calls) == 23 and sum(calls.values()) == 11 + 18
     assert {name for name, _ in builds} == {"span", "annihilator", "generators", "hom_images"}
     assert set(builds.values()) == {1}
     # one m_{omega_b} per level b = 0, 1, 2, each read by hom_space as the same object
@@ -804,24 +820,32 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
                 inside.pop()
         monkeypatch.setattr(owner, name, wrapped)
 
+    def part_apart(name, built):
+        # a part of the right-ideal record, with the eliminations of its build under its name
+        part = vars(algebra.RightIdeal)[name]
+
+        def read(self):
+            if name not in vars(self):
+                built.append(self)
+            inside.append(name)
+            try:
+                return part.__get__(self, algebra.RightIdeal)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(algebra.RightIdeal, name, property(read))
+
     # every elimination the battery reads solutions or a kernel off: the one
     # `solve_forms` of each `alg.coordinates`, the complement's solve, and the echelon
     # whose free columns give rAnn(v_b); the transition's own echelon, once per
-    # algebra, the generator search's, once per level, and the echelon of
+    # algebra, the generator search's, once per level, the two of W_{v_b} (its
+    # conditions and their kernel), once per level, and the echelon of
     # M^{omega_b} that `verify_bases` reads ranks off, once per level, also sit
     # in `algebra` and are counted apart
-    searched = []
+    searched, allowed = [], []
     apart(algebra.TransitionMatrix, "inverse", "transition", inverted)
-    apart(algebra.ArikiKoikeAlgebra, "ideal_generators", "generators", searched)
-    span = vars(algebra.RightIdeal)["span"]
-
-    def spanning(self):
-        inside.append("span")
-        try:
-            return span.__get__(self, algebra.RightIdeal)
-        finally:
-            inside.pop()
-    monkeypatch.setattr(algebra.RightIdeal, "span", property(spanning))
+    part_apart("generators", searched)
+    part_apart("hom_images", allowed)
+    part_apart("span", [])
     counting(algebra.ArikiKoikeAlgebra, "coordinates")
     counting(algebra, "solve_forms")
     counting(algebra, "Echelon")
@@ -837,41 +861,64 @@ def test_morita_solves_each_matrix_once_for_all_right_hand_sides(monkeypatch, ca
     assert calls.count("Echelon") == 3
     assert calls.count("solve") == 3
     assert calls.count("coordinates") == calls.count("solve_forms") == 3 * 3
-    assert len(calls) - sum(calls.count(label) for label in ("coordinates", "transition", "generators", "span")) == 5 * 3
+    assert len(calls) - sum(calls.count(label) for label in (
+        "coordinates", "transition", "generators", "hom_images", "span")) == 5 * 3
     assert calls.count("span") == 3
+    # one W_{v_b} per level, read by the end basis and the complement
+    assert calls.count("hom_images") == 2 * len(allowed) == 2 * 3
     # one echelon per transition, however often its inverse is read
     assert calls.count("transition") == len({id(trans) for trans in inverted}) > 1
     # one generator search, and so one echelon, per level
     assert calls.count("generators") == len(searched) == 3
 
 
-def _no_condition_rows(alg, forms, kernel):
-    return iter(())
+def _record_part(monkeypatch, name, build):
+    """Replace the part `name` of every right-ideal record, before its first
+    read, by `build(record)`, built once per record as the part is."""
+    from ariki_koike.algebra import RightIdeal
+
+    part = cached_property(build)
+    part.__set_name__(RightIdeal, name)
+    monkeypatch.setattr(RightIdeal, name, part)
 
 
-def _condition_rows_over_den_1(alg, forms, kernel):
-    # the products as the helper computes them, but each entry put over den 1
-    from ariki_koike.linalg import transpose
+def _no_condition_rows(record):
+    from ariki_koike.linalg import Echelon, kernel_basis
 
-    for kden, kints in kernel:
-        prods = [alg.field.canonical(*alg._product_into([1, {}], den, ints, kden, kints))
-                 for den, ints in forms]
-        yield from transpose(alg.field, [(1, ints) for _, ints in prods], alg.dim)
+    field, dim = record._alg().field, record._alg().dim
+    return Echelon(field, kernel_basis(Echelon(field), dim))
 
 
-@pytest.mark.parametrize("fault", [_no_condition_rows, _condition_rows_over_den_1],
+def _condition_rows_over_den_1(record):
+    # the products as `hom_images` computes them, but each entry put over den 1
+    from ariki_koike.linalg import Echelon, kernel_basis, transpose
+
+    alg = record._alg()
+    field, dim = alg.field, alg.dim
+    rows = []
+    for kden, kints in record.generators:
+        prods = [field.canonical(*alg._product_into([1, {}], 1, {i: 1}, kden, kints)) for i in range(dim)]
+        rows += transpose(field, [(1, ints) for _, ints in prods], dim)
+    return Echelon(field, kernel_basis(Echelon(field, rows), dim))
+
+
+@pytest.mark.parametrize("fault, morita_code", [(_no_condition_rows, 1), (_condition_rows_over_den_1, 4)],
                          ids=["no-rows", "den-1"])
-def test_wrong_condition_rows_fail_schur_and_morita(fault, monkeypatch, capsys):
-    from ariki_koike.algebra import ArikiKoikeAlgebra
-
-    monkeypatch.setattr(ArikiKoikeAlgebra, "condition_rows", fault)
+def test_wrong_condition_rows_fail_schur_and_morita(fault, morita_code, monkeypatch, capsys):
+    # W_y built from no conditions, or from products put over den 1: a Hom
+    # space comes out wrong, and the complement's solution is wrong (exit 1)
+    # or there is none (exit 4)
+    _record_part(monkeypatch, "hom_images", fault)
     code, out, _ = run_cli(["verify", "--suite", "schur", "--n", "2", "--r", "2", "--s", "1",
                             "--q", "2", "--Q", "1,8"], capsys)
     failed = {row["check"] for row in json.loads(out) if row["status"] == "fail"}
     assert code == 1 and "schur.hom_space" in failed
-    code, _, _ = run_cli(["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
-                          "--q", "3", "--Q", "8,2,3"], capsys)
-    assert code != 0
+    code, out, _ = run_cli(["verify", "--suite", "morita", "--n", "2", "--r", "3", "--s", "1",
+                            "--q", "3", "--Q", "8,2,3"], capsys)
+    assert code == morita_code
+    if code == 1:
+        assert {row["check"] for row in json.loads(out) if row["status"] == "fail"} == {
+            "morita.regular_decomposition"}
 
 
 @pytest.mark.parametrize("suite, check", [("morita", "morita.regular_decomposition"),
@@ -879,11 +926,10 @@ def test_wrong_condition_rows_fail_schur_and_morita(fault, monkeypatch, capsys):
 def test_too_few_ideal_generators_fail_the_annihilator_systems(suite, check, monkeypatch, capsys):
     # with the generators cut to the first, "x kills rAnn(y)" is imposed on a
     # smaller ideal: the complement's solution or a Hom space comes out wrong
-    from ariki_koike.algebra import ArikiKoikeAlgebra
+    from ariki_koike.algebra import RightIdeal
 
-    ideal_generators = ArikiKoikeAlgebra.ideal_generators
-    monkeypatch.setattr(ArikiKoikeAlgebra, "ideal_generators",
-                        lambda self, kernel: ideal_generators(self, kernel)[:1])
+    generators = vars(RightIdeal)["generators"].func
+    _record_part(monkeypatch, "generators", lambda record: generators(record)[:1])
     code, out, _ = run_cli(["verify", "--suite", suite, "--n", "2", "--r", "2", "--s", "1",
                             "--q", "2", "--Q", "1,5"], capsys)
     failed = {row["check"] for row in json.loads(out) if row["status"] == "fail"}

@@ -362,17 +362,18 @@ def test_end_basis_ill_defined_against_a_smaller_row_space(monkeypatch):
 
     from ariki_koike.algebra import Element
 
-    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
-    assert all_ok(suite.verify_end_basis(1))
+    assert all_ok(MoritaSuite(ArikiKoikeAlgebra(qparams(n=2))).verify_end_basis(1))
     # the kernel of one row of left multiplication by v_b is larger than rAnn(v_b):
     # one of its vectors that v_b does not kill joins the true generators, in
-    # the record the first call has already built
+    # a fresh algebra's record, before W_{v_b} is first read
+    suite = MoritaSuite(ArikiKoikeAlgebra(qparams(n=2)))
     ideal = suite.alg.right_ideal(suite.alg.v_b_elem(1))
     first = next(row for row in transpose(suite.field, ideal.products, suite.alg.dim) if row[1])
     kernel = kernel_basis(Echelon(suite.field, [first]), suite.alg.dim)
     assert len(kernel) > len(ideal.annihilator)
     vb = suite.alg.v_b_elem(1)
     outside = next(k for k in kernel if not (vb * Element(suite.alg, *k)).is_zero())
+    assert "hom_images" not in vars(ideal)
     monkeypatch.setattr(ideal, "generators", ideal.generators + [outside])
     (row,) = suite.verify_end_basis(1)
     assert row.status == "fail" and "ill-defined" in row.detail

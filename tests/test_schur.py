@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ariki_koike.algebra import ArikiKoikeAlgebra
+from ariki_koike.algebra import ArikiKoikeAlgebra, Element, RightIdeal
 from ariki_koike.fields import Params, PrimeField, Rationals
-from ariki_koike.linalg import Echelon, combination, kernel_basis
+from ariki_koike.linalg import Echelon, combination, kernel_basis, transpose
 from ariki_koike.report import all_ok
 from ariki_koike.schur import (
     gamma_split,
@@ -94,12 +94,16 @@ def test_hom_space_column_type_is_the_regular_count():
 def _per_pair_solve(mu, nu, alg):
     """Hom(M^nu, M^mu) as one condition system of its own: x = sum z_i m_i over
     a row basis m_i of M^mu, with x k = 0 for each right-ideal generator k of
-    rAnn(m_nu).  Returns the kernel dimension and the span of the solutions."""
+    rAnn(m_nu), the rows being the coordinates of the products m_i k formed
+    here.  Returns the kernel dimension and the span of the solutions."""
     field = alg.field
     target = Echelon(field, alg.left_mult_matrix(alg.m_lambda(mu)))
     rows = [target.rows[pc] for pc in sorted(target.rows)]
-    gens = alg.right_ideal(alg.m_lambda(nu)).generators
-    sols = kernel_basis(Echelon(field, alg.condition_rows(rows, gens)), len(rows))
+    conditions = Echelon(field)
+    for k in alg.right_ideal(alg.m_lambda(nu)).generators:
+        for row in transpose(field, [(Element(alg, *m) * Element(alg, *k)).form for m in rows], alg.dim):
+            conditions.add_form(*row)
+    sols = kernel_basis(conditions, len(rows))
     return len(sols), Echelon(field, (combination(field, v, rows) for v in sols))
 
 
@@ -127,7 +131,7 @@ def test_schur_suite_builds_each_shape_memo_once(monkeypatch):
     # or to one of the two index sets morita_count_check is called on
     alg = ArikiKoikeAlgebra(qparams(n=3))
     builds, conditions = Counter(), []
-    derived, condition_rows = ArikiKoikeAlgebra.derived, ArikiKoikeAlgebra.condition_rows
+    derived, hom_images = ArikiKoikeAlgebra.derived, vars(RightIdeal)["hom_images"]
 
     def counting(self, key, build):
         def counted():
@@ -135,12 +139,13 @@ def test_schur_suite_builds_each_shape_memo_once(monkeypatch):
             return build()
         return derived(self, key, counted) if self is alg else derived(self, key, build)
 
-    def counted_rows(self, forms, kernel):
-        conditions.append(len(forms))
-        return condition_rows(self, forms, kernel)
+    def read(self):
+        if "hom_images" not in vars(self):
+            conditions.append((self.form[0], frozenset(self.form[1].items())))
+        return hom_images.__get__(self, RightIdeal)
 
     monkeypatch.setattr(ArikiKoikeAlgebra, "derived", counting)
-    monkeypatch.setattr(ArikiKoikeAlgebra, "condition_rows", counted_rows)
+    monkeypatch.setattr(RightIdeal, "hom_images", property(read))
     assert all_ok(schur_suite(alg))
     shapes = set(multicompositions(3, 2))
     assert len(shapes) > len(multipartitions(3, 2))
@@ -150,8 +155,8 @@ def test_schur_suite_builds_each_shape_memo_once(monkeypatch):
         m = alg.m_lambda(mu)
         assert builds["right_ideal", m.den, frozenset(m.ints.items())] == 1, mu
         assert {"span", "hom_images"} <= vars(alg.right_ideal(m)).keys(), mu
-    # one condition system per W_nu, over the whole basis; none per pair
-    assert conditions == [alg.dim] * len(shapes)
+    # one condition system per W_nu, built once per shape; none per pair
+    assert len(conditions) == len(set(conditions)) == len(shapes)
 
 
 def test_warm_hom_space_takes_no_product_and_two_echelons(monkeypatch):
